@@ -280,7 +280,7 @@ void BM_BigIntModExpGeneric(benchmark::State& state) {
 BENCHMARK(BM_BigIntModExpGeneric)->Arg(256)->Arg(512)->Arg(1024)->Unit(benchmark::kMicrosecond);
 
 void BM_BigIntModExpMontgomery(benchmark::State& state) {
-  // Caller-held context: what Paillier/Sophos/ElGamal pay per operation
+  // Caller-held context: what Paillier/Sophos pay per operation
   // once the per-modulus precomputation is amortized away.
   const std::size_t bits = static_cast<std::size_t>(state.range(0));
   BigInt m = BigInt::random_bits(bits);

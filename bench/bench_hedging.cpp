@@ -1,7 +1,7 @@
 // bench_hedging — CI-checkable proof that hedged reads cap tail latency
 // when one replica of three turns slow.
 //
-// Setup: a 3-replica ReplicatedCloud behind channels with a simulated
+// Setup: a 3-replica ShardedCloud behind channels with a simulated
 // 1 ms one-way WAN latency. After an insert phase builds per-replica
 // latency history, the read phase runs twice:
 //   * no-fault baseline — all replicas fast; p50/p99 recorded;
@@ -30,7 +30,7 @@
 
 #include "common/stopwatch.hpp"
 #include "core/gateway.hpp"
-#include "core/replication.hpp"
+#include "core/sharding.hpp"
 #include "core/tactics/builtin.hpp"
 #include "fhir/observation.hpp"
 
@@ -86,7 +86,7 @@ Run run(bool hedged) {
 
   net::ChannelConfig wan;
   wan.one_way_latency_us = kBaseLatencyUs;
-  core::ReplicatedCloud rc(cfg, wan);
+  core::ShardedCloud rc(cfg, wan);
   kms::KeyManager kms(Bytes(32, 42));
   store::KvStore local;
   core::Gateway gw(rc.client(), kms, local, registry(), cfg);
@@ -116,14 +116,14 @@ Run run(bool hedged) {
 
   // Degrade the replica the router currently ranks best — the very next
   // read is guaranteed to land on it.
-  const auto health = rc.group()->health();
+  const auto health = rc.group(0)->health();
   std::size_t best = 0;
   for (const auto& h : health) {
     if (!h.suspected && h.score < health[best].score) best = h.index;
   }
   net::ChannelConfig slow = wan;
   slow.one_way_latency_us = kSlowLatencyUs;
-  rc.channel(best).set_config(slow);
+  rc.channel(0, best).set_config(slow);
 
   const std::uint64_t fired0 = gw.perf().counter("net.hedge.fired");
   const std::uint64_t won0 = gw.perf().counter("net.hedge.won");
@@ -153,7 +153,7 @@ Avail availability() {
 
   net::ChannelConfig wan;
   wan.one_way_latency_us = 200;
-  core::ReplicatedCloud rc(cfg, wan);
+  core::ShardedCloud rc(cfg, wan);
   kms::KeyManager kms(Bytes(32, 43));
   store::KvStore local;
   core::Gateway gw(rc.client(), kms, local, registry(), cfg);
@@ -183,7 +183,7 @@ Avail availability() {
 
   Avail out;
   out.healthy_ops_s = phase(30);
-  rc.channel(rc.group()->primary()).close();  // kill 1 of 3 — the primary
+  rc.channel(0, rc.group(0)->primary()).close();  // kill 1 of 3 — the primary
   out.degraded_ops_s = phase(30);
   out.failovers = gw.perf().counter("net.replica.failover");
   return out;

@@ -12,9 +12,9 @@
 // Workload per user thread (16 users, closed loop): 90% point reads of
 // preloaded documents (doc.get — routed to the owning shard), 10%
 // equality searches on the Mitra-indexed subject field (trapdoor
-// scatter + per-shard doc.mget + ordered merge — the two-round-trip
-// scatter path of the exec planner). Point reads dominate because they
-// are the operation scale-out genuinely multiplies: a search fans its
+// scatter + per-shard doc.mget + ordered merge, both split by the shard
+// router). Point reads dominate because they are the operation scale-out
+// genuinely multiplies: a search fans its
 // trapdoors and candidate fetches across shards, so its capacity cost
 // grows with the shard count even though its latency stays flat.
 //
@@ -56,8 +56,8 @@ core::TacticRegistry& registry() {
 
 struct RunOut {
   double ops_per_s = 0.0;
-  std::uint64_t scatters = 0;    // core.shard.scatter
-  std::uint64_t subcalls = 0;    // core.shard.subcalls
+  std::uint64_t scatters = 0;    // net.shard.scatter
+  std::uint64_t subcalls = 0;    // net.shard.subcalls
   std::uint64_t checksum = 0;    // order-sensitive digest of search results
 };
 
@@ -126,8 +126,8 @@ RunOut run(std::size_t shards) {
 
   RunOut out;
   out.ops_per_s = static_cast<double>(kRequests) / secs;
-  out.scatters = gw.perf().counter("core.shard.scatter");
-  out.subcalls = gw.perf().counter("core.shard.subcalls");
+  out.scatters = gw.perf().counter("net.shard.scatter");
+  out.subcalls = gw.perf().counter("net.shard.subcalls");
   out.checksum = checksum.load();
   return out;
 }

@@ -13,8 +13,8 @@
 //  * `pow_mod_generic` — the reference square-and-multiply over Knuth-D
 //    division, kept as the differential-testing baseline and the even-
 //    modulus fallback.
-// Callers exponentiating repeatedly under one modulus (Paillier, RSA,
-// ElGamal) should construct a `Montgomery` context once and use the
+// Callers exponentiating repeatedly under one modulus (Paillier, RSA)
+// should construct a `Montgomery` context once and use the
 // context-taking overloads to amortize the precomputation.
 //
 // This is a from-scratch replacement for the Java BigInteger the paper's

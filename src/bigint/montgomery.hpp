@@ -8,8 +8,8 @@
 // modular exponentiation runs a fixed 4-bit-window ladder over CIOS steps.
 //
 // This is the kernel under every public-key hot path in the library:
-// Paillier encrypt/decrypt (mod n^2, and mod p^2/q^2 under CRT), the
-// Sophos RSA trapdoor permutation, and ElGamal's four exponentiations.
+// Paillier encrypt/decrypt (mod n^2, and mod p^2/q^2 under CRT) and the
+// Sophos RSA trapdoor permutation.
 // Callers hold one context per long-lived modulus; `BigInt::pow_mod`
 // builds a transient context for one-shot odd-modulus calls.
 //

@@ -75,22 +75,6 @@ void Executor::run_stage_pooled(PlanStage& stage) {
   if (batch->error) std::rethrow_exception(batch->error);
 }
 
-void Executor::submit(std::function<void()> job) {
-  auto owner = std::make_shared<DetachedJob>(std::move(job));
-  // Aliasing shared_ptr: the queue holds a StageBatch* whose refcount pins
-  // the whole DetachedJob (batch AND the steps it points into).
-  std::shared_ptr<StageBatch> batch(owner, &owner->batch);
-  if (workers_.empty()) {
-    execute_claimed(*batch);
-    return;
-  }
-  {
-    std::lock_guard lock(queue_mutex_);
-    queue_.push_back(std::move(batch));
-  }
-  work_cv_.notify_one();
-}
-
 void Executor::run(OperationPlan& plan) {
   for (auto& stage : plan.stages) {
     if (stage.steps.empty()) continue;

@@ -42,15 +42,6 @@ class Executor {
   /// rethrown on the calling thread.
   void run(OperationPlan& plan);
 
-  /// Enqueues a detached one-off job on the worker pool and returns
-  /// immediately — the hand-off the event-driven server front end uses to
-  /// multiplex connection dispatch onto the same pool that runs plan
-  /// stages. No completion is waited on, so the job must catch its own
-  /// exceptions (EventServer's dispatch wrapper does). Jobs enqueued
-  /// before destruction drain before the workers join; with an empty pool
-  /// the job runs inline.
-  void submit(std::function<void()> job);
-
   std::size_t worker_count() const noexcept { return workers_.size(); }
 
  private:
@@ -69,16 +60,6 @@ class Executor {
     std::condition_variable done_cv;
     std::size_t done = 0;
     std::exception_ptr error;  // first failure, guarded by done_mutex
-  };
-
-  /// Owner block for a detached submit(): the single-step batch and the
-  /// steps vector it points into share one lifetime, kept alive by the
-  /// aliasing shared_ptr in the queue until the job retires.
-  struct DetachedJob {
-    explicit DetachedJob(std::function<void()> job)
-        : steps{{"submit", nullptr, false, std::move(job)}}, batch(steps) {}
-    std::vector<PlanStep> steps;
-    StageBatch batch;
   };
 
   static void run_locked(const PlanStep& step);

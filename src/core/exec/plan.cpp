@@ -9,7 +9,6 @@
 #include "core/hot_cache.hpp"
 #include "core/wire.hpp"
 #include "doc/binary_codec.hpp"
-#include "net/shard_router.hpp"
 #include "store/docstore.hpp"  // compare_values for post-verification
 
 namespace datablinder::core::exec {
@@ -106,103 +105,16 @@ std::vector<Document> Planner::fetch_documents(const CollectionRuntime& rt,
   return out;
 }
 
-void Planner::append_resolve_stages(OperationPlan& p, const CollectionRuntime& rt,
-                                    std::shared_ptr<QueryScratch> scratch,
-                                    std::function<std::vector<DocId>()> candidates,
-                                    const char* label) const {
+void Planner::append_resolve_stage(OperationPlan& p, const CollectionRuntime& rt,
+                                   std::shared_ptr<QueryScratch> scratch,
+                                   std::function<std::vector<DocId>()> candidates,
+                                   const char* label) const {
   const CollectionRuntime* rtp = &rt;
-  net::ShardRouter* router = cloud_.shard_router();
-  if (router == nullptr || router->shards() <= 1) {
-    // Pre-sharding shape, byte-identical: one batched doc.mget.
-    p.stages.push_back(
-        {"resolve",
-         {{label, nullptr, false, [this, rtp, scratch, candidates = std::move(candidates)] {
-             scratch->docs = fetch_documents(*rtp, candidates());
-           }}}});
-    return;
-  }
-
-  const std::size_t nshards = router->shards();
-
-  // Gather: candidate ids -> cache hits + per-shard missing-id partitions,
-  // using the router's own ring so plan-level scatter and router-level
-  // routing always agree on placement.
   p.stages.push_back(
-      {"gather",
-       {{std::string(label) + ":partition", nullptr, false,
-         [this, rtp, scratch, router, nshards, candidates = std::move(candidates)] {
-           auto& sh = scratch->shard;
-           sh.order = candidates();
-           sh.shard_ids.assign(nshards, {});
-           sh.shard_blobs.assign(nshards, {});
-           std::unordered_set<DocId> seen;
-           for (const auto& id : sh.order) {
-             if (!seen.insert(id).second) continue;
-             if (cache_ != nullptr) {
-               if (auto blob = cache_->get("doc/" + rtp->schema.name() + "/" + id)) {
-                 sh.docs.emplace(id, doc::decode_document(*blob));
-                 continue;
-               }
-             }
-             sh.shard_ids[router->shard_of_doc(rtp->schema.name(), id)].push_back(id);
-           }
-           std::size_t subcalls = 0;
-           for (const auto& ids : sh.shard_ids) {
-             if (!ids.empty()) ++subcalls;
-           }
-           perf_.incr("core.shard.scatter");
-           perf_.incr("core.shard.subcalls", subcalls);
+      {"resolve",
+       {{label, nullptr, false, [this, rtp, scratch, candidates = std::move(candidates)] {
+           scratch->docs = fetch_documents(*rtp, candidates());
          }}}});
-
-  // Resolve: one step per shard — the Executor fans them out, so the
-  // whole scatter costs one round-trip time, not one per shard.
-  PlanStage resolve{"resolve", {}};
-  for (std::size_t s = 0; s < nshards; ++s) {
-    resolve.steps.push_back(
-        {std::string(label) + ":shard" + std::to_string(s), nullptr, false,
-         [this, rtp, scratch, s] {
-           auto& sh = scratch->shard;
-           const auto& ids = sh.shard_ids[s];
-           if (ids.empty()) return;
-           doc::Array arr;
-           arr.reserve(ids.size());
-           for (const auto& id : ids) arr.emplace_back(id);
-           const Bytes reply = cloud_.call(
-               "doc.mget", wire::pack({{"col", Value(rtp->schema.name())},
-                                       {"ids", Value(std::move(arr))}}));
-           const doc::Object resp = wire::unpack(reply);
-           for (const auto& entry : wire::get_arr(resp, "docs")) {
-             const doc::Object& e = entry.as_object();
-             sh.shard_blobs[s].emplace_back(wire::get_str(e, "id"),
-                                            wire::get_bin(e, "blob"));
-           }
-         }});
-  }
-  p.stages.push_back(std::move(resolve));
-
-  // Merge: decrypt, warm the cache, and re-emit in candidate order (ids
-  // vanished under a concurrent remove are skipped — same semantics as
-  // the single doc.mget path).
-  p.stages.push_back(
-      {"merge", {{std::string(label) + ":merge", nullptr, false, [this, rtp, scratch] {
-                    auto& sh = scratch->shard;
-                    for (auto& per_shard : sh.shard_blobs) {
-                      for (auto& [id, blob] : per_shard) {
-                        Document d = rtp->open_document(id, blob);
-                        if (cache_ != nullptr) {
-                          cache_->put("doc/" + rtp->schema.name() + "/" + d.id,
-                                      doc::encode_document(d), rtp->schema.name());
-                        }
-                        sh.docs.emplace(d.id, std::move(d));
-                      }
-                    }
-                    scratch->docs.reserve(sh.order.size());
-                    for (const auto& id : sh.order) {
-                      if (auto it = sh.docs.find(id); it != sh.docs.end()) {
-                        scratch->docs.push_back(it->second);
-                      }
-                    }
-                  }}}});
 }
 
 PlanStage Planner::update_stage(CollectionRuntime& rt, std::shared_ptr<DocHolder> holder,
@@ -383,8 +295,8 @@ OperationPlan Planner::equality_search(CollectionRuntime& rt, const std::string&
   }
   p.stages.push_back(std::move(query));
 
-  append_resolve_stages(p, rt, scratch,
-                        [scratch] { return scratch->id_slots[0]; }, "doc.mget");
+  append_resolve_stage(p, rt, scratch,
+                       [scratch] { return scratch->id_slots[0]; }, "doc.mget");
 
   // EqResolution: exact post-filtering after decryption. Unconditional —
   // required for approximate tactics, and under per-tactic locking it also
@@ -481,18 +393,18 @@ OperationPlan Planner::boolean_search(CollectionRuntime& rt,
 
   // Merge the per-disjunct candidate sets in disjunct order (stable dedup,
   // matching sequential evaluation), then resolve in one round trip.
-  append_resolve_stages(p, rt, scratch,
-                        [scratch] {
-                          std::vector<DocId> result_ids;
-                          std::unordered_set<DocId> seen;
-                          for (auto& slot_ids : scratch->id_slots) {
-                            for (const auto& id : slot_ids) {
-                              if (seen.insert(id).second) result_ids.push_back(id);
-                            }
-                          }
-                          return result_ids;
-                        },
-                        "merge+doc.mget");
+  append_resolve_stage(p, rt, scratch,
+                       [scratch] {
+                         std::vector<DocId> result_ids;
+                         std::unordered_set<DocId> seen;
+                         for (auto& slot_ids : scratch->id_slots) {
+                           for (const auto& id : slot_ids) {
+                             if (seen.insert(id).second) result_ids.push_back(id);
+                           }
+                         }
+                         return result_ids;
+                       },
+                       "merge+doc.mget");
 
   // BoolResolution: decrypt candidates and re-evaluate the DNF exactly —
   // needed for ZMF false positives and RND full scans, and harmless
@@ -596,8 +508,8 @@ OperationPlan Planner::range_search(CollectionRuntime& rt, const std::string& fi
                     }}}});
   }
 
-  append_resolve_stages(p, rt, scratch,
-                        [scratch] { return scratch->id_slots[0]; }, "doc.mget");
+  append_resolve_stage(p, rt, scratch,
+                       [scratch] { return scratch->id_slots[0]; }, "doc.mget");
 
   // RangeResolution: exact bound re-check after decryption (no-op for
   // exact indexes on consistent data; shields against concurrent updates).

@@ -16,7 +16,6 @@
 #include <memory>
 #include <shared_mutex>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "core/exec/runtime.hpp"
@@ -66,19 +65,6 @@ struct QueryScratch {
   bool approximate = false;                  // any candidate set approximate
   std::vector<doc::Document> docs;
   AggregateResult agg;
-
-  /// Sharded-resolve scratch (used only when the cloud client routes
-  /// through a ShardRouter): the gather stage partitions the candidate
-  /// ids by shard, the resolve stage's per-shard steps fill shard_blobs
-  /// in parallel, and the merge stage decrypts and re-emits in the
-  /// original candidate order.
-  struct ShardScatter {
-    std::vector<DocId> order;                        // candidate emit order
-    std::unordered_map<DocId, doc::Document> docs;   // cache hits + decrypted
-    std::vector<std::vector<DocId>> shard_ids;       // per-shard missing ids
-    std::vector<std::vector<std::pair<DocId, Bytes>>> shard_blobs;
-  };
-  ShardScatter shard;
 };
 
 /// A compiled gateway operation. Plans capture references to the caller's
@@ -141,20 +127,14 @@ class Planner {
     doc::Document owned;
   };
 
-  /// Appends the candidate-resolution stage(s) shared by every search
-  /// plan. Non-sharded: ONE "resolve" stage — candidates() then one
-  /// batched doc.mget (byte-identical to the pre-sharding plans, same
-  /// step label). Sharded (the cloud client routes through a ShardRouter
-  /// with > 1 shards): a "gather" stage partitions candidates by shard
-  /// using the router's own ring, a "resolve" stage fans one doc.mget
-  /// per shard out as parallel steps, and a "merge" stage decrypts and
-  /// reorders — so a k-candidate search stays two logical round trips
-  /// regardless of the shard count. Emits "core.shard.scatter" /
-  /// "core.shard.subcalls" when a query actually scatters.
-  void append_resolve_stages(OperationPlan& p, const CollectionRuntime& rt,
-                             std::shared_ptr<QueryScratch> scratch,
-                             std::function<std::vector<DocId>()> candidates,
-                             const char* label) const;
+  /// Appends the "resolve" stage shared by every search plan:
+  /// candidates() then one batched doc.mget. Under a sharded backend the
+  /// router splits that doc.mget into per-shard sub-calls and merges them
+  /// in candidate order, so the plan never sees shard placement.
+  void append_resolve_stage(OperationPlan& p, const CollectionRuntime& rt,
+                            std::shared_ptr<QueryScratch> scratch,
+                            std::function<std::vector<DocId>()> candidates,
+                            const char* label) const;
 
   /// The index fan-out stage shared by insert/remove: one step per
   /// (field, tactic-slot) the plan routes, plus one for the boolean

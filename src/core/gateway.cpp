@@ -46,7 +46,9 @@ Gateway::Gateway(net::RpcClient& cloud, kms::KeyManager& kms,
       planner_(cloud_, perf_, cache_.get(), cost_model_.get()),
       executor_(perf_, config_.index_workers) {
   if (config_.retry.enabled) cloud_.set_retry_policy(config_.retry);
-  if (config_.breaker.enabled) cloud_.channel().breaker().configure(config_.breaker);
+  if (config_.breaker.enabled && cloud_.breaker() != nullptr) {
+    cloud_.breaker()->configure(config_.breaker);
+  }
   cloud_.set_metrics_hook(
       [this](const char* series, std::uint64_t value) { perf_.incr(series, value); });
   if (config_.journal_inserts) {

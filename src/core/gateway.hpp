@@ -53,7 +53,8 @@ struct GatewayConfig {
   net::RetryPolicy retry;
 
   /// Circuit-breaker configuration applied to the cloud channel when
-  /// .enabled (default off).
+  /// .enabled (default off). Only a single-endpoint client has a breaker;
+  /// replica groups track health by failure accrual instead.
   net::BreakerConfig breaker;
 
   /// Crash-consistent inserts: when true, every insert/insert_many runs in
@@ -78,7 +79,7 @@ struct GatewayConfig {
   /// disables the cache entirely.
   std::size_t hot_cache_capacity = 0;
 
-  /// Cloud replica count for ReplicatedCloud (core/replication.hpp).
+  /// Cloud replicas per shard for ShardedCloud (core/sharding.hpp).
   /// With replicas = 1 and hedged_reads off, no replication layer is built
   /// at all and the wire behaviour is byte-identical to a single-node
   /// stack. With > 1, writes are applied on the primary and replayed
@@ -99,8 +100,8 @@ struct GatewayConfig {
   net::AccrualConfig accrual;
 
   /// Shard count for ShardedCloud (core/sharding.hpp). With shards = 1
-  /// (default) no router is built and the stack degrades to the
-  /// ReplicatedCloud shapes (byte-identical wire behaviour). With > 1,
+  /// (default) no router is built and the stack is one replica set (or,
+  /// at replicas = 1 without hedging, the plain single-node client). With > 1,
   /// each shard is its own replica set (`replicas` nodes) and a
   /// consistent-hash router scatters keys across them: documents by id,
   /// SSE postings by keyword token, scope-coupled structures whole.

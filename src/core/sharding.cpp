@@ -23,7 +23,7 @@ ShardedCloud::ShardedCloud(const GatewayConfig& config,
   }
 
   if (s == 1 && r == 1 && !config.hedged_reads) {
-    // Legacy plain shape: byte-identical to the pre-replication build.
+    // Plain shape: byte-identical to a hand-assembled single-node stack.
     client_ = std::make_unique<net::RpcClient>(shards_[0].nodes[0]->rpc(),
                                                *shards_[0].channels[0]);
     return;
@@ -40,7 +40,7 @@ ShardedCloud::ShardedCloud(const GatewayConfig& config,
   }
 
   if (s == 1) {
-    // ReplicatedCloud shape: one group-mode client, byte-identical to PR-7.
+    // One replica set: the group is the client's backend.
     client_ = std::make_unique<net::RpcClient>(*shards_[0].group);
     return;
   }

@@ -1,24 +1,24 @@
-// ShardedCloud — the untrusted zone as N shards × R replicas.
+// ShardedCloud — the untrusted zone as N shards × R replicas, and the one
+// builder of every cloud shape the Gateway binds to.
 //
-// Composes the scale-out stack: each shard is a full ReplicatedCloud-style
-// replica set (its own CloudNodes behind independently faultable
-// Channels, assembled into a net::ReplicaGroup), and the shards sit
-// behind one net::ShardRouter fronted by a router-mode RpcClient the
-// Gateway binds to exactly like a single-node client. PR-7 resilience
-// (hedged reads, failure accrual, byte-exact replication, catch-up)
-// applies PER SHARD unchanged — one shard's primary failover never stalls
-// its siblings.
+// Each shard is a replica set: its own CloudNodes behind independently
+// faultable Channels, assembled into a net::ReplicaGroup. The shards sit
+// behind one net::ShardRouter. Whatever the shape, the Gateway gets one
+// RpcClient over one net::Backend and binds to it exactly like a
+// single-node client. Resilience (hedged reads on the group's own pool,
+// failure accrual, byte-exact replication, catch-up) applies PER SHARD —
+// one shard's primary failover never stalls its siblings.
 //
-// Fidelity contract, layered on ReplicatedCloud's:
+// Fidelity ladder:
 //   * shards = 1, replicas = 1, hedged_reads off — no group, no router:
-//     the plain single-node RpcClient, byte-identical on the wire to the
-//     pre-replication build.
-//   * shards = 1 otherwise — exactly the ReplicatedCloud shape (one
-//     group-mode client), byte-identical to PR-7.
+//     the plain single-endpoint RpcClient, byte-identical on the wire to
+//     a hand-assembled single-node stack.
+//   * shards = 1 otherwise — one replica set: the client's backend is the
+//     shard's ReplicaGroup.
 //   * shards > 1 — every shard gets a ReplicaGroup (even at replicas = 1:
 //     the router's contract is "each backend dedups byte-identical
-//     replays", which the group's log provides) and the client routes
-//     through the ShardRouter.
+//     replays", which the group's log provides) and the client's backend
+//     is the ShardRouter.
 #pragma once
 
 #include <memory>
@@ -46,7 +46,7 @@ class ShardedCloud {
   /// The shard router, or nullptr when shards = 1 (no routing layer).
   net::ShardRouter* router() noexcept { return router_.get(); }
 
-  /// Replica group of shard s, or nullptr in the legacy plain shape.
+  /// Replica group of shard s, or nullptr in the plain shape.
   net::ReplicaGroup* group(std::size_t s) noexcept {
     return shards_[s].group.get();
   }

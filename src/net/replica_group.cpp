@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <chrono>
+#include <condition_variable>
 #include <set>
-#include <thread>
 #include <tuple>
 
 #include "common/status.hpp"
@@ -53,17 +53,12 @@ ReplicaGroup::ReplicaGroup(std::vector<ReplicaEndpoint> endpoints, HedgeConfig h
   }
 }
 
-ReplicaGroup::~ReplicaGroup() {
-  std::unique_lock lock(drain_mutex_);
-  drain_cv_.wait(lock, [this] { return inflight_ == 0; });
-}
-
 void ReplicaGroup::set_metrics_hook(MetricsHook hook) {
   std::lock_guard lock(hook_mutex_);
   hook_ = std::move(hook);
 }
 
-void ReplicaGroup::set_hedgeable(std::function<bool(const std::string&)> pred) {
+void ReplicaGroup::set_hedgeable(MethodPredicate pred) {
   std::lock_guard lock(hook_mutex_);
   hedgeable_ = std::move(pred);
 }
@@ -192,7 +187,7 @@ Bytes ReplicaGroup::call_read(const std::string& method, const Bytes& wire) {
   if (order.empty()) {
     throw_error(ErrorCode::kUnavailable, "replica group: no in-sync replica for " + method);
   }
-  std::function<bool(const std::string&)> hedgeable;
+  MethodPredicate hedgeable;
   {
     std::lock_guard lock(hook_mutex_);
     hedgeable = hedgeable_;
@@ -220,7 +215,6 @@ Bytes ReplicaGroup::call_read(const std::string& method, const Bytes& wire) {
   std::rethrow_exception(last);
 }
 
-// dblint:thread-root — each hedged attempt below runs on a detached thread.
 Bytes ReplicaGroup::hedged_read(const std::vector<std::size_t>& order,
                                 const std::string& method, const Bytes& wire) {
   struct Shared {
@@ -234,15 +228,12 @@ Bytes ReplicaGroup::hedged_read(const std::vector<std::size_t>& order,
   };
   auto st = std::make_shared<Shared>();
 
-  // Attempts run detached so the caller can return the moment the first
-  // one succeeds; the group's drain counter keeps the endpoints alive
-  // until every loser has finished touching them.
+  // Attempts run on the group's pool so the caller can return the moment
+  // the first one succeeds; the pool joins every loser before the group's
+  // endpoints can be torn down. Each attempt owns copies of its inputs
+  // and shares only `st`, so it may outlive this frame.
   auto spawn = [this, st](std::size_t idx, std::string m, Bytes w) {
-    {
-      std::lock_guard lock(drain_mutex_);
-      ++inflight_;
-    }
-    std::thread([this, st, idx, m = std::move(m), w = std::move(w)] {
+    hedge_pool_.submit([this, st, idx, m = std::move(m), w = std::move(w)] {
       Bytes out;
       std::exception_ptr err;
       bool sent = false;
@@ -263,16 +254,7 @@ Bytes ReplicaGroup::hedged_read(const std::vector<std::size_t>& order,
         ++st->finished;
       }
       st->cv.notify_all();
-      {
-        std::lock_guard lock(drain_mutex_);
-        --inflight_;
-        // Notify while holding the mutex: the destructor's predicate
-        // cannot observe inflight_ == 0 until this thread releases
-        // drain_mutex_, so the group (and this condition variable)
-        // cannot be destroyed while the notify is still in flight.
-        drain_cv_.notify_all();
-      }
-    }).detach();
+    });
   };
 
   // Hedge delay: this call is "slow" once it exceeds the chosen replica's

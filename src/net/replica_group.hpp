@@ -36,7 +36,6 @@
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -46,15 +45,17 @@
 
 #include "common/bytes.hpp"
 #include "common/perf_series.hpp"
+#include "net/backend.hpp"
 #include "net/channel.hpp"
 #include "net/message.hpp"
+#include "net/worker_pool.hpp"
 
 namespace datablinder::net {
 
 class RpcServer;
 
 /// One replica: an RPC surface plus the (independently faultable) channel
-/// leading to it. Both are non-owning; core::ReplicatedCloud owns them.
+/// leading to it. Both are non-owning; core::ShardedCloud owns them.
 struct ReplicaEndpoint {
   RpcServer* server = nullptr;
   Channel* channel = nullptr;
@@ -96,17 +97,12 @@ struct ReplicaHealth {
 /// primary + replication log.
 bool is_read_method(const std::string& method);
 
-class ReplicaGroup {
+class ReplicaGroup final : public Backend {
  public:
-  using MetricsHook = std::function<void(const char* series, std::uint64_t value)>;
-
   /// At least one endpoint; endpoint 0 starts as primary. Endpoints are
   /// non-owning and must outlive the group.
   ReplicaGroup(std::vector<ReplicaEndpoint> endpoints, HedgeConfig hedge = {},
                AccrualConfig accrual = {});
-
-  /// Drains in-flight hedge attempts before the endpoints can be torn down.
-  ~ReplicaGroup();
 
   ReplicaGroup(const ReplicaGroup&) = delete;
   ReplicaGroup& operator=(const ReplicaGroup&) = delete;
@@ -114,16 +110,16 @@ class ReplicaGroup {
   /// Routes one already-serialized request (reads -> healthiest in-sync
   /// replica, hedged when eligible; writes -> primary + replication).
   /// Throws Error(kUnavailable) when no replica can serve it.
-  Bytes call(const std::string& method, const Bytes& wire_request);
+  Bytes call(const std::string& method, const Bytes& wire_request) override;
 
   /// Counter events ("net.hedge.*", "net.replica.*"). Pass nullptr to clear.
-  void set_metrics_hook(MetricsHook hook);
+  void set_metrics_hook(MetricsHook hook) override;
 
   /// Predicate gating hedges and post-send read failover: only methods the
   /// retry whitelist declares replay-idempotent may be re-sent after their
   /// request leg shipped. Installed by RpcClient from its RetryPolicy;
   /// defaults to "nothing is hedgeable".
-  void set_hedgeable(std::function<bool(const std::string&)> pred);
+  void set_hedgeable(MethodPredicate pred) override;
 
   /// Ships the missing log suffix to every reachable replica (a healed
   /// replica rejoins without waiting for the next write). Returns how many
@@ -143,9 +139,6 @@ class ReplicaGroup {
   std::uint64_t log_wire_bytes(std::uint64_t upto_seq) const;
   std::uint64_t applied_seq(std::size_t i) const;
   std::vector<ReplicaHealth> health() const;
-
-  Channel& channel(std::size_t i) { return *replicas_[i]->endpoint.channel; }
-  RpcServer& server(std::size_t i) { return *replicas_[i]->endpoint.server; }
 
  private:
   struct Replica {
@@ -206,13 +199,16 @@ class ReplicaGroup {
 
   mutable std::mutex hook_mutex_;
   MetricsHook hook_;
-  std::function<bool(const std::string&)> hedgeable_;
+  MethodPredicate hedgeable_;
 
-  // Hedge attempts run on detached threads; the destructor blocks until
-  // every in-flight attempt has finished touching the endpoints.
-  mutable std::mutex drain_mutex_;
-  std::condition_variable drain_cv_;
-  std::size_t inflight_ = 0;
+  // Hedged attempts run here, so the caller can return on the first
+  // success while the loser finishes in the background. Declared last:
+  // its destructor joins every in-flight loser before the replicas, log
+  // and hook it touches are destroyed. A hedged read occupies at most two
+  // workers (the loser may outlive the read), so the bound only queues
+  // attempts once dozens of readers hedge at the same time.
+  static constexpr std::size_t kHedgeWorkers = 64;
+  WorkerPool hedge_pool_{kHedgeWorkers};
 };
 
 }  // namespace datablinder::net

@@ -4,18 +4,13 @@
 #include <random>
 
 #include "common/rng.hpp"
-#include "net/replica_group.hpp"
-#include "net/shard_router.hpp"
 
 namespace datablinder::net {
 
-RpcClient::RpcClient(ReplicaGroup& group)
-    : server_(group.server(0)), channel_(group.channel(0)), group_(&group) {}
-
-RpcClient::RpcClient(ShardRouter& router)
-    : server_(router.group(0).server(0)),
-      channel_(router.group(0).channel(0)),
-      router_(&router) {}
+RpcClient::RpcClient(RpcServer& server, Channel& channel)
+    : endpoint_(std::make_unique<Endpoint>(server, channel)),
+      backend_(*endpoint_),
+      breaker_(&channel.breaker()) {}
 
 void RpcServer::register_method(const std::string& method, Handler handler) {
   std::lock_guard lock(mutex_);
@@ -50,34 +45,24 @@ std::size_t RpcServer::method_count() const {
   return handlers_.size();
 }
 
-namespace {
-// Per-(thread, client) deferred sections. Keyed by client so independent
-// gateway stacks in one process never cross-contaminate.
-thread_local std::unordered_map<const void*, std::unique_ptr<void, void (*)(void*)>>*
-    t_deferred_erased = nullptr;
-}  // namespace
+std::unordered_map<const RpcClient*, RpcClient::Deferred>&
+RpcClient::deferred_sections() noexcept {
+  thread_local std::unordered_map<const RpcClient*, Deferred> sections;
+  return sections;
+}
 
 RpcClient::Deferred* RpcClient::deferred_slot() const noexcept {
-  if (t_deferred_erased == nullptr) return nullptr;
-  auto it = t_deferred_erased->find(this);
-  if (it == t_deferred_erased->end()) return nullptr;
-  return static_cast<Deferred*>(it->second.get());
+  auto& sections = deferred_sections();
+  if (sections.empty()) return nullptr;  // the common case: no open section
+  auto it = sections.find(this);
+  return it == sections.end() ? nullptr : &it->second;
 }
 
 void RpcClient::begin_deferred(std::set<std::string> deferrable_methods) {
   if (deferred_slot() != nullptr) {
     throw_error(ErrorCode::kInvalidArgument, "rpc: deferred section already active");
   }
-  if (t_deferred_erased == nullptr) {
-    // Leaked intentionally at thread exit granularity: tiny and bounded by
-    // the number of live RpcClient instances a thread batches against.
-    t_deferred_erased =
-        new std::unordered_map<const void*, std::unique_ptr<void, void (*)(void*)>>();
-  }
-  auto* d = new Deferred{std::move(deferrable_methods), {}};
-  t_deferred_erased->emplace(
-      this, std::unique_ptr<void, void (*)(void*)>(
-                d, [](void* p) { delete static_cast<Deferred*>(p); }));
+  deferred_sections().emplace(this, Deferred{std::move(deferrable_methods), {}});
 }
 
 std::vector<Request> RpcClient::take_deferred() {
@@ -88,7 +73,7 @@ std::vector<Request> RpcClient::take_deferred() {
   // Move the queue out and end the section before anything else so error
   // paths can never leave a dangling section or stale queued requests.
   std::vector<Request> queue = std::move(d->queue);
-  t_deferred_erased->erase(this);
+  deferred_sections().erase(this);
   return queue;
 }
 
@@ -132,9 +117,7 @@ std::size_t RpcClient::send_batch(const std::vector<Request>& queue) {
   return n;
 }
 
-void RpcClient::abandon_deferred() noexcept {
-  if (t_deferred_erased != nullptr) t_deferred_erased->erase(this);
-}
+void RpcClient::abandon_deferred() noexcept { deferred_sections().erase(this); }
 
 bool RpcClient::in_deferred_section() const noexcept {
   return deferred_slot() != nullptr;
@@ -167,25 +150,11 @@ RpcServer::Handler RpcClient::make_batch_handler(const RpcServer& server) {
 }
 
 void RpcClient::set_retry_policy(RetryPolicy policy) {
-  if (router_ != nullptr) {
-    // Same hedging gate as group mode, forwarded to every shard's group.
-    if (policy.enabled) {
-      router_->set_hedgeable(
-          [policy](const std::string& method) { return policy.retryable(method); });
-    } else {
-      router_->set_hedgeable(nullptr);
-    }
-  }
-  if (group_ != nullptr) {
-    // Hedging is a speculative retry: only methods the whitelist declares
-    // replay-idempotent may be hedged or re-sent after their request leg
-    // shipped. The group re-checks through this predicate on every read.
-    if (policy.enabled) {
-      group_->set_hedgeable(
-          [policy](const std::string& method) { return policy.retryable(method); });
-    } else {
-      group_->set_hedgeable(nullptr);
-    }
+  if (policy.enabled) {
+    backend_.set_hedgeable(
+        [policy](const std::string& method) { return policy.retryable(method); });
+  } else {
+    backend_.set_hedgeable(nullptr);
   }
   std::lock_guard lock(policy_mutex_);
   policy_ = std::move(policy);
@@ -202,8 +171,7 @@ void RpcClient::set_clock(RetryClock* clock) {
 }
 
 void RpcClient::set_metrics_hook(MetricsHook hook) {
-  if (router_ != nullptr) router_->set_metrics_hook(hook);
-  if (group_ != nullptr) group_->set_metrics_hook(hook);
+  backend_.set_metrics_hook(hook);
   std::lock_guard lock(policy_mutex_);
   hook_ = std::move(hook);
 }
@@ -217,7 +185,7 @@ void RpcClient::emit(const char* series, std::uint64_t value) const {
   if (hook) hook(series, value);
 }
 
-Bytes RpcClient::dispatch_once(const std::string& method, const Bytes& wire_request) {
+Bytes Endpoint::call(const std::string& method, const Bytes& wire_request) {
   channel_.transfer_request(wire_request.size(), method);
   // Both ends run in-process: the "cloud" executes here. The bytes still
   // went through full serialize/deserialize so nothing non-serializable
@@ -260,15 +228,9 @@ Bytes RpcClient::call(const std::string& method, BytesView payload) {
     policy = policy_;
     clock = clock_ != nullptr ? clock_ : &RetryClock::system();
   }
-  CircuitBreaker& breaker = channel_.breaker();
-  if (!policy.enabled &&
-      (group_ != nullptr || router_ != nullptr || !breaker.enabled())) {
-    // Seed fast path: fail fast. In group/sharded mode the per-replica
-    // accrual detector is the health authority, so the breaker never
-    // gates calls.
-    if (router_ != nullptr) return router_->call(method, wire_request);
-    if (group_ != nullptr) return group_->call(method, wire_request);
-    return dispatch_once(method, wire_request);
+  if (!policy.enabled && (breaker_ == nullptr || !breaker_->enabled())) {
+    // Seed fast path: fail fast.
+    return backend_.call(method, wire_request);
   }
 
   const std::uint64_t start_us = clock->now_us();
@@ -280,50 +242,40 @@ Bytes RpcClient::call(const std::string& method, BytesView payload) {
   for (std::uint32_t attempt = 1;; ++attempt) {
     bool transport_failure;
     std::exception_ptr error;
-    if (router_ != nullptr) {
-      // Sharded mode: routing re-derives the same sub-requests on every
-      // attempt (deterministic placement), so retries replay byte-exactly
-      // into each shard's dedup log just like group mode.
+    if (breaker_ == nullptr) {
+      // Group or router backend: it already did per-replica routing and
+      // failover; what escapes it is either a typed server error or "no
+      // replica could serve this". The latter retries under the normal
+      // budget, re-sending the SAME bytes, which routing re-derives into
+      // the same sub-requests and the replica logs dedup.
       try {
-        return router_->call(method, wire_request);
+        return backend_.call(method, wire_request);
       } catch (const Error& e) {
         transport_failure = e.code() == ErrorCode::kUnavailable;
         error = std::current_exception();
       }
-    } else if (group_ != nullptr) {
-      // Group mode: the group already did per-replica routing/failover;
-      // what escapes it is either a typed server error or "no replica
-      // could serve this" — the latter retries under the normal budget
-      // (re-sending the SAME bytes, which the group dedups for applied
-      // writes whose ack was lost).
-      try {
-        return group_->call(method, wire_request);
-      } catch (const Error& e) {
-        transport_failure = e.code() == ErrorCode::kUnavailable;
-        error = std::current_exception();
-      }
-    } else if (!breaker.try_admit(clock->now_us())) {
+    } else if (!breaker_->try_admit(clock->now_us())) {
       emit("net.breaker.reject", 1);
       transport_failure = true;
       error = std::make_exception_ptr(
           Error(ErrorCode::kUnavailable, "circuit breaker open: " + method));
     } else {
       try {
-        Bytes out = dispatch_once(method, wire_request);
-        breaker.on_success();
+        Bytes out = backend_.call(method, wire_request);
+        breaker_->on_success();
         return out;
       } catch (const Error& e) {
         transport_failure = e.code() == ErrorCode::kUnavailable;
         if (transport_failure) {
-          const auto before = breaker.state();
-          breaker.on_failure(clock->now_us());
-          if (breaker.state() == CircuitBreaker::State::kOpen &&
+          const auto before = breaker_->state();
+          breaker_->on_failure(clock->now_us());
+          if (breaker_->state() == CircuitBreaker::State::kOpen &&
               before != CircuitBreaker::State::kOpen) {
             emit("net.breaker.open", 1);
           }
         } else {
           // A typed server error is a delivered response: endpoint healthy.
-          breaker.on_success();
+          breaker_->on_success();
         }
         error = std::current_exception();
       } catch (...) {
@@ -331,7 +283,7 @@ Bytes RpcClient::call(const std::string& method, BytesView payload) {
         // verdict on endpoint health, but the admission MUST be settled —
         // in half-open this admission holds the probe token, and leaving
         // it unsettled would lock the breaker in half-open forever.
-        breaker.on_failure(clock->now_us());
+        breaker_->on_failure(clock->now_us());
         throw;
       }
     }

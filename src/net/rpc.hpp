@@ -23,14 +23,12 @@
 #include <unordered_map>
 #include <vector>
 
+#include "net/backend.hpp"
 #include "net/channel.hpp"
 #include "net/message.hpp"
 #include "net/resilience.hpp"
 
 namespace datablinder::net {
-
-class ReplicaGroup;
-class ShardRouter;
 
 class RpcServer {
  public:
@@ -50,38 +48,49 @@ class RpcServer {
   std::unordered_map<std::string, Handler> handlers_;
 };
 
+/// A single cloud endpoint: one server behind one channel. call() is one
+/// un-retried round trip of pre-serialized request bytes.
+class Endpoint final : public Backend {
+ public:
+  /// Both server and channel must outlive the endpoint.
+  Endpoint(RpcServer& server, Channel& channel) : server_(server), channel_(channel) {}
+
+  /// Serialize, cross the channel, dispatch, cross back, deserialize.
+  Bytes call(const std::string& method, const Bytes& wire_request) override;
+  /// A single endpoint has no routing events and never re-sends.
+  void set_metrics_hook(MetricsHook) override {}
+  void set_hedgeable(MethodPredicate) override {}
+
+ private:
+  RpcServer& server_;
+  Channel& channel_;
+};
+
 class RpcClient {
  public:
-  /// Both endpoint and channel must outlive the client.
-  RpcClient(RpcServer& server, Channel& channel) : server_(server), channel_(channel) {}
+  /// Single-endpoint client over `server` behind `channel`; both must
+  /// outlive the client. The only shape that consults the channel's
+  /// circuit breaker.
+  RpcClient(RpcServer& server, Channel& channel);
 
-  /// Group mode: every call routes through the replica group (reads to the
-  /// healthiest in-sync replica, hedged when eligible; writes through the
-  /// primary + replication log). Per-replica failure accrual replaces the
-  /// single-channel circuit breaker. The retry loop still wraps the group:
-  /// a kUnavailable from it (no replica reachable, or an applied write
-  /// whose ack was lost) retries with the same backoff/whitelist/budget
-  /// rules, and the group dedups replayed writes byte-exactly. The group
-  /// must outlive the client.
-  explicit RpcClient(ReplicaGroup& group);
+  /// Client over a replica group or shard router (which must outlive the
+  /// client). The backend's own health tracking replaces the breaker; the
+  /// retry loop still wraps it: a kUnavailable from it (no replica
+  /// reachable, or an applied write whose ack was lost) retries with the
+  /// same backoff/whitelist/budget rules, re-sending the same bytes, which
+  /// the backend routes deterministically and its replica logs dedup.
+  explicit RpcClient(Backend& backend) : backend_(backend) {}
 
-  /// Sharded mode: every call routes through the consistent-hash router
-  /// (single-key and scope methods to one shard, array methods scattered
-  /// with ordered merges, structure-wide reads broadcast). Each shard is a
-  /// ReplicaGroup, so the group-mode retry semantics apply per shard; the
-  /// retry loop wraps the whole routed operation and re-sends the same
-  /// top-level bytes, which re-derives byte-identical sub-requests (the
-  /// routing is deterministic) that each shard's log dedups. The router
-  /// must outlive the client.
-  explicit RpcClient(ShardRouter& router);
-
-  /// Full round trip: serialize, cross the channel, dispatch, cross back,
-  /// deserialize. Throws the server-side Error on failure responses.
-  /// Transport failures are retried per the installed RetryPolicy.
+  /// Full round trip: serialize, hand to the backend, deserialize. Throws
+  /// the server-side Error on failure responses. Transport failures are
+  /// retried per the installed RetryPolicy.
   Bytes call(const std::string& method, BytesView payload);
 
   // --- resilience -----------------------------------------------------------
 
+  /// Also installs the policy's whitelist as the backend's hedging gate:
+  /// hedging is a speculative retry, so only replay-idempotent methods may
+  /// be re-sent after their request leg shipped.
   void set_retry_policy(RetryPolicy policy);
   RetryPolicy retry_policy() const;
 
@@ -89,12 +98,17 @@ class RpcClient {
   /// (non-owning; nullptr restores the system steady clock). Test hook.
   void set_clock(RetryClock* clock);
 
-  /// Observer for retry/breaker events. Series names: "net.retry.attempt",
+  /// Observer for retry/breaker events ("net.retry.attempt",
   /// "net.retry.backoff_us", "net.retry.giveup", "net.retry.deadline",
-  /// "net.breaker.open", "net.breaker.reject". The gateway bridges these
-  /// into its PerfRegistry. Pass nullptr to clear.
-  using MetricsHook = std::function<void(const char* series, std::uint64_t value)>;
+  /// "net.breaker.open", "net.breaker.reject"), also installed on the
+  /// backend for its routing events. The gateway bridges these into its
+  /// PerfRegistry. Pass nullptr to clear.
+  using MetricsHook = Backend::MetricsHook;
   void set_metrics_hook(MetricsHook hook);
+
+  /// The bound channel's circuit breaker, or nullptr for a group/router
+  /// backend (whose per-replica accrual is the health authority).
+  CircuitBreaker* breaker() noexcept { return breaker_; }
 
   // --- deferred batching ----------------------------------------------------
   //
@@ -138,28 +152,21 @@ class RpcClient {
   /// it as method "rpc.batch".
   static RpcServer::Handler make_batch_handler(const RpcServer& server);
 
-  Channel& channel() noexcept { return channel_; }
-
-  /// The shard router, or nullptr outside sharded mode (the exec Planner
-  /// consults it to build per-shard scatter stages that agree with the
-  /// router's placement).
-  ShardRouter* shard_router() const noexcept { return router_; }
-
  private:
   struct Deferred {
     std::set<std::string> methods;
     std::vector<Request> queue;
   };
+  /// This thread's open deferred sections, keyed by client so independent
+  /// gateway stacks in one process never cross-contaminate.
+  static std::unordered_map<const RpcClient*, Deferred>& deferred_sections() noexcept;
   Deferred* deferred_slot() const noexcept;
 
-  /// One un-retried round trip of pre-serialized request bytes.
-  Bytes dispatch_once(const std::string& method, const Bytes& wire_request);
   void emit(const char* series, std::uint64_t value) const;
 
-  RpcServer& server_;
-  Channel& channel_;
-  ReplicaGroup* group_ = nullptr;   // non-null => group routing mode
-  ShardRouter* router_ = nullptr;   // non-null => sharded routing mode
+  std::unique_ptr<Endpoint> endpoint_;  // owned by the single-endpoint shape
+  Backend& backend_;
+  CircuitBreaker* breaker_ = nullptr;   // non-null only for a single endpoint
 
   mutable std::mutex policy_mutex_;  // guards policy_, clock_, hook_
   RetryPolicy policy_;

@@ -1,8 +1,8 @@
 #include "net/shard_router.hpp"
 
 #include <algorithm>
+#include <condition_variable>
 #include <deque>
-#include <thread>
 
 #include "common/status.hpp"
 #include "doc/binary_codec.hpp"
@@ -113,20 +113,16 @@ std::size_t HashRing::shard_of(std::string_view key) const {
 
 // --- ShardRouter ------------------------------------------------------------
 
+// Sub-calls BLOCK their worker for the whole channel exchange, so the pool
+// must not serialize concurrent scatters from different gateway threads:
+// it grows on demand up to this bound.
 ShardRouter::ShardRouter(std::vector<ReplicaGroup*> shards, RingConfig ring)
-    : shards_(std::move(shards)), ring_(shards_.size(), ring) {
+    : shards_(std::move(shards)),
+      ring_(shards_.size(), ring),
+      pool_(std::max<std::size_t>(32, shards_.size() * 16)) {
   if (shards_.empty()) {
     throw_error(ErrorCode::kInvalidArgument, "shard router needs >= 1 backend");
   }
-}
-
-ShardRouter::~ShardRouter() {
-  {
-    std::lock_guard lock(pool_mutex_);
-    pool_stop_ = true;
-  }
-  pool_cv_.notify_all();
-  for (auto& t : pool_) t.join();
 }
 
 std::string ShardRouter::doc_key(const std::string& col, const std::string& id) {
@@ -184,32 +180,8 @@ void ShardRouter::set_metrics_hook(MetricsHook hook) {
   }
 }
 
-void ShardRouter::set_hedgeable(std::function<bool(const std::string&)> pred) {
+void ShardRouter::set_hedgeable(MethodPredicate pred) {
   for (auto* shard : shards_) shard->set_hedgeable(pred);
-}
-
-// dblint:thread-root — persistent fan-out workers. Spawning a thread per
-// sub-call would burn a pthread_create/join pair per shard per scatter
-// (tens of microseconds each — comparable to the sub-call itself on a
-// loaded host); the pool pays that cost once and every scatter after that
-// is a condvar wake.
-void ShardRouter::pool_worker() {
-  for (;;) {
-    std::function<void()> task;
-    {
-      std::unique_lock lock(pool_mutex_);
-      ++pool_idle_;
-      pool_cv_.wait(lock, [this] { return pool_stop_ || !pool_queue_.empty(); });
-      --pool_idle_;
-      if (pool_stop_ && pool_queue_.empty()) return;
-      task = std::move(pool_queue_.front());
-      pool_queue_.pop_front();
-    }
-    // 'task' was moved OUT of the queue under the lock; the std::function
-    // owns its state afterwards, nothing points back into pool_queue_.
-    // dblint:allow(guard-escape): task owns its state after the move-out
-    task();
-  }
 }
 
 std::vector<Bytes> ShardRouter::fan_out(
@@ -240,27 +212,14 @@ std::vector<Bytes> ShardRouter::fan_out(
       errors[k] = std::current_exception();
     }
   };
-  {
-    std::lock_guard lock(pool_mutex_);
-    for (std::size_t k = 1; k < calls.size(); ++k) {
-      pool_queue_.emplace_back([&run_one, latch, k] {
-        run_one(k);
-        std::lock_guard done(latch->m);
-        --latch->pending;
-        latch->cv.notify_one();
-      });
-    }
-    // Sub-calls BLOCK their worker for the whole channel exchange, so a
-    // fixed-size pool would serialize concurrent scatters from different
-    // gateway threads. Grow on demand (bounded) and keep idle workers
-    // parked on the condvar for the next scatter.
-    const std::size_t cap = std::max<std::size_t>(32, shards_.size() * 16);
-    std::size_t want = pool_queue_.size() > pool_idle_ ? pool_queue_.size() - pool_idle_ : 0;
-    while (want-- > 0 && pool_.size() < cap) {
-      pool_.emplace_back([this] { pool_worker(); });
-    }
+  for (std::size_t k = 1; k < calls.size(); ++k) {
+    pool_.submit([&run_one, latch, k] {
+      run_one(k);
+      std::lock_guard done(latch->m);
+      --latch->pending;
+      latch->cv.notify_one();
+    });
   }
-  pool_cv_.notify_all();
   run_one(0);
   {
     std::unique_lock lock(latch->m);

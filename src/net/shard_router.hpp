@@ -24,30 +24,28 @@
 // (ChannelStats-asserted in shard_router_test).
 //
 // Every multi-shard operation (scatter, broadcast, batch split) fans its
-// sub-calls out on a persistent worker pool so the per-shard channels
-// overlap without paying a thread spawn per sub-call; merges are ordered
-// and deterministic. Each backend is a full PR-7
-// ReplicaGroup, so hedged reads, failure accrual and byte-exact
-// replication apply per shard unchanged — one shard's failover never
-// stalls its siblings.
+// sub-calls out on an owned WorkerPool so the per-shard channels overlap
+// without paying a thread spawn per sub-call; merges are ordered and
+// deterministic. Each backend is a full ReplicaGroup, so hedged reads,
+// failure accrual and byte-exact replication apply per shard unchanged —
+// one shard's failover never stalls its siblings.
 #pragma once
 
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <string_view>
-#include <thread>
 #include <vector>
 
 #include "bigint/bigint.hpp"
 #include "bigint/montgomery.hpp"
 #include "common/bytes.hpp"
+#include "net/backend.hpp"
 #include "net/replica_group.hpp"
+#include "net/worker_pool.hpp"
 
 namespace datablinder::net {
 
@@ -73,14 +71,11 @@ class HashRing {
   std::vector<std::pair<std::uint64_t, std::uint32_t>> points_;
 };
 
-class ShardRouter {
+class ShardRouter final : public Backend {
  public:
-  using MetricsHook = std::function<void(const char* series, std::uint64_t value)>;
-
   /// Backends are non-owning (core::ShardedCloud owns them) and must
   /// outlive the router. At least one backend.
   explicit ShardRouter(std::vector<ReplicaGroup*> shards, RingConfig ring = {});
-  ~ShardRouter();
 
   ShardRouter(const ShardRouter&) = delete;
   ShardRouter& operator=(const ShardRouter&) = delete;
@@ -91,13 +86,14 @@ class ShardRouter {
   /// reads broadcast and merge (concatenation, sums, or homomorphic
   /// multiplication for Paillier partials). Returns the decoded response
   /// payload; server-side errors re-throw typed.
-  Bytes call(const std::string& method, const Bytes& wire_request);
+  Bytes call(const std::string& method, const Bytes& wire_request) override;
 
   const HashRing& ring() const noexcept { return ring_; }
   std::size_t shards() const noexcept { return shards_.size(); }
 
-  /// Ring key for a document — shared with the exec Planner so plan-level
-  /// scatter stages and router-level routing always agree on placement.
+  /// Ring key and owning shard of a document. Placement is decided only
+  /// here (doc.mget scatters inside the router); callers outside the
+  /// router use these to observe it.
   static std::string doc_key(const std::string& col, const std::string& id);
   std::size_t shard_of_doc(const std::string& col, const std::string& id) const;
 
@@ -106,12 +102,10 @@ class ShardRouter {
   /// "net.hedge.*") and once instance-labeled ("net.shard.<i>.replica.*")
   /// so per-shard counters never collide; the label set is bounded by the
   /// shard count. Pass nullptr to clear.
-  void set_metrics_hook(MetricsHook hook);
+  void set_metrics_hook(MetricsHook hook) override;
 
   /// Forwarded to every shard group (hedging gate; see ReplicaGroup).
-  void set_hedgeable(std::function<bool(const std::string&)> pred);
-
-  ReplicaGroup& group(std::size_t i) { return *shards_[i]; }
+  void set_hedgeable(MethodPredicate pred) override;
 
  private:
   Bytes call_shard(std::size_t i, const std::string& method, const Bytes& wire);
@@ -119,15 +113,11 @@ class ShardRouter {
   static Bytes sub_request(const std::string& method, Bytes payload);
 
   /// Runs call_shard against every (shard, wire) pair concurrently — the
-  /// caller runs the first pair, persistent pool workers run the rest —
-  /// and returns the responses in pair order. Rethrows the first failure
-  /// after all sub-calls finished touching the backends.
+  /// caller runs the first pair, pool workers run the rest — and returns
+  /// the responses in pair order. Rethrows the first failure after all
+  /// sub-calls finished touching the backends.
   std::vector<Bytes> fan_out(const std::string& method,
                              const std::vector<std::pair<std::size_t, Bytes>>& calls);
-  /// Fan-out worker loop: parks on the condvar between scatters. Workers
-  /// are spawned on demand (bounded) because a sub-call blocks its worker
-  /// for the whole channel exchange.
-  void pool_worker();
 
   Bytes route_single(std::size_t shard, const std::string& method, const Bytes& wire);
   Bytes scatter_mget(const std::string& method, const Bytes& wire);
@@ -143,14 +133,6 @@ class ShardRouter {
   std::vector<ReplicaGroup*> shards_;
   HashRing ring_;
 
-  /// Fan-out worker pool (lazily grown, joined by the destructor).
-  std::mutex pool_mutex_;
-  std::condition_variable pool_cv_;
-  std::deque<std::function<void()>> pool_queue_;
-  std::vector<std::thread> pool_;
-  std::size_t pool_idle_ = 0;
-  bool pool_stop_ = false;
-
   mutable std::mutex hook_mutex_;
   MetricsHook hook_;
 
@@ -162,6 +144,10 @@ class ShardRouter {
   };
   mutable std::mutex agg_mutex_;
   std::map<std::string, AggScope> agg_scopes_;
+
+  /// Fan-out sub-calls. fan_out waits for its own sub-calls, so no task is
+  /// in flight once the router can be destroyed.
+  WorkerPool pool_;
 };
 
 }  // namespace datablinder::net

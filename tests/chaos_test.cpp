@@ -14,7 +14,7 @@
 
 #include "core/cloud_node.hpp"
 #include "core/gateway.hpp"
-#include "core/replication.hpp"
+#include "core/sharding.hpp"
 #include "core/tactics/builtin.hpp"
 #include "core/wire.hpp"
 #include "fhir/observation.hpp"
@@ -23,7 +23,7 @@
 namespace datablinder {
 namespace {
 
-using core::ReplicatedCloud;
+using core::ShardedCloud;
 using doc::Document;
 using doc::Value;
 using net::ReplicaGroup;
@@ -59,20 +59,20 @@ Bytes put_request(const std::string& id, std::uint8_t fill) {
 /// to its applied sequence — the structural no-duplicate-application check
 /// (a re-shipped entry would inflate bytes_sent past the log total). Call
 /// BEFORE issuing reads through the group: read traffic adds bytes.
-void expect_byte_exact_replication(ReplicatedCloud& rc) {
-  ReplicaGroup* g = rc.group();
+void expect_byte_exact_replication(ShardedCloud& rc) {
+  ReplicaGroup* g = rc.group(0);
   ASSERT_NE(g, nullptr);
   for (std::size_t i = 0; i < g->size(); ++i) {
-    EXPECT_EQ(rc.channel(i).stats().bytes_sent.load(),
+    EXPECT_EQ(rc.channel(0, i).stats().bytes_sent.load(),
               g->log_wire_bytes(g->applied_seq(i)))
         << "replica " << i << " carried duplicated or missing write bytes";
   }
 }
 
-void expect_digests_converged(ReplicatedCloud& rc) {
-  const std::uint64_t d0 = rc.node(0).state_digest();
-  for (std::size_t i = 1; i < rc.size(); ++i) {
-    EXPECT_EQ(rc.node(i).state_digest(), d0) << "replica " << i << " diverged";
+void expect_digests_converged(ShardedCloud& rc) {
+  const std::uint64_t d0 = rc.node(0, 0).state_digest();
+  for (std::size_t i = 1; i < rc.replicas_per_shard(); ++i) {
+    EXPECT_EQ(rc.node(0, i).state_digest(), d0) << "replica " << i << " diverged";
   }
 }
 
@@ -83,8 +83,8 @@ TEST(ChaosGroup, AckLostWriteIsDedupedOnRetryByteExactly) {
   // ack is lost, but the entry is replicated; re-sending the same bytes
   // (what RpcClient's retry does) must finish the write — ack from the
   // stored response — without a second application anywhere.
-  ReplicatedCloud rc(replicated_config(3));
-  ReplicaGroup* g = rc.group();
+  ShardedCloud rc(replicated_config(3));
+  ReplicaGroup* g = rc.group(0);
   ASSERT_NE(g, nullptr);
   std::map<std::string, std::uint64_t> counters;
   g->set_metrics_hook(
@@ -93,7 +93,7 @@ TEST(ChaosGroup, AckLostWriteIsDedupedOnRetryByteExactly) {
   const Bytes wire = put_request("doc-1", 0xAB);
   net::FaultPlan plan;
   plan.fail_transfers = {2};  // ordinal 1 = request leg, 2 = response leg
-  rc.channel(0).arm_fault_plan(plan);
+  rc.channel(0, 0).arm_fault_plan(plan);
 
   try {
     g->call("doc.put", wire);
@@ -114,13 +114,13 @@ TEST(ChaosGroup, AckLostWriteIsDedupedOnRetryByteExactly) {
   EXPECT_EQ(g->committed_seq(), 1u);
   expect_digests_converged(rc);
   for (std::size_t i = 0; i < 3; ++i) {
-    ASSERT_TRUE(rc.node(i).rpc().method_count() > 0);
+    ASSERT_TRUE(rc.node(0, i).rpc().method_count() > 0);
     EXPECT_TRUE(
-        rc.node(i).state_digest() == rc.node(0).state_digest());
+        rc.node(0, i).state_digest() == rc.node(0, 0).state_digest());
   }
   // Backup channels carried the wire bytes exactly once each.
-  EXPECT_EQ(rc.channel(1).stats().bytes_sent.load(), wire.size());
-  EXPECT_EQ(rc.channel(2).stats().bytes_sent.load(), wire.size());
+  EXPECT_EQ(rc.channel(0, 1).stats().bytes_sent.load(), wire.size());
+  EXPECT_EQ(rc.channel(0, 2).stats().bytes_sent.load(), wire.size());
 }
 
 TEST(ChaosGroup, FaultingBackupIsDemotedBeforeAckAndRejoinsExactlyOnce) {
@@ -129,15 +129,15 @@ TEST(ChaosGroup, FaultingBackupIsDemotedBeforeAckAndRejoinsExactlyOnce) {
   // heals, catch-up replays exactly the missed suffix.
   core::GatewayConfig cfg = replicated_config(3);
   cfg.accrual.suspect_threshold = 1;  // demote on the first miss
-  ReplicatedCloud rc(cfg);
-  ReplicaGroup* g = rc.group();
+  ShardedCloud rc(cfg);
+  ReplicaGroup* g = rc.group(0);
   std::map<std::string, std::uint64_t> counters;
   g->set_metrics_hook(
       [&](const char* series, std::uint64_t v) { counters[series] += v; });
 
   g->call("doc.put", put_request("a", 1));  // all replicas healthy
 
-  rc.channel(2).close();  // partition backup 2
+  rc.channel(0, 2).close();  // partition backup 2
   g->call("doc.put", put_request("b", 2));
   g->call("doc.put", put_request("c", 3));
   EXPECT_EQ(counters["net.replica.demote"], 1u);
@@ -146,7 +146,7 @@ TEST(ChaosGroup, FaultingBackupIsDemotedBeforeAckAndRejoinsExactlyOnce) {
   EXPECT_EQ(g->applied_seq(2), 1u);  // lagging, excluded from the ack set
   EXPECT_EQ(g->committed_seq(), 3u);  // acked without the suspect
 
-  rc.channel(2).reopen();
+  rc.channel(0, 2).reopen();
   EXPECT_EQ(g->catch_up_all(), 3u);
   EXPECT_GE(counters["net.replica.rejoin"], 1u);
   EXPECT_EQ(g->applied_seq(2), 3u);
@@ -158,8 +158,8 @@ TEST(ChaosGroup, NonWhitelistedReadIsNeverResentAfterSend) {
   // Satellite 2: a method outside the retry whitelist must not be hedged
   // and must not fail over to another replica once its request leg has
   // shipped — even when the response leg faults.
-  ReplicatedCloud rc(replicated_config(2));
-  ReplicaGroup* g = rc.group();
+  ShardedCloud rc(replicated_config(2));
+  ReplicaGroup* g = rc.group(0);
   // Whitelist WITHOUT doc.get: the group must treat it as un-resendable.
   g->set_hedgeable([](const std::string&) { return false; });
 
@@ -178,22 +178,22 @@ TEST(ChaosGroup, NonWhitelistedReadIsNeverResentAfterSend) {
   // request shipped, so no second replica may see the method.
   net::FaultPlan plan;
   plan.fail_transfers = {2};  // ordinal 1 = request leg, 2 = response leg
-  rc.channel(1).arm_fault_plan(plan);
-  const std::uint64_t primary_sent = rc.channel(0).stats().bytes_sent.load();
-  const std::uint64_t backup_sent = rc.channel(1).stats().bytes_sent.load();
+  rc.channel(0, 1).arm_fault_plan(plan);
+  const std::uint64_t primary_sent = rc.channel(0, 0).stats().bytes_sent.load();
+  const std::uint64_t backup_sent = rc.channel(0, 1).stats().bytes_sent.load();
 
   EXPECT_THROW(g->call("doc.get", read), Error);
   // The read shipped to the backup and died on the response leg; the
   // primary saw NO traffic for this call: no hedge, no failover after send.
-  EXPECT_EQ(rc.channel(1).stats().bytes_sent.load(), backup_sent + read.size());
-  EXPECT_EQ(rc.channel(0).stats().bytes_sent.load(), primary_sent);
+  EXPECT_EQ(rc.channel(0, 1).stats().bytes_sent.load(), backup_sent + read.size());
+  EXPECT_EQ(rc.channel(0, 0).stats().bytes_sent.load(), primary_sent);
 }
 
 TEST(ChaosGroup, RequestLegFailureFailsOverEvenForNonWhitelistedReads) {
   // Contrast case: a fault BEFORE the request ships is always safe to
   // re-route — the method never reached any replica.
-  ReplicatedCloud rc(replicated_config(2));
-  ReplicaGroup* g = rc.group();
+  ShardedCloud rc(replicated_config(2));
+  ReplicaGroup* g = rc.group(0);
   g->set_hedgeable([](const std::string&) { return false; });
   g->call("doc.put", put_request("x", 9));
 
@@ -210,17 +210,17 @@ TEST(ChaosGroup, RequestLegFailureFailsOverEvenForNonWhitelistedReads) {
   // re-routes and the primary serves the call.
   net::FaultPlan plan;
   plan.method_faults = {{"doc.get", /*skip=*/0, /*count=*/1}};
-  rc.channel(1).arm_fault_plan(plan);
-  const std::uint64_t primary_trips = rc.channel(0).stats().round_trips.load();
+  rc.channel(0, 1).arm_fault_plan(plan);
+  const std::uint64_t primary_trips = rc.channel(0, 0).stats().round_trips.load();
   const Bytes payload = g->call("doc.get", read);  // succeeds via failover
   EXPECT_FALSE(payload.empty());
-  EXPECT_EQ(rc.channel(0).stats().round_trips.load(), primary_trips + 1);
+  EXPECT_EQ(rc.channel(0, 0).stats().round_trips.load(), primary_trips + 1);
 }
 
 // --- gateway-level scenarios -------------------------------------------------
 
 TEST(ChaosGateway, KillPrimaryMidInsertLosesNoAcknowledgedWrite) {
-  ReplicatedCloud rc(replicated_config(3));
+  ShardedCloud rc(replicated_config(3));
   kms::KeyManager kms(Bytes(32, 11));
   store::KvStore local;
   core::Gateway gw(rc.client(), kms, local, registry(), replicated_config(3));
@@ -238,16 +238,16 @@ TEST(ChaosGateway, KillPrimaryMidInsertLosesNoAcknowledgedWrite) {
   // Kill the primary completely, mid-workload. The failure-accrual
   // detector demotes it after `suspect_threshold` consecutive transport
   // failures; the write fails over and the insert stream continues.
-  ASSERT_NE(rc.group(), nullptr);
-  ASSERT_EQ(rc.group()->primary(), 0u);
-  rc.channel(0).close();
+  ASSERT_NE(rc.group(0), nullptr);
+  ASSERT_EQ(rc.group(0)->primary(), 0u);
+  rc.channel(0, 0).close();
   for (int i = 5; i < 10; ++i) {
     Document d = gen.next();
     d.id = "post-" + std::to_string(i);
     d.set("subject", Value("patient-c"));
     acked.push_back(gw.insert("obs", d));
   }
-  EXPECT_NE(rc.group()->primary(), 0u);
+  EXPECT_NE(rc.group(0)->primary(), 0u);
   EXPECT_GE(gw.perf().counter("net.replica.demote"), 1u);
   EXPECT_GE(gw.perf().counter("net.replica.failover"), 1u);
 
@@ -258,14 +258,14 @@ TEST(ChaosGateway, KillPrimaryMidInsertLosesNoAcknowledgedWrite) {
 
   // Heal: the old primary catches up on exactly the missed suffix and the
   // replica set reconverges byte-for-byte.
-  rc.channel(0).reopen();
+  rc.channel(0, 0).reopen();
   EXPECT_EQ(rc.catch_up(), 3u);
-  EXPECT_EQ(rc.node(0).state_digest(), rc.node(1).state_digest());
-  EXPECT_EQ(rc.node(1).state_digest(), rc.node(2).state_digest());
+  EXPECT_EQ(rc.node(0, 0).state_digest(), rc.node(0, 1).state_digest());
+  EXPECT_EQ(rc.node(0, 1).state_digest(), rc.node(0, 2).state_digest());
 }
 
 TEST(ChaosGateway, PartitionThenHealConvergesByteExactly) {
-  ReplicatedCloud rc(replicated_config(3));
+  ShardedCloud rc(replicated_config(3));
   kms::KeyManager kms(Bytes(32, 12));
   store::KvStore local;
   core::Gateway gw(rc.client(), kms, local, registry(), replicated_config(3));
@@ -280,22 +280,22 @@ TEST(ChaosGateway, PartitionThenHealConvergesByteExactly) {
 
   // Partition backup 1 for a stretch of writes; it is demoted and the
   // writes are acknowledged by the surviving in-sync set.
-  rc.channel(1).close();
+  rc.channel(0, 1).close();
   for (int i = 0; i < 4; ++i) {
     Document d = gen.next();
     d.id = "during-" + std::to_string(i);
     gw.insert("obs", d);
   }
-  ASSERT_NE(rc.group(), nullptr);
-  EXPECT_LT(rc.group()->applied_seq(1), rc.group()->applied_seq(0));
+  ASSERT_NE(rc.group(0), nullptr);
+  EXPECT_LT(rc.group(0)->applied_seq(1), rc.group(0)->applied_seq(0));
 
   // Heal. The next write's replication pass doubles as the probe: the
   // healed backup is caught up with exactly the missed log suffix.
-  rc.channel(1).reopen();
+  rc.channel(0, 1).reopen();
   Document d = gen.next();
   d.id = "after-heal";
   gw.insert("obs", d);
-  EXPECT_EQ(rc.group()->applied_seq(1), rc.group()->applied_seq(0));
+  EXPECT_EQ(rc.group(0)->applied_seq(1), rc.group(0)->applied_seq(0));
   EXPECT_GE(gw.perf().counter("net.replica.rejoin"), 1u);
 
   // Invariant 2, byte-exactly: every replica channel carried the log's
@@ -313,7 +313,7 @@ TEST(ChaosGateway, BackupLagThenPromoteServesEveryAcknowledgedWrite) {
   // Demote on the first miss so a double failure (primary + one backup dead
   // at once) re-elects within a single retry budget.
   cfg.accrual.suspect_threshold = 1;
-  ReplicatedCloud rc(cfg);
+  ShardedCloud rc(cfg);
   kms::KeyManager kms(Bytes(32, 13));
   store::KvStore local;
   core::Gateway gw(rc.client(), kms, local, registry(), cfg);
@@ -322,26 +322,26 @@ TEST(ChaosGateway, BackupLagThenPromoteServesEveryAcknowledgedWrite) {
   fhir::ObservationGenerator gen(23);
   std::vector<std::string> acked;
 
-  rc.channel(2).close();  // replica 2 lags from the start of the workload
+  rc.channel(0, 2).close();  // replica 2 lags from the start of the workload
   for (int i = 0; i < 6; ++i) {
     Document d = gen.next();
     d.id = "w-" + std::to_string(i);
     d.set("subject", Value("patient-l"));
     acked.push_back(gw.insert("obs", d));
   }
-  rc.channel(2).reopen();
+  rc.channel(0, 2).reopen();
   EXPECT_EQ(rc.catch_up(), 3u);  // heals + fully catches up the laggard
 
   // Primary and replica 1 both die: only the once-lagging replica 2
   // remains. Failover must still produce a primary that holds every
   // acknowledged write.
-  rc.channel(0).close();
-  rc.channel(1).close();
+  rc.channel(0, 0).close();
+  rc.channel(0, 1).close();
   Document d = gen.next();
   d.id = "only-replica-2";
   d.set("subject", Value("patient-l"));
   acked.push_back(gw.insert("obs", d));
-  EXPECT_EQ(rc.group()->primary(), 2u);
+  EXPECT_EQ(rc.group(0)->primary(), 2u);
 
   for (const auto& id : acked) EXPECT_EQ(gw.read("obs", id).id, id);
   EXPECT_EQ(gw.equality_search("obs", "subject", Value("patient-l")).size(),
@@ -349,7 +349,7 @@ TEST(ChaosGateway, BackupLagThenPromoteServesEveryAcknowledgedWrite) {
 }
 
 TEST(ChaosGateway, ReadsSucceedWhileAnyHealthyReplicaRemains) {
-  ReplicatedCloud rc(replicated_config(3));
+  ShardedCloud rc(replicated_config(3));
   kms::KeyManager kms(Bytes(32, 14));
   store::KvStore local;
   core::Gateway gw(rc.client(), kms, local, registry(), replicated_config(3));
@@ -360,13 +360,13 @@ TEST(ChaosGateway, ReadsSucceedWhileAnyHealthyReplicaRemains) {
   d.id = "survivor";
   gw.insert("obs", d);
 
-  rc.channel(0).close();
+  rc.channel(0, 0).close();
   EXPECT_EQ(gw.read("obs", "survivor").id, "survivor");  // 2 replicas left
-  rc.channel(1).close();
+  rc.channel(0, 1).close();
   EXPECT_EQ(gw.read("obs", "survivor").id, "survivor");  // 1 replica left
-  rc.channel(2).close();
+  rc.channel(0, 2).close();
   EXPECT_THROW(gw.read("obs", "survivor"), Error);  // none left
-  rc.channel(1).reopen();
+  rc.channel(0, 1).reopen();
   EXPECT_EQ(gw.read("obs", "survivor").id, "survivor");  // healed
 }
 
@@ -375,7 +375,7 @@ TEST(ChaosGateway, SlowReplicaHedgedReadStaysFastAndWins) {
   cfg.hedged_reads = true;
   cfg.hedge.min_delay_us = 300;
   cfg.hedge.max_delay_us = 2000;
-  ReplicatedCloud rc(cfg);
+  ShardedCloud rc(cfg);
   kms::KeyManager kms(Bytes(32, 15));
   store::KvStore local;
   core::Gateway gw(rc.client(), kms, local, registry(), cfg);
@@ -390,11 +390,11 @@ TEST(ChaosGateway, SlowReplicaHedgedReadStaysFastAndWins) {
   // the lowest index wins. Make THAT replica slow (40 ms per round trip,
   // injected after the writes so replication stays fast): the hedge fires
   // after the p95-derived delay and the fast replica answers first.
-  ASSERT_NE(rc.group(), nullptr);
-  const std::size_t slow = rc.group()->primary() == 1 ? 2 : 1;
+  ASSERT_NE(rc.group(0), nullptr);
+  const std::size_t slow = rc.group(0)->primary() == 1 ? 2 : 1;
   net::ChannelConfig slow_cfg;
   slow_cfg.one_way_latency_us = 20000;
-  rc.channel(slow).set_config(slow_cfg);
+  rc.channel(0, slow).set_config(slow_cfg);
 
   EXPECT_EQ(gw.read("obs", "hedged").id, "hedged");
   EXPECT_GE(gw.perf().counter("net.hedge.fired"), 1u);
@@ -416,8 +416,8 @@ TEST(ChaosGateway, SingleReplicaConfigIsByteIdenticalToLegacyStack) {
   core::GatewayConfig single;
   single.replicas = 1;
   single.hedged_reads = false;
-  ReplicatedCloud rc(single);
-  EXPECT_EQ(rc.group(), nullptr);  // no routing layer at all
+  ShardedCloud rc(single);
+  EXPECT_EQ(rc.group(0), nullptr);  // no routing layer at all
 
   auto raw = [](net::RpcClient& rpc) {
     for (int i = 0; i < 4; ++i) {
@@ -436,13 +436,13 @@ TEST(ChaosGateway, SingleReplicaConfigIsByteIdenticalToLegacyStack) {
   };
   raw(legacy_rpc);
   raw(rc.client());
-  EXPECT_EQ(rc.channel(0).stats().bytes_sent.load(),
+  EXPECT_EQ(rc.channel(0, 0).stats().bytes_sent.load(),
             legacy_channel.stats().bytes_sent.load());
-  EXPECT_EQ(rc.channel(0).stats().bytes_received.load(),
+  EXPECT_EQ(rc.channel(0, 0).stats().bytes_received.load(),
             legacy_channel.stats().bytes_received.load());
-  EXPECT_EQ(rc.channel(0).stats().round_trips.load(),
+  EXPECT_EQ(rc.channel(0, 0).stats().round_trips.load(),
             legacy_channel.stats().round_trips.load());
-  EXPECT_EQ(rc.node(0).state_digest(), legacy_node.state_digest());
+  EXPECT_EQ(rc.node(0, 0).state_digest(), legacy_node.state_digest());
 
   auto run = [](net::RpcClient& rpc) {
     kms::KeyManager kms(Bytes(32, 16));
@@ -463,10 +463,10 @@ TEST(ChaosGateway, SingleReplicaConfigIsByteIdenticalToLegacyStack) {
     (void)gw.aggregate("obs", "value", schema::Aggregate::kAverage);
   };
   const std::uint64_t legacy_raw_trips = legacy_channel.stats().round_trips.load();
-  const std::uint64_t rc_raw_trips = rc.channel(0).stats().round_trips.load();
+  const std::uint64_t rc_raw_trips = rc.channel(0, 0).stats().round_trips.load();
   run(legacy_rpc);
   run(rc.client());
-  EXPECT_EQ(rc.channel(0).stats().round_trips.load() - rc_raw_trips,
+  EXPECT_EQ(rc.channel(0, 0).stats().round_trips.load() - rc_raw_trips,
             legacy_channel.stats().round_trips.load() - legacy_raw_trips);
 }
 

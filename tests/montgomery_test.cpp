@@ -1,7 +1,7 @@
 // Differential tests for the Montgomery fast paths: every accelerated
-// route (CIOS kernel, Paillier CRT + randomizer pool, ElGamal/Sophos
-// cached contexts, hoisted PRF key schedules) is pinned bit-for-bit
-// against the reference implementation it replaced.
+// route (CIOS kernel, Paillier CRT + randomizer pool, Sophos cached
+// contexts, hoisted PRF key schedules) is pinned bit-for-bit against the
+// reference implementation it replaced.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -12,7 +12,6 @@
 #include "common/rng.hpp"
 #include "common/status.hpp"
 #include "crypto/prf.hpp"
-#include "phe/elgamal.hpp"
 #include "phe/paillier.hpp"
 #include "sse/sophos.hpp"
 
@@ -140,34 +139,6 @@ TEST(PaillierDifferential, RandomizerPoolPreservesCorrectness) {
   // Two pooled encryptions of one plaintext still differ (fresh factors).
   EXPECT_NE(kp.pub.encrypt_i64(9), kp.pub.encrypt_i64(9));
 }
-
-// --- ElGamal -------------------------------------------------------------------
-
-class ElGamalSizeDifferential : public ::testing::TestWithParam<std::size_t> {};
-
-TEST_P(ElGamalSizeDifferential, FastPathMatchesFallback) {
-  const phe::ElGamalKeyPair kp = phe::elgamal_generate(GetParam());
-  ASSERT_NE(kp.pub.mont_p, nullptr);
-  // Strip the cached context to drive the transient-modulus fallback.
-  phe::ElGamalKeyPair plain = kp;
-  plain.pub.mont_p = nullptr;
-  plain.priv.pub.mont_p = nullptr;
-
-  const BigInt m = BigInt(2).pow_mod(BigInt(16), kp.pub.p);
-  // Cross-decryption: fast-encrypted ciphertexts decrypt on the fallback
-  // key and the other way around.
-  EXPECT_EQ(plain.priv.decrypt(kp.pub.encrypt(m)), m);
-  EXPECT_EQ(kp.priv.decrypt(plain.pub.encrypt(m)), m);
-
-  const auto c1 = kp.pub.encrypt_exponent(21);
-  const auto c2 = plain.pub.encrypt_exponent(13);
-  EXPECT_EQ(kp.priv.decrypt_exponent(kp.pub.multiply(c1, c2), 100), 34u);
-  EXPECT_EQ(plain.priv.decrypt_exponent(plain.pub.multiply(c1, c2), 100), 34u);
-  EXPECT_EQ(kp.priv.decrypt(kp.pub.rerandomize(plain.pub.encrypt(m))), m);
-}
-
-INSTANTIATE_TEST_SUITE_P(PrimeSizes, ElGamalSizeDifferential,
-                         ::testing::Values(256, 512));
 
 // --- Sophos --------------------------------------------------------------------
 

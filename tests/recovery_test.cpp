@@ -9,7 +9,7 @@
 
 #include "core/cloud_node.hpp"
 #include "core/gateway.hpp"
-#include "core/replication.hpp"
+#include "core/sharding.hpp"
 #include "core/tactics/builtin.hpp"
 #include "fhir/observation.hpp"
 
@@ -294,7 +294,7 @@ TEST(RecoveryTest, PendingIntentReplaysToEveryReplicaExactlyOnce) {
   cfg.retry = net::RetryPolicy::standard();
   cfg.retry.jitter_seed = 7;
   cfg.replicas = 3;
-  core::ReplicatedCloud rc(cfg);  // the replica set outlives gateway incarnations
+  core::ShardedCloud rc(cfg);  // the replica set outlives gateway incarnations
 
   // Incarnation 1: the batch dies on every replica's request leg — retries
   // and failover exhaust without a single byte of it shipping anywhere.
@@ -311,9 +311,9 @@ TEST(RecoveryTest, PendingIntentReplaysToEveryReplicaExactlyOnce) {
 
     net::FaultPlan plan;
     plan.method_faults = {{"rpc.batch", /*skip=*/0, /*count=*/100}};
-    for (std::size_t i = 0; i < rc.size(); ++i) rc.channel(i).set_fault_plan(plan);
+    for (std::size_t i = 0; i < rc.replicas_per_shard(); ++i) rc.channel(0, i).set_fault_plan(plan);
     EXPECT_THROW(gw.insert("obs", d), Error);
-    for (std::size_t i = 0; i < rc.size(); ++i) rc.channel(i).clear_fault_plan();
+    for (std::size_t i = 0; i < rc.replicas_per_shard(); ++i) rc.channel(0, i).clear_fault_plan();
     ASSERT_NE(gw.journal(), nullptr);
     EXPECT_EQ(gw.journal()->pending_count(), 1u);
   }  // crash: gateway torn down with the intent pending
@@ -343,14 +343,14 @@ TEST(RecoveryTest, PendingIntentReplaysToEveryReplicaExactlyOnce) {
   envelope.payload = batch_payload;
   const std::uint64_t expected_batch_bytes = envelope.serialize().size();
 
-  ASSERT_NE(rc.group(), nullptr);
-  for (std::size_t i = 0; i < rc.size(); ++i) {
-    ASSERT_EQ(rc.group()->applied_seq(i), rc.group()->applied_seq(0))
+  ASSERT_NE(rc.group(0), nullptr);
+  for (std::size_t i = 0; i < rc.replicas_per_shard(); ++i) {
+    ASSERT_EQ(rc.group(0)->applied_seq(i), rc.group(0)->applied_seq(0))
         << "replica " << i << " not in sync before recovery";
   }
   std::vector<std::uint64_t> sent_before;
-  for (std::size_t i = 0; i < rc.size(); ++i) {
-    sent_before.push_back(rc.channel(i).stats().bytes_sent.load());
+  for (std::size_t i = 0; i < rc.replicas_per_shard(); ++i) {
+    sent_before.push_back(rc.channel(0, i).stats().bytes_sent.load());
   }
 
   EXPECT_EQ(gw.recover_pending_inserts(), 1u);
@@ -358,13 +358,13 @@ TEST(RecoveryTest, PendingIntentReplaysToEveryReplicaExactlyOnce) {
 
   // Exactly once, on every replica: each channel carried precisely one copy
   // of the recorded batch, and the replica states are identical.
-  for (std::size_t i = 0; i < rc.size(); ++i) {
-    EXPECT_EQ(rc.channel(i).stats().bytes_sent.load() - sent_before[i],
+  for (std::size_t i = 0; i < rc.replicas_per_shard(); ++i) {
+    EXPECT_EQ(rc.channel(0, i).stats().bytes_sent.load() - sent_before[i],
               expected_batch_bytes)
         << "replica " << i << " saw the replayed batch more or less than once";
   }
-  for (std::size_t i = 1; i < rc.size(); ++i) {
-    EXPECT_EQ(rc.node(i).state_digest(), rc.node(0).state_digest());
+  for (std::size_t i = 1; i < rc.replicas_per_shard(); ++i) {
+    EXPECT_EQ(rc.node(0, i).state_digest(), rc.node(0, 0).state_digest());
   }
   EXPECT_EQ(gw.equality_search("obs", "subject", Value("patient-z")).size(), 1u);
   EXPECT_EQ(gw.read("obs", "doc-cluster-interrupted").id, "doc-cluster-interrupted");

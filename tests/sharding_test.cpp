@@ -4,6 +4,7 @@
 // across shards, and per-shard failover isolation under chaos.
 #include <gtest/gtest.h>
 
+#include <set>
 #include <string>
 #include <vector>
 
@@ -158,6 +159,48 @@ TEST(ShardingTest, OneShardConfigByteIdenticalToPlainStack) {
   EXPECT_EQ(s.bytes_sent.load(), p.bytes_sent.load());
   EXPECT_EQ(s.bytes_received.load(), p.bytes_received.load());
   EXPECT_EQ(s.round_trips.load(), p.round_trips.load());
+}
+
+TEST(ShardingTest, DetSearchCostsOneLabelLookupPlusOneMgetPerOwningShard) {
+  // Sharded search cost: the DET label routes to ONE shard, and the
+  // router splits the candidate doc.mget into one sub-call per shard that
+  // owns a result, so the search costs 1 + |owning shards| round trips
+  // summed over every shard channel.
+  core::GatewayConfig cfg = sharded_config(4);
+  core::ShardedCloud cloud(cfg);
+  kms::KeyManager kms;
+  store::KvStore local;
+  core::Gateway gw(cloud.client(), kms, local, registry(), cfg);
+  gw.register_schema(fhir::benchmark_schema("obs"));
+
+  fhir::ObservationGenerator gen(5);
+  Value status;
+  for (int i = 0; i < 48; ++i) {
+    Document d = gen.next();
+    d.id = "b-" + std::to_string(i);
+    if (i == 0) status = d.at("status");
+    gw.insert("obs", d);
+  }
+
+  auto round_trips = [&cloud] {
+    std::uint64_t n = 0;
+    for (std::size_t s = 0; s < cloud.shard_count(); ++s) {
+      n += cloud.channel(s).stats().round_trips.load();
+    }
+    return n;
+  };
+  const std::uint64_t trips_before = round_trips();
+  const std::uint64_t scatters_before = gw.perf().counter("net.shard.scatter");
+  const std::uint64_t subcalls_before = gw.perf().counter("net.shard.subcalls");
+
+  const std::vector<Document> docs = gw.equality_search("obs", "status", status);
+
+  std::set<std::size_t> owners;
+  for (const auto& d : docs) owners.insert(cloud.router()->shard_of_doc("obs", d.id));
+  ASSERT_GE(owners.size(), 2u) << "corpus too small to scatter the doc.mget";
+  EXPECT_EQ(round_trips() - trips_before, 1 + owners.size());
+  EXPECT_EQ(gw.perf().counter("net.shard.scatter") - scatters_before, 1u);
+  EXPECT_EQ(gw.perf().counter("net.shard.subcalls") - subcalls_before, owners.size());
 }
 
 TEST(ShardingTest, ShardPrimaryFailoverDoesNotStallSiblings) {
