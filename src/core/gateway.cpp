@@ -44,7 +44,7 @@ Gateway::Gateway(net::RpcClient& cloud, kms::KeyManager& kms,
                       ? std::make_unique<CostModel>(perf_, config_.cost, cache_.get())
                       : nullptr),
       planner_(cloud_, perf_, cache_.get(), cost_model_.get()),
-      executor_(perf_, config_.index_workers) {
+      executor_(perf_) {
   if (config_.retry.enabled) cloud_.set_retry_policy(config_.retry);
   if (config_.breaker.enabled && cloud_.breaker() != nullptr) {
     cloud_.breaker()->configure(config_.breaker);

@@ -44,10 +44,6 @@ struct GatewayConfig {
   /// "paillier_modulus_bits", "sophos_modulus_bits", "zmf_filter_bits").
   std::map<std::string, std::string> tactic_params;
 
-  /// Worker threads for the executor's per-stage fan-out; 0 = auto (a
-  /// small pool derived from the hardware concurrency).
-  std::size_t index_workers = 0;
-
   /// Retry policy installed on the cloud RPC client when .enabled (default
   /// off: the seed fails fast). See net::RetryPolicy::standard().
   net::RetryPolicy retry;

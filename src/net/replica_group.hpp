@@ -45,10 +45,10 @@
 
 #include "common/bytes.hpp"
 #include "common/perf_series.hpp"
+#include "common/worker_pool.hpp"
 #include "net/backend.hpp"
 #include "net/channel.hpp"
 #include "net/message.hpp"
-#include "net/worker_pool.hpp"
 
 namespace datablinder::net {
 

@@ -1,7 +1,6 @@
 #include "net/shard_router.hpp"
 
 #include <algorithm>
-#include <condition_variable>
 #include <deque>
 
 #include "common/status.hpp"
@@ -195,39 +194,10 @@ std::vector<Bytes> ShardRouter::fan_out(
   emit("net.shard.scatter");
   emit("net.shard.subcalls", calls.size());
 
-  // Per-scatter completion latch; every sub-call writes its own slot, so
-  // the result and error arrays need no lock of their own.
-  struct Latch {
-    std::mutex m;
-    std::condition_variable cv;
-    std::size_t pending;
-  };
-  auto latch = std::make_shared<Latch>();
-  latch->pending = calls.size() - 1;
-  std::vector<std::exception_ptr> errors(calls.size());
-  auto run_one = [this, &method, &calls, &out, &errors](std::size_t k) {
-    try {
-      out[k] = call_shard(calls[k].first, method, calls[k].second);
-    } catch (...) {
-      errors[k] = std::current_exception();
-    }
-  };
-  for (std::size_t k = 1; k < calls.size(); ++k) {
-    pool_.submit([&run_one, latch, k] {
-      run_one(k);
-      std::lock_guard done(latch->m);
-      --latch->pending;
-      latch->cv.notify_one();
-    });
-  }
-  run_one(0);
-  {
-    std::unique_lock lock(latch->m);
-    latch->cv.wait(lock, [&latch] { return latch->pending == 0; });
-  }
-  for (const auto& e : errors) {
-    if (e) std::rethrow_exception(e);
-  }
+  // Every sub-call writes its own slot, so `out` needs no lock.
+  pool_.run_all(calls.size(), [this, &method, &calls, &out](std::size_t k) {
+    out[k] = call_shard(calls[k].first, method, calls[k].second);
+  });
   return out;
 }
 

@@ -43,9 +43,9 @@
 #include "bigint/bigint.hpp"
 #include "bigint/montgomery.hpp"
 #include "common/bytes.hpp"
+#include "common/worker_pool.hpp"
 #include "net/backend.hpp"
 #include "net/replica_group.hpp"
-#include "net/worker_pool.hpp"
 
 namespace datablinder::net {
 
@@ -112,10 +112,10 @@ class ShardRouter final : public Backend {
   /// Serializes (method, payload object) into Request wire bytes.
   static Bytes sub_request(const std::string& method, Bytes payload);
 
-  /// Runs call_shard against every (shard, wire) pair concurrently — the
-  /// caller runs the first pair, pool workers run the rest — and returns
-  /// the responses in pair order. Rethrows the first failure after all
-  /// sub-calls finished touching the backends.
+  /// Runs call_shard against every (shard, wire) pair concurrently on
+  /// pool_.run_all (the caller claims pairs too) and returns the responses
+  /// in pair order. Rethrows the lowest-index failure after all sub-calls
+  /// finished touching the backends.
   std::vector<Bytes> fan_out(const std::string& method,
                              const std::vector<std::pair<std::size_t, Bytes>>& calls);
 
@@ -145,8 +145,9 @@ class ShardRouter final : public Backend {
   mutable std::mutex agg_mutex_;
   std::map<std::string, AggScope> agg_scopes_;
 
-  /// Fan-out sub-calls. fan_out waits for its own sub-calls, so no task is
-  /// in flight once the router can be destroyed.
+  /// Fan-out sub-calls. fan_out waits for its own sub-calls; a helper that
+  /// starts later touches only run_all's shared state, and the pool,
+  /// declared last, joins it before any other member is destroyed.
   WorkerPool pool_;
 };
 

@@ -31,11 +31,8 @@ PaillierRandomizerPool::PaillierRandomizerPool(BigInt n,
 }
 
 PaillierRandomizerPool::~PaillierRandomizerPool() {
-  {
-    std::lock_guard<std::mutex> lk(mutex_);
-    shutdown_ = true;
-  }
-  if (worker_.joinable()) worker_.join();
+  std::lock_guard<std::mutex> lk(mutex_);
+  shutdown_ = true;
 }
 
 BigInt PaillierRandomizerPool::compute_one() const {
@@ -50,11 +47,8 @@ BigInt PaillierRandomizerPool::take() {
       pool_.pop_front();
       hits_.fetch_add(1, std::memory_order_relaxed);
       if (pool_.size() < low_water_ && !refilling_ && !shutdown_) {
-        // The previous worker (if any) is already past its final critical
-        // section once refilling_ is false, so this join cannot deadlock.
-        if (worker_.joinable()) worker_.join();
         refilling_ = true;
-        worker_ = std::thread(&PaillierRandomizerPool::refill_worker, this, high_water_);
+        refill_pool_.submit([this] { refill_worker(high_water_); });
       }
       return out;
     }
@@ -80,7 +74,6 @@ std::size_t PaillierRandomizerPool::size() const {
   return pool_.size();
 }
 
-// dblint:thread-root
 void PaillierRandomizerPool::refill_worker(std::size_t target) {
   for (;;) {
     {

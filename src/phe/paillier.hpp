@@ -24,10 +24,10 @@
 #include <deque>
 #include <memory>
 #include <mutex>
-#include <thread>
 
 #include "bigint/bigint.hpp"
 #include "bigint/montgomery.hpp"
+#include "common/worker_pool.hpp"
 
 namespace datablinder::phe {
 
@@ -117,9 +117,9 @@ struct PaillierKeyPair {
 };
 
 /// Precomputed pool of r^n mod n^2 blinding factors. `take()` pops in O(1);
-/// when the pool drains below its low-water mark a single background
-/// worker refills it to the high-water mark, so steady-state encryption
-/// never runs the r^n exponentiation inline. Thread-safe. Randomness is
+/// when the pool drains below its low-water mark a refill task on a
+/// one-thread WorkerPool tops it up to the high-water mark, so steady-state
+/// encryption never runs the r^n exponentiation inline. Thread-safe. Randomness is
 /// SecureRng (via BigInt::random_below) — pool entries are key material.
 class PaillierRandomizerPool {
  public:
@@ -153,9 +153,11 @@ class PaillierRandomizerPool {
   std::deque<BigInt> pool_;
   bool refilling_ = false;
   bool shutdown_ = false;
-  std::thread worker_;
   std::atomic<std::uint64_t> hits_{0};
   std::atomic<std::uint64_t> misses_{0};
+  /// Declared last: its destructor joins the refill worker (which stops
+  /// once it sees shutdown_) before any other member is destroyed.
+  WorkerPool refill_pool_{1};
 };
 
 /// Generates a key pair with an n of roughly `modulus_bits` bits, fast

@@ -5,11 +5,17 @@
 
 #include <atomic>
 #include <chrono>
+#include <functional>
+#include <future>
 #include <memory>
 #include <set>
+#include <stdexcept>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "bigint/bigint.hpp"
+#include "common/worker_pool.hpp"
 #include "core/cloud_node.hpp"
 #include "core/gateway.hpp"
 #include "core/hot_cache.hpp"
@@ -248,9 +254,7 @@ TEST(IndexFanOutTest, OneInsertIndexesItsFieldsInParallel) {
   // Intra-plan fan-out: a single insert's per-field index steps run on the
   // executor's worker pool concurrently.
   RendezvousRig rig;
-  core::GatewayConfig cfg;
-  cfg.index_workers = 4;
-  core::Gateway gw(rig.rpc, rig.kms, rig.local, rig.registry, cfg);
+  core::Gateway gw(rig.rpc, rig.kms, rig.local, rig.registry);
   gw.register_schema(rig.schema_with("c", {"a", "b"}));
   ASSERT_EQ(gw.plan("c").fields.at("a").eq_tactic, "Rendezvous");
 
@@ -474,6 +478,77 @@ TEST(ConcurrencyTest, BreakerHalfOpenAdmitsExactlyOneProbePerWindow) {
   ASSERT_EQ(breaker.state(), net::CircuitBreaker::State::kOpen);
   EXPECT_EQ(race_admits(500000 + cfg.open_cooldown_us - 1), 0);
   EXPECT_EQ(race_admits(500000 + cfg.open_cooldown_us), 1);
+}
+
+// --- WorkerPool::run_all -----------------------------------------------------
+
+TEST(WorkerPoolRunAllTest, EveryIndexRunsExactlyOnceWhenNFarExceedsThreads) {
+  WorkerPool pool(2);
+  constexpr std::size_t kN = 1000;
+  std::vector<std::atomic<int>> runs(kN);
+  pool.run_all(kN, [&runs](std::size_t i) { runs[i].fetch_add(1); });
+  for (std::size_t i = 0; i < kN; ++i) EXPECT_EQ(runs[i].load(), 1) << "index " << i;
+}
+
+TEST(WorkerPoolRunAllTest, CallerAloneCompletesWhenEveryWorkerIsBlocked) {
+  // Progress must not depend on a worker: the pool's only thread is parked
+  // on a latch for the whole run_all, so the caller has to run all four.
+  WorkerPool pool(1);
+  std::promise<void> started;
+  std::promise<void> release;
+  std::shared_future<void> released = release.get_future().share();
+  pool.submit([&started, released] {
+    started.set_value();
+    released.wait();
+  });
+  started.get_future().wait();
+
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<std::thread::id> ran_on(4);
+  pool.run_all(4, [&ran_on](std::size_t i) { ran_on[i] = std::this_thread::get_id(); });
+  for (const auto& id : ran_on) EXPECT_EQ(id, caller);
+  release.set_value();
+}
+
+TEST(WorkerPoolRunAllTest, LowestIndexExceptionArrivesAfterEveryIndexRan) {
+  // Index 3 throws late, so a first-to-fail policy would usually report 5.
+  WorkerPool pool(4);
+  for (int round = 0; round < 20; ++round) {
+    std::vector<std::atomic<int>> runs(8);
+    try {
+      pool.run_all(8, [&runs](std::size_t i) {
+        runs[i].fetch_add(1);
+        if (i == 3) std::this_thread::sleep_for(std::chrono::milliseconds(2));
+        if (i == 3 || i == 5) throw std::runtime_error("index " + std::to_string(i));
+      });
+      ADD_FAILURE() << "run_all swallowed both exceptions";
+    } catch (const std::runtime_error& e) {
+      EXPECT_EQ(std::string(e.what()), "index 3");
+    }
+    for (std::size_t i = 0; i < runs.size(); ++i) EXPECT_EQ(runs[i].load(), 1) << "index " << i;
+  }
+}
+
+TEST(WorkerPoolRunAllTest, LateHelpersNeverTouchTheReturnedCallersFrame) {
+  // Two callers share a small pool and issue many short run_alls back to
+  // back, so helpers queue behind each other and often start after their
+  // call returned and its `fn` and captured state were destroyed. ASan and
+  // TSan flag any access a late helper makes to that frame.
+  WorkerPool pool(2);
+  auto caller = [&pool] {
+    for (int round = 0; round < 2000; ++round) {
+      const std::size_t n = 2 + static_cast<std::size_t>(round % 3);
+      std::vector<std::size_t> slots(n, 0);
+      const std::function<void(std::size_t)> fn = [&slots](std::size_t i) {
+        slots[i] = i + 1;
+      };
+      pool.run_all(n, fn);
+      for (std::size_t i = 0; i < n; ++i) ASSERT_EQ(slots[i], i + 1);
+    }
+  };
+  std::thread other(caller);
+  caller();
+  other.join();
 }
 
 }  // namespace

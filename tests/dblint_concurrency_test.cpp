@@ -496,9 +496,13 @@ TEST(DblintThreadRoots, ExecutorSubmitMarksSubmitter) {
   const RepoIndex index = build_index({{"src/core/s.cpp",
       "void fan_out(Executor& pool) {\n"
       "  pool.submit([] { work(); });\n"
+      "}\n"
+      "void scatter(WorkerPool& pool, std::size_t n) {\n"
+      "  pool.run_all(n, [](std::size_t i) { work(i); });\n"
       "}\n"}});
   const ConcurrencyAnalysis a = analyze_concurrency(index);
   EXPECT_TRUE(has_root(a, "fan_out", "executor-submit"));
+  EXPECT_TRUE(has_root(a, "scatter", "executor-submit"));
 }
 
 // --- Guarded-by inference --------------------------------------------------

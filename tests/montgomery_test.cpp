@@ -4,7 +4,9 @@
 // reference implementation it replaced.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdint>
+#include <thread>
 #include <vector>
 
 #include "bigint/bigint.hpp"
@@ -138,6 +140,34 @@ TEST(PaillierDifferential, RandomizerPoolPreservesCorrectness) {
   EXPECT_GT(kp.pub.pool->hits(), 0u);
   // Two pooled encryptions of one plaintext still differ (fresh factors).
   EXPECT_NE(kp.pub.encrypt_i64(9), kp.pub.encrypt_i64(9));
+}
+
+TEST(PaillierDifferential, RandomizerPoolRefillsToHighWater) {
+  // Draining below the low-water mark schedules one refill on the pool's
+  // worker; it tops the pool up to the high-water mark (2x low) and stops.
+  const phe::PaillierKeyPair kp = phe::paillier_generate(256);
+  phe::PaillierRandomizerPool pool(kp.pub.n, kp.pub.mont_n2, /*low_water=*/4);
+  pool.prefill(4);
+  pool.take();
+  pool.take();
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (pool.size() < 8 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(pool.size(), 8u);
+  EXPECT_EQ(pool.hits(), 2u);
+}
+
+TEST(PaillierDifferential, RandomizerPoolDestroyedMidRefillJoinsCleanly) {
+  // The refill is still exponentiating when the pool goes away: the
+  // destructor must stop and join it before the deque and mutex die.
+  const phe::PaillierKeyPair kp = phe::paillier_generate(512);
+  for (int round = 0; round < 4; ++round) {
+    phe::PaillierRandomizerPool pool(kp.pub.n, kp.pub.mont_n2, /*low_water=*/16);
+    pool.prefill(16);
+    pool.take();
+    EXPECT_LT(pool.size(), 32u);
+  }
 }
 
 // --- Sophos --------------------------------------------------------------------

@@ -296,9 +296,10 @@ void discover_thread_roots(Engine* eng) {
       if (!call.member_call) continue;
       // A detached lambda's body is indexed as part of this function.
       if (call.callee == "detach") mark_root(eng, i, "detach");
-      // Work handed to the Executor pool runs on worker threads; the task
+      // Work handed to a worker pool runs on worker threads; the task
       // lambda's accesses are attributed to the submitting function.
-      if (call.callee == "submit" || call.callee == "enqueue") {
+      if (call.callee == "submit" || call.callee == "enqueue" ||
+          call.callee == "run_all") {
         mark_root(eng, i, "executor-submit");
       }
     }

@@ -10,7 +10,8 @@
 //                  argument form is resolved to its in-tree definition, and
 //                  the constructing function itself is a root — lambda
 //                  bodies are indexed as part of it), .detach() sites,
-//                  Executor task submission, and an explicit
+//                  pool task submission (submit / enqueue / run_all),
+//                  and an explicit
 //                  `// dblint:thread-root` marker on the definition line
 //                  (or the line above) for roots the indexer cannot see,
 //                  e.g. a worker loop only ever entered through a lambda.
