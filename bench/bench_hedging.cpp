@@ -82,7 +82,7 @@ Run run(bool hedged) {
   cfg.retry = net::RetryPolicy::standard();
   cfg.retry.jitter_seed = 99;
   cfg.replicas = 3;
-  cfg.hedged_reads = hedged;
+  cfg.hedge.enabled = hedged;
 
   net::ChannelConfig wan;
   wan.one_way_latency_us = kBaseLatencyUs;
@@ -149,7 +149,7 @@ Avail availability() {
   cfg.retry = net::RetryPolicy::standard();
   cfg.retry.jitter_seed = 7;
   cfg.replicas = 3;
-  cfg.hedged_reads = true;
+  cfg.hedge.enabled = true;
 
   net::ChannelConfig wan;
   wan.one_way_latency_us = 200;

@@ -7,6 +7,15 @@
 
 namespace datablinder::core {
 
+namespace {
+
+/// A challenger must predict at least this fraction cheaper to win.
+constexpr double kHysteresisMargin = 0.15;
+/// Pseudo-sample count backing the static prior in the blend.
+constexpr double kPriorWeight = 8.0;
+
+}  // namespace
+
 const CostProfile& post_filter_cost_profile() {
   static const CostProfile p = [] {
     CostProfile c;
@@ -44,7 +53,7 @@ double CostModel::predict_us(const CostCandidate& candidate, TacticOperation op,
   const PerfSeries* series = observed(plan_series(candidate.name), op);
   const double recent = static_cast<double>(series->recent_count());
   if (recent == 0.0) return prior;
-  const double w = recent / (recent + config_.prior_weight);
+  const double w = recent / (recent + kPriorWeight);
   return w * series->ewma_us() + (1.0 - w) * prior;
 }
 
@@ -80,7 +89,7 @@ CostDecision CostModel::choose(const std::string& decision_key,
     // Incumbent still (predicted) cheapest: any pending challenge dies.
     st.challenger.clear();
     st.streak = 0;
-  } else if (best_us < predicted[st.incumbent] * (1.0 - config_.hysteresis_margin)) {
+  } else if (best_us < predicted[st.incumbent] * (1.0 - kHysteresisMargin)) {
     // Sustained-win accounting: the streak survives only while the SAME
     // challenger keeps beating the incumbent by the margin.
     st.streak = (st.challenger == best) ? st.streak + 1 : 1;

@@ -15,12 +15,12 @@
 //     under "plan.<tactic>" (PerfSeries fast-reads: no registry mutex in
 //     the per-candidate loop).
 //
-// The blend weight grows with recent evidence (w = recent/(recent+k)), so
-// a cold tactic is judged by its prior and a warm one by what actually
-// happened. Switching away from the current choice requires a sustained
-// predicted win — at least `hysteresis_margin` cheaper for
-// `hysteresis_windows` consecutive decisions — so alternating fast/slow
-// windows cannot make the selection flap.
+// The blend weight grows with recent evidence (w = recent/(recent+8): the
+// prior counts as eight samples), so a cold tactic is judged by its prior
+// and a warm one by what actually happened. Switching away from the
+// current choice requires a sustained predicted win — at least 15% cheaper
+// for `hysteresis_windows` consecutive decisions — so alternating
+// fast/slow windows cannot make the selection flap.
 #pragma once
 
 #include <cstdint>
@@ -64,14 +64,11 @@ struct CostDecision {
 class CostModel {
  public:
   struct Config {
-    /// Challenger must predict at least this fraction cheaper ...
-    double hysteresis_margin = 0.15;
-    /// ... for this many consecutive decisions before the model switches.
+    /// Consecutive decisions a challenger must win (by the 15% margin)
+    /// before the model switches.
     int hysteresis_windows = 3;
     /// Assumed K/n for kLogNPlusK priors when true selectivity is unknown.
     double default_selectivity = 0.1;
-    /// Pseudo-sample count backing the static prior in the blend.
-    double prior_weight = 8.0;
   };
 
   CostModel(PerfRegistry& perf, Config config, const HotCache* cache = nullptr);

@@ -49,14 +49,13 @@ Gateway::Gateway(net::RpcClient& cloud, kms::KeyManager& kms,
   if (config_.breaker.enabled && cloud_.breaker() != nullptr) {
     cloud_.breaker()->configure(config_.breaker);
   }
-  cloud_.set_metrics_hook(
-      [this](const char* series, std::uint64_t value) { perf_.incr(series, value); });
+  cloud_.set_counters(&perf_);
   if (config_.journal_inserts) {
     journal_ = std::make_unique<exec::IntentJournal>(local_store_, cloud_);
   }
 }
 
-Gateway::~Gateway() { cloud_.set_metrics_hook(nullptr); }
+Gateway::~Gateway() { cloud_.set_counters(nullptr); }
 
 GatewayContext Gateway::make_context(const std::string& collection,
                                      const std::string& field) {

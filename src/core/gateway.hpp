@@ -76,20 +76,18 @@ struct GatewayConfig {
   std::size_t hot_cache_capacity = 0;
 
   /// Cloud replicas per shard for ShardedCloud (core/sharding.hpp).
-  /// With replicas = 1 and hedged_reads off, no replication layer is built
+  /// With replicas = 1 and hedging off, no replication layer is built
   /// at all and the wire behaviour is byte-identical to a single-node
   /// stack. With > 1, writes are applied on the primary and replayed
   /// byte-identically to every backup before acknowledgement; reads route
   /// to the healthiest in-sync replica.
   std::size_t replicas = 1;
 
-  /// Hedged reads: replay-idempotent reads fire a speculative duplicate to
-  /// the next-best replica after a p95-derived delay; first success wins.
-  /// A hedge is a speculative retry, so it is gated on the retry
-  /// whitelist: enable `retry` too or nothing will ever hedge.
-  bool hedged_reads = false;
-
-  /// Hedge tuning (the enabled flag is derived from hedged_reads).
+  /// Hedged reads (hedge.enabled): replay-idempotent reads fire a
+  /// speculative duplicate to the next-best replica after a p95-derived
+  /// delay; first success wins. A hedge is a speculative retry, so it is
+  /// gated on the retry whitelist: enable `retry` too or nothing will ever
+  /// hedge.
   net::HedgeConfig hedge;
 
   /// Failure-accrual tuning for per-replica health / failover.
@@ -102,10 +100,6 @@ struct GatewayConfig {
   /// consistent-hash router scatters keys across them: documents by id,
   /// SSE postings by keyword token, scope-coupled structures whole.
   std::size_t shards = 1;
-
-  /// Consistent-hash ring tuning (virtual nodes, placement seed) for the
-  /// shard router; ignored unless shards > 1.
-  net::RingConfig shard_ring;
 };
 
 class Gateway {
@@ -113,8 +107,9 @@ class Gateway {
   Gateway(net::RpcClient& cloud, kms::KeyManager& kms, store::KvStore& local_store,
           const TacticRegistry& registry, GatewayConfig config = {});
 
-  /// Uninstalls the metrics hook from the shared RpcClient. Destroy a
-  /// gateway before constructing its successor on the same client.
+  /// Unbinds perf() from the shared RpcClient; once it returns, no net
+  /// layer counts into this gateway any more. Destroy a gateway before
+  /// constructing its successor on the same client.
   ~Gateway();
 
   // --- Schema interface --------------------------------------------------

@@ -36,22 +36,6 @@ OpStats PerfRegistry::stats(const std::string& tactic, TacticOperation op) const
   return it == series_.end() ? OpStats{} : it->second->stats();
 }
 
-void PerfRegistry::incr(const std::string& series, std::uint64_t delta) {
-  std::lock_guard lock(mutex_);
-  counters_[series] += delta;
-}
-
-std::uint64_t PerfRegistry::counter(const std::string& series) const {
-  std::lock_guard lock(mutex_);
-  auto it = counters_.find(series);
-  return it == counters_.end() ? 0 : it->second;
-}
-
-std::map<std::string, std::uint64_t> PerfRegistry::counters() const {
-  std::lock_guard lock(mutex_);
-  return counters_;
-}
-
 std::string PerfRegistry::report() const {
   const auto snap = snapshot();
   std::ostringstream out;
@@ -78,9 +62,11 @@ std::string PerfRegistry::report() const {
 }
 
 void PerfRegistry::reset() {
-  std::lock_guard lock(mutex_);
-  series_.clear();  // invalidates handles; callers re-resolve after reset
-  counters_.clear();
+  {
+    std::lock_guard lock(mutex_);
+    series_.clear();  // invalidates handles; callers re-resolve after reset
+  }
+  Counters::reset();
 }
 
 }  // namespace datablinder::core

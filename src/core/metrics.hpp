@@ -23,6 +23,7 @@
 #include <mutex>
 #include <string>
 
+#include "common/counters.hpp"
 #include "common/perf_series.hpp"
 #include "core/spi.hpp"
 
@@ -34,7 +35,10 @@ namespace datablinder::core {
 using datablinder::OpStats;
 using datablinder::PerfSeries;
 
-class PerfRegistry {
+/// Latency series per (tactic, operation), plus the named event counters
+/// it inherits from Counters (incr / counter / counters), so one registry
+/// snapshot covers the whole middleware.
+class PerfRegistry : public Counters {
  public:
   void record(const std::string& tactic, TacticOperation op, std::uint64_t ns);
 
@@ -50,20 +54,10 @@ class PerfRegistry {
   /// never recorded; handles stay valid until reset().
   const PerfSeries* handle(const std::string& tactic, TacticOperation op);
 
-  // --- named counters ------------------------------------------------------
-  //
-  // Event series that are counts rather than latencies — retry attempts,
-  // breaker trips, journal resumes, cache traffic ("net.retry.*",
-  // "net.breaker.*", "core.journal.*", "core.cache.*"). Kept alongside the
-  // latency table so one registry snapshot covers the whole middleware.
-
-  void incr(const std::string& series, std::uint64_t delta = 1);
-  std::uint64_t counter(const std::string& series) const;
-  std::map<std::string, std::uint64_t> counters() const;
-
   /// Rendered per-tactic/per-operation table plus the counter series.
   std::string report() const;
 
+  /// Clears the latency series and the counters.
   void reset();
 
  private:
@@ -73,7 +67,6 @@ class PerfRegistry {
   // unique_ptr: PerfSeries addresses must survive map rehash/rebalance so
   // handle() pointers stay valid.
   std::map<std::pair<std::string, TacticOperation>, std::unique_ptr<PerfSeries>> series_;
-  std::map<std::string, std::uint64_t> counters_;
 };
 
 /// RAII recorder: times a scope and files it on destruction.

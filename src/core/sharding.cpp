@@ -9,9 +9,6 @@ ShardedCloud::ShardedCloud(const GatewayConfig& config,
   const std::size_t s = std::max<std::size_t>(1, config.shards);
   const std::size_t r = std::max<std::size_t>(1, config.replicas);
 
-  net::HedgeConfig hedge = config.hedge;
-  hedge.enabled = config.hedged_reads;
-
   shards_.resize(s);
   for (auto& shard : shards_) {
     shard.nodes.reserve(r);
@@ -22,7 +19,7 @@ ShardedCloud::ShardedCloud(const GatewayConfig& config,
     }
   }
 
-  if (s == 1 && r == 1 && !config.hedged_reads) {
+  if (s == 1 && r == 1 && !config.hedge.enabled) {
     // Plain shape: byte-identical to a hand-assembled single-node stack.
     client_ = std::make_unique<net::RpcClient>(shards_[0].nodes[0]->rpc(),
                                                *shards_[0].channels[0]);
@@ -36,7 +33,7 @@ ShardedCloud::ShardedCloud(const GatewayConfig& config,
       endpoints.push_back({&shard.nodes[i]->rpc(), shard.channels[i].get()});
     }
     shard.group = std::make_unique<net::ReplicaGroup>(std::move(endpoints),
-                                                      hedge, config.accrual);
+                                                      config.hedge, config.accrual);
   }
 
   if (s == 1) {
@@ -48,8 +45,7 @@ ShardedCloud::ShardedCloud(const GatewayConfig& config,
   std::vector<net::ReplicaGroup*> groups;
   groups.reserve(s);
   for (auto& shard : shards_) groups.push_back(shard.group.get());
-  router_ = std::make_unique<net::ShardRouter>(std::move(groups),
-                                               config.shard_ring);
+  router_ = std::make_unique<net::ShardRouter>(std::move(groups));
   client_ = std::make_unique<net::RpcClient>(*router_);
 }
 

@@ -10,7 +10,7 @@
 // one shard's primary failover never stalls its siblings.
 //
 // Fidelity ladder:
-//   * shards = 1, replicas = 1, hedged_reads off — no group, no router:
+//   * shards = 1, replicas = 1, hedging off — no group, no router:
 //     the plain single-endpoint RpcClient, byte-identical on the wire to
 //     a hand-assembled single-node stack.
 //   * shards = 1 otherwise — one replica set: the client's backend is the

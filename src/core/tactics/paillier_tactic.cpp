@@ -114,16 +114,18 @@ void PaillierTactic::setup() {
 void PaillierTactic::on_insert(const DocId& id, const Value& value) {
   const auto fixed = static_cast<std::int64_t>(
       std::llround(value.as_double() * static_cast<double>(kFixedPointScale)));
+  // The tactic's exclusive slot lock serializes on_insert, so nothing else
+  // takes from this pool between the two reads of hits().
+  const auto& pool = keys_->pub.pool;
+  const std::uint64_t hits_before = pool ? pool->hits() : 0;
   const BigInt ct = keys_->pub.encrypt_i64(fixed);
   if (ctx_.perf) {
     ctx_.perf->incr("core.crypto.paillier.encrypt");
-    if (const auto& pool = keys_->pub.pool) {
-      // Published as totals: hit-rate = hits / (hits + misses).
-      ctx_.perf->incr("core.crypto.paillier.pool.hit",
-                      pool->hits() - ctx_.perf->counter("core.crypto.paillier.pool.hit"));
-      ctx_.perf->incr(
-          "core.crypto.paillier.pool.miss",
-          pool->misses() - ctx_.perf->counter("core.crypto.paillier.pool.miss"));
+    if (pool) {
+      // One event per encrypt: hit-rate = hits / (hits + misses), summed
+      // over every Paillier field.
+      ctx_.perf->incr(pool->hits() > hits_before ? "core.crypto.paillier.pool.hit"
+                                                 : "core.crypto.paillier.pool.miss");
     }
   }
   ctx_.cloud->call("agg.insert", wire::pack({{"scope", Value(ctx_.scope("paillier"))},

@@ -1,45 +1,12 @@
-// Payload helpers for the gateway<->cloud RPC protocol: every request and
-// response body is a binary-encoded doc::Object.
+// Payload helpers for the gateway<->cloud RPC protocol, under the name core
+// code uses. The helpers themselves live in doc/wire.hpp, below net/, so the
+// shard router shares them.
 #pragma once
 
-#include "common/status.hpp"
-#include "doc/binary_codec.hpp"
-#include "doc/value.hpp"
+#include "doc/wire.hpp"
 
-namespace datablinder::core::wire {
+namespace datablinder::core {
 
-inline Bytes pack(doc::Object obj) { return doc::encode_value(doc::Value(std::move(obj))); }
+namespace wire = doc::wire;
 
-inline doc::Object unpack(BytesView b) {
-  doc::Value v = doc::decode_value(b);
-  if (v.type() != doc::ValueType::kObject) {
-    throw_error(ErrorCode::kProtocolError, "wire: payload is not an object");
-  }
-  return v.as_object();
-}
-
-inline const doc::Value& get(const doc::Object& obj, const std::string& key) {
-  auto it = obj.find(key);
-  if (it == obj.end()) {
-    throw_error(ErrorCode::kProtocolError, "wire: missing key '" + key + "'");
-  }
-  return it->second;
-}
-
-inline std::string get_str(const doc::Object& obj, const std::string& key) {
-  return get(obj, key).as_string();
-}
-
-inline Bytes get_bin(const doc::Object& obj, const std::string& key) {
-  return get(obj, key).as_binary();
-}
-
-inline std::int64_t get_int(const doc::Object& obj, const std::string& key) {
-  return get(obj, key).as_int();
-}
-
-inline const doc::Array& get_arr(const doc::Object& obj, const std::string& key) {
-  return get(obj, key).as_array();
-}
-
-}  // namespace datablinder::core::wire
+}  // namespace datablinder::core

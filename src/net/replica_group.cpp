@@ -53,23 +53,9 @@ ReplicaGroup::ReplicaGroup(std::vector<ReplicaEndpoint> endpoints, HedgeConfig h
   }
 }
 
-void ReplicaGroup::set_metrics_hook(MetricsHook hook) {
-  std::lock_guard lock(hook_mutex_);
-  hook_ = std::move(hook);
-}
-
 void ReplicaGroup::set_hedgeable(MethodPredicate pred) {
-  std::lock_guard lock(hook_mutex_);
+  std::lock_guard lock(hedgeable_mutex_);
   hedgeable_ = std::move(pred);
-}
-
-void ReplicaGroup::emit(const char* series, std::uint64_t value) const {
-  MetricsHook hook;
-  {
-    std::lock_guard lock(hook_mutex_);
-    hook = hook_;
-  }
-  if (hook) hook(series, value);
 }
 
 std::size_t ReplicaGroup::primary() const {
@@ -95,8 +81,10 @@ std::uint64_t ReplicaGroup::applied_seq(std::size_t i) const {
 }
 
 double ReplicaGroup::score(const Replica& r) const {
+  // One consecutive failure weighs as much as 10 ms of latency EWMA.
+  constexpr double kFailurePenaltyUs = 10000.0;
   return static_cast<double>(r.consecutive_failures.load(std::memory_order_relaxed)) *
-             accrual_.failure_penalty_us +
+             kFailurePenaltyUs +
          r.latency.ewma_us();
 }
 
@@ -123,7 +111,7 @@ void ReplicaGroup::accrue_failure(std::size_t i) {
   Replica& r = *replicas_[i];
   const std::uint32_t n = r.consecutive_failures.fetch_add(1) + 1;
   if (n >= accrual_.suspect_threshold && !r.suspected.exchange(true)) {
-    emit("net.replica.demote");
+    counters_.incr("net.replica.demote");
   }
 }
 
@@ -133,7 +121,7 @@ void ReplicaGroup::note_success(std::size_t i, std::uint64_t ns) {
   r.consecutive_failures.store(0, std::memory_order_relaxed);
   // Failure accrual is symmetric: a delivered response is proof of life,
   // so a healed endpoint rejoins on its first served call.
-  if (r.suspected.exchange(false)) emit("net.replica.rejoin");
+  if (r.suspected.exchange(false)) counters_.incr("net.replica.rejoin");
 }
 
 Bytes ReplicaGroup::attempt(std::size_t i, const std::string& method, const Bytes& wire,
@@ -189,7 +177,7 @@ Bytes ReplicaGroup::call_read(const std::string& method, const Bytes& wire) {
   }
   MethodPredicate hedgeable;
   {
-    std::lock_guard lock(hook_mutex_);
+    std::lock_guard lock(hedgeable_mutex_);
     hedgeable = hedgeable_;
   }
   const bool resendable = hedgeable && hedgeable(method);
@@ -209,7 +197,7 @@ Bytes ReplicaGroup::call_read(const std::string& method, const Bytes& wire) {
       if (e.code() != ErrorCode::kUnavailable) throw;
       last = std::current_exception();
       if (sent && !resendable) break;
-      if (k + 1 < order.size()) emit("net.replica.read_failover");
+      if (k + 1 < order.size()) counters_.incr("net.replica.read_failover");
     }
   }
   std::rethrow_exception(last);
@@ -249,7 +237,7 @@ Bytes ReplicaGroup::hedged_read(const std::vector<std::size_t>& order,
           st->winner = idx;
           st->result = std::move(out);
         } else if (err != nullptr && st->first_error == nullptr) {
-          st->first_error = err;
+          st->first_error = std::move(err);
         }
         ++st->finished;
       }
@@ -258,11 +246,10 @@ Bytes ReplicaGroup::hedged_read(const std::vector<std::size_t>& order,
   };
 
   // Hedge delay: this call is "slow" once it exceeds the chosen replica's
-  // own recent p95 (scaled); before any evidence exists, the floor.
+  // own recent p95; before any evidence exists, the floor.
   const OpStats s = replicas_[order[0]]->latency.stats();
-  std::uint64_t delay_us =
-      static_cast<std::uint64_t>(hedge_.p95_multiplier * s.p95_us);
-  delay_us = std::clamp(delay_us, hedge_.min_delay_us, hedge_.max_delay_us);
+  const std::uint64_t delay_us = std::clamp(static_cast<std::uint64_t>(s.p95_us),
+                                            hedge_.min_delay_us, hedge_.max_delay_us);
 
   spawn(order[0], method, wire);
   bool primary_failed_fast = false;
@@ -274,19 +261,21 @@ Bytes ReplicaGroup::hedged_read(const std::vector<std::size_t>& order,
     primary_failed_fast = st->finished >= 1;
   }
   if (primary_failed_fast) {
-    emit("net.replica.read_failover");
+    counters_.incr("net.replica.read_failover");
   } else {
-    emit("net.hedge.fired");
-    emit("net.hedge.delay_us", delay_us);
+    counters_.incr("net.hedge.fired");
+    counters_.incr("net.hedge.delay_us", delay_us);
   }
   spawn(order[1], method, wire);
   std::unique_lock lock(st->m);
   st->cv.wait(lock, [&] { return st->done || st->finished >= 2; });
   if (st->done) {
-    if (!primary_failed_fast && st->winner == order[1]) emit("net.hedge.won");
+    if (!primary_failed_fast && st->winner == order[1]) counters_.incr("net.hedge.won");
     return std::move(st->result);
   }
-  std::rethrow_exception(st->first_error);
+  // Moved out of the shared state, so the exception's last reference dies
+  // on this thread, never on the pool worker that releases `st` last.
+  std::rethrow_exception(std::move(st->first_error));
 }
 
 // --- writes ----------------------------------------------------------------
@@ -316,21 +305,23 @@ bool ReplicaGroup::catch_up_locked(std::size_t i) {
       // it only rejoins through operator intervention (it is never elected
       // and never serves reads past the commit check).
       r.suspected.store(true, std::memory_order_relaxed);
-      emit("net.replica.diverged");
+      counters_.incr("net.replica.diverged");
       return false;
     }
-    emit("net.replica.ship");
+    counters_.incr("net.replica.ship");
     try {
       r.endpoint.channel->transfer_response(wire_response.size(), e.method);
     } catch (const Error&) {
       accrue_failure(i);
-      emit("net.replica.ack_lost");
+      counters_.incr("net.replica.ack_lost");
       return false;
     }
   }
   if (shipped) {
     r.consecutive_failures.store(0, std::memory_order_relaxed);
-    if (was_suspected && r.suspected.exchange(false)) emit("net.replica.rejoin");
+    if (was_suspected && r.suspected.exchange(false)) {
+      counters_.incr("net.replica.rejoin");
+    }
   }
   return true;
 }
@@ -354,7 +345,7 @@ void ReplicaGroup::failover_locked() {
     if (!catch_up_locked(i)) continue;
     if (i != primary_) {
       primary_ = i;
-      emit("net.replica.failover");
+      counters_.incr("net.replica.failover");
     }
     return;
   }
@@ -400,7 +391,7 @@ Bytes ReplicaGroup::call_write(const std::string& method, const Bytes& wire) {
     if (committed_seq_.load(std::memory_order_relaxed) >= seq) {
       unacked_.erase(std::remove(unacked_.begin(), unacked_.end(), seq),
                      unacked_.end());
-      emit("net.replica.write_dedup");
+      counters_.incr("net.replica.write_dedup");
       return log_[seq - 1].response;
     }
     throw_error(ErrorCode::kUnavailable,
@@ -461,7 +452,7 @@ Bytes ReplicaGroup::call_write(const std::string& method, const Bytes& wire) {
     note_success(primary_, t0_elapsed);
   } catch (const Error&) {
     accrue_failure(primary_);
-    emit("net.replica.ack_lost");
+    counters_.incr("net.replica.ack_lost");
     // Applied but unacknowledged: remember the entry so the caller's
     // byte-identical retry is recognized and deduped instead of re-applied.
     unacked_.push_back(seq);

@@ -61,23 +61,21 @@ struct ReplicaEndpoint {
   Channel* channel = nullptr;
 };
 
-/// Hedged-read tuning. The hedge delay is derived from the chosen
-/// replica's recent p95 latency, clamped to [min_delay_us, max_delay_us]:
-/// a hedge should fire only when this call is already slower than the
-/// replica's own recent tail.
+/// Hedged-read tuning. The hedge delay is the chosen replica's recent p95
+/// latency, clamped to [min_delay_us, max_delay_us]: a hedge should fire
+/// only when this call is already slower than the replica's own recent
+/// tail.
 struct HedgeConfig {
   bool enabled = false;
-  double p95_multiplier = 1.0;
   std::uint64_t min_delay_us = 200;
   std::uint64_t max_delay_us = 50000;
 };
 
 /// Failure-accrual tuning. A replica is suspected (demoted from the
 /// in-sync set) at `suspect_threshold` consecutive transport failures;
-/// its routing score is failures * failure_penalty_us + latency EWMA.
+/// its routing score is failures * 10 ms + latency EWMA.
 struct AccrualConfig {
   std::uint32_t suspect_threshold = 3;
-  double failure_penalty_us = 10000.0;
 };
 
 /// Observability snapshot for one replica.
@@ -112,8 +110,13 @@ class ReplicaGroup final : public Backend {
   /// Throws Error(kUnavailable) when no replica can serve it.
   Bytes call(const std::string& method, const Bytes& wire_request) override;
 
-  /// Counter events ("net.hedge.*", "net.replica.*"). Pass nullptr to clear.
-  void set_metrics_hook(MetricsHook hook) override;
+  /// Binds the sink for "net.hedge.*" and "net.replica.*" events.
+  void set_counters(Counters* counters) override { counters_.bind(counters); }
+  /// As above, and every event is also counted under `alias` (the shard
+  /// router's "net.shard.<i>." copies; see CounterBinding).
+  void set_counters(Counters* counters, std::string alias) {
+    counters_.bind(counters, std::move(alias));
+  }
 
   /// Predicate gating hedges and post-send read failover: only methods the
   /// retry whitelist declares replay-idempotent may be re-sent after their
@@ -184,8 +187,6 @@ class ReplicaGroup final : public Backend {
   /// replicas. Caller holds write_mutex_.
   void advance_commit_locked();
 
-  void emit(const char* series, std::uint64_t value = 1) const;
-
   // unique_ptr: Replica holds atomics/PerfSeries and must not move.
   std::vector<std::unique_ptr<Replica>> replicas_;
   HedgeConfig hedge_;
@@ -197,14 +198,14 @@ class ReplicaGroup final : public Backend {
   std::size_t primary_ = 0;
   std::atomic<std::uint64_t> committed_seq_{0};
 
-  mutable std::mutex hook_mutex_;
-  MetricsHook hook_;
+  CounterBinding counters_;
+  mutable std::mutex hedgeable_mutex_;
   MethodPredicate hedgeable_;
 
   // Hedged attempts run here, so the caller can return on the first
   // success while the loser finishes in the background. Declared last:
   // its destructor joins every in-flight loser before the replicas, log
-  // and hook it touches are destroyed. A hedged read occupies at most two
+  // and counter binding it touches are destroyed. A hedged read occupies at most two
   // workers (the loser may outlive the read), so the bound only queues
   // attempts once dozens of readers hedge at the same time.
   static constexpr std::size_t kHedgeWorkers = 64;

@@ -25,14 +25,6 @@ RetryClock& RetryClock::system() {
   return clock;
 }
 
-bool RetryPolicy::retryable(const std::string& method) const {
-  if (retryable_methods.count(method)) return true;
-  for (const auto& prefix : retryable_prefixes) {
-    if (method.compare(0, prefix.size(), prefix) == 0) return true;
-  }
-  return false;
-}
-
 RetryPolicy RetryPolicy::standard() {
   RetryPolicy p;
   p.enabled = true;
@@ -84,7 +76,6 @@ bool CircuitBreaker::try_admit(std::uint64_t now_us) {
         probe_started_us_ = now_us;
         return true;  // this caller is the probe
       }
-      ++rejections_;
       return false;
     case State::kHalfOpen:
       // Exactly one probe token per half-open window. If the token's owner
@@ -98,7 +89,6 @@ bool CircuitBreaker::try_admit(std::uint64_t now_us) {
         probe_started_us_ = now_us;
         return true;
       }
-      ++rejections_;
       return false;
   }
   return true;
@@ -120,30 +110,18 @@ void CircuitBreaker::on_failure(std::uint64_t now_us) {
     // Failed probe: straight back to open, restarting the cooldown.
     state_ = State::kOpen;
     opened_at_us_ = now_us;
-    ++trips_;
     return;
   }
   if (++consecutive_failures_ >= config_.failure_threshold &&
       state_ == State::kClosed) {
     state_ = State::kOpen;
     opened_at_us_ = now_us;
-    ++trips_;
   }
 }
 
 CircuitBreaker::State CircuitBreaker::state() const {
   std::lock_guard lock(mutex_);
   return state_;
-}
-
-std::uint64_t CircuitBreaker::trips() const {
-  std::lock_guard lock(mutex_);
-  return trips_;
-}
-
-std::uint64_t CircuitBreaker::rejections() const {
-  std::lock_guard lock(mutex_);
-  return rejections_;
 }
 
 std::string to_string(CircuitBreaker::State state) {

@@ -18,7 +18,6 @@
 #include <mutex>
 #include <set>
 #include <string>
-#include <vector>
 
 namespace datablinder::net {
 
@@ -57,13 +56,13 @@ struct RetryPolicy {
   std::uint64_t jitter_seed = 0;
 
   /// Idempotency whitelist: only these methods are ever retried. Methods
-  /// absent from both the exact set and the prefix list fail fast — the
-  /// safe default for third-party tactic providers whose update handlers
-  /// might not be replay-idempotent.
+  /// absent from it fail fast — the safe default for third-party tactic
+  /// providers whose update handlers might not be replay-idempotent.
   std::set<std::string> retryable_methods;
-  std::vector<std::string> retryable_prefixes;
 
-  bool retryable(const std::string& method) const;
+  bool retryable(const std::string& method) const {
+    return retryable_methods.count(method) > 0;
+  }
 
   /// Whitelist covering every built-in method: reads trivially, update
   /// methods because their cloud handlers are keyed overwrites that absorb
@@ -107,10 +106,6 @@ class CircuitBreaker {
   void on_failure(std::uint64_t now_us);
 
   State state() const;
-  /// Times the breaker transitioned closed/half-open -> open.
-  std::uint64_t trips() const;
-  /// Calls rejected while open.
-  std::uint64_t rejections() const;
 
  private:
   mutable std::mutex mutex_;
@@ -118,8 +113,6 @@ class CircuitBreaker {
   State state_ = State::kClosed;
   std::uint32_t consecutive_failures_ = 0;
   std::uint64_t opened_at_us_ = 0;
-  std::uint64_t trips_ = 0;
-  std::uint64_t rejections_ = 0;
   bool probe_in_flight_ = false;
   // When the outstanding half-open probe was admitted. A probe whose owner
   // never reports an outcome (caller died between admission and reporting)

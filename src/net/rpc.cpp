@@ -170,19 +170,9 @@ void RpcClient::set_clock(RetryClock* clock) {
   clock_ = clock;
 }
 
-void RpcClient::set_metrics_hook(MetricsHook hook) {
-  backend_.set_metrics_hook(hook);
-  std::lock_guard lock(policy_mutex_);
-  hook_ = std::move(hook);
-}
-
-void RpcClient::emit(const char* series, std::uint64_t value) const {
-  MetricsHook hook;
-  {
-    std::lock_guard lock(policy_mutex_);
-    hook = hook_;
-  }
-  if (hook) hook(series, value);
+void RpcClient::set_counters(Counters* counters) {
+  backend_.set_counters(counters);
+  counters_.bind(counters);
 }
 
 Bytes Endpoint::call(const std::string& method, const Bytes& wire_request) {
@@ -255,7 +245,7 @@ Bytes RpcClient::call(const std::string& method, BytesView payload) {
         error = std::current_exception();
       }
     } else if (!breaker_->try_admit(clock->now_us())) {
-      emit("net.breaker.reject", 1);
+      counters_.incr("net.breaker.reject");
       transport_failure = true;
       error = std::make_exception_ptr(
           Error(ErrorCode::kUnavailable, "circuit breaker open: " + method));
@@ -271,7 +261,7 @@ Bytes RpcClient::call(const std::string& method, BytesView payload) {
           breaker_->on_failure(clock->now_us());
           if (breaker_->state() == CircuitBreaker::State::kOpen &&
               before != CircuitBreaker::State::kOpen) {
-            emit("net.breaker.open", 1);
+            counters_.incr("net.breaker.open");
           }
         } else {
           // A typed server error is a delivered response: endpoint healthy.
@@ -294,7 +284,7 @@ Bytes RpcClient::call(const std::string& method, BytesView payload) {
     if (!policy.enabled || !transport_failure || !policy.retryable(method) ||
         attempt >= max_attempts) {
       if (policy.enabled && transport_failure && policy.retryable(method)) {
-        emit("net.retry.giveup", 1);
+        counters_.incr("net.retry.giveup");
       }
       std::rethrow_exception(error);
     }
@@ -306,11 +296,11 @@ Bytes RpcClient::call(const std::string& method, BytesView payload) {
     }
     if (policy.deadline_us != 0 &&
         clock->now_us() - start_us + sleep_us >= policy.deadline_us) {
-      emit("net.retry.deadline", 1);
+      counters_.incr("net.retry.deadline");
       std::rethrow_exception(error);
     }
-    emit("net.retry.attempt", 1);
-    emit("net.retry.backoff_us", sleep_us);
+    counters_.incr("net.retry.attempt");
+    counters_.incr("net.retry.backoff_us", sleep_us);
     clock->sleep_us(sleep_us);
     backoff_us = std::min(
         static_cast<std::uint64_t>(static_cast<double>(backoff_us) *

@@ -58,7 +58,7 @@ class Endpoint final : public Backend {
   /// Serialize, cross the channel, dispatch, cross back, deserialize.
   Bytes call(const std::string& method, const Bytes& wire_request) override;
   /// A single endpoint has no routing events and never re-sends.
-  void set_metrics_hook(MetricsHook) override {}
+  void set_counters(Counters*) override {}
   void set_hedgeable(MethodPredicate) override {}
 
  private:
@@ -98,13 +98,12 @@ class RpcClient {
   /// (non-owning; nullptr restores the system steady clock). Test hook.
   void set_clock(RetryClock* clock);
 
-  /// Observer for retry/breaker events ("net.retry.attempt",
+  /// Binds the sink for retry/breaker events ("net.retry.attempt",
   /// "net.retry.backoff_us", "net.retry.giveup", "net.retry.deadline",
-  /// "net.breaker.open", "net.breaker.reject"), also installed on the
-  /// backend for its routing events. The gateway bridges these into its
-  /// PerfRegistry. Pass nullptr to clear.
-  using MetricsHook = Backend::MetricsHook;
-  void set_metrics_hook(MetricsHook hook);
+  /// "net.breaker.open", "net.breaker.reject"), and the backend's for its
+  /// routing events. The gateway binds its PerfRegistry. nullptr unbinds;
+  /// it returns once no event is still being counted (CounterBinding).
+  void set_counters(Counters* counters);
 
   /// The bound channel's circuit breaker, or nullptr for a group/router
   /// backend (whose per-replica accrual is the health authority).
@@ -162,16 +161,14 @@ class RpcClient {
   static std::unordered_map<const RpcClient*, Deferred>& deferred_sections() noexcept;
   Deferred* deferred_slot() const noexcept;
 
-  void emit(const char* series, std::uint64_t value) const;
-
   std::unique_ptr<Endpoint> endpoint_;  // owned by the single-endpoint shape
   Backend& backend_;
   CircuitBreaker* breaker_ = nullptr;   // non-null only for a single endpoint
 
-  mutable std::mutex policy_mutex_;  // guards policy_, clock_, hook_
+  mutable std::mutex policy_mutex_;  // guards policy_, clock_
   RetryPolicy policy_;
   RetryClock* clock_ = nullptr;
-  MetricsHook hook_;
+  CounterBinding counters_;
 };
 
 }  // namespace datablinder::net

@@ -6,6 +6,7 @@
 #include "common/status.hpp"
 #include "doc/binary_codec.hpp"
 #include "doc/value.hpp"
+#include "doc/wire.hpp"
 #include "net/message.hpp"
 
 namespace datablinder::net {
@@ -14,43 +15,13 @@ namespace {
 
 using bigint::BigInt;
 using doc::Value;
-
-// net/ sits below core/ in the layering, so these mirror the tiny
-// core/wire.hpp payload helpers locally. The wire format is shared by
-// construction: every payload is a binary-encoded doc::Object.
-Bytes pack(doc::Object obj) { return doc::encode_value(Value(std::move(obj))); }
-
-doc::Object unpack(BytesView b) {
-  Value v = doc::decode_value(b);
-  if (v.type() != doc::ValueType::kObject) {
-    throw_error(ErrorCode::kProtocolError, "shard router: payload is not an object");
-  }
-  return v.as_object();
-}
-
-const Value& get(const doc::Object& obj, const std::string& key) {
-  auto it = obj.find(key);
-  if (it == obj.end()) {
-    throw_error(ErrorCode::kProtocolError, "shard router: missing key '" + key + "'");
-  }
-  return it->second;
-}
-
-std::string get_str(const doc::Object& obj, const std::string& key) {
-  return get(obj, key).as_string();
-}
-
-Bytes get_bin(const doc::Object& obj, const std::string& key) {
-  return get(obj, key).as_binary();
-}
-
-std::int64_t get_int(const doc::Object& obj, const std::string& key) {
-  return get(obj, key).as_int();
-}
-
-const doc::Array& get_arr(const doc::Object& obj, const std::string& key) {
-  return get(obj, key).as_array();
-}
+using doc::wire::get;
+using doc::wire::get_arr;
+using doc::wire::get_bin;
+using doc::wire::get_int;
+using doc::wire::get_str;
+using doc::wire::pack;
+using doc::wire::unpack;
 
 std::string raw(const Bytes& b) { return std::string(b.begin(), b.end()); }
 
@@ -115,9 +86,9 @@ std::size_t HashRing::shard_of(std::string_view key) const {
 // Sub-calls BLOCK their worker for the whole channel exchange, so the pool
 // must not serialize concurrent scatters from different gateway threads:
 // it grows on demand up to this bound.
-ShardRouter::ShardRouter(std::vector<ReplicaGroup*> shards, RingConfig ring)
+ShardRouter::ShardRouter(std::vector<ReplicaGroup*> shards)
     : shards_(std::move(shards)),
-      ring_(shards_.size(), ring),
+      ring_(shards_.size()),
       pool_(std::max<std::size_t>(32, shards_.size() * 16)) {
   if (shards_.empty()) {
     throw_error(ErrorCode::kInvalidArgument, "shard router needs >= 1 backend");
@@ -145,37 +116,13 @@ Bytes ShardRouter::sub_request(const std::string& method, Bytes payload) {
   return r.serialize();
 }
 
-void ShardRouter::emit(const char* series, std::uint64_t value) const {
-  MetricsHook hook;
-  {
-    std::lock_guard lock(hook_mutex_);
-    hook = hook_;
-  }
-  if (hook) hook(series, value);
-}
-
-void ShardRouter::set_metrics_hook(MetricsHook hook) {
-  {
-    std::lock_guard lock(hook_mutex_);
-    hook_ = hook;
-  }
+void ShardRouter::set_counters(Counters* counters) {
+  counters_.bind(counters);
   for (std::size_t i = 0; i < shards_.size(); ++i) {
-    if (!hook) {
-      shards_[i]->set_metrics_hook(nullptr);
-      continue;
-    }
     // Instance labeling: the aggregate series keeps its historical name,
     // and a bounded per-shard alias ("net.shard.<i>.replica.*") keeps
     // multi-instance counters distinct instead of colliding on one key.
-    const std::string prefix = "net.shard." + std::to_string(i) + ".";
-    shards_[i]->set_metrics_hook(
-        [hook, prefix](const char* series, std::uint64_t value) {
-          hook(series, value);
-          std::string labeled(series);
-          if (labeled.rfind("net.", 0) == 0) labeled.erase(0, 4);
-          labeled.insert(0, prefix);
-          hook(labeled.c_str(), value);
-        });
+    shards_[i]->set_counters(counters, "net.shard." + std::to_string(i) + ".");
   }
 }
 
@@ -191,8 +138,8 @@ std::vector<Bytes> ShardRouter::fan_out(
     out[0] = call_shard(calls[0].first, method, calls[0].second);
     return out;
   }
-  emit("net.shard.scatter");
-  emit("net.shard.subcalls", calls.size());
+  counters_.incr("net.shard.scatter");
+  counters_.incr("net.shard.subcalls", calls.size());
 
   // Every sub-call writes its own slot, so `out` needs no lock.
   pool_.run_all(calls.size(), [this, &method, &calls, &out](std::size_t k) {
@@ -203,7 +150,7 @@ std::vector<Bytes> ShardRouter::fan_out(
 
 Bytes ShardRouter::route_single(std::size_t shard, const std::string& method,
                                 const Bytes& wire) {
-  emit("net.shard.route");
+  counters_.incr("net.shard.route");
   return call_shard(shard, method, wire);
 }
 
@@ -366,7 +313,7 @@ Bytes ShardRouter::broadcast(const std::string& method, const Bytes& wire) {
     agg_scopes_[get_str(obj, "scope")] = std::move(scope);
   }
 
-  emit("net.shard.broadcast");
+  counters_.incr("net.shard.broadcast");
   std::vector<std::pair<std::size_t, Bytes>> calls;
   calls.reserve(shards_.size());
   for (std::size_t s = 0; s < shards_.size(); ++s) calls.emplace_back(s, wire);

@@ -75,7 +75,7 @@ class ShardRouter final : public Backend {
  public:
   /// Backends are non-owning (core::ShardedCloud owns them) and must
   /// outlive the router. At least one backend.
-  explicit ShardRouter(std::vector<ReplicaGroup*> shards, RingConfig ring = {});
+  explicit ShardRouter(std::vector<ReplicaGroup*> shards);
 
   ShardRouter(const ShardRouter&) = delete;
   ShardRouter& operator=(const ShardRouter&) = delete;
@@ -97,12 +97,12 @@ class ShardRouter final : public Backend {
   static std::string doc_key(const std::string& col, const std::string& id);
   std::size_t shard_of_doc(const std::string& col, const std::string& id) const;
 
-  /// Installs `hook` on the router and every shard group. Group series are
-  /// emitted twice: once under their aggregate name ("net.replica.*",
+  /// Binds `counters` on the router and every shard group. Group series
+  /// are counted twice: once under their aggregate name ("net.replica.*",
   /// "net.hedge.*") and once instance-labeled ("net.shard.<i>.replica.*")
   /// so per-shard counters never collide; the label set is bounded by the
-  /// shard count. Pass nullptr to clear.
-  void set_metrics_hook(MetricsHook hook) override;
+  /// shard count. nullptr unbinds all of them.
+  void set_counters(Counters* counters) override;
 
   /// Forwarded to every shard group (hedging gate; see ReplicaGroup).
   void set_hedgeable(MethodPredicate pred) override;
@@ -128,13 +128,10 @@ class ShardRouter final : public Backend {
   /// (single-key or scope-routed); throws kProtocolError otherwise.
   std::size_t single_shard_of(const std::string& method, const Bytes& payload) const;
 
-  void emit(const char* series, std::uint64_t value = 1) const;
-
   std::vector<ReplicaGroup*> shards_;
   HashRing ring_;
 
-  mutable std::mutex hook_mutex_;
-  MetricsHook hook_;
+  CounterBinding counters_;
 
   /// agg.setup's public modulus per scope: broadcast partial sums merge
   /// by multiplication mod n², which needs n gateway-side.

@@ -5,7 +5,7 @@
 //   2. no write is applied twice (byte-exact: each replica channel carried
 //      exactly the log's wire bytes, and state digests converge),
 //   3. reads keep succeeding while any healthy in-sync replica remains.
-// Plus the fidelity contract: GatewayConfig{replicas = 1, hedged_reads =
+// Plus the fidelity contract: GatewayConfig{replicas = 1, hedge.enabled =
 // false} is byte-identical on the wire to a hand-built single-node stack.
 #include <gtest/gtest.h>
 
@@ -86,9 +86,8 @@ TEST(ChaosGroup, AckLostWriteIsDedupedOnRetryByteExactly) {
   ShardedCloud rc(replicated_config(3));
   ReplicaGroup* g = rc.group(0);
   ASSERT_NE(g, nullptr);
-  std::map<std::string, std::uint64_t> counters;
-  g->set_metrics_hook(
-      [&](const char* series, std::uint64_t v) { counters[series] += v; });
+  Counters counters;
+  g->set_counters(&counters);
 
   const Bytes wire = put_request("doc-1", 0xAB);
   net::FaultPlan plan;
@@ -101,7 +100,7 @@ TEST(ChaosGroup, AckLostWriteIsDedupedOnRetryByteExactly) {
   } catch (const Error& e) {
     EXPECT_EQ(e.code(), ErrorCode::kUnavailable);
   }
-  EXPECT_EQ(counters["net.replica.ack_lost"], 1u);
+  EXPECT_EQ(counters.counter("net.replica.ack_lost"), 1u);
   // Applied on the primary and replicated to both backups despite the
   // missing ack; not yet acknowledged.
   EXPECT_EQ(g->log_entries(), 1u);
@@ -109,7 +108,7 @@ TEST(ChaosGroup, AckLostWriteIsDedupedOnRetryByteExactly) {
 
   // Byte-identical retry: deduped, acknowledged, applied exactly once.
   g->call("doc.put", wire);
-  EXPECT_EQ(counters["net.replica.write_dedup"], 1u);
+  EXPECT_EQ(counters.counter("net.replica.write_dedup"), 1u);
   EXPECT_EQ(g->log_entries(), 1u);
   EXPECT_EQ(g->committed_seq(), 1u);
   expect_digests_converged(rc);
@@ -131,16 +130,15 @@ TEST(ChaosGroup, FaultingBackupIsDemotedBeforeAckAndRejoinsExactlyOnce) {
   cfg.accrual.suspect_threshold = 1;  // demote on the first miss
   ShardedCloud rc(cfg);
   ReplicaGroup* g = rc.group(0);
-  std::map<std::string, std::uint64_t> counters;
-  g->set_metrics_hook(
-      [&](const char* series, std::uint64_t v) { counters[series] += v; });
+  Counters counters;
+  g->set_counters(&counters);
 
   g->call("doc.put", put_request("a", 1));  // all replicas healthy
 
   rc.channel(0, 2).close();  // partition backup 2
   g->call("doc.put", put_request("b", 2));
   g->call("doc.put", put_request("c", 3));
-  EXPECT_EQ(counters["net.replica.demote"], 1u);
+  EXPECT_EQ(counters.counter("net.replica.demote"), 1u);
   EXPECT_EQ(g->applied_seq(0), 3u);
   EXPECT_EQ(g->applied_seq(1), 3u);
   EXPECT_EQ(g->applied_seq(2), 1u);  // lagging, excluded from the ack set
@@ -148,7 +146,7 @@ TEST(ChaosGroup, FaultingBackupIsDemotedBeforeAckAndRejoinsExactlyOnce) {
 
   rc.channel(0, 2).reopen();
   EXPECT_EQ(g->catch_up_all(), 3u);
-  EXPECT_GE(counters["net.replica.rejoin"], 1u);
+  EXPECT_GE(counters.counter("net.replica.rejoin"), 1u);
   EXPECT_EQ(g->applied_seq(2), 3u);
   expect_byte_exact_replication(rc);
   expect_digests_converged(rc);
@@ -372,7 +370,7 @@ TEST(ChaosGateway, ReadsSucceedWhileAnyHealthyReplicaRemains) {
 
 TEST(ChaosGateway, SlowReplicaHedgedReadStaysFastAndWins) {
   core::GatewayConfig cfg = replicated_config(3);
-  cfg.hedged_reads = true;
+  cfg.hedge.enabled = true;
   cfg.hedge.min_delay_us = 300;
   cfg.hedge.max_delay_us = 2000;
   ShardedCloud rc(cfg);
@@ -402,7 +400,7 @@ TEST(ChaosGateway, SlowReplicaHedgedReadStaysFastAndWins) {
 }
 
 TEST(ChaosGateway, SingleReplicaConfigIsByteIdenticalToLegacyStack) {
-  // Fidelity: replicas = 1 + hedged_reads = false must build no routing
+  // Fidelity: replicas = 1 + hedge.enabled = false must build no routing
   // layer at all and drive the exact single-node client. Two checks:
   //  (a) a deterministic raw workload (no encryption randomness) produces
   //      byte-identical wire traffic on both stacks;
@@ -415,7 +413,7 @@ TEST(ChaosGateway, SingleReplicaConfigIsByteIdenticalToLegacyStack) {
 
   core::GatewayConfig single;
   single.replicas = 1;
-  single.hedged_reads = false;
+  single.hedge.enabled = false;
   ShardedCloud rc(single);
   EXPECT_EQ(rc.group(0), nullptr);  // no routing layer at all
 

@@ -164,5 +164,48 @@ TEST(GatewayMetricsTest, BooleanSearchAttributesToTactics) {
   EXPECT_EQ(gateway.perf().stats("DET", TacticOperation::kEqualitySearch).count, 1u);
 }
 
+TEST(GatewayMetricsTest, PaillierPoolCountsEveryEncryptOfEveryField) {
+  // Two Paillier-aggregated fields, each with its own randomizer pool,
+  // index in parallel within one insert: every encrypt counts exactly one
+  // pool hit or miss, summed over both fields.
+  CloudNode cloud;
+  net::Channel channel;
+  net::RpcClient rpc(cloud.rpc(), channel);
+  kms::KeyManager kms;
+  store::KvStore local;
+  TacticRegistry registry;
+  register_builtin_tactics(registry);
+  Gateway gateway(
+      rpc, kms, local, registry,
+      GatewayConfig{{{"paillier_modulus_bits", "256"}, {"paillier_pool", "4"}}});
+  schema::Schema s("vitals");
+  for (const char* field : {"systolic", "diastolic"}) {
+    schema::FieldAnnotation ann;
+    ann.type = schema::FieldType::kDouble;
+    ann.sensitive = true;
+    ann.protection = schema::ProtectionClass::kClass1;
+    ann.operations = {schema::Operation::kInsert};
+    ann.aggregates = {schema::Aggregate::kSum};
+    s.field(field, ann);
+  }
+  gateway.register_schema(s);
+
+  constexpr std::uint64_t kInserts = 12;
+  for (std::uint64_t i = 0; i < kInserts; ++i) {
+    Document d;
+    d.id = "v-" + std::to_string(i);
+    d.set("systolic", Value(120.0 + static_cast<double>(i)));
+    d.set("diastolic", Value(80.0 + static_cast<double>(i)));
+    gateway.insert("vitals", d);
+  }
+
+  const PerfRegistry& perf = gateway.perf();
+  EXPECT_EQ(perf.stats("Paillier", TacticOperation::kInsert).count, 2 * kInserts);
+  EXPECT_EQ(perf.counter("core.crypto.paillier.encrypt"), 2 * kInserts);
+  EXPECT_EQ(perf.counter("core.crypto.paillier.pool.hit") +
+                perf.counter("core.crypto.paillier.pool.miss"),
+            2 * kInserts);
+}
+
 }  // namespace
 }  // namespace datablinder::core

@@ -200,9 +200,8 @@ TEST(ResilienceTest, DeadlineBudgetAbandonsRetry) {
   net::RpcClient rpc(echo_server(), ch);
   FakeClock clock;
   rpc.set_clock(&clock);
-  std::map<std::string, std::uint64_t> events;
-  rpc.set_metrics_hook(
-      [&](const char* series, std::uint64_t v) { events[series] += v; });
+  Counters events;
+  rpc.set_counters(&events);
 
   net::RetryPolicy p;
   p.enabled = true;
@@ -229,8 +228,8 @@ TEST(ResilienceTest, DeadlineBudgetAbandonsRetry) {
   ASSERT_EQ(clock.sleeps.size(), 1u);
   EXPECT_EQ(clock.sleeps[0], 1000u);
   EXPECT_EQ(clock.now_, 1000u);
-  EXPECT_EQ(events["net.retry.deadline"], 1u);
-  EXPECT_EQ(events["net.retry.attempt"], 1u);
+  EXPECT_EQ(events.counter("net.retry.deadline"), 1u);
+  EXPECT_EQ(events.counter("net.retry.attempt"), 1u);
 }
 
 TEST(ResilienceTest, NonWhitelistedMethodsFailFast) {
@@ -341,6 +340,8 @@ TEST(ResilienceTest, BreakerWalksClosedOpenHalfOpenClosed) {
   net::RpcClient rpc(echo_server(), ch);
   FakeClock clock;
   rpc.set_clock(&clock);
+  Counters events;
+  rpc.set_counters(&events);
 
   net::BreakerConfig bc;
   bc.enabled = true;
@@ -358,7 +359,7 @@ TEST(ResilienceTest, BreakerWalksClosedOpenHalfOpenClosed) {
   EXPECT_EQ(ch.breaker().state(), State::kClosed);
   EXPECT_THROW(rpc.call("echo.get", to_bytes("x")), Error);  // failure 2: trips
   EXPECT_EQ(ch.breaker().state(), State::kOpen);
-  EXPECT_EQ(ch.breaker().trips(), 1u);
+  EXPECT_EQ(events.counter("net.breaker.open"), 1u);
 
   // Open: calls shed without touching the channel.
   const std::uint64_t before = ch.transfers();
@@ -370,14 +371,14 @@ TEST(ResilienceTest, BreakerWalksClosedOpenHalfOpenClosed) {
     EXPECT_NE(std::string(e.what()).find("circuit breaker open"), std::string::npos);
   }
   EXPECT_EQ(ch.transfers(), before);
-  EXPECT_EQ(ch.breaker().rejections(), 1u);
+  EXPECT_EQ(events.counter("net.breaker.reject"), 1u);
 
   // Cooldown elapses; the half-open probe hits the last outage transfer (#3)
   // and fails: straight back to open.
   clock.now_ += 1500;
   EXPECT_THROW(rpc.call("echo.get", to_bytes("x")), Error);
   EXPECT_EQ(ch.breaker().state(), State::kOpen);
-  EXPECT_EQ(ch.breaker().trips(), 2u);
+  EXPECT_EQ(events.counter("net.breaker.open"), 2u);
 
   // Second probe after another cooldown finds the channel healed: closed.
   clock.now_ += 1500;

@@ -208,15 +208,15 @@ TEST(ShardRouterTest, PerShardMetricsAreInstanceLabeled) {
   cfg.replicas = 2;  // replication makes each shard group emit ship events
   core::ShardedCloud cloud(cfg);
 
-  std::map<std::string, std::uint64_t> series;
-  cloud.router()->set_metrics_hook(
-      [&](const char* name, std::uint64_t v) { series[name] += v; });
+  Counters counters;
+  cloud.router()->set_counters(&counters);
 
   cloud.client().call("doc.put",
                       core::wire::pack({{"col", Value("obs")},
                                         {"id", Value("x")},
                                         {"blob", Value(Bytes{1})}}));
 
+  const auto series = counters.counters();
   // Router-level series for the routed single-shard call.
   EXPECT_EQ(series.count("net.shard.route"), 1u);
   // Group-level series keep the aggregate name AND gain exactly one

@@ -4,6 +4,7 @@
 // across shards, and per-shard failover isolation under chaos.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <set>
 #include <string>
 #include <vector>
@@ -254,6 +255,96 @@ TEST(ShardingTest, ShardPrimaryFailoverDoesNotStallSiblings) {
     EXPECT_EQ(perf.counter(prefix + "replica.failover"), 0u);
     EXPECT_EQ(perf.counter(prefix + "replica.read_failover"), 0u);
   }
+}
+
+/// A 2-shard x 2-replica cloud whose reads hedge and whose client retries.
+core::GatewayConfig hedged_retrying_config() {
+  core::GatewayConfig cfg = sharded_config(2, 2);
+  cfg.hedge.enabled = true;
+  cfg.hedge.min_delay_us = 300;
+  cfg.hedge.max_delay_us = 2000;
+  cfg.retry = net::RetryPolicy::standard();
+  cfg.retry.jitter_seed = 5;
+  return cfg;
+}
+
+/// Drives one event of every net family through `cloud`'s client: a routed
+/// write and a scatter read (net.shard.*), a read hedged because both
+/// replicas of its shard are slow (net.hedge.*), and a read of a shard
+/// that is down (net.retry.*, net.replica.*).
+void drive_net_events(core::ShardedCloud& cloud) {
+  net::RpcClient& client = cloud.client();
+  client.set_retry_policy(hedged_retrying_config().retry);
+  doc::Array ids;
+  for (int i = 0; i < 8; ++i) {
+    const std::string id = "e-" + std::to_string(i);
+    client.call("doc.put", core::wire::pack({{"col", Value("obs")},
+                                             {"id", Value(id)},
+                                             {"blob", Value(Bytes{1})}}));
+    ids.push_back(Value(id));
+  }
+  client.call("doc.mget",
+              core::wire::pack({{"col", Value("obs")}, {"ids", Value(ids)}}));
+
+  const std::size_t s = cloud.router()->shard_of_doc("obs", "e-0");
+  const Bytes get = core::wire::pack({{"col", Value("obs")}, {"id", Value("e-0")}});
+  net::ChannelConfig slow;
+  slow.one_way_latency_us = 20000;  // 40 ms round trips; the hedge fires by 2 ms
+  cloud.channel(s, 0).set_config(slow);
+  cloud.channel(s, 1).set_config(slow);
+  client.call("doc.get", get);
+  cloud.channel(s, 0).set_config({});
+  cloud.channel(s, 1).set_config({});
+
+  cloud.channel(s, 0).close();
+  cloud.channel(s, 1).close();
+  EXPECT_THROW(client.call("doc.get", get), Error);
+}
+
+TEST(ShardingTest, BoundCountersSeeEveryNetEventFamily) {
+  Counters counters;  // outlives the cloud, whose pools join hedge losers
+  core::ShardedCloud cloud(hedged_retrying_config());
+  cloud.client().set_counters(&counters);
+  drive_net_events(cloud);
+
+  EXPECT_GE(counters.counter("net.shard.route"), 1u);
+  EXPECT_GE(counters.counter("net.shard.scatter"), 1u);
+  EXPECT_GE(counters.counter("net.hedge.fired"), 1u);
+  EXPECT_GE(counters.counter("net.retry.attempt"), 1u);
+  // Every group event is also counted once under its shard's alias.
+  const std::size_t s = cloud.router()->shard_of_doc("obs", "e-0");
+  EXPECT_GE(counters.counter("net.shard." + std::to_string(s) + ".hedge.fired"), 1u);
+  EXPECT_EQ(counters.counter("net.shard.0.hedge.fired") +
+                counters.counter("net.shard.1.hedge.fired"),
+            counters.counter("net.hedge.fired"));
+}
+
+TEST(ShardingTest, UnboundCountersSeeNoNetEvent) {
+  // set_counters(nullptr) unbinds the client, the router and every group:
+  // the same retries, hedges and shard calls are dropped, not counted.
+  Counters counters;
+  core::ShardedCloud cloud(hedged_retrying_config());
+  cloud.client().set_counters(&counters);
+  cloud.client().set_counters(nullptr);
+  drive_net_events(cloud);
+  EXPECT_TRUE(counters.counters().empty());
+}
+
+TEST(ShardingTest, DestroyedGatewayIsNeverCountedInto) {
+  // The gateway binds its registry on construction and unbinds it on
+  // destruction. Traffic on the surviving cloud must not reach the freed
+  // registry (a heap-use-after-free under ASan).
+  const core::GatewayConfig cfg = hedged_retrying_config();
+  core::ShardedCloud cloud(cfg);
+  kms::KeyManager kms;
+  store::KvStore local;
+  auto gw = std::make_unique<core::Gateway>(cloud.client(), kms, local, registry(), cfg);
+  gw->register_schema(fhir::observation_schema("observations"));
+  fhir::ObservationGenerator gen(3);
+  gw->insert("observations", gen.next());
+  EXPECT_GE(gw->perf().counter("net.shard.route"), 1u);
+  gw.reset();
+  drive_net_events(cloud);
 }
 
 }  // namespace
