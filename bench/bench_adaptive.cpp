@@ -9,10 +9,11 @@
 // plan must switch within hysteresis_windows decisions; from then on the
 // hot cache serves repeat OPE bound labels and decrypted documents.
 //
-// RangeBRC is deliberately absent from this registry: its range prior
-// sits inside the hysteresis band of OPE's, so the steady-state choice
-// between the two is machine-dependent — the convergence assertion wants
-// a deterministic winner. bench_ablation_ranges keeps the full triangle.
+// RangeBRC is deliberately absent from this registry: its measured range
+// cost sits close to OPE's, so once observations outweigh the priors the
+// steady-state choice between the two is machine-dependent — the
+// convergence assertion wants a deterministic winner.
+// bench_ablation_ranges keeps the full triangle.
 //
 // Emits BENCH_adaptive.json and exits non-zero when adaptation fails to
 // converge to OPE, when the query-phase cache hit ratio is <= 0.9, or

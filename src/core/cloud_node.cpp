@@ -464,6 +464,30 @@ void CloudNode::register_zmf_handlers() {
 
 // --- Paillier aggregates ----------------------------------------------------------
 
+BigInt CloudNode::AggColumn::mul(const BigInt& a, const BigInt& b) const {
+  return mont_n2 ? a.mul_mod(b, *mont_n2) : a.mul_mod(b, n_squared);
+}
+
+void CloudNode::AggColumn::refold() {
+  inserted = BigInt(1);  // multiplicative identity in Z_{n^2}: Enc-domain zero sum
+  for (const auto& [id, ct] : cts) inserted = mul(inserted, ct);
+  removed = BigInt(1);
+}
+
+const BigInt& CloudNode::AggColumn::sum() {
+  if (removed != BigInt(1)) {
+    // Only a ciphertext sharing a factor with n (never an honest one) can
+    // make `removed` non-invertible; folding `cts` is then the exact answer.
+    try {
+      inserted = mul(inserted, removed.inv_mod(n_squared));
+      removed = BigInt(1);
+    } catch (const Error&) {
+      refold();
+    }
+  }
+  return inserted;
+}
+
 void CloudNode::register_agg_handlers() {
   rpc_.register_method("agg.setup", [this](BytesView p) {
     const Object req = wire::unpack(p);
@@ -471,9 +495,10 @@ void CloudNode::register_agg_handlers() {
     AggColumn& col = agg_[wire::get_str(req, "scope")];
     col.n = BigInt::from_bytes(wire::get_bin(req, "n"));
     col.n_squared = col.n * col.n;
-    if (col.n_squared.is_odd()) {
-      col.mont_n2 = std::make_shared<const bigint::Montgomery>(col.n_squared);
-    }
+    col.mont_n2 = col.n_squared.is_odd()
+                      ? std::make_shared<const bigint::Montgomery>(col.n_squared)
+                      : nullptr;
+    col.refold();  // a repeated setup may change n: rebuild under the new n^2
     return wire::pack({});
   });
   rpc_.register_method("agg.insert", [this](BytesView p) {
@@ -481,8 +506,13 @@ void CloudNode::register_agg_handlers() {
     std::lock_guard lock(agg_mutex_);
     auto it = agg_.find(wire::get_str(req, "scope"));
     if (it == agg_.end()) throw_error(ErrorCode::kNotFound, "agg: scope not set up");
-    it->second.cts[wire::get_str(req, "id")] =
-        BigInt::from_bytes(wire::get_bin(req, "ct"));
+    AggColumn& col = it->second;
+    BigInt ct = BigInt::from_bytes(wire::get_bin(req, "ct"));
+    col.inserted = col.mul(col.inserted, ct);
+    auto [slot, fresh] = col.cts.try_emplace(wire::get_str(req, "id"));
+    // An overwrite or a journal replay retires the ciphertext it replaces.
+    if (!fresh) col.removed = col.mul(col.removed, slot->second);
+    slot->second = std::move(ct);
     ++index_ops_;
     return wire::pack({});
   });
@@ -490,25 +520,27 @@ void CloudNode::register_agg_handlers() {
     const Object req = wire::unpack(p);
     std::lock_guard lock(agg_mutex_);
     auto it = agg_.find(wire::get_str(req, "scope"));
-    if (it != agg_.end()) it->second.cts.erase(wire::get_str(req, "id"));
+    if (it != agg_.end()) {
+      AggColumn& col = it->second;
+      auto found = col.cts.find(wire::get_str(req, "id"));
+      if (found != col.cts.end()) {
+        col.removed = col.mul(col.removed, found->second);
+        col.cts.erase(found);
+      }
+    }
     ++index_ops_;
     return wire::pack({});
   });
   rpc_.register_method("agg.sum", [this](BytesView p) {
-    // Homomorphic fold over the whole column (AggFunction, cloud side).
+    // Homomorphic sum over the whole column (AggFunction, cloud side).
     const Object req = wire::unpack(p);
     std::lock_guard lock(agg_mutex_);
     auto it = agg_.find(wire::get_str(req, "scope"));
     if (it == agg_.end()) throw_error(ErrorCode::kNotFound, "agg: scope not set up");
-    const AggColumn& col = it->second;
-    BigInt acc(1);  // multiplicative identity in Z_{n^2}: Enc-domain zero sum
-    std::uint64_t count = 0;
-    for (const auto& [id, ct] : col.cts) {
-      acc = col.mont_n2 ? acc.mul_mod(ct, *col.mont_n2) : acc.mul_mod(ct, col.n_squared);
-      ++count;
-    }
-    index_ops_ += count;
-    return wire::pack({{"sum_ct", Value(acc.to_bytes())},
+    AggColumn& col = it->second;
+    const std::uint64_t count = col.cts.size();
+    index_ops_ += count;  // a sum still counts the ciphertexts it covers
+    return wire::pack({{"sum_ct", Value(col.sum().to_bytes())},
                        {"count", Value(static_cast<std::int64_t>(count))}});
   });
 }

@@ -84,11 +84,25 @@ class CloudNode {
   std::unordered_map<std::string, std::unique_ptr<sse::Iex2LevServer>> iex_;
   std::unordered_map<std::string, std::unique_ptr<sse::IexZmfServer>> zmf_;
 
+  // A Paillier column keeps a running aggregate, so agg.sum is O(1): the
+  // sum is inserted * removed^-1 mod n^2, and the inverse is taken lazily,
+  // once per sum and only after a remove or overwrite, never on the write
+  // path. The product mod n^2 is one integer, so the result is byte-
+  // identical to folding `cts`.
   struct AggColumn {
     bigint::BigInt n;          // Paillier public modulus
     bigint::BigInt n_squared;
-    std::shared_ptr<const bigint::Montgomery> mont_n2;  // fold-loop context
+    std::shared_ptr<const bigint::Montgomery> mont_n2;  // mod-n^2 multiply context
     std::unordered_map<std::string, bigint::BigInt> cts;  // doc id -> ciphertext
+    bigint::BigInt inserted{1};  // product of every ciphertext ever inserted
+    bigint::BigInt removed{1};   // product of those since removed or overwritten
+
+    bigint::BigInt mul(const bigint::BigInt& a, const bigint::BigInt& b) const;
+    /// inserted = product of `cts`, removed = 1: the exact fallback, used
+    /// on (re-)setup and when `removed` has no inverse mod n^2.
+    void refold();
+    /// The product of `cts` mod n^2 (the encrypted sum).
+    const bigint::BigInt& sum();
   };
   std::unordered_map<std::string, AggColumn> agg_;
   std::mutex agg_mutex_;

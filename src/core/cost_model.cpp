@@ -19,10 +19,11 @@ constexpr double kPriorWeight = 8.0;
 const CostProfile& post_filter_cost_profile() {
   static const CostProfile p = [] {
     CostProfile c;
-    // base: doc.list round trip + plan overhead; per_unit: one mget share +
-    // AES-GCM open (BENCH_crypto BM_AesGcmOpen ≈ 39.5us) + predicate per
-    // document in the collection.
-    c.ops[TacticOperation::kRangeQuery] = {CostShape::kLinear, 120.0, 55.0};
+    // base: doc.list round trip + plan overhead; per_unit: one mget share
+    // (~2us) + AES-GCM open and decode (~4us, perfbench
+    // crypto.resolve_us_per_doc; BM_AesGcmOpen/256 ≈ 0.3us) + predicate
+    // per document in the collection.
+    c.ops[TacticOperation::kRangeQuery] = {CostShape::kLinear, 120.0, 8.0};
     return c;
   }();
   return p;

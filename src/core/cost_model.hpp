@@ -42,9 +42,10 @@ class HotCache;
 inline constexpr const char* kPostFilterTactic = "PostFilter";
 
 /// Static prior for the post-filter shape: one doc.list round trip, then
-/// every document fetched, AEAD-opened (~40us each, BENCH_crypto
-/// BM_AesGcmOpen) and predicate-checked at the gateway. Linear in n and
-/// indifferent to selectivity — the whole collection travels.
+/// every document fetched, AEAD-opened and decoded (~6us each with the
+/// mget share; see post_filter_cost_profile) and predicate-checked at the
+/// gateway. Linear in n and indifferent to selectivity — the whole
+/// collection travels.
 const CostProfile& post_filter_cost_profile();
 
 struct CostCandidate {

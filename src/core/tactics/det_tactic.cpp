@@ -37,12 +37,13 @@ const TacticDescriptor& DetTactic::static_descriptor() {
     t.challenge = "-";
     t.preference = 10;
     // Calibration: one AES-SIV label (~10us) + round trip; equality hits
-    // pay mget + AES-GCM open (~45us) per matching document.
+    // pay an mget share + AES-GCM open and decode (~6us) per matching
+    // document.
     t.cost.ops = {
         {TacticOperation::kInsert, {CostShape::kConstant, 35.0, 0.0}},
         {TacticOperation::kDelete, {CostShape::kConstant, 35.0, 0.0}},
-        {TacticOperation::kEqualitySearch, {CostShape::kLogNPlusK, 60.0, 45.0}},
-        {TacticOperation::kBooleanSearch, {CostShape::kLogNPlusK, 90.0, 45.0}},
+        {TacticOperation::kEqualitySearch, {CostShape::kLogNPlusK, 60.0, 6.0}},
+        {TacticOperation::kBooleanSearch, {CostShape::kLogNPlusK, 90.0, 6.0}},
     };
     return t;
   }();

@@ -27,10 +27,11 @@ const TacticDescriptor& RndTactic::static_descriptor() {
     t.challenge = "Inefficiency";
     t.preference = 10;
     // RND's equality IS the retrieve-and-post-filter shape: every document
-    // travels and is AEAD-opened at the gateway (~45us each + mget share).
+    // travels and is AEAD-opened and decoded at the gateway (~6us each with
+    // its mget share), then predicate-checked.
     t.cost.ops = {
         {TacticOperation::kInsert, {CostShape::kConstant, 1.0, 0.0}},
-        {TacticOperation::kEqualitySearch, {CostShape::kLinear, 120.0, 55.0}},
+        {TacticOperation::kEqualitySearch, {CostShape::kLinear, 120.0, 8.0}},
     };
     return t;
   }();

@@ -1,7 +1,8 @@
 // AES-CTR keystream mode (NIST SP 800-38A).
 //
 // Used directly by the SIV construction and as the confidentiality layer
-// inside GCM (which is CTR with a GHASH tag).
+// inside GCM (which is CTR with a GHASH tag). The keystream itself comes
+// from the Aes object's kernels (Aes::ctr_xcrypt).
 #pragma once
 
 #include "common/bytes.hpp"
@@ -9,12 +10,8 @@
 
 namespace datablinder::crypto {
 
-/// Encrypts/decrypts `data` in place with AES-CTR. The 16-byte `counter0`
-/// is the initial counter block; it is incremented big-endian per block.
-void aes_ctr_xcrypt(const Aes& aes, std::array<std::uint8_t, Aes::kBlockSize> counter0,
-                    std::span<std::uint8_t> data);
-
-/// Convenience returning a new buffer.
+/// Returns `data` XORed with the CTR keystream. The 16-byte `counter0` is
+/// the initial counter block; it is incremented big-endian per block.
 Bytes aes_ctr(const Aes& aes, const std::array<std::uint8_t, Aes::kBlockSize>& counter0,
               BytesView data);
 

@@ -1,5 +1,6 @@
 #include "crypto/gcm.hpp"
 
+#include <algorithm>
 #include <cstring>
 
 #include "common/rng.hpp"
@@ -28,90 +29,89 @@ void store128(const U128& v, std::uint8_t* p) {
 }
 
 // GF(2^128) multiplication per SP 800-38D, bitwise (right-shift) variant.
+// Branch-free: each step selects with an all-ones/all-zeros mask, so the
+// instruction sequence does not depend on bits of H or of the data.
 U128 gf_mul(const U128& x, const U128& y) {
   U128 z;             // accumulator
   U128 v = y;
   for (int i = 0; i < 128; ++i) {
     const std::uint64_t bit =
         (i < 64) ? (x.hi >> (63 - i)) & 1 : (x.lo >> (127 - i)) & 1;
-    if (bit) {
-      z.hi ^= v.hi;
-      z.lo ^= v.lo;
-    }
-    const bool lsb = v.lo & 1;
+    const std::uint64_t take = 0 - bit;
+    z.hi ^= v.hi & take;
+    z.lo ^= v.lo & take;
+    const std::uint64_t reduce = 0 - (v.lo & 1);
     v.lo = (v.lo >> 1) | (v.hi << 63);
-    v.hi >>= 1;
-    if (lsb) v.hi ^= 0xe100000000000000ULL;  // reduction polynomial R
+    v.hi = (v.hi >> 1) ^ (0xe100000000000000ULL & reduce);  // reduction polynomial R
   }
   return z;
 }
 
+std::array<std::uint8_t, 16> initial_counter(BytesView nonce) {
+  // J0 = nonce || 0^31 || 1 for 96-bit nonces.
+  std::array<std::uint8_t, 16> j0{};
+  std::memcpy(j0.data(), nonce.data(), AesGcm::kNonceSize);
+  j0[15] = 1;
+  return j0;
+}
+
+std::array<std::uint8_t, 16> first_data_counter(std::array<std::uint8_t, 16> j0) {
+  j0[15] = 2;  // CTR starts at inc32(J0)
+  return j0;
+}
+
 }  // namespace
 
-AesGcm::AesGcm(BytesView key) : aes_(key) {
-  std::uint8_t h[Aes::kBlockSize] = {0};
-  aes_.encrypt_block(h);
+void portable::ghash(const std::uint8_t h[16], std::uint8_t y[16], const std::uint8_t* data,
+                     std::size_t len) {
   const U128 hv = load128(h);
-  h_hi_ = hv.hi;
-  h_lo_ = hv.lo;
-  secure_wipe(h);
+  U128 acc = load128(y);
+  for (std::size_t offset = 0; offset < len; offset += 16) {
+    std::uint8_t block[16] = {0};
+    std::memcpy(block, data + offset, std::min<std::size_t>(16, len - offset));
+    const U128 b = load128(block);
+    acc.hi ^= b.hi;
+    acc.lo ^= b.lo;
+    acc = gf_mul(acc, hv);
+  }
+  store128(acc, y);
 }
+
+AesGcm::AesGcm(BytesView key) : AesGcm(key, active_aes_kernels()) {}
 
 AesGcm::AesGcm(const SecretBytes& key) : AesGcm(key.expose_secret()) {}
 
-Bytes AesGcm::ghash(BytesView aad, BytesView ciphertext) const {
-  const U128 h{h_hi_, h_lo_};
-  U128 y;
-  auto absorb = [&](BytesView data) {
-    std::size_t offset = 0;
-    while (offset < data.size()) {
-      std::uint8_t block[16] = {0};
-      const std::size_t take = std::min<std::size_t>(16, data.size() - offset);
-      std::memcpy(block, data.data() + offset, take);
-      const U128 b = load128(block);
-      y.hi ^= b.hi;
-      y.lo ^= b.lo;
-      y = gf_mul(y, h);
-      offset += take;
-    }
-  };
-  absorb(aad);
-  absorb(ciphertext);
+AesGcm::AesGcm(BytesView key, const AesKernels& kernels) : aes_(key, kernels) {
+  aes_.encrypt_block(h_.data());
+}
+
+void AesGcm::compute_tag(const std::array<std::uint8_t, 16>& j0, BytesView aad,
+                         BytesView ciphertext, std::uint8_t tag[kTagSize]) const {
+  const AesKernels& k = aes_.kernels();
+  std::uint8_t y[16] = {0};
+  k.ghash(h_.data(), y, aad.data(), aad.size());
+  k.ghash(h_.data(), y, ciphertext.data(), ciphertext.size());
   // Length block: 64-bit bit-lengths of AAD and ciphertext.
   std::uint8_t len_block[16];
-  const U128 lens{static_cast<std::uint64_t>(aad.size()) * 8,
-                  static_cast<std::uint64_t>(ciphertext.size()) * 8};
-  store128(lens, len_block);
-  const U128 lb = load128(len_block);
-  y.hi ^= lb.hi;
-  y.lo ^= lb.lo;
-  y = gf_mul(y, h);
+  store128({static_cast<std::uint64_t>(aad.size()) * 8,
+            static_cast<std::uint64_t>(ciphertext.size()) * 8},
+           len_block);
+  k.ghash(h_.data(), y, len_block, sizeof(len_block));
 
-  Bytes out(16);
-  store128(y, out.data());
-  return out;
+  std::memcpy(tag, j0.data(), kTagSize);
+  aes_.encrypt_block(tag);
+  for (std::size_t i = 0; i < kTagSize; ++i) tag[i] ^= y[i];
 }
 
 Bytes AesGcm::seal(BytesView nonce, BytesView plaintext, BytesView aad) const {
   require(nonce.size() == kNonceSize, "AesGcm: nonce must be 12 bytes");
-
-  // J0 = nonce || 0^31 || 1 for 96-bit nonces.
-  std::array<std::uint8_t, 16> j0{};
-  std::memcpy(j0.data(), nonce.data(), kNonceSize);
-  j0[15] = 1;
-
-  auto counter = j0;
-  counter[15] = 2;  // CTR starts at inc32(J0)
-  Bytes ciphertext = aes_ctr(aes_, counter, plaintext);
-
-  Bytes s = ghash(aad, ciphertext);
-  std::uint8_t ek_j0[16];
-  std::memcpy(ek_j0, j0.data(), 16);
-  aes_.encrypt_block(ek_j0);
-  for (std::size_t i = 0; i < kTagSize; ++i) s[i] ^= ek_j0[i];
-
-  append(ciphertext, s);
-  return ciphertext;
+  const auto j0 = initial_counter(nonce);
+  Bytes out(plaintext.size() + kTagSize);
+  std::copy(plaintext.begin(), plaintext.end(), out.begin());
+  const std::span<std::uint8_t> ciphertext(out.data(), plaintext.size());
+  aes_.ctr_xcrypt(first_data_counter(j0), ciphertext);
+  compute_tag(j0, aad, ciphertext, out.data() + plaintext.size());
+  return out;
 }
 
 Bytes AesGcm::seal_random_nonce(BytesView plaintext, BytesView aad) const {
@@ -128,22 +128,12 @@ std::optional<Bytes> AesGcm::open(BytesView nonce, BytesView sealed, BytesView a
   if (nonce.size() != kNonceSize || sealed.size() < kTagSize) return std::nullopt;
   const BytesView ciphertext = sealed.first(sealed.size() - kTagSize);
   const BytesView tag = sealed.last(kTagSize);
+  const auto j0 = initial_counter(nonce);
 
-  std::array<std::uint8_t, 16> j0{};
-  std::memcpy(j0.data(), nonce.data(), kNonceSize);
-  j0[15] = 1;
-
-  Bytes s = ghash(aad, ciphertext);
-  std::uint8_t ek_j0[16];
-  std::memcpy(ek_j0, j0.data(), 16);
-  aes_.encrypt_block(ek_j0);
-  for (std::size_t i = 0; i < kTagSize; ++i) s[i] ^= ek_j0[i];
-
-  if (!ct_equal(s, tag)) return std::nullopt;
-
-  auto counter = j0;
-  counter[15] = 2;
-  return aes_ctr(aes_, counter, ciphertext);
+  std::uint8_t expected[kTagSize];
+  compute_tag(j0, aad, ciphertext, expected);
+  if (!ct_equal(BytesView(expected, kTagSize), tag)) return std::nullopt;
+  return aes_ctr(aes_, first_data_counter(j0), ciphertext);
 }
 
 std::optional<Bytes> AesGcm::open_with_nonce(BytesView sealed, BytesView aad) const {

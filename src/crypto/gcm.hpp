@@ -21,14 +21,13 @@ class AesGcm {
   /// Key must be 16, 24 or 32 bytes.
   explicit AesGcm(BytesView key);
   explicit AesGcm(const SecretBytes& key);
+  /// Runs on the given kernels (see Aes) — how tests pin the portable path.
+  AesGcm(BytesView key, const AesKernels& kernels);
 
   AesGcm(const AesGcm&) = default;
   AesGcm& operator=(const AesGcm&) = default;
   /// The GHASH subkey is AES_K(0): key-derived, wiped on destruction.
-  ~AesGcm() {
-    secure_wipe({reinterpret_cast<std::uint8_t*>(&h_hi_), sizeof(h_hi_)});
-    secure_wipe({reinterpret_cast<std::uint8_t*>(&h_lo_), sizeof(h_lo_)});
-  }
+  ~AesGcm() { secure_wipe(h_); }
 
   /// Encrypts with a caller-provided 12-byte nonce. Output layout is
   /// ciphertext || tag. Nonces MUST be unique per key.
@@ -44,12 +43,13 @@ class AesGcm {
   std::optional<Bytes> open_with_nonce(BytesView sealed, BytesView aad = {}) const;
 
  private:
-  Bytes ghash(BytesView aad, BytesView ciphertext) const;
+  /// Tag = GHASH_H(aad, ciphertext) XOR AES_K(J0), into `tag`.
+  void compute_tag(const std::array<std::uint8_t, 16>& j0, BytesView aad,
+                   BytesView ciphertext, std::uint8_t tag[kTagSize]) const;
 
   Aes aes_;
-  // GHASH subkey H = AES_K(0^128), stored as two 64-bit halves.
-  std::uint64_t h_hi_ = 0;
-  std::uint64_t h_lo_ = 0;
+  // GHASH subkey H = AES_K(0^128), in SP 800-38D byte order.
+  std::array<std::uint8_t, 16> h_{};
 };
 
 }  // namespace datablinder::crypto

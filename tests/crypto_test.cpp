@@ -5,6 +5,7 @@
 #include "common/status.hpp"
 #include "common/rng.hpp"
 #include "crypto/aes.hpp"
+#include "crypto/aes_kernels.hpp"
 #include "crypto/ctr.hpp"
 #include "crypto/gcm.hpp"
 #include "crypto/hkdf.hpp"
@@ -91,14 +92,15 @@ TEST(AesTest, Fips197KnownAnswers) {
       {"000102030405060708090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f",
        "8ea2b7ca516745bfeafc49904b496089"},
   };
-  for (const auto& c : cases) {
-    Aes aes(hex_decode(c.key));
-    std::uint8_t block[16];
-    std::copy(pt.begin(), pt.end(), block);
-    aes.encrypt_block(block);
-    EXPECT_EQ(hex_encode(Bytes(block, block + 16)), c.ct);
-    aes.decrypt_block(block);
-    EXPECT_EQ(Bytes(block, block + 16), pt);
+  // The default (dispatched) kernels and the portable reference both.
+  for (const AesKernels* kernels : {&active_aes_kernels(), &portable_aes_kernels()}) {
+    for (const auto& c : cases) {
+      Aes aes(hex_decode(c.key), *kernels);
+      std::uint8_t block[16];
+      std::copy(pt.begin(), pt.end(), block);
+      aes.encrypt_block(block);
+      EXPECT_EQ(hex_encode(Bytes(block, block + 16)), c.ct);
+    }
   }
 }
 
@@ -158,6 +160,106 @@ TEST(GcmTest, RandomNoncesDiffer) {
   const Bytes a = g.seal_random_nonce(to_bytes("x"));
   const Bytes b = g.seal_random_nonce(to_bytes("x"));
   EXPECT_NE(a, b);  // probabilistic encryption
+}
+
+// --- hardware vs portable kernels --------------------------------------------
+// The AES-NI/PCLMULQDQ kernels must reproduce the portable reference byte
+// for byte; these run only where the CPU has both extensions.
+
+TEST(AesKernelDiffTest, BlockMatchesPortable) {
+  const AesKernels* hw = hardware_aes_kernels();
+  if (hw == nullptr) GTEST_SKIP() << "CPU lacks aes or pclmul";
+  DetRng rng(11);
+  for (std::size_t key_size : {16u, 24u, 32u}) {
+    const Bytes key = rng.bytes(key_size);
+    const Aes fast(key, *hw);
+    const Aes ref(key, portable_aes_kernels());
+    for (int i = 0; i < 64; ++i) {
+      const Bytes in = rng.bytes(16);
+      std::uint8_t a[16], b[16];
+      std::copy(in.begin(), in.end(), a);
+      std::copy(in.begin(), in.end(), b);
+      fast.encrypt_block(a);
+      ref.encrypt_block(b);
+      EXPECT_EQ(Bytes(a, a + 16), Bytes(b, b + 16)) << "key_size=" << key_size;
+    }
+  }
+}
+
+TEST(AesKernelDiffTest, CtrCounterCarryMatchesPortable) {
+  const AesKernels* hw = hardware_aes_kernels();
+  if (hw == nullptr) GTEST_SKIP() << "CPU lacks aes or pclmul";
+  DetRng rng(12);
+  // Counters whose increments carry across byte 15->14, across the 64-bit
+  // halves (byte 8->7), and wrap the whole 128 bits; lengths reach past the
+  // 8-block batch so the carry lands inside a batch and in the tail.
+  const char* counters[] = {
+      "000000000000000000000000000000fe", "000000000000000000000000fffffffa",
+      "00000000000000fffffffffffffffffc", "fffffffffffffffffffffffffffffffd",
+      "0123456789abcdef0123456789abcdef"};
+  for (std::size_t key_size : {16u, 24u, 32u}) {
+    const Bytes key = rng.bytes(key_size);
+    const Aes fast(key, *hw);
+    const Aes ref(key, portable_aes_kernels());
+    for (const char* hex : counters) {
+      std::array<std::uint8_t, 16> counter{};
+      const Bytes c = hex_decode(hex);
+      std::copy(c.begin(), c.end(), counter.begin());
+      for (std::size_t len : {0u, 1u, 15u, 16u, 17u, 127u, 128u, 129u, 200u, 300u, 1100u}) {
+        const Bytes data = rng.bytes(len);
+        EXPECT_EQ(aes_ctr(fast, counter, data), aes_ctr(ref, counter, data))
+            << "key_size=" << key_size << " counter=" << hex << " len=" << len;
+      }
+    }
+  }
+}
+
+TEST(AesKernelDiffTest, GhashMatchesPortable) {
+  const AesKernels* hw = hardware_aes_kernels();
+  if (hw == nullptr) GTEST_SKIP() << "CPU lacks aes or pclmul";
+  DetRng rng(13);
+  for (std::size_t len = 0; len <= 100; ++len) {
+    const Bytes h = rng.bytes(16);
+    const Bytes y0 = rng.bytes(16);
+    const Bytes data = rng.bytes(len);
+    std::uint8_t a[16], b[16];
+    std::copy(y0.begin(), y0.end(), a);
+    std::copy(y0.begin(), y0.end(), b);
+    hw->ghash(h.data(), a, data.data(), data.size());
+    portable_aes_kernels().ghash(h.data(), b, data.data(), data.size());
+    EXPECT_EQ(Bytes(a, a + 16), Bytes(b, b + 16)) << "len=" << len;
+  }
+}
+
+TEST(AesKernelDiffTest, GcmSealOpenMatchPortable) {
+  const AesKernels* hw = hardware_aes_kernels();
+  if (hw == nullptr) GTEST_SKIP() << "CPU lacks aes or pclmul";
+  DetRng rng(14);
+  for (std::size_t key_size : {16u, 24u, 32u}) {
+    const Bytes key = rng.bytes(key_size);
+    const AesGcm fast(key, *hw);
+    const AesGcm ref(key, portable_aes_kernels());
+    for (std::size_t len = 0; len <= 1100; ++len) {
+      const Bytes nonce = rng.bytes(AesGcm::kNonceSize);
+      const Bytes pt = rng.bytes(len);
+      const Bytes aad = rng.bytes(len % 41);  // 0..40 bytes
+      const Bytes sealed = fast.seal(nonce, pt, aad);
+      ASSERT_EQ(sealed, ref.seal(nonce, pt, aad))
+          << "key_size=" << key_size << " len=" << len << " aad=" << aad.size();
+      const auto opened = ref.open(nonce, sealed, aad);
+      ASSERT_TRUE(opened.has_value()) << "len=" << len;
+      EXPECT_EQ(*opened, pt);
+      if (len % 97 != 0) continue;  // the rejection paths on a sample
+      Bytes bad_tag = sealed;
+      bad_tag.back() ^= 0x80;
+      EXPECT_FALSE(fast.open(nonce, bad_tag, aad).has_value()) << "len=" << len;
+      EXPECT_FALSE(ref.open(nonce, bad_tag, aad).has_value()) << "len=" << len;
+      Bytes wrong_aad = aad;
+      wrong_aad.push_back(0x01);
+      EXPECT_FALSE(fast.open(nonce, sealed, wrong_aad).has_value()) << "len=" << len;
+      EXPECT_FALSE(ref.open(nonce, sealed, wrong_aad).has_value()) << "len=" << len;
+    }
+  }
 }
 
 TEST(SivTest, DeterministicAndAuthenticated) {
