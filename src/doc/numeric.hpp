@@ -1,5 +1,5 @@
-// Order-preserving numeric normalization shared by the OPE/ORE tactics and
-// the onion baseline (lives in doc/ so lower layers need not reach into core/).
+// Order-preserving numeric normalization shared by the OPE, ORE and
+// RangeBRC tactics (lives in doc/, beside the Value it encodes).
 //
 // Field values (int or double) map to uint64 keys whose unsigned order
 // equals the numeric order, using the IEEE-754 total-order bit trick. The

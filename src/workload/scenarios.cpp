@@ -14,16 +14,8 @@ using core::wire::unpack;
 using doc::Document;
 using doc::Value;
 
-namespace {
-core::GatewayConfig harness_cloud_config(std::size_t shards) {
-  core::GatewayConfig config;
-  config.shards = shards;
-  return config;
-}
-}  // namespace
-
-ScenarioHarness::ScenarioHarness(net::ChannelConfig channel_config, std::size_t shards)
-    : cloud(harness_cloud_config(shards), channel_config),
+ScenarioHarness::ScenarioHarness(net::ChannelConfig channel_config)
+    : cloud(core::GatewayConfig{}, channel_config),
       rpc(cloud.client()),
       cloud_node(cloud.node(0, 0)),
       channel(cloud.channel(0, 0)) {}

@@ -10,8 +10,8 @@
 // own overhead — the 44% / 1.4% decomposition of Figure 5.
 #pragma once
 
-#include <memory>
 #include <shared_mutex>
+#include <string>
 
 #include "core/cloud_node.hpp"
 #include "core/gateway.hpp"
@@ -20,19 +20,33 @@
 #include "core/tactics/mitra_tactic.hpp"
 #include "core/tactics/paillier_tactic.hpp"
 #include "core/tactics/rnd_tactic.hpp"
-#include "workload/loadgen.hpp"
+#include "doc/value.hpp"
 
 namespace datablinder::workload {
 
-/// Everything one scenario run needs: an isolated cloud, channel and
-/// gateway-side resources. With shards = 1 (default) the cloud collapses
-/// to the classic single node + single channel (byte-identical wire
-/// behaviour); with more, the scenarios run unchanged against the
-/// consistent-hash-sharded cluster — the scale-out benchmark's whole
-/// point is that the workload code cannot tell the difference.
+/// The operations of the §5.2 mix: write (insert + secure indexing), read
+/// (equality search) and aggregate (homomorphic average). The three
+/// scenarios implement the same API, so one benchmark measures all three.
+/// Implementations are thread-safe.
+class ScenarioApi {
+ public:
+  virtual ~ScenarioApi() = default;
+
+  /// Stores one observation (no id; the scenario assigns one).
+  virtual void insert_document(doc::Document d) = 0;
+
+  /// Equality search; returns the number of matching documents.
+  virtual std::size_t equality_search(const std::string& field,
+                                      const doc::Value& value) = 0;
+
+  /// Cloud-side average of the `value` field.
+  virtual double aggregate_average(const std::string& field) = 0;
+};
+
+/// Everything one scenario run needs: an isolated single-shard cloud,
+/// its channel and the gateway-side resources.
 struct ScenarioHarness {
-  explicit ScenarioHarness(net::ChannelConfig channel_config = {},
-                           std::size_t shards = 1);
+  explicit ScenarioHarness(net::ChannelConfig channel_config = {});
 
   core::ShardedCloud cloud;
   net::RpcClient& rpc;          // cloud.client()
@@ -47,7 +61,6 @@ class ScenarioA final : public ScenarioApi {
  public:
   explicit ScenarioA(ScenarioHarness& h);
 
-  std::string name() const override { return "S_A (plaintext)"; }
   void insert_document(doc::Document d) override;
   std::size_t equality_search(const std::string& field, const doc::Value& value) override;
   double aggregate_average(const std::string& field) override;
@@ -61,7 +74,6 @@ class ScenarioB final : public ScenarioApi {
  public:
   explicit ScenarioB(ScenarioHarness& h);
 
-  std::string name() const override { return "S_B (hard-coded)"; }
   void insert_document(doc::Document d) override;
   std::size_t equality_search(const std::string& field, const doc::Value& value) override;
   double aggregate_average(const std::string& field) override;
@@ -84,12 +96,9 @@ class ScenarioC final : public ScenarioApi {
  public:
   ScenarioC(ScenarioHarness& h, const core::TacticRegistry& registry);
 
-  std::string name() const override { return "S_C (DataBlinder)"; }
   void insert_document(doc::Document d) override;
   std::size_t equality_search(const std::string& field, const doc::Value& value) override;
   double aggregate_average(const std::string& field) override;
-
-  core::Gateway& gateway() { return gateway_; }
 
  private:
   core::Gateway gateway_;

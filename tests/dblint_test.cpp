@@ -98,7 +98,7 @@ TEST(DblintRng, FlagsWeakRngInCryptoDirs) {
 TEST(DblintRng, UnrestrictedDirsAndSecureRngPass) {
   // Simulation/workload directories may use deterministic randomness.
   EXPECT_FALSE(has_rule(lint_file("src/net/channel.cpp", "std::mt19937_64 rng_(s);\n"), "rng"));
-  EXPECT_FALSE(has_rule(lint_file("src/workload/loadgen.cpp", "DetRng rng(7);\n"), "rng"));
+  EXPECT_FALSE(has_rule(lint_file("src/workload/scenarios.cpp", "DetRng rng(7);\n"), "rng"));
   EXPECT_FALSE(has_rule(lint_file("src/crypto/x.cpp", "SecureRng rng;\n"), "rng"));
 }
 
@@ -134,9 +134,9 @@ TEST(DblintExpose, KernelAllowlistPasses) {
         "src/common/secret.cpp"}) {
     EXPECT_FALSE(has_rule(lint_file(path, unwrap), "expose")) << path;
   }
-  // The PR-8 audit shrank the allowlist: kms/ and onion/ are no longer
-  // blanket-exempt — their reviewed unwraps carry inline escapes instead.
-  for (const char* path : {"src/kms/key_manager.cpp", "src/onion/onion.cpp"}) {
+  // The flow-engine audit shrank the allowlist: kms/ and core/hot_cache
+  // are not blanket-exempt — their reviewed unwraps carry inline escapes.
+  for (const char* path : {"src/kms/key_manager.cpp", "src/core/hot_cache.cpp"}) {
     EXPECT_TRUE(has_rule(lint_file(path, unwrap), "expose")) << path;
   }
 }

@@ -1,6 +1,6 @@
 // Cross-module integration tests: the three evaluation scenarios agree on
-// results, the load generator produces consistent accounting, the §5.1
-// worked example runs end to end, and cloud-side observability matches.
+// results, the §5.1 worked example runs end to end, and cloud-side
+// observability matches.
 #include <gtest/gtest.h>
 
 #include "common/status.hpp"
@@ -8,7 +8,6 @@
 #include "core/tactics/builtin.hpp"
 #include "core/wire.hpp"
 #include "fhir/observation.hpp"
-#include "workload/loadgen.hpp"
 #include "workload/scenarios.hpp"
 
 namespace datablinder::workload {
@@ -42,45 +41,31 @@ TEST(ScenarioTest, AllThreeScenariosAgreeOnResults) {
     sc.insert_document(d);
   }
 
-  // Equality searches return identical counts in all scenarios.
+  // Equality searches return identical counts in all scenarios, on every
+  // field S_B routes. effective, issued and value rarely repeat, so their
+  // probes are taken from stored documents: each matches at least once.
   fhir::ObservationGenerator qgen(77);
+  std::size_t matched = 0;
   for (int i = 0; i < 10; ++i) {
-    const Value status = qgen.random_status();
-    const Value code = qgen.random_code();
-    const Value subject = qgen.random_subject();
-    EXPECT_EQ(sa.equality_search("status", status), sb.equality_search("status", status));
-    EXPECT_EQ(sb.equality_search("status", status), sc.equality_search("status", status));
-    EXPECT_EQ(sa.equality_search("code", code), sc.equality_search("code", code));
-    EXPECT_EQ(sa.equality_search("subject", subject),
-              sc.equality_search("subject", subject));
+    const Document& stored = corpus[static_cast<std::size_t>(i) * 4];
+    const std::pair<const char*, Value> probes[] = {
+        {"status", qgen.random_status()},   {"code", qgen.random_code()},
+        {"subject", qgen.random_subject()}, {"effective", stored.at("effective")},
+        {"issued", stored.at("issued")},    {"value", stored.at("value")},
+    };
+    for (const auto& [field, value] : probes) {
+      const std::size_t plain = sa.equality_search(field, value);
+      EXPECT_EQ(sb.equality_search(field, value), plain) << field;
+      EXPECT_EQ(sc.equality_search(field, value), plain) << field;
+      matched += plain;
+    }
   }
+  EXPECT_GE(matched, 30u);
 
   // Aggregates agree up to the Paillier fixed-point resolution.
   const double plain_avg = sa.aggregate_average("value");
   EXPECT_NEAR(sb.aggregate_average("value"), plain_avg, 0.01);
   EXPECT_NEAR(sc.aggregate_average("value"), plain_avg, 0.01);
-}
-
-TEST(ScenarioTest, LoadGeneratorAccountingIsConsistent) {
-  ScenarioHarness h;
-  ScenarioC sc(h, shared_registry());
-  LoadConfig cfg;
-  cfg.users = 4;
-  cfg.total_requests = 120;
-  cfg.preload_documents = 30;
-  const RunResult r = run_load(sc, cfg);
-
-  EXPECT_EQ(r.total_requests, 120u);
-  EXPECT_EQ(r.write.count + r.read.count + r.aggregate.count, 120u);
-  EXPECT_GT(r.overall_throughput_rps, 0.0);
-  EXPECT_GT(r.duration_s, 0.0);
-  EXPECT_GT(r.overall_latency.p99_us, 0.0);
-  EXPECT_LE(r.overall_latency.p50_us, r.overall_latency.p99_us);
-  // Balanced thirds within statistical slack.
-  EXPECT_GT(r.write.count, 15u);
-  EXPECT_GT(r.read.count, 15u);
-  EXPECT_GT(r.aggregate.count, 15u);
-  EXPECT_FALSE(r.to_report().empty());
 }
 
 TEST(ScenarioTest, CloudTracksIndexOpsAndStorage) {

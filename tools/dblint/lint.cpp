@@ -92,7 +92,7 @@ bool in_rng_restricted_dir(const std::string& path) {
 
 /// The crypto kernel: the only files allowed to unwrap SecretBytes without
 /// a justification. Shrunk by the flow-engine audit (PR 8): key_manager,
-/// onion, hot_cache and the wrapper's own test now carry per-site
+/// hot_cache and the wrapper's own test now carry per-site
 /// `dblint:allow(expose)` escapes instead of a blanket entry, so every
 /// unwrap outside the kernel names its reason in-line.
 bool may_expose_secret(const std::string& path) {
@@ -265,7 +265,7 @@ const std::map<std::string, int>& layer_ranks() {
   static const std::map<std::string, int> kRanks = {
       {"common", 0}, {"crypto", 1}, {"bigint", 1}, {"doc", 1},  {"phe", 2},
       {"ppe", 2},    {"sse", 2},    {"schema", 2}, {"store", 2}, {"net", 2},
-      {"kms", 2},    {"onion", 3},  {"fhir", 3},   {"core", 4},  {"workload", 5},
+      {"kms", 2},    {"fhir", 3},   {"core", 4},   {"workload", 5},
   };
   return kRanks;
 }
