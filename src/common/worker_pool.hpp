@@ -1,7 +1,7 @@
 // WorkerPool — the library's one owned pool of worker threads, grown on
 // demand and joined by its destructor.
 //
-// Every piece of background work runs here: the Executor's per-stage step
+// Every piece of background work runs here: the gateway's per-stage step
 // fan-out, the shard router's scatter sub-calls, a replica group's hedged
 // read attempts and the Paillier randomizer refill. Some of that work
 // blocks a worker for a whole channel exchange, so a fixed-size pool would

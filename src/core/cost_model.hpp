@@ -36,9 +36,9 @@ namespace datablinder::core {
 
 class HotCache;
 
-/// Name of the planner's retrieve-and-post-filter pseudo-candidate: bulk
-/// retrieve + gateway-side decrypt + predicate. Not a registry tactic —
-/// the planner synthesizes its plan directly.
+/// Name of the retrieve-and-post-filter pseudo-candidate of range
+/// selection: bulk retrieve + gateway-side decrypt + predicate. Not a
+/// registry tactic — the gateway runs this shape directly.
 inline constexpr const char* kPostFilterTactic = "PostFilter";
 
 /// Static prior for the post-filter shape: one doc.list round trip, then

@@ -1,7 +1,7 @@
 // CollectionRuntime — the instantiated per-collection execution state of
 // the middleware core (§4.2, Fig. 4): the resolved tactic plan, the
 // gateway-side tactic instances the registry created for it, the
-// whole-document AEAD cipher, and the locks the Executor takes around
+// whole-document AEAD cipher, and the locks the gateway takes around
 // tactic invocations.
 //
 // Locking model: one reader/writer lock PER TACTIC INSTANCE (not per
@@ -30,7 +30,7 @@
 namespace datablinder::core::exec {
 
 /// A tactic instance plus its reader/writer lock. Stored in node-stable
-/// maps so PlanSteps can hold pointers across the plan's lifetime.
+/// maps so an operation's steps can hold pointers to slots.
 struct TacticSlot {
   std::unique_ptr<FieldTactic> tactic;
   mutable std::shared_mutex mutex;
@@ -51,7 +51,7 @@ struct CollectionRuntime {
 
   /// Alternative range candidates (field -> tactic name -> slot), present
   /// only under adaptive selection: every admissible candidate keeps its
-  /// index current (update plans fan out to them too) so the cost model
+  /// index current (writes fan out to them too) so the cost model
   /// can switch the query path without a rebuild.
   std::map<std::string, std::map<std::string, TacticSlot>> range_alts;
 
@@ -61,7 +61,7 @@ struct CollectionRuntime {
   std::atomic<std::uint64_t> doc_count{0};
 
   /// Guards the live annotation fields of `plan` (FieldPlan range_last_*):
-  /// the adaptive planner writes them per query while to_table() readers
+  /// adaptive range selection writes them per query while to_table() readers
   /// may render concurrently.
   mutable std::mutex plan_mutex;
 

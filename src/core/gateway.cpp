@@ -1,10 +1,18 @@
 #include "core/gateway.hpp"
 
+#include <algorithm>
+#include <optional>
 #include <set>
+#include <shared_mutex>
+#include <thread>
+#include <unordered_set>
 
 #include "common/hex.hpp"
 #include "common/logging.hpp"
 #include "common/rng.hpp"
+#include "core/wire.hpp"
+#include "doc/binary_codec.hpp"
+#include "store/docstore.hpp"  // compare_values for post-verification
 
 namespace datablinder::core {
 
@@ -12,6 +20,44 @@ using doc::Document;
 using doc::Value;
 
 namespace {
+
+std::size_t default_workers() {
+  const std::size_t hw = std::thread::hardware_concurrency();
+  // Small by design: index fan-out width is bounded by tactics-per-document
+  // (single digits); the calling thread participates too.
+  return std::clamp<std::size_t>(hw == 0 ? 2 : hw / 2, 2, 4);
+}
+
+bool term_matches(const Document& d, const std::string& field, const Value& value) {
+  if (!d.has(field)) return false;
+  try {
+    return store::compare_values(d.at(field), value) == 0;
+  } catch (const Error&) {
+    return false;
+  }
+}
+
+bool in_range(const Document& d, const std::string& field, const Value& lo,
+              const Value& hi) {
+  if (!d.has(field)) return false;
+  try {
+    return store::compare_values(d.at(field), lo) >= 0 &&
+           store::compare_values(d.at(field), hi) <= 0;
+  } catch (const Error&) {
+    return false;
+  }
+}
+
+TacticOperation op_of(schema::Aggregate a) {
+  switch (a) {
+    case schema::Aggregate::kSum: return TacticOperation::kSum;
+    case schema::Aggregate::kAverage: return TacticOperation::kAverage;
+    case schema::Aggregate::kCount: return TacticOperation::kCount;
+    case schema::Aggregate::kMin: return TacticOperation::kMin;
+    case schema::Aggregate::kMax: return TacticOperation::kMax;
+  }
+  return TacticOperation::kSum;
+}
 
 // Fire-and-forget update methods whose responses are empty by protocol.
 // mitrasl.* is deliberately absent: its update protocol reads the current
@@ -43,8 +89,7 @@ Gateway::Gateway(net::RpcClient& cloud, kms::KeyManager& kms,
       cost_model_(config_.adaptive_selection
                       ? std::make_unique<CostModel>(perf_, config_.cost, cache_.get())
                       : nullptr),
-      planner_(cloud_, perf_, cache_.get(), cost_model_.get()),
-      executor_(perf_) {
+      pool_(default_workers()) {
   if (config_.retry.enabled) cloud_.set_retry_policy(config_.retry);
   if (config_.breaker.enabled && cloud_.breaker() != nullptr) {
     cloud_.breaker()->configure(config_.breaker);
@@ -177,6 +222,125 @@ void Gateway::journaled_run(const std::string& collection,
   journal_->complete(token);
 }
 
+
+void Gateway::run_steps(std::size_t n, const std::function<void(std::size_t)>& step) {
+  if (n == 1 || cloud_.in_deferred_section()) {
+    for (std::size_t i = 0; i < n; ++i) step(i);
+  } else {
+    pool_.run_all(n, step);
+  }
+}
+
+void Gateway::update_indexes(exec::CollectionRuntime& rt, const Document& d,
+                             TacticOperation op) {
+  // Steps exist only for fields the document carries, so writers touching
+  // disjoint fields never contend for a lock.
+  std::vector<std::pair<const std::string*, exec::TacticSlot*>> steps;
+  for (const auto& [field, fp] : rt.plan.fields) {
+    if (!d.has(field)) continue;
+    for (auto* slots : {&rt.eq, &rt.range, &rt.agg}) {
+      if (auto it = slots->find(field); it != slots->end()) {
+        steps.emplace_back(&field, &it->second);
+      }
+    }
+    // Adaptive alternates keep their indexes current too — the cost model
+    // may route the next query through any of them without a rebuild, and
+    // removals must clean every index that saw the insert.
+    if (auto ait = rt.range_alts.find(field); ait != rt.range_alts.end()) {
+      for (auto& [alt_name, alt_slot] : ait->second) steps.emplace_back(&field, &alt_slot);
+    }
+  }
+  const std::vector<std::string> keywords =
+      rt.boolean ? rt.boolean_keywords(d) : std::vector<std::string>{};
+  const std::size_t n = steps.size() + (keywords.empty() ? 0 : 1);
+  if (n == 0) return;
+
+  const bool is_insert = op == TacticOperation::kInsert;
+  const ScopedPerf stage(perf_, is_insert ? "core.index" : "core.unindex", op);
+  run_steps(n, [&](std::size_t i) {
+    if (i == steps.size()) {
+      std::unique_lock lock(rt.boolean_mutex);
+      const ScopedPerf perf(perf_, rt.boolean->descriptor().name, op);
+      if (is_insert) {
+        rt.boolean->on_insert(d.id, keywords);
+      } else {
+        rt.boolean->on_delete(d.id, keywords);
+      }
+      return;
+    }
+    const auto& [field, slot] = steps[i];
+    std::unique_lock lock(slot->mutex);
+    const ScopedPerf perf(perf_, slot->tactic->descriptor().name, op);
+    if (is_insert) {
+      slot->tactic->on_insert(d.id, d.at(*field));
+    } else {
+      slot->tactic->on_delete(d.id, d.at(*field));
+    }
+  });
+}
+
+std::vector<Document> Gateway::resolve(const exec::CollectionRuntime& rt,
+                                       const std::vector<DocId>& ids) {
+  std::vector<Document> out;
+  if (ids.empty()) return out;
+  const std::string& col = rt.schema.name();
+
+  // Hot-path cache: repeated retrievals of the same candidate hit the
+  // decrypted-document cache instead of paying a round trip + AEAD open.
+  // Entries live in the collection's epoch domain — any remove/update
+  // bumps the epoch and drops the whole collection's cached documents.
+  std::vector<std::optional<Bytes>> cached(cache_ != nullptr ? ids.size() : 0);
+  doc::Array missing;
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    if (cache_ != nullptr) cached[i] = cache_->get("doc/" + col + "/" + ids[i]);
+    if (cache_ == nullptr || !cached[i]) missing.emplace_back(ids[i]);
+  }
+  const bool fetch = !missing.empty();
+  doc::Object resp;
+  if (fetch) {
+    resp = wire::unpack(cloud_.call(
+        "doc.mget", wire::pack({{"col", Value(col)}, {"ids", Value(std::move(missing))}})));
+  }
+  const doc::Array none;
+  const doc::Array& found = fetch ? wire::get_arr(resp, "docs") : none;
+
+  // The cloud returns only the ids that still exist, in request order, so
+  // one cursor walks the reply alongside the candidates: a miss whose id is
+  // not the next entry's vanished concurrently and is skipped.
+  out.reserve(ids.size());
+  std::size_t next = 0;
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    if (cache_ != nullptr && cached[i]) {
+      out.push_back(doc::decode_document(*cached[i]));
+      continue;
+    }
+    if (next == found.size()) continue;
+    const doc::Object& entry = found[next].as_object();
+    if (wire::get(entry, "id").as_string() != ids[i]) continue;
+    ++next;
+    Document d = rt.open_document(ids[i], wire::get(entry, "blob").as_binary());
+    if (cache_ != nullptr) cache_->put("doc/" + col + "/" + d.id, doc::encode_document(d), col);
+    out.push_back(std::move(d));
+  }
+  return out;
+}
+
+Document Gateway::get_document(const exec::CollectionRuntime& rt, const DocId& id) {
+  const Bytes reply = cloud_.call(
+      "doc.get", wire::pack({{"col", Value(rt.schema.name())}, {"id", Value(id)}}));
+  return rt.open_document(id, wire::get_bin(wire::unpack(reply), "blob"));
+}
+
+void Gateway::store_and_index(exec::CollectionRuntime& rt, const Document& d) {
+  {
+    const ScopedPerf stage(perf_, "core.store", TacticOperation::kInsert);
+    cloud_.call("doc.put", wire::pack({{"col", Value(rt.schema.name())},
+                                       {"id", Value(d.id)},
+                                       {"blob", Value(rt.seal_document(d))}}));
+  }
+  update_indexes(rt, d, TacticOperation::kInsert);
+}
+
 DocId Gateway::insert(const std::string& collection, Document d) {
   exec::CollectionRuntime& rt = runtime(collection);
   rt.schema.validate(d);
@@ -191,16 +355,10 @@ DocId Gateway::insert(const std::string& collection, Document d) {
       perf_.incr("core.journal.resume");
       return d.id;
     }
-    journaled_run(collection, {d.id}, [&] {
-      auto plan = planner_.insert(rt, d);
-      executor_.run(plan);
-    });
-    rt.doc_count.fetch_add(1, std::memory_order_relaxed);
-    return d.id;
+    journaled_run(collection, {d.id}, [&] { store_and_index(rt, d); });
+  } else {
+    store_and_index(rt, d);
   }
-
-  auto plan = planner_.insert(rt, d);
-  executor_.run(plan);
   rt.doc_count.fetch_add(1, std::memory_order_relaxed);
   return d.id;
 }
@@ -223,27 +381,24 @@ std::vector<DocId> Gateway::insert_many(const std::string& collection,
     ids.push_back(d.id);
   }
 
-  auto run_all = [&] {
-    for (auto& d : docs) {
-      // Plans built inside the deferred section are flagged inline_only,
-      // so every deferrable call stays on this thread's batch queue.
-      auto plan = planner_.insert(rt, d);
-      executor_.run(plan);
-    }
+  // Runs inside the deferred section, so run_steps keeps every step on
+  // this thread and every deferrable call on this thread's batch queue.
+  auto write_all = [&] {
+    for (const auto& d : docs) store_and_index(rt, d);
   };
 
   if (journal_ != nullptr) {
     // Same single-round-trip shape, with the batch journaled before it
     // ships. (Bulk retry goes through recover_pending_inserts(), not the
     // per-id fast path of insert().)
-    journaled_run(collection, ids, run_all);
+    journaled_run(collection, ids, write_all);
     rt.doc_count.fetch_add(ids.size(), std::memory_order_relaxed);
     return ids;
   }
 
   cloud_.begin_deferred(deferrable_methods());
   try {
-    run_all();
+    write_all();
   } catch (...) {
     cloud_.abandon_deferred();
     throw;
@@ -255,15 +410,25 @@ std::vector<DocId> Gateway::insert_many(const std::string& collection,
 
 Document Gateway::read(const std::string& collection, const DocId& id) {
   exec::CollectionRuntime& rt = runtime(collection);
-  auto plan = planner_.read(rt, id);
-  executor_.run(plan);
-  return std::move(plan.scratch->docs.at(0));
+  const ScopedPerf stage(perf_, "core.retrieve", TacticOperation::kRead);
+  return get_document(rt, id);
 }
 
 void Gateway::remove(const std::string& collection, const DocId& id) {
   exec::CollectionRuntime& rt = runtime(collection);
-  auto plan = planner_.remove(rt, id);
-  executor_.run(plan);
+  constexpr TacticOperation op = TacticOperation::kDelete;
+  // Retrieval first: index removal needs the field values.
+  Document d;
+  {
+    const ScopedPerf stage(perf_, "core.retrieve", op);
+    d = get_document(rt, id);
+  }
+  update_indexes(rt, d, op);
+  {
+    const ScopedPerf stage(perf_, "core.delete", op);
+    cloud_.call("doc.del",
+                wire::pack({{"col", Value(rt.schema.name())}, {"id", Value(id)}}));
+  }
   // Saturating decrement: the count is approximate under recovery.
   std::uint64_t n = rt.doc_count.load(std::memory_order_relaxed);
   while (n > 0 &&
@@ -284,41 +449,256 @@ std::vector<Document> Gateway::equality_search(const std::string& collection,
                                                const std::string& field,
                                                const Value& value) {
   exec::CollectionRuntime& rt = runtime(collection);
-  auto plan = planner_.equality_search(rt, field, value);
-  executor_.run(plan);
-  return std::move(plan.scratch->docs);
+  const auto fit = rt.plan.fields.find(field);
+  if (fit == rt.plan.fields.end()) {
+    throw_error(ErrorCode::kPolicyViolation,
+                "equality_search: field '" + field + "' is not protected/searchable");
+  }
+  const auto eq = rt.eq.find(field);
+  if (eq == rt.eq.end() && !(fit->second.boolean_member && rt.boolean)) {
+    throw_error(ErrorCode::kPolicyViolation,
+                "equality_search: field '" + field + "' has no equality tactic (op EQ "
+                "not annotated?)");
+  }
+  constexpr TacticOperation op = TacticOperation::kEqualitySearch;
+
+  std::vector<DocId> ids;
+  {
+    const ScopedPerf stage(perf_, "core.index", op);
+    if (eq != rt.eq.end()) {
+      exec::TacticSlot& slot = eq->second;
+      std::shared_lock lock(slot.mutex);
+      const ScopedPerf perf(perf_, slot.tactic->descriptor().name, op);
+      ids = slot.tactic->equality_search(value);
+    } else {
+      // Equality folded into the boolean tactic: single-term conjunction.
+      sse::BoolQuery q;
+      q.dnf.push_back({field_keyword(field, value)});
+      std::shared_lock lock(rt.boolean_mutex);
+      const ScopedPerf perf(perf_, rt.boolean->descriptor().name, op);
+      ids = rt.boolean->query(q);
+    }
+  }
+
+  std::vector<Document> docs;
+  {
+    const ScopedPerf stage(perf_, "core.resolve", op);
+    docs = resolve(rt, ids);
+  }
+
+  // EqResolution: exact post-filtering after decryption. Unconditional —
+  // required for approximate tactics, and under per-tactic locking it also
+  // shields exact tactics from candidates replaced by a concurrent update
+  // between index query and retrieval.
+  const ScopedPerf stage(perf_, "core.verify", op);
+  std::erase_if(docs, [&](const Document& d) { return !term_matches(d, field, value); });
+  return docs;
 }
 
 std::vector<Document> Gateway::boolean_search(const std::string& collection,
                                               const FieldBoolQuery& query) {
   exec::CollectionRuntime& rt = runtime(collection);
-  auto plan = planner_.boolean_search(rt, query);
-  executor_.run(plan);
-  return std::move(plan.scratch->docs);
+  require(!query.dnf.empty(), "boolean_search: empty query");
+
+  // Split every conjunction — terms on boolean-member fields go to the
+  // collection's boolean tactic as one sub-conjunction; the rest resolve
+  // through their per-field equality tactics and intersect at the gateway
+  // (BoolResolution).
+  struct ConjRoute {
+    std::vector<std::string> sse_terms;
+    std::vector<const FieldTerm*> eq_terms;
+  };
+  std::vector<ConjRoute> routes;
+  routes.reserve(query.dnf.size());
+  for (const auto& conj : query.dnf) {
+    require(!conj.empty(), "boolean_search: empty conjunction");
+    ConjRoute route;
+    for (const auto& term : conj) {
+      const auto fit = rt.plan.fields.find(term.field);
+      if (fit == rt.plan.fields.end()) {
+        throw_error(ErrorCode::kPolicyViolation,
+                    "boolean_search: field '" + term.field + "' is not searchable");
+      }
+      if (fit->second.boolean_member && rt.boolean) {
+        route.sse_terms.push_back(field_keyword(term.field, term.value));
+      } else if (rt.eq.count(term.field)) {
+        route.eq_terms.push_back(&term);
+      } else {
+        throw_error(ErrorCode::kPolicyViolation,
+                    "boolean_search: field '" + term.field +
+                        "' supports neither boolean nor equality search");
+      }
+    }
+    routes.push_back(std::move(route));
+  }
+  constexpr TacticOperation op = TacticOperation::kBooleanSearch;
+
+  // One step per disjunct: conjunctions are independent, so they fan out.
+  // Each step locks its tactics one at a time (shared), never holding two
+  // locks together.
+  std::vector<std::vector<DocId>> id_slots(routes.size());
+  {
+    const ScopedPerf stage(perf_, "core.index", op);
+    run_steps(routes.size(), [&](std::size_t i) {
+      const ConjRoute& route = routes[i];
+      std::optional<std::vector<DocId>> ids;
+      if (!route.sse_terms.empty()) {
+        sse::BoolQuery q;
+        q.dnf.push_back(route.sse_terms);
+        std::shared_lock lock(rt.boolean_mutex);
+        const ScopedPerf perf(perf_, rt.boolean->descriptor().name, op);
+        ids = rt.boolean->query(q);
+      }
+      for (const FieldTerm* term : route.eq_terms) {
+        exec::TacticSlot& slot = rt.eq.at(term->field);
+        std::shared_lock lock(slot.mutex);
+        const ScopedPerf perf(perf_, slot.tactic->descriptor().name,
+                              TacticOperation::kEqualitySearch);
+        auto term_ids = slot.tactic->equality_search(term->value);
+        if (!ids) {
+          ids = std::move(term_ids);
+        } else {
+          const std::unordered_set<DocId> keep(term_ids.begin(), term_ids.end());
+          std::erase_if(*ids, [&](const DocId& id) { return !keep.count(id); });
+        }
+      }
+      id_slots[i] = std::move(*ids);
+    });
+  }
+
+  std::vector<Document> docs;
+  {
+    // Merge the per-disjunct candidate sets in disjunct order (stable
+    // dedup, matching sequential evaluation), then resolve in one round
+    // trip.
+    const ScopedPerf stage(perf_, "core.resolve", op);
+    std::vector<DocId> ids;
+    std::unordered_set<DocId> seen;
+    for (auto& slot_ids : id_slots) {
+      for (auto& id : slot_ids) {
+        if (seen.insert(id).second) ids.push_back(std::move(id));
+      }
+    }
+    docs = resolve(rt, ids);
+  }
+
+  // BoolResolution: decrypt candidates and re-evaluate the DNF exactly —
+  // needed for ZMF false positives and RND full scans, and harmless
+  // otherwise.
+  const ScopedPerf stage(perf_, "core.verify", op);
+  std::erase_if(docs, [&](const Document& d) {
+    return std::none_of(query.dnf.begin(), query.dnf.end(), [&](const auto& conj) {
+      return std::all_of(conj.begin(), conj.end(), [&](const FieldTerm& t) {
+        return term_matches(d, t.field, t.value);
+      });
+    });
+  });
+  return docs;
 }
 
 std::vector<Document> Gateway::range_search(const std::string& collection,
                                             const std::string& field, const Value& lo,
                                             const Value& hi) {
   exec::CollectionRuntime& rt = runtime(collection);
-  auto plan = planner_.range_search(rt, field, lo, hi);
-  if (!plan.cost_series.empty()) {
-    // Whole-plan latency under "plan.<candidate>" — the live evidence the
-    // cost model blends against the static priors next time it ranks.
-    const ScopedPerf perf(perf_, plan.cost_series, TacticOperation::kRangeQuery);
-    executor_.run(plan);
-  } else {
-    executor_.run(plan);
+  auto it = rt.range.find(field);
+  if (it == rt.range.end()) {
+    throw_error(ErrorCode::kPolicyViolation,
+                "range_search: field '" + field + "' has no range tactic (op RG "
+                "not annotated?)");
   }
-  return std::move(plan.scratch->docs);
+  exec::TacticSlot* slot = &it->second;
+  constexpr TacticOperation op = TacticOperation::kRangeQuery;
+
+  // Adaptive re-planning: rank the leakage-admissible candidates — the
+  // static choice, its instantiated alternates, and the
+  // retrieve-and-post-filter shape (leaks structure only, so admissible at
+  // every class) — by predicted cost at the observed cardinality.
+  bool post_filter = false;
+  std::optional<ScopedPerf> whole;
+  if (cost_model_ != nullptr) {
+    const std::string static_name = slot->tactic->descriptor().name;
+    std::vector<CostCandidate> cands;
+    cands.push_back({static_name, &slot->tactic->descriptor().cost});
+    auto ait = rt.range_alts.find(field);
+    if (ait != rt.range_alts.end()) {
+      for (const auto& [alt_name, alt_slot] : ait->second) {
+        cands.push_back({alt_name, &alt_slot.tactic->descriptor().cost});
+      }
+    }
+    cands.push_back({kPostFilterTactic, &post_filter_cost_profile()});
+
+    const CostDecision dec = cost_model_->choose(
+        rt.schema.name() + "/" + field + "/range", static_name, cands, op,
+        rt.doc_count.load(std::memory_order_relaxed));
+    if (dec.chosen == kPostFilterTactic) {
+      post_filter = true;
+    } else if (dec.chosen != static_name) {
+      slot = &ait->second.at(dec.chosen);
+    }
+    {
+      std::lock_guard<std::mutex> lock(rt.plan_mutex);
+      FieldPlan& fp = rt.plan.fields.at(field);
+      fp.range_last_choice = dec.chosen;
+      fp.range_chosen_by = dec.chosen_by;
+      fp.range_predicted_us = dec.predicted_us;
+    }
+    // Whole-query latency under "plan.<candidate>" — the live evidence the
+    // cost model blends against the static priors next time it ranks.
+    whole.emplace(perf_, CostModel::plan_series(dec.chosen), op);
+  }
+
+  std::vector<DocId> ids;
+  {
+    const ScopedPerf stage(perf_, "core.index", op);
+    if (post_filter) {
+      // Post-filter shape: enumerate every id, let resolve bulk-retrieve
+      // (through the document cache when present) and verify apply the
+      // range predicate after decryption.
+      const ScopedPerf perf(perf_, kPostFilterTactic, op);
+      const Bytes reply =
+          cloud_.call("doc.list", wire::pack({{"col", Value(rt.schema.name())}}));
+      const doc::Object resp = wire::unpack(reply);
+      for (const auto& v : wire::get_arr(resp, "ids")) {
+        ids.push_back(v.as_string());
+      }
+    } else {
+      std::shared_lock lock(slot->mutex);
+      const ScopedPerf perf(perf_, slot->tactic->descriptor().name, op);
+      ids = slot->tactic->range_search(lo, hi);
+    }
+  }
+
+  std::vector<Document> docs;
+  {
+    const ScopedPerf stage(perf_, "core.resolve", op);
+    docs = resolve(rt, ids);
+  }
+
+  // RangeResolution: exact bound re-check after decryption (no-op for
+  // exact indexes on consistent data; shields against concurrent updates).
+  const ScopedPerf stage(perf_, "core.verify", op);
+  std::erase_if(docs, [&](const Document& d) { return !in_range(d, field, lo, hi); });
+  return docs;
 }
 
 AggregateResult Gateway::aggregate(const std::string& collection,
                                    const std::string& field, schema::Aggregate agg) {
   exec::CollectionRuntime& rt = runtime(collection);
-  auto plan = planner_.aggregate(rt, field, agg);
-  executor_.run(plan);
-  return plan.scratch->agg;
+  const bool min_max = agg == schema::Aggregate::kMin || agg == schema::Aggregate::kMax;
+  auto& slots = min_max ? rt.range : rt.agg;
+  auto it = slots.find(field);
+  if (it == slots.end()) {
+    throw_error(ErrorCode::kPolicyViolation,
+                min_max ? "aggregate: min/max on '" + field + "' needs a range tactic"
+                        : "aggregate: field '" + field + "' has no aggregate tactic");
+  }
+  exec::TacticSlot& slot = it->second;
+  const TacticOperation op = op_of(agg);
+
+  const ScopedPerf stage(perf_, "core.aggregate", op);
+  std::shared_lock lock(slot.mutex);
+  const ScopedPerf perf(perf_, slot.tactic->descriptor().name, op);
+  return slot.tactic->aggregate(agg);
 }
 
 }  // namespace datablinder::core

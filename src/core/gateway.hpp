@@ -5,11 +5,12 @@
 //                them to tactic plans and the registry instantiates the
 //                gateway-side implementations at runtime.
 //   * Entities — CRUD plus equality / boolean / range search and
-//                aggregates. Every operation is compiled by the exec
-//                Planner into an OperationPlan (index fan-out, batched
-//                candidate retrieval, exact re-verification) and run by
-//                the exec Executor; the gateway itself is a thin wrapper
-//                that validates input, builds the plan, and runs it.
+//                aggregates. Each operation runs the core's fixed pipeline
+//                (§4.2, Fig. 4) in its own body: index protocol, one
+//                batched candidate retrieval, exact re-verification. Every
+//                stage is timed as "core.<stage>"; the per-tactic index
+//                updates of a write and the disjuncts of a boolean query
+//                fan out over a small owned WorkerPool.
 //   * Keys     — access to the key manager (HSM integration point).
 //
 // Concurrency: one reader/writer lock per tactic instance (see
@@ -24,10 +25,9 @@
 #include <string>
 #include <vector>
 
+#include "common/worker_pool.hpp"
 #include "core/cost_model.hpp"
-#include "core/exec/executor.hpp"
 #include "core/exec/intent_journal.hpp"
-#include "core/exec/plan.hpp"
 #include "core/exec/runtime.hpp"
 #include "core/hot_cache.hpp"
 #include "core/metrics.hpp"
@@ -38,6 +38,17 @@
 #include "net/shard_router.hpp"
 
 namespace datablinder::core {
+
+/// One predicate of a boolean query: field == value.
+struct FieldTerm {
+  std::string field;
+  doc::Value value;
+};
+
+/// Boolean query in DNF over field terms: OR over AND-lists.
+struct FieldBoolQuery {
+  std::vector<std::vector<FieldTerm>> dnf;
+};
 
 struct GatewayConfig {
   /// Forwarded to every tactic's GatewayContext (e.g.
@@ -62,7 +73,7 @@ struct GatewayConfig {
 
   /// Adaptive cost-based range selection: when true, every admissible
   /// range candidate is instantiated alongside the static choice and the
-  /// planner re-ranks them per query by predicted cost (CostModel). When
+  /// gateway re-ranks them per query by predicted cost (CostModel). When
   /// false (default) selection is byte-identical to the static §5.1 table.
   bool adaptive_selection = false;
 
@@ -198,6 +209,31 @@ class Gateway {
 
   static DocId generate_doc_id();
 
+  /// Runs step(0), ..., step(n - 1): on the pool, or on this thread when
+  /// n == 1 or inside a deferred-RPC section (deferral is thread-local, so
+  /// a worker would bypass the batch queue). On the pool every step runs
+  /// even if some throw and the lowest-index exception is rethrown here;
+  /// inline, the first exception propagates at once.
+  void run_steps(std::size_t n, const std::function<void(std::size_t)>& step);
+
+  /// The "index"/"unindex" stage of a write: one step per tactic slot of
+  /// every field `d` carries, plus one for the boolean tactic when `d` has
+  /// boolean keywords. Each step holds only its own tactic's lock.
+  void update_indexes(exec::CollectionRuntime& rt, const doc::Document& d,
+                      TacticOperation op);
+
+  /// The "resolve" stage of every search: cache hits in place, ONE
+  /// doc.mget round trip for the rest. Returns the documents in candidate
+  /// order; ids whose document vanished (races with deletions) are skipped.
+  std::vector<doc::Document> resolve(const exec::CollectionRuntime& rt,
+                                     const std::vector<DocId>& ids);
+
+  /// One doc.get round trip, opened and authenticated. Throws kNotFound.
+  doc::Document get_document(const exec::CollectionRuntime& rt, const DocId& id);
+
+  /// The "store" stage (one doc.put) then the "index" stage of an insert.
+  void store_and_index(exec::CollectionRuntime& rt, const doc::Document& d);
+
   /// Runs `body` in RPC-capture mode, journals the captured mutations for
   /// `ids`, ships them as one batch, then completes the intent.
   void journaled_run(const std::string& collection,
@@ -211,14 +247,14 @@ class Gateway {
   GatewayConfig config_;
   PolicyEngine policy_;
   PerfRegistry perf_;
-  std::unique_ptr<HotCache> cache_;      // before planner_: planner holds the pointer
+  std::unique_ptr<HotCache> cache_;      // before cost_model_: it holds the pointer
   std::unique_ptr<CostModel> cost_model_;
-  exec::Planner planner_;
-  exec::Executor executor_;
   std::unique_ptr<exec::IntentJournal> journal_;
 
   mutable std::mutex collections_mutex_;
   std::map<std::string, std::unique_ptr<exec::CollectionRuntime>> collections_;
+
+  WorkerPool pool_;  // last: joined before the state its steps touch dies
 };
 
 }  // namespace datablinder::core

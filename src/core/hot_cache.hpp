@@ -1,9 +1,9 @@
 // HotCache — the gateway's bounded, explicitly-invalidated hot-path cache.
 //
-// One cache per gateway, shared by the exec planner (recently decrypted
-// documents), the tactic kernels (SSE trapdoors, DET labels, OPE scores)
-// and the public-key tactics (per-modulus Montgomery contexts). Three
-// disciplines keep it safe:
+// One cache per gateway, shared by the gateway's resolve stage (recently
+// decrypted documents), the tactic kernels (SSE trapdoors, DET labels,
+// OPE scores) and the public-key tactics (per-modulus Montgomery
+// contexts). Three disciplines keep it safe:
 //
 //   * Wipe on eviction. Every byte value is held as a SecretBytes, so LRU
 //     eviction, erase(), epoch invalidation and destruction all route

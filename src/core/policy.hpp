@@ -47,7 +47,7 @@ struct FieldPlan {
   std::vector<std::string> range_candidates;
 
   // --- live annotation (selection table column 4) --------------------------
-  // Written by the adaptive planner under the runtime's plan mutex; stays
+  // Written by adaptive range selection under the runtime's plan mutex; stays
   // at the defaults when adaptation is off.
   std::string range_last_choice;             // empty until adaptively planned
   std::string range_chosen_by = "static";    // CostDecision::chosen_by

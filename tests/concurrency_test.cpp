@@ -251,8 +251,8 @@ struct RendezvousRig {
 };
 
 TEST(IndexFanOutTest, OneInsertIndexesItsFieldsInParallel) {
-  // Intra-plan fan-out: a single insert's per-field index steps run on the
-  // executor's worker pool concurrently.
+  // Intra-operation fan-out: a single insert's per-field index steps run on
+  // the gateway's worker pool concurrently.
   RendezvousRig rig;
   core::Gateway gw(rig.rpc, rig.kms, rig.local, rig.registry);
   gw.register_schema(rig.schema_with("c", {"a", "b"}));

@@ -832,7 +832,7 @@ TEST(DblintLeakage, MissingDescriptorTableIsItselfAFinding) {
       "leakage-conformance"));
   // Only *_tactic.cpp files are in scope.
   EXPECT_FALSE(has_rule(
-      lint_leakage_conformance({{"src/core/exec/plan.cpp", "void f() {}\n"}}),
+      lint_leakage_conformance({{"src/core/gateway.cpp", "void f() {}\n"}}),
       "leakage-conformance"));
 }
 

@@ -1,5 +1,6 @@
-// Exec-subsystem tests: the planner/executor pipeline, batched candidate
-// retrieval (doc.mget), and tactic-parameter parsing.
+// Exec-subsystem tests: the gateway's operation pipeline (stage timing,
+// step-failure propagation), batched candidate retrieval (doc.mget), and
+// tactic-parameter parsing.
 #include <gtest/gtest.h>
 
 #include "common/status.hpp"
@@ -7,6 +8,7 @@
 #include "core/gateway.hpp"
 #include "core/tactics/builtin.hpp"
 #include "core/wire.hpp"
+#include "fhir/observation.hpp"
 #include "store/docstore.hpp"
 
 namespace datablinder {
@@ -130,7 +132,9 @@ TEST(BatchedResolutionTest, PipelineStagesAreTimed) {
   Rig rig;
   core::TacticRegistry registry;
   core::register_builtin_tactics(registry);
-  core::Gateway gw(rig.rpc, rig.kms, rig.local, registry, {});
+  core::Gateway gw(rig.rpc, rig.kms, rig.local, registry,
+                   core::GatewayConfig{{{"paillier_modulus_bits", "256"},
+                                        {"sophos_modulus_bits", "512"}}});
   gw.register_schema(det_only_schema("people"));
 
   Document d;
@@ -147,6 +151,49 @@ TEST(BatchedResolutionTest, PipelineStagesAreTimed) {
   EXPECT_EQ(gw.perf().stats("core.verify", TacticOperation::kEqualitySearch).count, 1u);
   // Tactic-level series are still recorded.
   EXPECT_EQ(gw.perf().stats("DET", TacticOperation::kInsert).count, 1u);
+
+  // Every other stage series perfbench's per-layer ledger reads, one op of
+  // each family over the §5.1 policy.
+  gw.register_schema(fhir::observation_schema("obs"));
+  Document o;
+  o.set("identifier", Value(std::int64_t{1}));
+  o.set("status", Value("final"));
+  o.set("code", Value("glucose"));
+  o.set("subject", Value("Alice"));
+  o.set("effective", Value(std::int64_t{100}));
+  o.set("issued", Value(std::int64_t{1100}));
+  o.set("performer", Value("Dr. Smith"));
+  o.set("value", Value(5.0));
+  o.set("interpretation", Value("Normal"));
+  const DocId id = gw.insert("obs", o);
+  core::FieldBoolQuery q;  // two disjuncts: the index stage fans out
+  q.dnf.push_back({{"status", Value("final")}});
+  q.dnf.push_back({{"subject", Value("Alice")}});
+  EXPECT_EQ(gw.boolean_search("obs", q).size(), 1u);
+  EXPECT_EQ(gw.range_search("obs", "effective", Value(std::int64_t{0}),
+                            Value(std::int64_t{200}))
+                .size(),
+            1u);
+  EXPECT_EQ(gw.aggregate("obs", "value", schema::Aggregate::kAverage).count, 1u);
+  EXPECT_EQ(gw.read("obs", id).id, id);
+  gw.remove("obs", id);
+
+  const auto count = [&](const char* stage, TacticOperation op) {
+    return gw.perf().stats(stage, op).count;
+  };
+  EXPECT_EQ(count("core.store", TacticOperation::kInsert), 2u);
+  EXPECT_EQ(count("core.index", TacticOperation::kInsert), 2u);
+  for (const TacticOperation op :
+       {TacticOperation::kBooleanSearch, TacticOperation::kRangeQuery}) {
+    EXPECT_EQ(count("core.index", op), 1u) << to_string(op);
+    EXPECT_EQ(count("core.resolve", op), 1u) << to_string(op);
+    EXPECT_EQ(count("core.verify", op), 1u) << to_string(op);
+  }
+  EXPECT_EQ(count("core.aggregate", TacticOperation::kAverage), 1u);
+  EXPECT_EQ(count("core.retrieve", TacticOperation::kRead), 1u);
+  EXPECT_EQ(count("core.retrieve", TacticOperation::kDelete), 1u);
+  EXPECT_EQ(count("core.unindex", TacticOperation::kDelete), 1u);
+  EXPECT_EQ(count("core.delete", TacticOperation::kDelete), 1u);
 }
 
 // --- GatewayContext::param_int ------------------------------------------------
@@ -176,7 +223,7 @@ TEST(ParamIntTest, MalformedValuesBecomeTypedErrors) {
   }
 }
 
-// --- executor error propagation ----------------------------------------------
+// --- step error propagation --------------------------------------------------
 
 TEST(ExecutorTest, StepFailureSurfacesOnCallingThread) {
   Rig rig;
@@ -185,7 +232,7 @@ TEST(ExecutorTest, StepFailureSurfacesOnCallingThread) {
   core::Gateway gw(rig.rpc, rig.kms, rig.local, registry, {});
   gw.register_schema(det_only_schema("people"));
 
-  // Close the channel: the doc.put step inside the plan must fail and the
+  // Close the channel: the doc.put of the store stage must fail and the
   // error must reach the caller as the original typed Error.
   rig.channel.close();
   Document d;

@@ -9,6 +9,7 @@
 #include "core/cloud_node.hpp"
 #include "core/gateway.hpp"
 #include "core/tactics/builtin.hpp"
+#include "core/wire.hpp"
 #include "doc/binary_codec.hpp"
 #include "fhir/observation.hpp"
 
@@ -375,6 +376,34 @@ TEST_F(CachedGatewayFixture, RepeatQueriesHitTheCacheUntilTheEpochBumps) {
   const auto after = hits();
   ASSERT_EQ(after.size(), 2u);
   for (const auto& d : after) EXPECT_NE(d.at("subject").as_string(), "Carol");
+}
+
+TEST_F(CachedGatewayFixture, ResolveKeepsCandidateOrderAcrossHitsMissesAndVanishedIds) {
+  // Inserted out of order; OPE returns range candidates by effective.
+  DocId vanished;
+  for (const auto& [subject, effective] :
+       std::vector<std::pair<std::string, std::int64_t>>{
+           {"F", 600}, {"A", 100}, {"D", 400}, {"B", 200}, {"E", 500}, {"C", 300}}) {
+    const DocId id = gateway_.insert("obs", make_obs("final", subject, effective, 1.0));
+    if (subject == "E") vanished = id;
+  }
+  // Warm the cache for B, C and D only.
+  ASSERT_EQ(gateway_
+                .range_search("obs", "effective", Value(std::int64_t{150}),
+                              Value(std::int64_t{450}))
+                .size(),
+            3u);
+  // Delete uncached E behind the index's back: no epoch bump, so B, C and D
+  // stay cached while the index still lists E.
+  rpc_.call("doc.del", wire::pack({{"col", Value("obs")}, {"id", Value(vanished)}}));
+
+  const std::uint64_t hits_before = gateway_.cache()->hits();
+  const auto docs = gateway_.range_search("obs", "effective", Value(std::int64_t{0}),
+                                          Value(std::int64_t{1000}));
+  EXPECT_GE(gateway_.cache()->hits() - hits_before, 3u);
+  std::vector<std::string> subjects;
+  for (const auto& d : docs) subjects.push_back(d.at("subject").as_string());
+  EXPECT_EQ(subjects, (std::vector<std::string>{"A", "B", "C", "D", "F"}));
 }
 
 TEST_F(CachedGatewayFixture, UpdateInvalidatesCachedDocuments) {

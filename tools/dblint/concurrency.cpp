@@ -27,8 +27,9 @@ bool report_scope(const std::string& path) {
 }
 
 /// Same standard-library collision list as flow.cpp, plus names that are
-/// generic verbs in this tree (`step.run()` must not resolve to
-/// Executor::run and drag the whole gateway into thread-root reachability).
+/// generic verbs in this tree (a callback's `task.run()` must not resolve
+/// to some in-tree `run` method and drag its whole class into thread-root
+/// reachability).
 bool is_unresolvable_method(const std::string& callee) {
   static const std::set<std::string> kMethods = {
       "insert",  "find",   "erase",  "emplace", "emplace_back", "push_back",
@@ -38,11 +39,11 @@ bool is_unresolvable_method(const std::string& callee) {
       "release", "swap",   "assign", "get",     "push",         "pop",
       "top",     "load",   "store",  "contains",
       // std algorithms and utilities whose names the tree also defines:
-      // `std::remove(...)` must not resolve to Planner::remove.
+      // `std::remove(...)` must not resolve to Gateway::remove.
       "remove",  "sort",   "copy",   "move",    "transform",    "accumulate",
       "fill",    "min",    "max",    "forward", "to_string",
-      // generic verbs in this tree (`step.run()` is a plan step, not
-      // Executor::run) and thread plumbing.
+      // generic verbs in this tree (`task.run()` names a callback, not
+      // an in-tree method) and thread plumbing.
       "run",     "wait",   "notify_one", "notify_all", "join", "detach"};
   return kMethods.count(callee) > 0;
 }
@@ -144,7 +145,7 @@ const std::vector<std::size_t>* resolve(const Engine& eng, const std::string& ca
 /// Name-based resolution refined by the receiver: when a member call's
 /// chain head names a declared field whose type IS an indexed class, only
 /// that class's methods are candidates — `journal_.remove()` on a
-/// `Journal journal_;` member must not resolve to Planner::remove. A
+/// `Journal journal_;` member must not resolve to Gateway::remove. A
 /// container/smart-pointer-typed receiver keeps the unrefined candidates
 /// (the wrapped element's class is not recoverable from the last type
 /// segment). Unqualified calls follow C++ name lookup: they can reach the

@@ -260,7 +260,7 @@ Taint ident_taint(const LocalState& st, const std::string& ident,
 /// Method names that collide with the standard containers/smart pointers.
 /// `journal_.find(k)` is almost always std::map::find, not whatever
 /// `find()` the tree happens to define — resolving it interprocedurally
-/// manufactures absurd chains (map.insert → Planner::insert → RPC egress).
+/// manufactures absurd chains (map.insert → Gateway::insert → RPC egress).
 /// The cost is losing flows through same-named in-tree APIs; direct sink
 /// detection is unaffected.
 bool is_container_method(const std::string& callee) {
