@@ -24,9 +24,9 @@ const TacticDescriptor& PaillierTactic::static_descriptor() {
     t.operations = {
         {TacticOperation::kInit, {LeakageLevel::kStructure, "Paillier keygen", 1}},
         {TacticOperation::kInsert,
-         {LeakageLevel::kStructure, "1 Paillier encryption (2 modexp)", 1}},
+         {LeakageLevel::kStructure, "1 Paillier encryption (CRT, 2 half-width modexp)", 1}},
         {TacticOperation::kSum,
-         {LeakageLevel::kStructure, "O(N) modmul fold cloud-side + 1 decrypt", 1}},
+         {LeakageLevel::kStructure, "O(1) running product cloud-side + 1 decrypt", 1}},
         {TacticOperation::kAverage,
          {LeakageLevel::kStructure, "sum protocol + gateway division", 1}},
     };
@@ -36,13 +36,14 @@ const TacticDescriptor& PaillierTactic::static_descriptor() {
                           SpiInterface::kAggFunction};
     t.challenge = "Key management";
     t.preference = 10;
-    // Calibration: Paillier encrypt with the Montgomery randomizer pool
-    // (~700us at 2048-bit n^2, BENCH_crypto BM_PaillierEncrypt); aggregates
-    // fold server-side and pay one CRT decrypt at the gateway.
+    // Calibration (512-bit n, BENCH_crypto.json): an insert is one CRT
+    // encryption (BM_PaillierEncryptCrt/512); a sum or average is the
+    // cloud's O(1) running product plus one CRT decrypt at the gateway
+    // (BM_PaillierDecrypt/512).
     t.cost.ops = {
-        {TacticOperation::kInsert, {CostShape::kConstant, 700.0, 0.0}},
-        {TacticOperation::kSum, {CostShape::kLinear, 500.0, 2.0}},
-        {TacticOperation::kAverage, {CostShape::kLinear, 500.0, 2.0}},
+        {TacticOperation::kInsert, {CostShape::kConstant, 360.0, 0.0}},
+        {TacticOperation::kSum, {CostShape::kConstant, 200.0, 0.0}},
+        {TacticOperation::kAverage, {CostShape::kConstant, 200.0, 0.0}},
     };
     return t;
   }();
@@ -91,11 +92,12 @@ void PaillierTactic::setup() {
     put(keys_->priv.q);
     ctx_.local_store->set(key_slot, std::move(blob));
   }
-  // Montgomery contexts + optional randomizer pool ("paillier_pool" = pool
-  // low-water mark, 0 disables) + CRT residue system when p/q are known.
-  // The keypair is persisted, so re-registrations see the same modulus:
-  // draw the contexts from the gateway's shared per-modulus store when a
-  // hot cache is wired, and let init_fast_paths keep them (idempotent).
+  // Montgomery contexts, the CRT residue system when p/q are known, and an
+  // optional randomizer pool ("paillier_pool" = pool low-water mark, 0
+  // disables) refilled by that CRT routine. The keypair is persisted, so
+  // re-registrations see the same modulus: draw the contexts from the
+  // gateway's shared per-modulus store when a hot cache is wired, and let
+  // init_fast_paths keep them (idempotent).
   if (ctx_.cache != nullptr) {
     if (keys_->pub.n_squared.is_zero()) {
       keys_->pub.n_squared = keys_->pub.n * keys_->pub.n;
@@ -104,9 +106,15 @@ void PaillierTactic::setup() {
     keys_->pub.mont_n2 = ctx_.cache->montgomery(keys_->pub.n_squared);
   }
   const int pool = ctx_.param_int("paillier_pool", 0);
-  keys_->pub.init_fast_paths(pool > 0 ? static_cast<std::size_t>(pool) : 0);
   keys_->priv.pub = keys_->pub;
-  keys_->priv.init_fast_paths();
+  keys_->priv.init_fast_paths(pool > 0 ? static_cast<std::size_t>(pool) : 0);
+  keys_->pub = keys_->priv.pub;
+  // Which route this field's inserts take: a key persisted without p and q
+  // encrypts on the full-width public path.
+  if (ctx_.perf) {
+    ctx_.perf->incr(keys_->priv.has_crt() ? "core.crypto.paillier.setup.crt"
+                                          : "core.crypto.paillier.setup.public");
+  }
   ctx_.cloud->call("agg.setup", wire::pack({{"scope", Value(ctx_.scope("paillier"))},
                                             {"n", Value(keys_->pub.n.to_bytes())}}));
 }
@@ -116,9 +124,9 @@ void PaillierTactic::on_insert(const DocId& id, const Value& value) {
       std::llround(value.as_double() * static_cast<double>(kFixedPointScale)));
   // The tactic's exclusive slot lock serializes on_insert, so nothing else
   // takes from this pool between the two reads of hits().
-  const auto& pool = keys_->pub.pool;
+  const auto& pool = keys_->priv.pub.pool;
   const std::uint64_t hits_before = pool ? pool->hits() : 0;
-  const BigInt ct = keys_->pub.encrypt_i64(fixed);
+  const BigInt ct = keys_->priv.encrypt_i64(fixed);
   if (ctx_.perf) {
     ctx_.perf->incr("core.crypto.paillier.encrypt");
     if (pool) {

@@ -19,24 +19,16 @@ BigInt sample_unit(const BigInt& n) {
 // Randomizer pool
 // ---------------------------------------------------------------------------
 
-PaillierRandomizerPool::PaillierRandomizerPool(BigInt n,
-                                               std::shared_ptr<const Montgomery> mont_n2,
+PaillierRandomizerPool::PaillierRandomizerPool(std::function<BigInt()> fresh,
                                                std::size_t low_water)
-    : n_(std::move(n)),
-      mont_n2_(std::move(mont_n2)),
-      low_water_(low_water),
-      high_water_(low_water * 2) {
-  require(mont_n2_ != nullptr, "PaillierRandomizerPool: null n^2 context");
+    : fresh_(std::move(fresh)), low_water_(low_water), high_water_(low_water * 2) {
+  require(fresh_ != nullptr, "PaillierRandomizerPool: null factor source");
   require(low_water > 0, "PaillierRandomizerPool: low_water must be > 0");
 }
 
 PaillierRandomizerPool::~PaillierRandomizerPool() {
   std::lock_guard<std::mutex> lk(mutex_);
   shutdown_ = true;
-}
-
-BigInt PaillierRandomizerPool::compute_one() const {
-  return sample_unit(n_).pow_mod(n_, *mont_n2_);
 }
 
 BigInt PaillierRandomizerPool::take() {
@@ -54,7 +46,7 @@ BigInt PaillierRandomizerPool::take() {
     }
   }
   misses_.fetch_add(1, std::memory_order_relaxed);
-  return compute_one();
+  return fresh_();
 }
 
 void PaillierRandomizerPool::prefill(std::size_t count) {
@@ -63,7 +55,7 @@ void PaillierRandomizerPool::prefill(std::size_t count) {
       std::lock_guard<std::mutex> lk(mutex_);
       if (pool_.size() >= count || shutdown_) return;
     }
-    BigInt fresh = compute_one();
+    BigInt fresh = fresh_();
     std::lock_guard<std::mutex> lk(mutex_);
     pool_.push_back(std::move(fresh));
   }
@@ -83,7 +75,7 @@ void PaillierRandomizerPool::refill_worker(std::size_t target) {
         return;
       }
     }
-    BigInt fresh = compute_one();  // the exponentiation runs unlocked
+    BigInt fresh = fresh_();  // the exponentiation runs unlocked
     std::lock_guard<std::mutex> lk(mutex_);
     pool_.push_back(std::move(fresh));
     if (shutdown_ || pool_.size() >= target) {
@@ -97,33 +89,41 @@ void PaillierRandomizerPool::refill_worker(std::size_t target) {
 // Public key
 // ---------------------------------------------------------------------------
 
-void PaillierPublicKey::init_fast_paths(std::size_t pool_low_water) {
+void PaillierPublicKey::init_fast_paths() {
   require(n.is_odd(), "Paillier: modulus must be odd");
   if (!mont_n) mont_n = std::make_shared<const Montgomery>(n);
   if (n_squared.is_zero()) n_squared = n * n;
   if (!mont_n2) mont_n2 = std::make_shared<const Montgomery>(n_squared);
-  if (pool_low_water > 0 && !pool) {
-    pool = std::make_shared<PaillierRandomizerPool>(n, mont_n2, pool_low_water);
-    pool->prefill(pool_low_water);
-  }
 }
 
-BigInt PaillierPublicKey::blinding_factor() const {
-  if (pool) return pool->take();
-  const BigInt r = sample_unit(n);
+BigInt PaillierPublicKey::blind(const BigInt& r) const {
   return mont_n2 ? r.pow_mod(n, *mont_n2) : r.pow_mod(n, n_squared);
 }
 
-BigInt PaillierPublicKey::encrypt(const BigInt& m) const {
+BigInt PaillierPublicKey::fresh_factor() const { return blind(sample_unit(n)); }
+
+BigInt PaillierPublicKey::blinding_factor() const {
+  return pool ? pool->take() : fresh_factor();
+}
+
+BigInt PaillierPublicKey::with_factor(const BigInt& m, const BigInt& rn) const {
   // Half-range encoding for signed plaintexts.
   const BigInt encoded = m.mod(n);
   // (1 + m*n) mod n^2 avoids a full pow_mod for the g^m term (g = n+1).
   const BigInt gm = (BigInt(1) + encoded * n).mod(n_squared);
-  const BigInt rn = blinding_factor();
   return mont_n2 ? gm.mul_mod(rn, *mont_n2) : gm.mul_mod(rn, n_squared);
 }
 
+BigInt PaillierPublicKey::encrypt(const BigInt& m) const {
+  return with_factor(m, blinding_factor());
+}
+
 BigInt PaillierPublicKey::encrypt_i64(std::int64_t m) const { return encrypt(BigInt(m)); }
+
+BigInt PaillierPublicKey::encrypt_with(const BigInt& m, const BigInt& r) const {
+  require(BigInt::gcd(r, n) == BigInt(1), "Paillier: r must be a unit mod n");
+  return with_factor(m, blind(r));
+}
 
 BigInt PaillierPublicKey::add(const BigInt& c1, const BigInt& c2) const {
   return mont_n2 ? c1.mul_mod(c2, *mont_n2) : c1.mul_mod(c2, n_squared);
@@ -149,22 +149,85 @@ BigInt PaillierPublicKey::encrypt_zero() const { return encrypt(BigInt(0)); }
 // Private key
 // ---------------------------------------------------------------------------
 
-void PaillierPrivateKey::init_fast_paths() {
-  if (p.is_zero() || q.is_zero() || mont_p2_) return;
-  const BigInt p2 = p * p;
-  const BigInt q2 = q * q;
-  mont_p2_ = std::make_shared<const Montgomery>(p2);
-  mont_q2_ = std::make_shared<const Montgomery>(q2);
-  p_minus_1_ = p - BigInt(1);
-  q_minus_1_ = q - BigInt(1);
-  // h_p = L_p(g^{p-1} mod p^2)^{-1} mod p with g = n+1 (and symmetrically
-  // for q): the constant folded out of every CRT branch.
-  const BigInt g = pub.n + BigInt(1);
-  const BigInt gp = g.pow_mod(p_minus_1_, *mont_p2_);
-  hp_ = ((gp - BigInt(1)) / p).inv_mod(p);
-  const BigInt gq = g.pow_mod(q_minus_1_, *mont_q2_);
-  hq_ = ((gq - BigInt(1)) / q).inv_mod(q);
-  q_inv_p_ = q.inv_mod(p);
+/// The key holder's residue system mod p^2 and q^2, for decryption and for
+/// the blinding factor r^n mod n^2.
+struct PaillierPrivateKey::Crt {
+  Crt(const BigInt& modulus, const BigInt& p_in, const BigInt& q_in)
+      : n(modulus), p(p_in), q(q_in), q2(q * q), mont_p2(p * p), mont_q2(q2),
+        p_minus_1(p - BigInt(1)), q_minus_1(q - BigInt(1)) {
+    // h_p = L_p(g^{p-1} mod p^2)^{-1} mod p with g = n+1 (and symmetrically
+    // for q): the constant folded out of every CRT decryption branch.
+    const BigInt g = n + BigInt(1);
+    hp = ((g.pow_mod(p_minus_1, mont_p2) - BigInt(1)) / p).inv_mod(p);
+    hq = ((g.pow_mod(q_minus_1, mont_q2) - BigInt(1)) / q).inv_mod(q);
+    q_inv_p = q.inv_mod(p);
+    // (Z/p^2)* has order p(p-1), so for a unit r, r^n = r^(n mod p(p-1))
+    // mod p^2; likewise mod q^2.
+    n_mod_p_order = n.mod(p * p_minus_1);
+    n_mod_q_order = n.mod(q * q_minus_1);
+    q2_inv_p2 = q2.inv_mod(mont_p2.modulus());
+  }
+
+  /// gcd(r, n) = 1, by two short divisions.
+  bool is_unit(const BigInt& r) const {
+    return !r.mod(p).is_zero() && !r.mod(q).is_zero();
+  }
+
+  /// r^n mod n^2 for a unit r: two half-width exponentiations, recombined
+  /// mod n^2 = p^2 q^2 (Garner). Same value as the full-width r^n.
+  BigInt blind(const BigInt& r) const {
+    const BigInt a = r.pow_mod(n_mod_p_order, mont_p2);
+    const BigInt b = r.pow_mod(n_mod_q_order, mont_q2);
+    return b + (a - b).mul_mod(q2_inv_p2, mont_p2) * q2;
+  }
+
+  /// r^n mod n^2 for a fresh unit r.
+  BigInt fresh_factor() const {
+    for (;;) {
+      const BigInt r = BigInt::random_below(n);
+      if (is_unit(r)) return blind(r);
+    }
+  }
+
+  BigInt n, p, q, q2;
+  Montgomery mont_p2, mont_q2;
+  BigInt p_minus_1, q_minus_1;
+  BigInt hp, hq;     // L_p(g^{p-1} mod p^2)^{-1} mod p, resp. for q
+  BigInt q_inv_p;    // q^{-1} mod p
+  BigInt n_mod_p_order, n_mod_q_order;  // n mod p(p-1), n mod q(q-1)
+  BigInt q2_inv_p2;  // (q^2)^{-1} mod p^2
+};
+
+void PaillierPrivateKey::init_fast_paths(std::size_t pool_low_water) {
+  pub.init_fast_paths();
+  if (!crt_ && !p.is_zero() && !q.is_zero()) {
+    crt_ = std::make_shared<const Crt>(pub.n, p, q);
+  }
+  if (pool_low_water > 0 && !pub.pool) {
+    // One blinding routine on the key holder: a miss and a refill both run
+    // the CRT exponentiation; only a key without p and q pays full width.
+    std::function<BigInt()> fresh;
+    if (crt_) {
+      fresh = [crt = crt_] { return crt->fresh_factor(); };
+    } else {
+      fresh = [key = pub] { return key.fresh_factor(); };  // key.pool is null
+    }
+    pub.pool = std::make_shared<PaillierRandomizerPool>(std::move(fresh), pool_low_water);
+    pub.pool->prefill(pool_low_water);
+  }
+}
+
+BigInt PaillierPrivateKey::encrypt(const BigInt& m) const {
+  if (!crt_) return pub.encrypt(m);
+  return pub.with_factor(m, pub.pool ? pub.pool->take() : crt_->fresh_factor());
+}
+
+BigInt PaillierPrivateKey::encrypt_i64(std::int64_t m) const { return encrypt(BigInt(m)); }
+
+BigInt PaillierPrivateKey::encrypt_with(const BigInt& m, const BigInt& r) const {
+  if (!crt_) return pub.encrypt_with(m, r);
+  require(crt_->is_unit(r), "Paillier: r must be a unit mod n");
+  return pub.with_factor(m, crt_->blind(r));
 }
 
 BigInt PaillierPrivateKey::decode_signed(BigInt m) const {
@@ -182,16 +245,17 @@ BigInt PaillierPrivateKey::decrypt_generic(const BigInt& c) const {
 }
 
 BigInt PaillierPrivateKey::decrypt(const BigInt& c) const {
-  if (!mont_p2_) return decrypt_generic(c);
+  if (!crt_) return decrypt_generic(c);
   require(!c.is_zero() && c < pub.n_squared, "Paillier: ciphertext out of range");
   // CRT: recover m mod p and m mod q with half-size exponentiations, then
   // recombine. Each branch is ~8x cheaper than the lambda path (half the
   // exponent bits, quarter-size modulus multiplies).
-  const BigInt xp = c.pow_mod(p_minus_1_, *mont_p2_);
-  const BigInt mp = ((xp - BigInt(1)) / p).mul_mod(hp_, p);
-  const BigInt xq = c.pow_mod(q_minus_1_, *mont_q2_);
-  const BigInt mq = ((xq - BigInt(1)) / q).mul_mod(hq_, q);
-  const BigInt u = (mp - mq).mul_mod(q_inv_p_, p);
+  const Crt& k = *crt_;
+  const BigInt xp = c.pow_mod(k.p_minus_1, k.mont_p2);
+  const BigInt mp = ((xp - BigInt(1)) / p).mul_mod(k.hp, p);
+  const BigInt xq = c.pow_mod(k.q_minus_1, k.mont_q2);
+  const BigInt mq = ((xq - BigInt(1)) / q).mul_mod(k.hq, q);
+  const BigInt u = (mp - mq).mul_mod(k.q_inv_p, p);
   return decode_signed(mq + u * q);
 }
 
@@ -209,13 +273,13 @@ PaillierKeyPair paillier_generate(std::size_t modulus_bits) {
   PaillierKeyPair kp;
   kp.pub.n = p * q;
   kp.pub.n_squared = kp.pub.n * kp.pub.n;
-  kp.pub.init_fast_paths();
   kp.priv.lambda = BigInt::lcm(p - BigInt(1), q - BigInt(1));
   kp.priv.mu = kp.priv.lambda.inv_mod(kp.pub.n);
   kp.priv.p = p;
   kp.priv.q = q;
   kp.priv.pub = kp.pub;
   kp.priv.init_fast_paths();
+  kp.pub = kp.priv.pub;
   return kp;
 }
 

@@ -13,15 +13,21 @@
 // against them by the differential suite):
 //  * `init_fast_paths()` caches Montgomery contexts for n and n^2 so every
 //    encryption/homomorphic op amortizes the per-modulus precomputation;
-//  * keygen retains p and q, enabling CRT decryption (exponentiate mod p^2
-//    and q^2 separately — ~4x less work than one exponentiation mod n^2);
-//  * a randomizer pool precomputes the r^n blinding factors off the hot
-//    path, reducing a hot encryption to two modular multiplications.
+//  * keygen retains p and q, so the key holder works by CRT. Decryption
+//    exponentiates mod p^2 and q^2 separately (~4x less work than one
+//    exponentiation mod n^2). Encryption computes r^n mod p^2 and mod q^2
+//    with the exponent reduced mod p(p-1) and q(q-1), then recombines: two
+//    half-width exponentiations instead of one full-width one, and the same
+//    ciphertext as the public path for the same r;
+//  * a randomizer pool, attached by the key holder, precomputes the r^n
+//    blinding factors off the hot path with that same CRT routine,
+//    reducing a hot encryption to two modular multiplications.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <memory>
 #include <mutex>
 
@@ -43,17 +49,22 @@ struct PaillierPublicKey {
   // Derived accelerators (never serialized; rebuilt via init_fast_paths).
   std::shared_ptr<const Montgomery> mont_n;
   std::shared_ptr<const Montgomery> mont_n2;
+  /// Precomputed r^n factors; attached by the key holder
+  /// (PaillierPrivateKey::init_fast_paths), drawn by every encrypt.
   std::shared_ptr<PaillierRandomizerPool> pool;
 
-  /// Builds the cached Montgomery contexts (and, when `pool_low_water` > 0,
-  /// a randomizer pool that keeps at least that many precomputed r^n
-  /// factors ready, refilled by a background worker off the hot path).
-  /// Idempotent; call after constructing/deserializing a key.
-  void init_fast_paths(std::size_t pool_low_water = 0);
+  /// Builds the cached Montgomery contexts. Idempotent; call after
+  /// constructing/deserializing a key.
+  void init_fast_paths();
 
   /// Encrypts a signed integer (half-range encoding).
   BigInt encrypt(const BigInt& m) const;
   BigInt encrypt_i64(std::int64_t m) const;
+
+  /// Enc(m; r) for a caller-chosen r: the deterministic core `encrypt`
+  /// runs on a fresh unit. Throws Error(kInvalidArgument) unless
+  /// gcd(r, n) = 1.
+  BigInt encrypt_with(const BigInt& m, const BigInt& r) const;
 
   /// Homomorphic addition of two ciphertexts.
   BigInt add(const BigInt& c1, const BigInt& c2) const;
@@ -75,8 +86,16 @@ struct PaillierPublicKey {
   bool operator==(const PaillierPublicKey& o) const { return n == o.n; }
 
  private:
+  friend struct PaillierPrivateKey;
+
   /// r^n mod n^2 for fresh r — from the pool when one is attached.
   BigInt blinding_factor() const;
+  /// r^n mod n^2 for a fresh unit r, always computed here (full width).
+  BigInt fresh_factor() const;
+  /// r^n mod n^2, full width.
+  BigInt blind(const BigInt& r) const;
+  /// (1 + m*n) * rn mod n^2: the ciphertext of m under blinding factor rn.
+  BigInt with_factor(const BigInt& m, const BigInt& rn) const;
 };
 
 struct PaillierPrivateKey {
@@ -86,10 +105,28 @@ struct PaillierPrivateKey {
   BigInt q;
   PaillierPublicKey pub;
 
-  /// Precomputes the CRT residue system (p^2/q^2 contexts, the L-inverse
-  /// constants h_p/h_q, and q^{-1} mod p). No-op unless p and q are set.
-  /// Idempotent; decrypt falls back to the lambda/mu path when absent.
-  void init_fast_paths();
+  /// Builds pub's contexts and, when p and q are set, the CRT residue
+  /// system: p^2/q^2 contexts, the L-inverse constants h_p/h_q, q^{-1} mod
+  /// p, the encryption exponents n mod p(p-1) and n mod q(q-1), and
+  /// (q^2)^{-1} mod p^2. When `pool_low_water` > 0 it also attaches to
+  /// `pub` a randomizer pool that keeps at least that many r^n factors
+  /// ready, computed by this key's blinding routine (CRT when available)
+  /// on a background worker. Idempotent; without p and q, encryption and
+  /// decryption fall back to the public and lambda/mu paths.
+  void init_fast_paths(std::size_t pool_low_water = 0);
+
+  /// True when init_fast_paths built the CRT residue system.
+  bool has_crt() const noexcept { return crt_ != nullptr; }
+
+  /// Encrypts like pub.encrypt, drawing from pub.pool when attached and
+  /// otherwise computing r^n by CRT (the public path without p and q).
+  BigInt encrypt(const BigInt& m) const;
+  BigInt encrypt_i64(std::int64_t m) const;
+
+  /// Enc(m; r) for a caller-chosen r, by CRT: byte-identical to
+  /// pub.encrypt_with(m, r). Throws Error(kInvalidArgument) unless
+  /// r mod p != 0 and r mod q != 0 (the same condition as gcd(r, n) = 1).
+  BigInt encrypt_with(const BigInt& m, const BigInt& r) const;
 
   /// Decrypts to a signed integer (half-range decoding). Uses CRT when
   /// init_fast_paths() ran with p/q available.
@@ -101,14 +138,13 @@ struct PaillierPrivateKey {
   BigInt decrypt_generic(const BigInt& c) const;
 
  private:
+  struct Crt;
+
   BigInt decode_signed(BigInt m) const;
 
-  // CRT precomputation (empty when unavailable).
-  std::shared_ptr<const Montgomery> mont_p2_;
-  std::shared_ptr<const Montgomery> mont_q2_;
-  BigInt p_minus_1_, q_minus_1_;
-  BigInt hp_, hq_;     // L_p(g^{p-1} mod p^2)^{-1} mod p, resp. for q
-  BigInt q_inv_p_;     // q^{-1} mod p
+  /// CRT precomputation (null when unavailable). Immutable and shared, so
+  /// key copies and the randomizer pool's refill worker use one instance.
+  std::shared_ptr<const Crt> crt_;
 };
 
 struct PaillierKeyPair {
@@ -119,12 +155,12 @@ struct PaillierKeyPair {
 /// Precomputed pool of r^n mod n^2 blinding factors. `take()` pops in O(1);
 /// when the pool drains below its low-water mark a refill task on a
 /// one-thread WorkerPool tops it up to the high-water mark, so steady-state
-/// encryption never runs the r^n exponentiation inline. Thread-safe. Randomness is
+/// encryption never runs the r^n exponentiation inline. Thread-safe.
+/// Entries come from `fresh`, which must be thread-safe and draw r from
 /// SecureRng (via BigInt::random_below) — pool entries are key material.
 class PaillierRandomizerPool {
  public:
-  PaillierRandomizerPool(BigInt n, std::shared_ptr<const Montgomery> mont_n2,
-                         std::size_t low_water);
+  PaillierRandomizerPool(std::function<BigInt()> fresh, std::size_t low_water);
   ~PaillierRandomizerPool();
 
   PaillierRandomizerPool(const PaillierRandomizerPool&) = delete;
@@ -141,11 +177,9 @@ class PaillierRandomizerPool {
   std::uint64_t misses() const noexcept { return misses_.load(std::memory_order_relaxed); }
 
  private:
-  BigInt compute_one() const;
   void refill_worker(std::size_t target);
 
-  const BigInt n_;
-  const std::shared_ptr<const Montgomery> mont_n2_;
+  const std::function<BigInt()> fresh_;
   const std::size_t low_water_;
   const std::size_t high_water_;
 

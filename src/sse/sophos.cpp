@@ -69,6 +69,12 @@ SophosClient::SophosClient(BytesView prf_key, std::size_t modulus_bits)
   const BigInt phi = (p - BigInt(1)) * (q - BigInt(1));
   d_ = e_.inv_mod(phi);
   mont_n_ = std::make_shared<const Montgomery>(n_);
+  q_ = q;
+  d_p_ = d_.mod(p - BigInt(1));
+  d_q_ = d_.mod(q - BigInt(1));
+  q_inv_p_ = q.inv_mod(p);
+  mont_p_ = std::make_shared<const Montgomery>(p);
+  mont_q_ = std::make_shared<const Montgomery>(q);
 }
 
 SophosClient::SophosClient(const SecretBytes& prf_key, std::size_t modulus_bits)
@@ -78,6 +84,18 @@ SophosPublicParams SophosClient::public_params() const {
   SophosPublicParams params{n_, e_};
   params.mont_n = mont_n_;  // share the client's context with the server side
   return params;
+}
+
+BigInt SophosClient::step_back(const BigInt& st) const {
+  // Garner: x = x_q + q * ((x_p - x_q) q^{-1} mod p). Exact for every st in
+  // Z_n, units or not: d_p, d_q >= 1, so st = 0 mod p gives 0 on both paths.
+  const BigInt xp = st.pow_mod(d_p_, *mont_p_);
+  const BigInt xq = st.pow_mod(d_q_, *mont_q_);
+  return xq + (xp - xq).mul_mod(q_inv_p_, *mont_p_) * q_;
+}
+
+BigInt SophosClient::step_back_generic(const BigInt& st) const {
+  return st.pow_mod(d_, *mont_n_);
 }
 
 Bytes SophosClient::kw_token(const std::string& keyword) const {
@@ -91,7 +109,7 @@ SophosUpdateToken SophosClient::update(const std::string& keyword, const DocId& 
     ks.st = BigInt::random_below(n_);
   } else {
     // Step backwards: only the trapdoor holder can do this.
-    ks.st = mont_n_ ? ks.st.pow_mod(d_, *mont_n_) : ks.st.pow_mod(d_, n_);
+    ks.st = step_back(ks.st);
   }
   ++ks.count;
 

@@ -91,6 +91,15 @@ class SophosClient {
 
   std::size_t distinct_keywords() const noexcept { return state_.size(); }
 
+  /// The trapdoor step pi^{-1}(st) = st^d mod n, by CRT: half-width
+  /// exponentiations mod p and q with d reduced mod p-1 and q-1,
+  /// recombined with q^{-1} mod p.
+  BigInt step_back(const BigInt& st) const;
+
+  /// Reference step: st^d mod n on the full modulus — the differential
+  /// baseline for step_back.
+  BigInt step_back_generic(const BigInt& st) const;
+
  private:
   struct KeywordState {
     BigInt st;             // current (newest) token state
@@ -101,7 +110,11 @@ class SophosClient {
 
   crypto::PrfKey prf_key_;  // hoisted HMAC schedule for kw-token derivation
   BigInt n_, e_, d_;  // RSA trapdoor permutation
-  std::shared_ptr<const Montgomery> mont_n_;  // context for the d-exponent steps
+  std::shared_ptr<const Montgomery> mont_n_;  // context for n, shared with the server
+  // CRT form of the trapdoor: q, d mod (p-1), d mod (q-1), q^{-1} mod p,
+  // and contexts for p and q.
+  BigInt q_, d_p_, d_q_, q_inv_p_;
+  std::shared_ptr<const Montgomery> mont_p_, mont_q_;
   std::unordered_map<std::string, KeywordState> state_;
 };
 

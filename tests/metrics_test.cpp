@@ -207,5 +207,69 @@ TEST(GatewayMetricsTest, PaillierPoolCountsEveryEncryptOfEveryField) {
             2 * kInserts);
 }
 
+TEST(GatewayMetricsTest, PaillierKeyReloadedFromItsBlobStillEncryptsByCrt) {
+  // A gateway restarted over the same local store reloads the persisted
+  // keypair (n, lambda, mu, p, q) and keeps the CRT route. A blob cut back
+  // to the legacy n, lambda, mu form falls back to the public route. Both
+  // routes encrypt under the one key, so the cloud's running sum stays exact.
+  CloudNode cloud;
+  net::Channel channel;
+  net::RpcClient rpc(cloud.rpc(), channel);
+  kms::KeyManager kms;
+  store::KvStore local;
+  TacticRegistry registry;
+  register_builtin_tactics(registry);
+  schema::Schema s("vitals");
+  schema::FieldAnnotation ann;
+  ann.type = schema::FieldType::kDouble;
+  ann.sensitive = true;
+  ann.protection = schema::ProtectionClass::kClass1;
+  ann.operations = {schema::Operation::kInsert};
+  ann.aggregates = {schema::Aggregate::kSum};
+  s.field("systolic", ann);
+
+  double total = 0.0;
+  int inserted = 0;
+  // One gateway lifetime: set up (load or generate the key), insert four
+  // values, check the sum over everything inserted so far.
+  auto restart = [&](const std::string& route) {
+    Gateway gateway(rpc, kms, local, registry,
+                    GatewayConfig{{{"paillier_modulus_bits", "256"}}});
+    gateway.register_schema(s);
+    const PerfRegistry& perf = gateway.perf();
+    EXPECT_EQ(perf.counter("core.crypto.paillier.setup." + route), 1u) << route;
+    EXPECT_EQ(perf.counter("core.crypto.paillier.setup.crt") +
+                  perf.counter("core.crypto.paillier.setup.public"),
+              1u);
+    for (int i = 0; i < 4; ++i, ++inserted) {
+      Document d;
+      d.id = "v-" + std::to_string(inserted);
+      const double v = 100.25 + inserted;
+      d.set("systolic", Value(v));
+      gateway.insert("vitals", d);
+      total += v;
+    }
+    EXPECT_EQ(perf.counter("core.crypto.paillier.encrypt"), 4u);
+    EXPECT_NEAR(gateway.aggregate("vitals", "systolic", schema::Aggregate::kSum).value,
+                total, 1e-9)
+        << route;
+  };
+
+  restart("crt");  // generates and persists the keypair
+  restart("crt");  // reloads it from the blob
+  const std::string slot = "paillier-keys:paillier/vitals/systolic";
+  const std::optional<Bytes> blob = local.get(slot);
+  ASSERT_TRUE(blob.has_value());
+  // Keep the first three length-prefixed fields: n, lambda, mu.
+  std::size_t off = 0;
+  for (int field = 0; field < 3; ++field) {
+    ASSERT_LE(off + 4, blob->size());
+    off += 4 + read_be32(BytesView(*blob).subspan(off));
+  }
+  ASSERT_LT(off, blob->size());
+  local.set(slot, Bytes(blob->begin(), blob->begin() + static_cast<std::ptrdiff_t>(off)));
+  restart("public");
+}
+
 }  // namespace
 }  // namespace datablinder::core

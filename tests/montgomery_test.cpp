@@ -1,11 +1,13 @@
 // Differential tests for the Montgomery fast paths: every accelerated
-// route (CIOS kernel, Paillier CRT + randomizer pool, Sophos cached
-// contexts, hoisted PRF key schedules) is pinned bit-for-bit against the
-// reference implementation it replaced.
+// route (CIOS kernel, Paillier CRT decryption and encryption + randomizer
+// pool, Sophos cached contexts and CRT trapdoor, hoisted PRF key schedules)
+// is pinned bit-for-bit against the reference implementation it replaced.
 #include <gtest/gtest.h>
 
 #include <chrono>
 #include <cstdint>
+#include <functional>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -131,22 +133,29 @@ TEST(PaillierDifferential, FastAndSlowKeysInteroperate) {
 
 TEST(PaillierDifferential, RandomizerPoolPreservesCorrectness) {
   phe::PaillierKeyPair kp = phe::paillier_generate(256);
-  kp.pub.init_fast_paths(/*pool_low_water=*/4);
-  ASSERT_NE(kp.pub.pool, nullptr);
-  EXPECT_GE(kp.pub.pool->size(), 4u);
+  kp.priv.init_fast_paths(/*pool_low_water=*/4);
+  const auto& pool = kp.priv.pub.pool;
+  ASSERT_NE(pool, nullptr);
+  EXPECT_GE(pool->size(), 4u);
   for (int i = 0; i < 16; ++i) {
-    EXPECT_EQ(kp.priv.decrypt_i64(kp.pub.encrypt_i64(i * 17 - 50)), i * 17 - 50);
+    EXPECT_EQ(kp.priv.decrypt_i64(kp.priv.encrypt_i64(i * 17 - 50)), i * 17 - 50);
   }
-  EXPECT_GT(kp.pub.pool->hits(), 0u);
+  EXPECT_GT(pool->hits(), 0u);
   // Two pooled encryptions of one plaintext still differ (fresh factors).
-  EXPECT_NE(kp.pub.encrypt_i64(9), kp.pub.encrypt_i64(9));
+  EXPECT_NE(kp.priv.encrypt_i64(9), kp.priv.encrypt_i64(9));
+}
+
+/// A pool source with the public path's cost profile, for the pool's own
+/// mechanics (refill, shutdown).
+std::function<BigInt()> public_factors(const phe::PaillierKeyPair& kp) {
+  return [&kp] { return kp.pub.encrypt_i64(0); };  // Enc(0; r) = r^n mod n^2
 }
 
 TEST(PaillierDifferential, RandomizerPoolRefillsToHighWater) {
   // Draining below the low-water mark schedules one refill on the pool's
   // worker; it tops the pool up to the high-water mark (2x low) and stops.
   const phe::PaillierKeyPair kp = phe::paillier_generate(256);
-  phe::PaillierRandomizerPool pool(kp.pub.n, kp.pub.mont_n2, /*low_water=*/4);
+  phe::PaillierRandomizerPool pool(public_factors(kp), /*low_water=*/4);
   pool.prefill(4);
   pool.take();
   pool.take();
@@ -163,11 +172,147 @@ TEST(PaillierDifferential, RandomizerPoolDestroyedMidRefillJoinsCleanly) {
   // destructor must stop and join it before the deque and mutex die.
   const phe::PaillierKeyPair kp = phe::paillier_generate(512);
   for (int round = 0; round < 4; ++round) {
-    phe::PaillierRandomizerPool pool(kp.pub.n, kp.pub.mont_n2, /*low_water=*/16);
+    phe::PaillierRandomizerPool pool(public_factors(kp), /*low_water=*/16);
     pool.prefill(16);
     pool.take();
     EXPECT_LT(pool.size(), 32u);
   }
+}
+
+// --- Paillier CRT encryption ---------------------------------------------------
+
+/// A uniformly random unit of Z_n, drawn independently of the key's sampler.
+BigInt random_unit(const BigInt& n) {
+  for (;;) {
+    const BigInt r = BigInt::random_below(n);
+    if (!r.is_zero() && BigInt::gcd(r, n) == BigInt(1)) return r;
+  }
+}
+
+class PaillierCrtEncryption : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(PaillierCrtEncryption, CiphertextEqualsPublicForSameR) {
+  const phe::PaillierKeyPair kp = phe::paillier_generate(GetParam());
+  ASSERT_TRUE(kp.priv.has_crt());
+  DetRng rng(GetParam() + 1);
+  for (int i = 0; i < 6; ++i) {
+    const BigInt r = random_unit(kp.pub.n);
+    const BigInt m(rng.range(-1000000, 1000000));
+    const BigInt ct = kp.priv.encrypt_with(m, r);
+    EXPECT_EQ(ct, kp.pub.encrypt_with(m, r)) << GetParam() << " bits, trial " << i;
+    EXPECT_EQ(kp.priv.decrypt(ct), m);
+  }
+  // r = 1 and r = n - 1 are units at the edges of the range.
+  EXPECT_EQ(kp.priv.encrypt_with(BigInt(5), BigInt(1)),
+            kp.pub.encrypt_with(BigInt(5), BigInt(1)));
+  EXPECT_EQ(kp.priv.encrypt_with(BigInt(5), kp.pub.n - BigInt(1)),
+            kp.pub.encrypt_with(BigInt(5), kp.pub.n - BigInt(1)));
+}
+
+TEST_P(PaillierCrtEncryption, RoundTripsBoundaryPlaintexts) {
+  const phe::PaillierKeyPair kp = phe::paillier_generate(GetParam());
+  // Half-range encoding: (n-1)/2 is the largest positive plaintext and
+  // -(n-1)/2 the most negative one.
+  const BigInt half = kp.pub.n >> 1;
+  const BigInt two62 = BigInt(1) << 62;
+  for (const BigInt& m : {BigInt(0), BigInt(1), BigInt(-1), two62, -two62, half, -half,
+                          half - BigInt(1), -(half - BigInt(1))}) {
+    const BigInt ct = kp.priv.encrypt(m);
+    EXPECT_EQ(kp.priv.decrypt(ct), m) << m.to_decimal();
+    EXPECT_EQ(kp.priv.decrypt_generic(ct), m) << m.to_decimal();
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(ModulusSizes, PaillierCrtEncryption,
+                         ::testing::Values(256, 512, 1024));
+
+TEST(PaillierCrtEncryptionTest, HomomorphicAddMixesCrtAndPublicCiphertexts) {
+  const phe::PaillierKeyPair kp = phe::paillier_generate(256);
+  DetRng rng(41);
+  BigInt acc = kp.pub.encrypt_zero();
+  std::int64_t sum = 0;
+  for (int i = 0; i < 10; ++i) {
+    const std::int64_t v = rng.range(-50000, 50000);
+    acc = kp.pub.add(acc, i % 2 == 0 ? kp.priv.encrypt_i64(v) : kp.pub.encrypt_i64(v));
+    sum += v;
+  }
+  EXPECT_EQ(kp.priv.decrypt_i64(acc), sum);
+  EXPECT_EQ(kp.priv.decrypt_i64(kp.pub.add(kp.priv.encrypt_i64(7), kp.pub.encrypt_i64(-9))),
+            -2);
+}
+
+/// Runs `fn` and expects Error(kInvalidArgument).
+template <typename Fn>
+void expect_invalid_argument(Fn fn, const std::string& what) {
+  try {
+    fn();
+    ADD_FAILURE() << what << ": accepted";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.code(), ErrorCode::kInvalidArgument) << what;
+  }
+}
+
+TEST(PaillierCrtEncryptionTest, RejectsRThatIsNotAUnit) {
+  const phe::PaillierKeyPair kp = phe::paillier_generate(256);
+  const BigInt& p = kp.priv.p;
+  const BigInt& q = kp.priv.q;
+  for (const BigInt& r : {BigInt(0), p, q, p * BigInt(3), q * BigInt(5), kp.pub.n}) {
+    expect_invalid_argument([&] { kp.priv.encrypt_with(BigInt(1), r); },
+                            "CRT path, r = " + r.to_decimal());
+    expect_invalid_argument([&] { kp.pub.encrypt_with(BigInt(1), r); },
+                            "public path, r = " + r.to_decimal());
+  }
+}
+
+TEST(PaillierCrtEncryptionTest, LegacyKeyWithoutFactorsUsesThePublicPath) {
+  // A key persisted before p and q were kept: no CRT, but it still
+  // encrypts (the public path), decrypts (lambda/mu) and runs a pool.
+  const phe::PaillierKeyPair full = phe::paillier_generate(256);
+  phe::PaillierPrivateKey legacy;
+  legacy.lambda = full.priv.lambda;
+  legacy.mu = full.priv.mu;
+  legacy.pub.n = full.pub.n;
+  legacy.init_fast_paths(/*pool_low_water=*/2);
+  EXPECT_FALSE(legacy.has_crt());
+  ASSERT_NE(legacy.pub.pool, nullptr);
+  const BigInt r = random_unit(full.pub.n);
+  EXPECT_EQ(legacy.encrypt_with(BigInt(-31), r), full.priv.encrypt_with(BigInt(-31), r));
+  for (const std::int64_t m : {-777LL, 0LL, 31337LL}) {
+    EXPECT_EQ(legacy.decrypt_i64(legacy.encrypt_i64(m)), m);
+    EXPECT_EQ(full.priv.decrypt_i64(legacy.encrypt_i64(m)), m);
+  }
+  EXPECT_THROW(legacy.encrypt_with(BigInt(1), full.priv.p), Error);
+}
+
+TEST(PaillierCrtEncryptionTest, KeyHolderPoolIsFilledByTheCrtRoutine) {
+  // The key holder's pool is filled by its CRT routine: at setup, on the
+  // refill worker and on a miss. Every entry must be an n-th residue mod
+  // n^2, i.e. an encryption of zero; a wrong recombination breaks that.
+  phe::PaillierKeyPair kp = phe::paillier_generate(512);
+  ASSERT_TRUE(kp.priv.has_crt());
+  kp.priv.init_fast_paths(/*pool_low_water=*/4);
+  const auto pool = kp.priv.pub.pool;
+  ASSERT_NE(pool, nullptr);
+  // The first four takes pop the prefilled entries, and the first pop
+  // below the low-water mark starts a refill; takes that outrun it miss
+  // and compute inline.
+  std::vector<BigInt> factors;
+  for (int i = 0; i < 12; ++i) factors.push_back(pool->take());
+  // At rest a pool holds at least its low-water mark, now all refilled.
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (pool->size() < 4 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_GE(pool->size(), 4u);
+  for (int i = 0; i < 4; ++i) factors.push_back(pool->take());
+  EXPECT_EQ(pool->hits() + pool->misses(), 16u);
+  for (const BigInt& f : factors) {
+    EXPECT_EQ(kp.priv.decrypt(f), BigInt(0));
+    EXPECT_EQ(kp.priv.decrypt_generic(f), BigInt(0));
+  }
+  // A re-init keeps the attached pool (idempotent).
+  kp.priv.init_fast_paths(/*pool_low_water=*/4);
+  EXPECT_EQ(kp.priv.pub.pool, pool);
 }
 
 // --- Sophos --------------------------------------------------------------------
@@ -193,6 +338,25 @@ TEST(SophosDifferential, ContextAndFallbackSearchAgree) {
   EXPECT_EQ(fast_ids, slow_ids);
   ASSERT_EQ(fast_ids.size(), 6u);
   EXPECT_EQ(fast_ids.front(), "doc-5");  // newest first
+}
+
+TEST(SophosDifferential, CrtStepBackEqualsTheDExponent) {
+  // The trapdoor permutation is deterministic: the CRT inverse must equal
+  // st^d mod n byte for byte on any state, units or not, and the public
+  // e-step must undo it.
+  const Bytes key(32, 0x24);
+  sse::SophosClient client(key, 512);
+  const sse::SophosPublicParams params = client.public_params();
+  const std::size_t len = params.element_len();
+  for (int i = 0; i < 16; ++i) {
+    const BigInt st = BigInt::random_below(params.n);
+    const BigInt back = client.step_back(st);
+    EXPECT_EQ(back.to_bytes(len), client.step_back_generic(st).to_bytes(len)) << i;
+    EXPECT_EQ(back.pow_mod(params.e, params.n), st) << i;
+  }
+  for (const BigInt& st : {BigInt(0), BigInt(1), params.n - BigInt(1)}) {
+    EXPECT_EQ(client.step_back(st), client.step_back_generic(st)) << st.to_decimal();
+  }
 }
 
 // --- PrfKey --------------------------------------------------------------------
