@@ -13,15 +13,6 @@ using doc::Array;
 using doc::Object;
 using doc::Value;
 
-namespace {
-Value ids_to_value(const std::vector<std::string>& ids) {
-  Array arr;
-  arr.reserve(ids.size());
-  for (const auto& id : ids) arr.emplace_back(id);
-  return Value(std::move(arr));
-}
-}  // namespace
-
 CloudNode::CloudNode() {
   register_doc_handlers();
   register_det_handlers();
@@ -134,19 +125,12 @@ void CloudNode::register_doc_handlers() {
     // response carries only the ids that still exist (in request order);
     // vanished ids are skipped, mirroring the gateway's tolerance for
     // index entries racing with deletions.
-    const Object req = wire::unpack(p);
-    std::vector<std::string> ids;
-    for (const auto& v : wire::get_arr(req, "ids")) ids.push_back(v.as_string());
-    const auto found = docs_.collection(wire::get_str(req, "col")).get_many(ids);
-    Array out;
-    out.reserve(found.size());
-    for (const auto& d : found) {
-      Object entry;
-      entry["id"] = Value(d.id);
-      entry["blob"] = d.at("blob");
-      out.emplace_back(std::move(entry));
-    }
-    return wire::pack({{"docs", Value(std::move(out))}});
+    const wire::MgetRequest req = wire::unpack_mget(p);
+    wire::DocsWriter out(req.ids.size());
+    docs_.collection(std::string(req.col)).visit_many(req.ids, [&](const doc::Document& d) {
+      out.add(d.id, d.at("blob").as_binary());
+    });
+    return out.finish();
   });
   rpc_.register_method("doc.del", [this](BytesView p) {
     const Object req = wire::unpack(p);
@@ -156,12 +140,12 @@ void CloudNode::register_doc_handlers() {
   });
   rpc_.register_method("doc.list", [this](BytesView p) {
     const Object req = wire::unpack(p);
-    std::vector<std::string> ids;
+    wire::IdsWriter out;
     docs_.collection(wire::get_str(req, "col")).scan([&](const doc::Document& d) {
-      ids.push_back(d.id);
+      out.add(d.id);
       return true;
     });
-    return wire::pack({{"ids", ids_to_value(ids)}});
+    return out.finish();
   });
 }
 
@@ -186,10 +170,10 @@ void CloudNode::register_det_handlers() {
   });
   rpc_.register_method("det.search", [this, set_key](BytesView p) {
     const Object req = wire::unpack(p);
-    const auto members = kv_.smembers(set_key(req));
+    wire::IdsWriter out;
+    kv_.visit_members(set_key(req), [&](const std::string& id) { out.add(id); });
     ++index_ops_;
-    return wire::pack(
-        {{"ids", ids_to_value({members.begin(), members.end()})}});
+    return out.finish();
   });
 }
 
@@ -216,7 +200,7 @@ void CloudNode::register_ope_handlers() {
     const auto ids =
         kv_.zrange(zkey(req), wire::get_bin(req, "lo"), wire::get_bin(req, "hi"));
     ++index_ops_;
-    return wire::pack({{"ids", ids_to_value(ids)}});
+    return wire::pack_ids(ids);
   });
   rpc_.register_method("ope.extreme", [this, zkey](BytesView p) {
     // Returns the minimal or maximal (score, id) pair of the index.
@@ -267,7 +251,7 @@ void CloudNode::register_ore_handlers() {
       const bool le_hi = hi_cmp != ppe::OreResult::kLess;     // hi >= y
       if (ge_lo && le_hi) ids.push_back(id);
     }
-    return wire::pack({{"ids", ids_to_value(ids)}});
+    return wire::pack_ids(ids);
   });
 }
 
@@ -385,7 +369,7 @@ void CloudNode::register_sophos_handlers() {
       ids = it->second->search(token);
     }
     index_ops_ += token.count;
-    return wire::pack({{"ids", ids_to_value(ids)}});
+    return wire::pack_ids(ids);
   });
 }
 

@@ -6,7 +6,9 @@
 //
 // Locking model: one reader/writer lock PER TACTIC INSTANCE (not per
 // collection). Index mutations (on_insert/on_delete advance SSE client
-// state) take the tactic's lock exclusively; queries take it shared.
+// state) take the tactic's lock exclusively, unless the tactic declares
+// `updates_read_fixed_keys` (its updates read only setup-time keys: DET,
+// RND, Paillier); queries take it shared.
 // Writes to distinct fields — and the distinct tactic slots of one field —
 // therefore index concurrently, while two updates of the same tactic
 // still serialize. No code path ever holds two tactic locks at once, so

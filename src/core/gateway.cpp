@@ -269,12 +269,22 @@ void Gateway::update_indexes(exec::CollectionRuntime& rt, const Document& d,
       return;
     }
     const auto& [field, slot] = steps[i];
-    std::unique_lock lock(slot->mutex);
-    const ScopedPerf perf(perf_, slot->tactic->descriptor().name, op);
-    if (is_insert) {
-      slot->tactic->on_insert(d.id, d.at(*field));
+    auto update = [&] {
+      const ScopedPerf perf(perf_, slot->tactic->descriptor().name, op);
+      if (is_insert) {
+        slot->tactic->on_insert(d.id, d.at(*field));
+      } else {
+        slot->tactic->on_delete(d.id, d.at(*field));
+      }
+    };
+    // A tactic whose updates read only setup-time keys shares its lock, so
+    // a slow update (a Paillier encryption) never queues writers or queries.
+    if (slot->tactic->descriptor().updates_read_fixed_keys) {
+      std::shared_lock lock(slot->mutex);
+      update();
     } else {
-      slot->tactic->on_delete(d.id, d.at(*field));
+      std::unique_lock lock(slot->mutex);
+      update();
     }
   });
 }
@@ -290,38 +300,38 @@ std::vector<Document> Gateway::resolve(const exec::CollectionRuntime& rt,
   // Entries live in the collection's epoch domain — any remove/update
   // bumps the epoch and drops the whole collection's cached documents.
   std::vector<std::optional<Bytes>> cached(cache_ != nullptr ? ids.size() : 0);
-  doc::Array missing;
+  std::vector<std::string_view> missing;
+  missing.reserve(ids.size());
   for (std::size_t i = 0; i < ids.size(); ++i) {
     if (cache_ != nullptr) cached[i] = cache_->get("doc/" + col + "/" + ids[i]);
-    if (cache_ == nullptr || !cached[i]) missing.emplace_back(ids[i]);
+    if (cache_ == nullptr || !cached[i]) missing.push_back(ids[i]);
   }
-  const bool fetch = !missing.empty();
-  doc::Object resp;
-  if (fetch) {
-    resp = wire::unpack(cloud_.call(
-        "doc.mget", wire::pack({{"col", Value(col)}, {"ids", Value(std::move(missing))}})));
-  }
-  const doc::Array none;
-  const doc::Array& found = fetch ? wire::get_arr(resp, "docs") : none;
 
   // The cloud returns only the ids that still exist, in request order, so
-  // one cursor walks the reply alongside the candidates: a miss whose id is
-  // not the next entry's vanished concurrently and is skipped.
+  // one cursor walks the candidates alongside the reply: cache hits are
+  // taken in place, and a miss whose id is not the next entry's vanished
+  // concurrently and is skipped. Each blob is opened from its view into
+  // the reply.
   out.reserve(ids.size());
+  auto hit = [&](std::size_t i) { return cache_ != nullptr && cached[i].has_value(); };
   std::size_t next = 0;
-  for (std::size_t i = 0; i < ids.size(); ++i) {
-    if (cache_ != nullptr && cached[i]) {
-      out.push_back(doc::decode_document(*cached[i]));
-      continue;
+  // Advances to the next miss for `until` (to the end when nullopt).
+  auto take_hits = [&](std::optional<std::string_view> until) {
+    for (; next < ids.size() && (hit(next) || ids[next] != until); ++next) {
+      if (hit(next)) out.push_back(doc::decode_document(*cached[next]));
     }
-    if (next == found.size()) continue;
-    const doc::Object& entry = found[next].as_object();
-    if (wire::get(entry, "id").as_string() != ids[i]) continue;
-    ++next;
-    Document d = rt.open_document(ids[i], wire::get(entry, "blob").as_binary());
-    if (cache_ != nullptr) cache_->put("doc/" + col + "/" + d.id, doc::encode_document(d), col);
-    out.push_back(std::move(d));
+  };
+  if (!missing.empty()) {
+    const Bytes reply = cloud_.call("doc.mget", wire::pack_mget(col, missing));
+    wire::for_each_doc(reply, [&](std::string_view id, BytesView blob) {
+      take_hits(id);
+      if (next == ids.size()) return;  // an entry no candidate asked for
+      Document d = rt.open_document(ids[next++], blob);
+      if (cache_ != nullptr) cache_->put("doc/" + col + "/" + d.id, doc::encode_document(d), col);
+      out.push_back(std::move(d));
+    });
   }
+  take_hits(std::nullopt);
   return out;
 }
 
@@ -655,12 +665,8 @@ std::vector<Document> Gateway::range_search(const std::string& collection,
       // (through the document cache when present) and verify apply the
       // range predicate after decryption.
       const ScopedPerf perf(perf_, kPostFilterTactic, op);
-      const Bytes reply =
-          cloud_.call("doc.list", wire::pack({{"col", Value(rt.schema.name())}}));
-      const doc::Object resp = wire::unpack(reply);
-      for (const auto& v : wire::get_arr(resp, "ids")) {
-        ids.push_back(v.as_string());
-      }
+      ids = wire::unpack_ids(
+          cloud_.call("doc.list", wire::pack({{"col", Value(rt.schema.name())}})));
     } else {
       std::shared_lock lock(slot->mutex);
       const ScopedPerf perf(perf_, slot->tactic->descriptor().name, op);

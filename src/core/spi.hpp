@@ -140,6 +140,10 @@ struct TacticDescriptor {
   /// True when equality predicates can be folded into this tactic's
   /// boolean queries (the paper's §5.1 selects only BIEX for [EQ, BL]).
   bool boolean_covers_equality = false;
+  /// True when on_insert/on_delete read only key material fixed at setup
+  /// and advance no gateway-side state, so the gateway runs them under the
+  /// tactic's shared lock: concurrently with each other and with queries.
+  bool updates_read_fixed_keys = false;
 };
 
 class PerfRegistry;

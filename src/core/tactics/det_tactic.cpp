@@ -36,6 +36,7 @@ const TacticDescriptor& DetTactic::static_descriptor() {
                           SpiInterface::kEqQuery,   SpiInterface::kSetup};
     t.challenge = "-";
     t.preference = 10;
+    t.updates_read_fixed_keys = true;
     // Calibration: one AES-SIV label (~10us) + round trip; equality hits
     // pay an mget share + AES-GCM open and decode (~6us) per matching
     // document.
@@ -89,10 +90,7 @@ std::vector<DocId> DetTactic::equality_search(const Value& value) {
       ctx_.cloud->call("det.search", wire::pack({{"col", Value(ctx_.collection)},
                                                  {"field", Value(ctx_.field)},
                                                  {"label", Value(label(value))}}));
-  const doc::Object obj = wire::unpack(reply);
-  std::vector<DocId> ids;
-  for (const auto& v : wire::get_arr(obj, "ids")) ids.push_back(v.as_string());
-  return ids;
+  return wire::unpack_ids(reply);
 }
 
 void register_det_tactic(TacticRegistry& r) {

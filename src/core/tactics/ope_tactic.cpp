@@ -83,10 +83,7 @@ std::vector<DocId> OpeTactic::range_search(const Value& lo, const Value& hi) {
                                                 {"field", Value(ctx_.field)},
                                                 {"lo", Value(score(lo))},
                                                 {"hi", Value(score(hi))}}));
-  const doc::Object obj = wire::unpack(reply);
-  std::vector<DocId> ids;
-  for (const auto& v : wire::get_arr(obj, "ids")) ids.push_back(v.as_string());
-  return ids;
+  return wire::unpack_ids(reply);
 }
 
 AggregateResult OpeTactic::aggregate(schema::Aggregate agg) {

@@ -68,10 +68,7 @@ std::vector<DocId> OreTactic::range_search(const Value& lo, const Value& hi) {
                                                 {"field", Value(ctx_.field)},
                                                 {"left_lo", Value(left_lo.serialize())},
                                                 {"left_hi", Value(left_hi.serialize())}}));
-  const doc::Object obj = wire::unpack(reply);
-  std::vector<DocId> ids;
-  for (const auto& v : wire::get_arr(obj, "ids")) ids.push_back(v.as_string());
-  return ids;
+  return wire::unpack_ids(reply);
 }
 
 void register_ore_tactic(TacticRegistry& r) {

@@ -36,6 +36,7 @@ const TacticDescriptor& PaillierTactic::static_descriptor() {
                           SpiInterface::kAggFunction};
     t.challenge = "Key management";
     t.preference = 10;
+    t.updates_read_fixed_keys = true;
     // Calibration (512-bit n, BENCH_crypto.json): an insert is one CRT
     // encryption (BM_PaillierEncryptCrt/512); a sum or average is the
     // cloud's O(1) running product plus one CRT decrypt at the gateway
@@ -52,45 +53,21 @@ const TacticDescriptor& PaillierTactic::static_descriptor() {
 
 void PaillierTactic::setup() {
   const std::string key_slot = "paillier-keys:" + ctx_.scope("paillier");
+  // The keypair is persisted sealed under a KMS-derived key, bound to its
+  // scope, like every other tactic's key material.
+  const std::string seal_scope = ctx_.scope("paillier-key");
+  const SecretBytes seal_key = ctx_.kms->derive(seal_scope, 32);
+  const Bytes aad = to_bytes(seal_scope);
   if (auto stored = ctx_.local_store->get(key_slot)) {
-    // Recover a previously generated keypair: n || lambda || mu [|| p || q],
-    // each length-prefixed. The factor fields are absent in blobs persisted
-    // before CRT decryption existed — those keys simply stay on the
-    // lambda/mu path.
-    std::size_t off = 0;
-    auto take = [&]() {
-      const std::size_t n = read_be32(BytesView(*stored).subspan(off));
-      off += 4;
-      BigInt v = BigInt::from_bytes(BytesView(*stored).subspan(off, n));
-      off += n;
-      return v;
-    };
-    phe::PaillierKeyPair kp;
-    kp.pub.n = take();
-    kp.pub.n_squared = kp.pub.n * kp.pub.n;
-    kp.priv.lambda = take();
-    kp.priv.mu = take();
-    if (off < stored->size()) {
-      kp.priv.p = take();
-      kp.priv.q = take();
-    }
-    kp.priv.pub = kp.pub;
-    keys_ = std::move(kp);
+    bool legacy = false;
+    keys_ = phe::open_keypair(*stored, seal_key, aad, &legacy);
+    // A plaintext blob from before sealing is replaced by the sealed form.
+    if (legacy) ctx_.local_store->set(key_slot, phe::seal_keypair(*keys_, seal_key, aad));
+    secure_wipe(*stored);
   } else {
     const int bits = ctx_.param_int("paillier_modulus_bits", 512);
     keys_ = phe::paillier_generate(static_cast<std::size_t>(bits));
-    Bytes blob;
-    auto put = [&](const BigInt& v) {
-      const Bytes b = v.to_bytes();
-      append(blob, be32(static_cast<std::uint32_t>(b.size())));
-      append(blob, b);
-    };
-    put(keys_->pub.n);
-    put(keys_->priv.lambda);
-    put(keys_->priv.mu);
-    put(keys_->priv.p);
-    put(keys_->priv.q);
-    ctx_.local_store->set(key_slot, std::move(blob));
+    ctx_.local_store->set(key_slot, phe::seal_keypair(*keys_, seal_key, aad));
   }
   // Montgomery contexts, the CRT residue system when p/q are known, and an
   // optional randomizer pool ("paillier_pool" = pool low-water mark, 0
@@ -122,18 +99,15 @@ void PaillierTactic::setup() {
 void PaillierTactic::on_insert(const DocId& id, const Value& value) {
   const auto fixed = static_cast<std::int64_t>(
       std::llround(value.as_double() * static_cast<double>(kFixedPointScale)));
-  // The tactic's exclusive slot lock serializes on_insert, so nothing else
-  // takes from this pool between the two reads of hits().
-  const auto& pool = keys_->priv.pub.pool;
-  const std::uint64_t hits_before = pool ? pool->hits() : 0;
-  const BigInt ct = keys_->priv.encrypt_i64(fixed);
+  bool pooled = false;
+  const BigInt ct = keys_->priv.encrypt_i64(fixed, &pooled);
   if (ctx_.perf) {
     ctx_.perf->incr("core.crypto.paillier.encrypt");
-    if (pool) {
+    if (keys_->priv.pub.pool) {
       // One event per encrypt: hit-rate = hits / (hits + misses), summed
       // over every Paillier field.
-      ctx_.perf->incr(pool->hits() > hits_before ? "core.crypto.paillier.pool.hit"
-                                                 : "core.crypto.paillier.pool.miss");
+      ctx_.perf->incr(pooled ? "core.crypto.paillier.pool.hit"
+                             : "core.crypto.paillier.pool.miss");
     }
   }
   ctx_.cloud->call("agg.insert", wire::pack({{"scope", Value(ctx_.scope("paillier"))},

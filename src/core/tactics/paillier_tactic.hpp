@@ -2,7 +2,8 @@
 // homomorphic ciphertexts (Table 2 rows "Sum" and "Average": 3 gateway /
 // 3 cloud interfaces, challenge = key management). Values are fixed-point
 // encoded (x100) before encryption; the private key never leaves the
-// gateway (persisted in the gateway's local KvStore).
+// gateway (persisted in the gateway's local KvStore, sealed with AES-GCM
+// under a KMS-derived key).
 #pragma once
 
 #include <optional>
@@ -23,7 +24,9 @@ class PaillierTactic final : public FieldTactic {
 
   /// Loads (or generates; param "paillier_modulus_bits", default 512 for
   /// simulation — use >= 2048 in production) the keypair and ships the
-  /// public key to the cloud.
+  /// public key to the cloud. A sealed key that fails to open (another KMS
+  /// master key) throws Error(kCryptoFailure); a legacy plaintext blob
+  /// loads and is persisted again sealed.
   void setup() override;
   void on_insert(const DocId& id, const doc::Value& value) override;
   void on_delete(const DocId& id, const doc::Value& value) override;

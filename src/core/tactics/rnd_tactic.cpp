@@ -26,6 +26,7 @@ const TacticDescriptor& RndTactic::static_descriptor() {
                           SpiInterface::kEqQuery, SpiInterface::kSetup};
     t.challenge = "Inefficiency";
     t.preference = 10;
+    t.updates_read_fixed_keys = true;
     // RND's equality IS the retrieve-and-post-filter shape: every document
     // travels and is AEAD-opened and decoded at the gateway (~6us each with
     // its mget share), then predicate-checked.
@@ -48,10 +49,7 @@ void RndTactic::on_delete(const DocId&, const Value&) {}
 std::vector<DocId> RndTactic::equality_search(const Value&) {
   const Bytes reply =
       ctx_.cloud->call("doc.list", wire::pack({{"col", Value(ctx_.collection)}}));
-  const doc::Object obj = wire::unpack(reply);
-  std::vector<DocId> ids;
-  for (const auto& v : wire::get_arr(obj, "ids")) ids.push_back(v.as_string());
-  return ids;
+  return wire::unpack_ids(reply);
 }
 
 void register_rnd_tactic(TacticRegistry& r) {

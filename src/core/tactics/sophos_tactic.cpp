@@ -73,10 +73,7 @@ std::vector<DocId> SophosTactic::equality_search(const Value& value) {
                   {"kw_token", Value(token->kw_token)},
                   {"st", Value(token->st_current)},
                   {"count", Value(static_cast<std::int64_t>(token->count))}}));
-  const doc::Object obj = wire::unpack(reply);
-  std::vector<DocId> ids;
-  for (const auto& v : wire::get_arr(obj, "ids")) ids.push_back(v.as_string());
-  return ids;
+  return wire::unpack_ids(reply);
 }
 
 void register_sophos_tactic(TacticRegistry& r) {

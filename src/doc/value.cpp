@@ -1,9 +1,83 @@
 #include "doc/value.hpp"
 
+#include <algorithm>
+#include <stdexcept>
+
 #include "common/hex.hpp"
 #include "common/status.hpp"
 
 namespace datablinder::doc {
+
+namespace {
+bool name_less(const Object::value_type& member, std::string_view name) {
+  return member.first < name;
+}
+}  // namespace
+
+Object::Object(std::initializer_list<value_type> members) : items_(members) {
+  std::stable_sort(items_.begin(), items_.end(),
+                   [](const value_type& a, const value_type& b) { return a.first < b.first; });
+  items_.erase(std::unique(items_.begin(), items_.end(),
+                           [](const value_type& a, const value_type& b) {
+                             return a.first == b.first;
+                           }),
+               items_.end());
+}
+
+Object::iterator Object::lower_bound(std::string_view name) {
+  return std::lower_bound(items_.begin(), items_.end(), name, name_less);
+}
+
+Object::iterator Object::find(std::string_view name) {
+  auto it = lower_bound(name);
+  return it != items_.end() && it->first == name ? it : items_.end();
+}
+
+Object::const_iterator Object::find(std::string_view name) const {
+  auto it = std::lower_bound(items_.begin(), items_.end(), name, name_less);
+  return it != items_.end() && it->first == name ? it : items_.end();
+}
+
+Value& Object::at(std::string_view name) {
+  auto it = find(name);
+  if (it == items_.end()) throw std::out_of_range("doc::Object::at: no such key");
+  return it->second;
+}
+
+const Value& Object::at(std::string_view name) const {
+  auto it = find(name);
+  if (it == items_.end()) throw std::out_of_range("doc::Object::at: no such key");
+  return it->second;
+}
+
+Value& Object::operator[](std::string_view name) {
+  auto it = lower_bound(name);
+  if (it == items_.end() || it->first != name) {
+    it = items_.emplace(it, std::string(name), Value());
+  }
+  return it->second;
+}
+
+std::pair<Object::iterator, bool> Object::emplace(std::string name, Value value) {
+  auto it = lower_bound(name);
+  if (it != items_.end() && it->first == name) return {it, false};
+  return {items_.emplace(it, std::move(name), std::move(value)), true};
+}
+
+void Object::append_or_assign(std::string name, Value value) {
+  if (items_.empty() || items_.back().first < name) {
+    items_.emplace_back(std::move(name), std::move(value));
+  } else {
+    (*this)[name] = std::move(value);
+  }
+}
+
+Object::size_type Object::erase(std::string_view name) {
+  auto it = find(name);
+  if (it == items_.end()) return 0;
+  items_.erase(it);
+  return 1;
+}
 
 ValueType Value::type() const noexcept {
   return static_cast<ValueType>(data_.index());
@@ -126,10 +200,10 @@ std::string Value::to_display() const {
   return "?";
 }
 
-const Value& Document::at(const std::string& field) const {
+const Value& Document::at(std::string_view field) const {
   auto it = fields.find(field);
   if (it == fields.end()) {
-    throw_error(ErrorCode::kNotFound, "Document: missing field '" + field + "'");
+    throw_error(ErrorCode::kNotFound, "Document: missing field '" + std::string(field) + "'");
   }
   return it->second;
 }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <deque>
+#include <unordered_map>
 
 #include "common/status.hpp"
 #include "doc/binary_codec.hpp"
@@ -95,8 +96,10 @@ ShardRouter::ShardRouter(std::vector<ReplicaGroup*> shards)
   }
 }
 
-std::string ShardRouter::doc_key(const std::string& col, const std::string& id) {
-  return "doc/" + col + "/" + id;
+std::string ShardRouter::doc_key(std::string_view col, std::string_view id) {
+  std::string key = "doc/";
+  key.append(col).append("/").append(id);
+  return key;
 }
 
 std::size_t ShardRouter::shard_of_doc(const std::string& col,
@@ -198,14 +201,13 @@ std::size_t ShardRouter::single_shard_of(const std::string& method,
 // --- scatter / merge --------------------------------------------------------
 
 Bytes ShardRouter::scatter_mget(const std::string& method, const Bytes& payload) {
-  const doc::Object obj = unpack(payload);
-  const std::string col = get_str(obj, "col");
-  const doc::Array& ids = get_arr(obj, "ids");
+  const doc::wire::MgetRequest req = doc::wire::unpack_mget(payload);
+  const std::vector<std::string_view>& ids = req.ids;
 
   std::vector<std::size_t> owner(ids.size());
-  std::vector<doc::Array> per_shard(shards_.size());
+  std::vector<std::vector<std::string_view>> per_shard(shards_.size());
   for (std::size_t i = 0; i < ids.size(); ++i) {
-    owner[i] = ring_.shard_of(doc_key(col, ids[i].as_string()));
+    owner[i] = ring_.shard_of(doc_key(req.col, ids[i]));
     per_shard[owner[i]].push_back(ids[i]);
   }
 
@@ -213,35 +215,28 @@ Bytes ShardRouter::scatter_mget(const std::string& method, const Bytes& payload)
   std::vector<std::size_t> call_shard_index;
   for (std::size_t s = 0; s < per_shard.size(); ++s) {
     if (per_shard[s].empty()) continue;
-    calls.emplace_back(
-        s, sub_request(method, pack({{"col", Value(col)},
-                                     {"ids", Value(std::move(per_shard[s]))}})));
+    calls.emplace_back(s, sub_request(method, doc::wire::pack_mget(req.col, per_shard[s])));
     call_shard_index.push_back(s);
   }
   const std::vector<Bytes> replies = fan_out(method, calls);
 
-  // Per-shard id -> blob; the merged response preserves the original id
-  // order and skips vanished ids, exactly like a single node's doc.mget.
-  std::vector<std::map<std::string, Value>> found(shards_.size());
+  // Per-shard id -> blob view into that shard's reply; the merged response
+  // preserves the original id order and skips vanished ids, exactly like a
+  // single node's doc.mget.
+  std::vector<std::unordered_map<std::string_view, BytesView>> found(shards_.size());
   for (std::size_t k = 0; k < replies.size(); ++k) {
-    const doc::Object resp = unpack(replies[k]);
-    for (const auto& entry : get_arr(resp, "docs")) {
-      const doc::Object& e = entry.as_object();
-      found[call_shard_index[k]][get_str(e, "id")] = get(e, "blob");
-    }
+    auto& shard_found = found[call_shard_index[k]];
+    doc::wire::for_each_doc(replies[k], [&](std::string_view id, BytesView blob) {
+      shard_found[id] = blob;
+    });
   }
-  doc::Array out;
-  out.reserve(ids.size());
+  doc::wire::DocsWriter out(ids.size());
   for (std::size_t i = 0; i < ids.size(); ++i) {
     const auto& shard_found = found[owner[i]];
-    auto it = shard_found.find(ids[i].as_string());
-    if (it == shard_found.end()) continue;
-    doc::Object entry;
-    entry["id"] = ids[i];
-    entry["blob"] = it->second;
-    out.emplace_back(std::move(entry));
+    auto it = shard_found.find(ids[i]);
+    if (it != shard_found.end()) out.add(ids[i], it->second);
   }
-  return pack({{"docs", Value(std::move(out))}});
+  return out.finish();
 }
 
 Bytes ShardRouter::scatter_mitra_search(const std::string& method,
@@ -320,12 +315,11 @@ Bytes ShardRouter::broadcast(const std::string& method, const Bytes& wire) {
   const std::vector<Bytes> replies = fan_out(method, calls);
 
   if (method == "doc.list") {
-    doc::Array ids;
+    doc::wire::IdsWriter ids;
     for (const auto& reply : replies) {
-      const doc::Object resp = unpack(reply);
-      for (const auto& id : get_arr(resp, "ids")) ids.push_back(id);
+      for (const auto& id : doc::wire::unpack_ids(reply)) ids.add(id);
     }
-    return pack({{"ids", Value(std::move(ids))}});
+    return ids.finish();
   }
   if (method == "plain.find_eq" || method == "plain.find_range" ||
       method == "plain.find_bool") {

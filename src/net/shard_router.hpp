@@ -94,7 +94,7 @@ class ShardRouter final : public Backend {
   /// Ring key and owning shard of a document. Placement is decided only
   /// here (doc.mget scatters inside the router); callers outside the
   /// router use these to observe it.
-  static std::string doc_key(const std::string& col, const std::string& id);
+  static std::string doc_key(std::string_view col, std::string_view id);
   std::size_t shard_of_doc(const std::string& col, const std::string& id) const;
 
   /// Binds `counters` on the router and every shard group. Group series

@@ -1,7 +1,10 @@
 #include "phe/paillier.hpp"
 
+#include <optional>
+
 #include "bigint/prime.hpp"
 #include "common/status.hpp"
+#include "crypto/gcm.hpp"
 
 namespace datablinder::phe {
 
@@ -31,13 +34,15 @@ PaillierRandomizerPool::~PaillierRandomizerPool() {
   shutdown_ = true;
 }
 
-BigInt PaillierRandomizerPool::take() {
+BigInt PaillierRandomizerPool::take(bool* hit) {
+  if (hit != nullptr) *hit = false;
   {
     std::lock_guard<std::mutex> lk(mutex_);
     if (!pool_.empty()) {
       BigInt out = std::move(pool_.front());
       pool_.pop_front();
       hits_.fetch_add(1, std::memory_order_relaxed);
+      if (hit != nullptr) *hit = true;
       if (pool_.size() < low_water_ && !refilling_ && !shutdown_) {
         refilling_ = true;
         refill_pool_.submit([this] { refill_worker(high_water_); });
@@ -217,12 +222,15 @@ void PaillierPrivateKey::init_fast_paths(std::size_t pool_low_water) {
   }
 }
 
-BigInt PaillierPrivateKey::encrypt(const BigInt& m) const {
-  if (!crt_) return pub.encrypt(m);
-  return pub.with_factor(m, pub.pool ? pub.pool->take() : crt_->fresh_factor());
+BigInt PaillierPrivateKey::encrypt(const BigInt& m, bool* pooled) const {
+  if (pooled != nullptr) *pooled = false;
+  if (pub.pool) return pub.with_factor(m, pub.pool->take(pooled));
+  return crt_ ? pub.with_factor(m, crt_->fresh_factor()) : pub.encrypt(m);
 }
 
-BigInt PaillierPrivateKey::encrypt_i64(std::int64_t m) const { return encrypt(BigInt(m)); }
+BigInt PaillierPrivateKey::encrypt_i64(std::int64_t m, bool* pooled) const {
+  return encrypt(BigInt(m), pooled);
+}
 
 BigInt PaillierPrivateKey::encrypt_with(const BigInt& m, const BigInt& r) const {
   if (!crt_) return pub.encrypt_with(m, r);
@@ -280,6 +288,64 @@ PaillierKeyPair paillier_generate(std::size_t modulus_bits) {
   kp.priv.pub = kp.pub;
   kp.priv.init_fast_paths();
   kp.pub = kp.priv.pub;
+  return kp;
+}
+
+// ---------------------------------------------------------------------------
+// Persisted key pairs
+// ---------------------------------------------------------------------------
+
+namespace {
+// Legacy plaintext blobs start with the 4-byte length of n, whose top byte
+// is 0, so they never read as a version.
+constexpr std::uint8_t kSealedKeyV1 = 1;
+
+PaillierKeyPair parse_keypair(BytesView blob) {
+  std::size_t off = 0;
+  auto take = [&]() {
+    if (blob.size() - off < 4) throw_error(ErrorCode::kCryptoFailure, "Paillier: bad key blob");
+    const std::size_t n = read_be32(blob.subspan(off));
+    off += 4;
+    if (blob.size() - off < n) throw_error(ErrorCode::kCryptoFailure, "Paillier: bad key blob");
+    BigInt v = BigInt::from_bytes(blob.subspan(off, n));
+    off += n;
+    return v;
+  };
+  PaillierKeyPair kp;
+  kp.pub.n = take();
+  kp.pub.n_squared = kp.pub.n * kp.pub.n;
+  kp.priv.lambda = take();
+  kp.priv.mu = take();
+  if (off < blob.size()) {
+    kp.priv.p = take();
+    kp.priv.q = take();
+  }
+  kp.priv.pub = kp.pub;
+  return kp;
+}
+}  // namespace
+
+Bytes seal_keypair(const PaillierKeyPair& kp, const SecretBytes& key, BytesView aad) {
+  Bytes plain;
+  for (const BigInt* v : {&kp.pub.n, &kp.priv.lambda, &kp.priv.mu, &kp.priv.p, &kp.priv.q}) {
+    const Bytes b = v->to_bytes();
+    append(plain, be32(static_cast<std::uint32_t>(b.size())));
+    append(plain, b);
+  }
+  Bytes blob{kSealedKeyV1};
+  append(blob, crypto::AesGcm(key).seal_random_nonce(plain, aad));
+  secure_wipe(plain);
+  return blob;
+}
+
+PaillierKeyPair open_keypair(BytesView blob, const SecretBytes& key, BytesView aad,
+                             bool* legacy) {
+  *legacy = blob.empty() || blob[0] != kSealedKeyV1;
+  if (*legacy) return parse_keypair(blob);
+  std::optional<Bytes> plain = crypto::AesGcm(key).open_with_nonce(blob.subspan(1), aad);
+  if (!plain) throw_error(ErrorCode::kCryptoFailure, "Paillier: key blob failed authentication");
+  PaillierKeyPair kp = parse_keypair(*plain);
+  secure_wipe(*plain);
   return kp;
 }
 

@@ -33,6 +33,7 @@
 
 #include "bigint/bigint.hpp"
 #include "bigint/montgomery.hpp"
+#include "common/secret.hpp"
 #include "common/worker_pool.hpp"
 
 namespace datablinder::phe {
@@ -120,8 +121,10 @@ struct PaillierPrivateKey {
 
   /// Encrypts like pub.encrypt, drawing from pub.pool when attached and
   /// otherwise computing r^n by CRT (the public path without p and q).
-  BigInt encrypt(const BigInt& m) const;
-  BigInt encrypt_i64(std::int64_t m) const;
+  /// When `pooled` is given, it reports whether the factor came from the
+  /// pool — per call, so concurrent encryptions count correctly.
+  BigInt encrypt(const BigInt& m, bool* pooled = nullptr) const;
+  BigInt encrypt_i64(std::int64_t m, bool* pooled = nullptr) const;
 
   /// Enc(m; r) for a caller-chosen r, by CRT: byte-identical to
   /// pub.encrypt_with(m, r). Throws Error(kInvalidArgument) unless
@@ -166,8 +169,9 @@ class PaillierRandomizerPool {
   PaillierRandomizerPool(const PaillierRandomizerPool&) = delete;
   PaillierRandomizerPool& operator=(const PaillierRandomizerPool&) = delete;
 
-  /// Pops a precomputed factor, or computes one inline on a dry pool.
-  BigInt take();
+  /// Pops a precomputed factor, or computes one inline on a dry pool;
+  /// `hit` (when given) reports which.
+  BigInt take(bool* hit = nullptr);
 
   /// Synchronously fills the pool up to `count` entries (setup-time call).
   void prefill(std::size_t count);
@@ -199,5 +203,18 @@ class PaillierRandomizerPool {
 /// Real deployments use >= 2048; tests and benches may use smaller moduli —
 /// the homomorphic structure (what the evaluation measures) is identical.
 PaillierKeyPair paillier_generate(std::size_t modulus_bits);
+
+/// The persisted form of a key pair: a version byte, then n, lambda, mu, p
+/// and q (each length-prefixed) sealed with AES-GCM under `key`, with `aad`
+/// bound (a random nonce leads the ciphertext).
+Bytes seal_keypair(const PaillierKeyPair& kp, const SecretBytes& key, BytesView aad);
+
+/// Opens a seal_keypair blob. A legacy plaintext blob (n, lambda, mu and,
+/// since CRT decryption, p and q) loads too, and sets `*legacy`; without p
+/// and q the key stays on the lambda/mu path. Throws Error(kCryptoFailure)
+/// when the blob fails authentication or is malformed. Fast paths are not
+/// initialized.
+PaillierKeyPair open_keypair(BytesView blob, const SecretBytes& key, BytesView aad,
+                             bool* legacy);
 
 }  // namespace datablinder::phe

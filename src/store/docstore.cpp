@@ -187,15 +187,13 @@ std::optional<Document> Collection::get(const std::string& id) const {
   return it->second;
 }
 
-std::vector<Document> Collection::get_many(const std::vector<std::string>& ids) const {
+void Collection::visit_many(const std::vector<std::string_view>& ids,
+                            const std::function<void(const Document&)>& visit) const {
   std::lock_guard lock(mutex_);
-  std::vector<Document> out;
-  out.reserve(ids.size());
-  for (const auto& id : ids) {
+  for (const std::string_view id : ids) {
     auto it = docs_.find(id);
-    if (it != docs_.end()) out.push_back(it->second);
+    if (it != docs_.end()) visit(it->second);
   }
-  return out;
 }
 
 bool Collection::erase(const std::string& id) {

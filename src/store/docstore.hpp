@@ -9,11 +9,13 @@
 #pragma once
 
 #include <functional>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <set>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -62,11 +64,12 @@ class Collection {
 
   std::optional<doc::Document> get(const std::string& id) const;
 
-  /// Batched lookup: the documents that exist among `ids`, in request
-  /// order; missing ids are skipped. One lock acquisition for the whole
-  /// batch (the substrate of the gateway's single-round-trip candidate
-  /// retrieval).
-  std::vector<doc::Document> get_many(const std::vector<std::string>& ids) const;
+  /// Batched lookup: visits the documents that exist among `ids`, in
+  /// request order, under one lock acquisition; missing ids are skipped.
+  /// The visitor reads each stored document in place (the substrate of the
+  /// cloud's single-round-trip doc.mget).
+  void visit_many(const std::vector<std::string_view>& ids,
+                  const std::function<void(const doc::Document&)>& visit) const;
 
   bool erase(const std::string& id);
   std::size_t size() const;
@@ -98,7 +101,14 @@ class Collection {
 
   mutable std::mutex mutex_;
   std::string name_;
-  std::unordered_map<std::string, doc::Document> docs_;
+  // Transparent hashing: visit_many looks ids up by view, with no copy.
+  struct IdHash {
+    using is_transparent = void;
+    std::size_t operator()(std::string_view id) const noexcept {
+      return std::hash<std::string_view>{}(id);
+    }
+  };
+  std::unordered_map<std::string, doc::Document, IdHash, std::equal_to<>> docs_;
   // field -> ordered index (key bytes -> ids)
   std::unordered_map<std::string, std::map<Bytes, std::set<std::string>>> indexes_;
 };

@@ -204,11 +204,12 @@ bool KvStore::srem(const std::string& key, const std::string& member) {
   return it->second.erase(member) > 0;
 }
 
-std::set<std::string> KvStore::smembers(const std::string& key) const {
+void KvStore::visit_members(const std::string& key,
+                            const std::function<void(const std::string&)>& visit) const {
   std::lock_guard lock(mutex_);
   auto it = sets_.find(key);
-  if (it == sets_.end()) return {};
-  return it->second;
+  if (it == sets_.end()) return;
+  for (const auto& member : it->second) visit(member);
 }
 
 std::size_t KvStore::scard(const std::string& key) const {

@@ -11,6 +11,7 @@
 #pragma once
 
 #include <cstdio>
+#include <functional>
 #include <map>
 #include <mutex>
 #include <optional>
@@ -52,7 +53,10 @@ class KvStore {
   // --- sets ----------------------------------------------------------------
   void sadd(const std::string& key, const std::string& member);
   bool srem(const std::string& key, const std::string& member);
-  std::set<std::string> smembers(const std::string& key) const;
+  /// Visits the set's members in order under the store's lock (nothing for
+  /// an absent key), so a reply can be written from them without a copy.
+  void visit_members(const std::string& key,
+                     const std::function<void(const std::string&)>& visit) const;
   std::size_t scard(const std::string& key) const;
 
   // --- ordered maps (score -> members), for range indexes -----------------

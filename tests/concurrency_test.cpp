@@ -195,21 +195,20 @@ struct Rendezvous {
 
 class RendezvousTactic : public core::FieldTactic {
  public:
-  explicit RendezvousTactic(std::shared_ptr<Rendezvous> rv) : rv_(std::move(rv)) {}
+  RendezvousTactic(std::shared_ptr<Rendezvous> rv, bool shared_updates)
+      : rv_(std::move(rv)), descriptor_(static_descriptor(shared_updates)) {}
 
-  static core::TacticDescriptor static_descriptor() {
+  static core::TacticDescriptor static_descriptor(bool shared_updates) {
     core::TacticDescriptor d;
     d.name = "Rendezvous";
     d.protection_class = schema::ProtectionClass::kClass5;
     d.serves_operations = {schema::Operation::kInsert, schema::Operation::kEquality};
     d.preference = 1000;  // outbid DET on the C5 equality tie
+    d.updates_read_fixed_keys = shared_updates;
     return d;
   }
 
-  const core::TacticDescriptor& descriptor() const override {
-    static const core::TacticDescriptor d = static_descriptor();
-    return d;
-  }
+  const core::TacticDescriptor& descriptor() const override { return descriptor_; }
   void setup() override {}
   void on_insert(const core::DocId&, const doc::Value&) override { rv_->meet(); }
   void on_delete(const core::DocId&, const doc::Value&) override {}
@@ -217,15 +216,16 @@ class RendezvousTactic : public core::FieldTactic {
 
  private:
   std::shared_ptr<Rendezvous> rv_;
+  core::TacticDescriptor descriptor_;
 };
 
 struct RendezvousRig {
-  RendezvousRig() : rpc(cloud.rpc(), channel) {
+  explicit RendezvousRig(bool shared_updates = false) : rpc(cloud.rpc(), channel) {
     core::register_builtin_tactics(registry);
     registry.register_field_tactic(
-        RendezvousTactic::static_descriptor(),
-        [rv = rendezvous](const core::GatewayContext&) {
-          return std::make_unique<RendezvousTactic>(rv);
+        RendezvousTactic::static_descriptor(shared_updates),
+        [rv = rendezvous, shared_updates](const core::GatewayContext&) {
+          return std::make_unique<RendezvousTactic>(rv, shared_updates);
         });
   }
 
@@ -313,6 +313,87 @@ TEST(IndexFanOutTest, DistinctCollectionWritersRunInParallel) {
 
   EXPECT_FALSE(rig.rendezvous->timed_out.load());
   EXPECT_EQ(rig.rendezvous->arrivals.load(), 2);
+}
+
+TEST(IndexFanOutTest, FixedKeyUpdatesOfOneFieldRunInParallel) {
+  // A tactic whose updates read only setup-time keys (DET, RND, Paillier)
+  // takes its slot lock shared: two writers of the SAME field meet inside
+  // on_insert instead of queuing behind each other.
+  RendezvousRig rig(/*shared_updates=*/true);
+  core::Gateway gw(rig.rpc, rig.kms, rig.local, rig.registry, {});
+  gw.register_schema(rig.schema_with("c", {"a"}));
+
+  std::thread t1([&] {
+    Document d;
+    d.set("a", Value("x"));
+    gw.insert("c", d);
+  });
+  std::thread t2([&] {
+    Document d;
+    d.set("a", Value("y"));
+    gw.insert("c", d);
+  });
+  t1.join();
+  t2.join();
+
+  EXPECT_FALSE(rig.rendezvous->timed_out.load());
+  EXPECT_EQ(rig.rendezvous->arrivals.load(), 2);
+}
+
+TEST(ConcurrencyTest, PaillierInsertsAndAveragesShareOneField) {
+  // Paillier inserts run under the field's shared lock, concurrently with
+  // each other and with averages; the cloud's running sum must still cover
+  // every inserted value exactly.
+  core::CloudNode cloud;
+  net::Channel channel;
+  net::RpcClient rpc(cloud.rpc(), channel);
+  kms::KeyManager kms;
+  store::KvStore local;
+  core::TacticRegistry registry;
+  core::register_builtin_tactics(registry);
+  core::Gateway gateway(rpc, kms, local, registry,
+                        core::GatewayConfig{{{"paillier_modulus_bits", "256"}}});
+  gateway.register_schema(fhir::benchmark_schema("obs"));
+  ASSERT_EQ(gateway.plan("obs").fields.at("value").agg_tactic, "Paillier");
+
+  constexpr int kWriters = 4;
+  constexpr int kDocsPerWriter = 20;
+  std::atomic<int> failures{0};
+  std::atomic<bool> writing{true};
+  std::vector<std::thread> threads;
+  for (int w = 0; w < kWriters; ++w) {
+    threads.emplace_back([&, w] {
+      try {
+        fhir::ObservationGenerator gen(2000 + w);
+        for (int i = 0; i < kDocsPerWriter; ++i) {
+          Document d = gen.next();
+          d.set("value", Value(static_cast<double>(w * 100 + i) / 4.0));
+          gateway.insert("obs", d);
+        }
+      } catch (...) {
+        ++failures;
+      }
+    });
+  }
+  std::thread averager([&] {
+    try {
+      while (writing.load()) gateway.aggregate("obs", "value", schema::Aggregate::kAverage);
+    } catch (...) {
+      ++failures;
+    }
+  });
+  for (auto& t : threads) t.join();
+  writing = false;
+  averager.join();
+  EXPECT_EQ(failures.load(), 0);
+
+  double want = 0.0;
+  for (int w = 0; w < kWriters; ++w) {
+    for (int i = 0; i < kDocsPerWriter; ++i) want += static_cast<double>(w * 100 + i) / 4.0;
+  }
+  const auto sum = gateway.aggregate("obs", "value", schema::Aggregate::kSum);
+  EXPECT_EQ(sum.count, static_cast<std::uint64_t>(kWriters * kDocsPerWriter));
+  EXPECT_NEAR(sum.value, want, 1e-6);
 }
 
 TEST(ConcurrencyTest, ChannelConfigMutationRacesTransfers) {

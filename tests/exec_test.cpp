@@ -28,16 +28,21 @@ TEST(MultiGetTest, ReturnsPartialResultsInRequestOrder) {
     d.set("n", Value(std::int64_t{i}));
     col.put(std::move(d));
   }
-  const auto found = col.get_many({"id2", "missing-a", "id0", "missing-b", "id1"});
+  std::vector<Document> found;
+  col.visit_many({"id2", "missing-a", "id0", "missing-b", "id1"},
+                 [&](const Document& d) { found.push_back(d); });
   ASSERT_EQ(found.size(), 3u);
   EXPECT_EQ(found[0].id, "id2");
   EXPECT_EQ(found[1].id, "id0");
   EXPECT_EQ(found[2].id, "id1");
+  EXPECT_EQ(found[0].at("n").as_int(), 2);
 }
 
 TEST(MultiGetTest, EmptyRequestReturnsEmpty) {
   store::Collection col("c");
-  EXPECT_TRUE(col.get_many({}).empty());
+  bool visited = false;
+  col.visit_many({}, [&](const Document&) { visited = true; });
+  EXPECT_FALSE(visited);
 }
 
 // --- wire-level doc.mget ------------------------------------------------------

@@ -9,6 +9,7 @@
 #include "core/cloud_node.hpp"
 #include "doc/binary_codec.hpp"
 #include "doc/json.hpp"
+#include "doc/wire.hpp"
 #include "net/message.hpp"
 #include "net/rpc.hpp"
 #include "ppe/ore.hpp"
@@ -65,6 +66,31 @@ TEST(FuzzTest, DocumentCodecNeverCrashes) {
   d.set("f", doc::Value("v"));
   const Bytes valid = doc::encode_document(d);
   fuzz_decoder(valid, [](BytesView b) { doc::decode_document(b); });
+}
+
+TEST(FuzzTest, WireReaderNeverCrashes) {
+  // The streaming readers hand out views into the buffer they parse; every
+  // bounds check sits in wire::Reader.
+  doc::wire::DocsWriter docs(2);
+  docs.add("doc-1", Bytes{1, 2, 3});
+  docs.add("doc-2", Bytes(40, 7));
+  fuzz_decoder(docs.finish(), [](BytesView b) {
+    std::size_t total = 0;
+    doc::wire::for_each_doc(b, [&](std::string_view id, BytesView blob) {
+      total += id.size() + blob.size();
+    });
+  });
+  fuzz_decoder(doc::wire::pack_ids(std::vector<std::string>{"a", "bb", "ccc"}),
+               [](BytesView b) { doc::wire::unpack_ids(b); });
+  fuzz_decoder(doc::wire::pack_mget("obs", std::vector<std::string>{"a", "bb"}),
+               [](BytesView b) { doc::wire::unpack_mget(b); });
+  fuzz_decoder(doc::encode_value(doc::Value(doc::Array{doc::Value(doc::Object{
+                   {"k", doc::Value(doc::Array{doc::Value(1.5), doc::Value(nullptr)})}})})),
+               [](BytesView b) {
+                 doc::wire::Reader r(b);
+                 r.skip();
+                 r.expect_end();
+               });
 }
 
 TEST(FuzzTest, WireMessagesNeverCrash) {
@@ -125,12 +151,12 @@ TEST(FuzzTest, CloudRpcSurfaceSurvivesGarbage) {
   net::Channel channel;
   net::RpcClient rpc(cloud.rpc(), channel);
   DetRng rng(31337);
-  const char* methods[] = {"doc.put",     "doc.get",      "det.insert",
+  const char* methods[] = {"doc.put",     "doc.get",      "doc.mget",     "det.insert",
                            "det.search",  "ope.insert",   "ope.range",
                            "ore.insert",  "ore.range",    "mitra.update",
                            "mitra.search", "sophos.update", "iex.search",
                            "zmf.update",  "agg.sum",      "plain.find_eq",
-                           "rpc.batch",   "admin.storage"};
+                           "rpc.batch",   "admin.storage", "doc.list"};
   for (const char* method : methods) {
     for (int i = 0; i < 60; ++i) {
       try {

@@ -1,16 +1,24 @@
 // PerfRegistry tests — the Fig. 1 performance-metrics reification and its
 // integration in the gateway's dispatch paths.
 #include <gtest/gtest.h>
+#include <unistd.h>
+
+#include <cstdio>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
 
 #include "core/cloud_node.hpp"
 #include "core/gateway.hpp"
 #include "core/metrics.hpp"
 #include "core/tactics/builtin.hpp"
 #include "fhir/observation.hpp"
+#include "phe/paillier.hpp"
 
 namespace datablinder::core {
 namespace {
 
+using bigint::BigInt;
 using doc::Document;
 using doc::Value;
 
@@ -207,6 +215,29 @@ TEST(GatewayMetricsTest, PaillierPoolCountsEveryEncryptOfEveryField) {
             2 * kInserts);
 }
 
+schema::Schema vitals_schema() {
+  schema::Schema s("vitals");
+  schema::FieldAnnotation ann;
+  ann.type = schema::FieldType::kDouble;
+  ann.sensitive = true;
+  ann.protection = schema::ProtectionClass::kClass1;
+  ann.operations = {schema::Operation::kInsert};
+  ann.aggregates = {schema::Aggregate::kSum};
+  s.field("systolic", ann);
+  return s;
+}
+
+constexpr const char* kVitalsKeySlot = "paillier-keys:paillier/vitals/systolic";
+constexpr const char* kVitalsSealScope = "paillier-key/vitals/systolic";
+
+phe::PaillierKeyPair open_vitals_key(const store::KvStore& local, kms::KeyManager& kms,
+                                     bool* legacy) {
+  const std::optional<Bytes> blob = local.get(kVitalsKeySlot);
+  if (!blob) throw_error(ErrorCode::kNotFound, "no persisted key");
+  return phe::open_keypair(*blob, kms.derive(kVitalsSealScope, 32),
+                           to_bytes(kVitalsSealScope), legacy);
+}
+
 TEST(GatewayMetricsTest, PaillierKeyReloadedFromItsBlobStillEncryptsByCrt) {
   // A gateway restarted over the same local store reloads the persisted
   // keypair (n, lambda, mu, p, q) and keeps the CRT route. A blob cut back
@@ -219,14 +250,7 @@ TEST(GatewayMetricsTest, PaillierKeyReloadedFromItsBlobStillEncryptsByCrt) {
   store::KvStore local;
   TacticRegistry registry;
   register_builtin_tactics(registry);
-  schema::Schema s("vitals");
-  schema::FieldAnnotation ann;
-  ann.type = schema::FieldType::kDouble;
-  ann.sensitive = true;
-  ann.protection = schema::ProtectionClass::kClass1;
-  ann.operations = {schema::Operation::kInsert};
-  ann.aggregates = {schema::Aggregate::kSum};
-  s.field("systolic", ann);
+  const schema::Schema s = vitals_schema();
 
   double total = 0.0;
   int inserted = 0;
@@ -256,19 +280,91 @@ TEST(GatewayMetricsTest, PaillierKeyReloadedFromItsBlobStillEncryptsByCrt) {
   };
 
   restart("crt");  // generates and persists the keypair
-  restart("crt");  // reloads it from the blob
-  const std::string slot = "paillier-keys:paillier/vitals/systolic";
-  const std::optional<Bytes> blob = local.get(slot);
-  ASSERT_TRUE(blob.has_value());
-  // Keep the first three length-prefixed fields: n, lambda, mu.
-  std::size_t off = 0;
-  for (int field = 0; field < 3; ++field) {
-    ASSERT_LE(off + 4, blob->size());
-    off += 4 + read_be32(BytesView(*blob).subspan(off));
+  bool legacy = true;
+  const BigInt n = open_vitals_key(local, kms, &legacy).pub.n;
+  EXPECT_FALSE(legacy);
+  restart("crt");  // reloads it from the sealed blob
+  EXPECT_EQ(open_vitals_key(local, kms, &legacy).pub.n, n);
+
+  // Write the key back in the plaintext form persisted before sealing and
+  // before CRT: n, lambda, mu, each length-prefixed.
+  const phe::PaillierKeyPair kp = open_vitals_key(local, kms, &legacy);
+  Bytes plain;
+  for (const BigInt* v : {&kp.pub.n, &kp.priv.lambda, &kp.priv.mu}) {
+    const Bytes b = v->to_bytes();
+    append(plain, be32(static_cast<std::uint32_t>(b.size())));
+    append(plain, b);
   }
-  ASSERT_LT(off, blob->size());
-  local.set(slot, Bytes(blob->begin(), blob->begin() + static_cast<std::ptrdiff_t>(off)));
+  local.set(kVitalsKeySlot, plain);
   restart("public");
+  // The legacy blob loaded and was persisted again, sealed.
+  const phe::PaillierKeyPair resealed = open_vitals_key(local, kms, &legacy);
+  EXPECT_FALSE(legacy);
+  EXPECT_EQ(resealed.pub.n, n);
+  restart("public");
+}
+
+TEST(GatewayMetricsTest, PaillierKeyIsSealedAtRest) {
+  // With an AOF-backed local store the persisted keypair reaches disk: it
+  // must do so sealed, reload under the same KMS master key, and refuse to
+  // load under another one.
+  const std::string aof = (std::filesystem::temp_directory_path() /
+                           ("datablinder_paillier_seal_" + std::to_string(::getpid()) + ".aof"))
+                              .string();
+  std::remove(aof.c_str());
+  CloudNode cloud;
+  net::Channel channel;
+  net::RpcClient rpc(cloud.rpc(), channel);
+  kms::KeyManager kms(Bytes(32, 0x5a));
+  TacticRegistry registry;
+  register_builtin_tactics(registry);
+  const GatewayConfig config{{{"paillier_modulus_bits", "256"}}};
+
+  phe::PaillierKeyPair kp;
+  {
+    store::KvStore local(aof);
+    Gateway gateway(rpc, kms, local, registry, config);
+    gateway.register_schema(vitals_schema());
+    bool legacy = true;
+    kp = open_vitals_key(local, kms, &legacy);
+    EXPECT_FALSE(legacy);
+    ASSERT_TRUE(local.sync().ok());
+  }
+  std::ifstream in(aof, std::ios::binary);
+  const std::string disk((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
+  ASSERT_FALSE(disk.empty());
+  for (const BigInt* secret : {&kp.priv.p, &kp.priv.q, &kp.priv.lambda}) {
+    const Bytes be = secret->to_bytes();
+    EXPECT_EQ(disk.find(std::string(be.begin(), be.end())), std::string::npos);
+  }
+
+  {
+    store::KvStore local(aof);  // replays the AOF
+    Gateway gateway(rpc, kms, local, registry, config);
+    gateway.register_schema(vitals_schema());
+    EXPECT_EQ(gateway.perf().counter("core.crypto.paillier.setup.crt"), 1u);
+    bool legacy = true;
+    EXPECT_EQ(open_vitals_key(local, kms, &legacy).pub.n, kp.pub.n);
+    Document d;
+    d.id = "v-0";
+    d.set("systolic", Value(120.5));
+    gateway.insert("vitals", d);
+    EXPECT_NEAR(gateway.aggregate("vitals", "systolic", schema::Aggregate::kSum).value,
+                120.5, 1e-9);
+  }
+
+  {
+    store::KvStore local(aof);
+    kms::KeyManager other(Bytes(32, 0xa5));
+    Gateway gateway(rpc, other, local, registry, config);
+    try {
+      gateway.register_schema(vitals_schema());
+      ADD_FAILURE() << "a key sealed under another master key loaded";
+    } catch (const Error& e) {
+      EXPECT_EQ(e.code(), ErrorCode::kCryptoFailure);
+    }
+  }
+  std::remove(aof.c_str());
 }
 
 }  // namespace

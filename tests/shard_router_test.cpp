@@ -121,6 +121,11 @@ TEST(ShardRouterTest, MgetScattersAndMergesInRequestOrder) {
   core::GatewayConfig cfg;
   cfg.shards = 4;
   core::ShardedCloud cloud(cfg);
+  // Reference: a single node holding the same documents answers the same
+  // request; the router's merge must be byte-identical to its reply.
+  core::CloudNode ref_node;
+  Channel ref_channel;
+  RpcClient ref_client(ref_node.rpc(), ref_channel);
 
   std::vector<std::string> ids;
   std::set<std::size_t> owners;
@@ -128,10 +133,12 @@ TEST(ShardRouterTest, MgetScattersAndMergesInRequestOrder) {
     const std::string id = "m-" + std::to_string(i);
     ids.push_back(id);
     owners.insert(cloud.router()->shard_of_doc("obs", id));
-    cloud.client().call("doc.put",
-                        core::wire::pack({{"col", Value("obs")},
-                                          {"id", Value(id)},
-                                          {"blob", Value(Bytes{static_cast<std::uint8_t>(i)})}}));
+    const Bytes put = core::wire::pack(
+        {{"col", Value("obs")},
+         {"id", Value(id)},
+         {"blob", Value(Bytes(static_cast<std::size_t>(1 + i % 5), static_cast<std::uint8_t>(i)))}});
+    cloud.client().call("doc.put", put);
+    ref_client.call("doc.put", put);
   }
   ASSERT_GT(owners.size(), 1u) << "test ids all hashed to one shard";
 
@@ -140,15 +147,19 @@ TEST(ShardRouterTest, MgetScattersAndMergesInRequestOrder) {
   // Ask for the ids interleaved with a vanished one: reply must preserve
   // request order and skip the missing id, exactly like a single node.
   id_arr.insert(id_arr.begin() + 7, Value(std::string("never-inserted")));
-  const Bytes reply = cloud.client().call(
-      "doc.mget",
-      core::wire::pack({{"col", Value("obs")}, {"ids", Value(std::move(id_arr))}}));
-  const doc::Object resp = core::wire::unpack(reply);
-  const doc::Array& docs = core::wire::get_arr(resp, "docs");
-  ASSERT_EQ(docs.size(), ids.size());
-  for (std::size_t i = 0; i < docs.size(); ++i) {
-    EXPECT_EQ(docs[i].as_object().at("id").as_string(), ids[i]);
-  }
+  const Bytes request =
+      core::wire::pack({{"col", Value("obs")}, {"ids", Value(std::move(id_arr))}});
+  const Bytes reply = cloud.client().call("doc.mget", request);
+  EXPECT_EQ(reply, ref_client.call("doc.mget", request));
+  std::size_t i = 0;
+  doc::wire::for_each_doc(reply, [&](std::string_view id, BytesView blob) {
+    ASSERT_LT(i, ids.size());
+    EXPECT_EQ(id, ids[i]);
+    EXPECT_EQ(Bytes(blob.begin(), blob.end()),
+              Bytes(1 + i % 5, static_cast<std::uint8_t>(i)));
+    ++i;
+  });
+  EXPECT_EQ(i, ids.size());
 }
 
 TEST(ShardRouterTest, BatchSplitsPerShardAndReassemblesInOrder) {

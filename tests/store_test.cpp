@@ -15,6 +15,12 @@ namespace {
 using doc::Document;
 using doc::Value;
 
+std::vector<std::string> members(const KvStore& kv, const std::string& key) {
+  std::vector<std::string> out;
+  kv.visit_members(key, [&](const std::string& m) { out.push_back(m); });
+  return out;
+}
+
 TEST(KvStoreTest, Strings) {
   KvStore kv;
   EXPECT_FALSE(kv.get("k").has_value());
@@ -45,7 +51,10 @@ TEST(KvStoreTest, Sets) {
   kv.sadd("s", "a");  // idempotent
   EXPECT_EQ(kv.scard("s"), 2u);
   EXPECT_TRUE(kv.srem("s", "a"));
-  EXPECT_EQ(kv.smembers("s"), (std::set<std::string>{"b"}));
+  EXPECT_EQ(members(kv, "s"), (std::vector<std::string>{"b"}));
+  kv.sadd("s", "a");
+  EXPECT_EQ(members(kv, "s"), (std::vector<std::string>{"a", "b"}));  // in order
+  EXPECT_TRUE(members(kv, "absent").empty());
 }
 
 TEST(KvStoreTest, SortedSetsRangeQueries) {
@@ -95,7 +104,7 @@ TEST(KvStoreTest, AofPersistenceReplaysAcrossReopen) {
   KvStore kv(path);
   EXPECT_EQ(kv.get("k"), Bytes{9});
   EXPECT_EQ(kv.hget("h", "f"), Bytes{8});
-  EXPECT_EQ(kv.smembers("s"), (std::set<std::string>{"m"}));
+  EXPECT_EQ(members(kv, "s"), (std::vector<std::string>{"m"}));
   EXPECT_EQ(kv.zrange("z", Bytes{0x00}, Bytes{0xff}).size(), 1u);
   EXPECT_EQ(kv.incr("c", 0), 5);
   EXPECT_FALSE(kv.exists("gone"));
