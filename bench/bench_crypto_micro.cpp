@@ -5,6 +5,7 @@
 
 #include "bigint/bigint.hpp"
 #include "bigint/montgomery.hpp"
+#include "bigint/montgomery_kernels.hpp"
 #include "common/rng.hpp"
 #include "crypto/gcm.hpp"
 #include "crypto/hmac.hpp"
@@ -309,6 +310,47 @@ void BM_BigIntModExpMontgomery(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_BigIntModExpMontgomery)->Arg(256)->Arg(512)->Arg(1024)->Unit(benchmark::kMicrosecond);
+
+/// One Montgomery multiply through `kernels` at state.range(0) limbs,
+/// chained so each call's output is the next call's input.
+void run_montgomery_mul(benchmark::State& state, const bigint::MontKernels& kernels) {
+  const std::size_t n = static_cast<std::size_t>(state.range(0));
+  BigInt m = BigInt::random_bits(64 * n);
+  if (m.is_even()) m += BigInt(1);
+  auto limbs = [n](const BigInt& v) {
+    const Bytes be = v.to_bytes(8 * n);
+    std::vector<std::uint64_t> out(n, 0);
+    for (std::size_t i = 0; i < 8 * n; ++i) {
+      out[i / 8] |= std::uint64_t{be[8 * n - 1 - i]} << (8 * (i % 8));
+    }
+    return out;
+  };
+  const std::vector<std::uint64_t> mod = limbs(m);
+  std::uint64_t m0inv = 1;  // -m^-1 mod 2^64 by Hensel lifting
+  for (int i = 0; i < 6; ++i) m0inv *= 2 - mod[0] * m0inv;
+  m0inv = ~m0inv + 1;
+  std::vector<std::uint64_t> acc = limbs(BigInt::random_below(m));
+  const std::vector<std::uint64_t> b = limbs(BigInt::random_below(m));
+  for (auto _ : state) {
+    kernels.mul(acc.data(), acc.data(), b.data(), mod.data(), m0inv, n);
+    benchmark::DoNotOptimize(acc.data());
+    benchmark::ClobberMemory();
+  }
+}
+
+void BM_MontgomeryMul(benchmark::State& state) {
+  // The active kernel (BMI2 + ADX when CPUID reports them); the label
+  // names it, so a CI check can tell whether there was one to compare.
+  run_montgomery_mul(state, bigint::active_mont_kernels());
+  state.SetLabel(bigint::hardware_mont_kernels() != nullptr ? "bmi2+adx" : "portable");
+}
+BENCHMARK(BM_MontgomeryMul)->Arg(8)->Arg(16)->Arg(32);
+
+void BM_MontgomeryMulPortable(benchmark::State& state) {
+  // The reference CIOS kernel.
+  run_montgomery_mul(state, bigint::portable_mont_kernels());
+}
+BENCHMARK(BM_MontgomeryMulPortable)->Arg(8)->Arg(16)->Arg(32);
 
 }  // namespace
 

@@ -469,8 +469,9 @@ BigInt BigInt::pow_mod(const BigInt& exp, const BigInt& m) const {
   if (m == BigInt(1)) return BigInt();
   // Odd moduli (every cryptographic modulus: RSA/Paillier n, safe primes)
   // take the Montgomery path; a transient context still wins for any
-  // multi-squaring exponent. Even moduli cannot be Montgomery-reduced.
-  if (m.is_odd() && exp.bit_length() > 1) {
+  // multi-squaring exponent. Even moduli cannot be Montgomery-reduced, and
+  // moduli wider than a context's capacity stay on the generic path too.
+  if (m.is_odd() && exp.bit_length() > 1 && m.limbs_.size() <= kMontMaxLimbs) {
     return Montgomery(m).pow(*this, exp);
   }
   return pow_mod_generic(exp, m);

@@ -7,9 +7,10 @@
 // gcd/lcm, and random sampling.
 //
 // Modular exponentiation has two paths:
-//  * `pow_mod` — for odd moduli, delegates to a `Montgomery` reduction
-//    context (montgomery.hpp) built on the fly; even moduli fall back to
-//    the generic square-and-multiply below.
+//  * `pow_mod` — for odd moduli up to kMontMaxLimbs limbs, delegates to a
+//    `Montgomery` reduction context (montgomery.hpp) built on the fly; its
+//    multiply kernel is the CPU's best (montgomery_kernels.hpp). Even and
+//    wider moduli fall back to the generic square-and-multiply below.
 //  * `pow_mod_generic` — the reference square-and-multiply over Knuth-D
 //    division, kept as the differential-testing baseline and the even-
 //    modulus fallback.

@@ -1,11 +1,12 @@
 #include "bigint/montgomery.hpp"
 
+#include <algorithm>
+
 #include "common/status.hpp"
 
 namespace datablinder::bigint {
 
 namespace {
-using U128 = unsigned __int128;
 constexpr unsigned kLimbBits = 64;
 
 /// m^{-1} mod 2^64 for odd m, by Hensel lifting: each Newton step
@@ -18,9 +19,11 @@ std::uint64_t word_inverse(std::uint64_t m) {
 }
 }  // namespace
 
-Montgomery::Montgomery(const BigInt& m) : modulus_(m) {
+Montgomery::Montgomery(const BigInt& m, const MontKernels& kernels)
+    : modulus_(m), kernels_(&kernels) {
   require(!m.is_negative() && m > BigInt(1), "Montgomery: modulus must be > 1");
   require(m.is_odd(), "Montgomery: modulus must be odd");
+  require(m.limbs_.size() <= kMontMaxLimbs, "Montgomery: modulus wider than 8192 bits");
   mod_ = m.limbs_;
   n_ = mod_.size();
   n0_ = ~word_inverse(mod_[0]) + 1;  // -m^{-1} mod 2^64
@@ -35,124 +38,70 @@ Montgomery::Montgomery(const BigInt& m) : modulus_(m) {
   one_mont_.resize(n_, 0);
 }
 
-Montgomery::Limbs Montgomery::residue(const BigInt& a) const {
-  Limbs out = a.mod(modulus_).limbs_;
-  out.resize(n_, 0);
-  return out;
+void Montgomery::load(const BigInt& a, Limb* out) const {
+  // Operands already in [0, m) — every ciphertext and blinding factor —
+  // skip the division.
+  const std::vector<Limb>* limbs = &a.limbs_;
+  BigInt reduced;
+  if (a.is_negative() || BigInt::cmp_mag(a.limbs_, mod_) >= 0) {
+    reduced = a.mod(modulus_);
+    limbs = &reduced.limbs_;
+  }
+  std::copy(limbs->begin(), limbs->end(), out);
+  std::fill(out + limbs->size(), out + n_, Limb{0});
 }
 
-BigInt Montgomery::from_residue(const Limbs& a) const {
+BigInt Montgomery::from_limbs(const Limb* a) const {
   BigInt out;
-  out.limbs_ = a;
+  out.limbs_.assign(a, a + n_);
   out.trim();
   return out;
 }
 
-// CIOS: interleaves multiplication by b with word-by-word Montgomery
-// reduction; t never grows beyond n_+2 limbs (Koç, Acar & Kaliski 1996).
-void Montgomery::cios(const Limbs& a, const Limbs& b, Limbs& out) const {
-  const std::size_t n = n_;
-  Limbs t(n + 2, 0);
-  for (std::size_t i = 0; i < n; ++i) {
-    // t += a[i] * b
-    const U128 ai = a[i];
-    U128 carry = 0;
-    for (std::size_t j = 0; j < n; ++j) {
-      const U128 s = t[j] + ai * b[j] + carry;
-      t[j] = static_cast<Limb>(s);
-      carry = s >> kLimbBits;
-    }
-    U128 s = t[n] + carry;
-    t[n] = static_cast<Limb>(s);
-    t[n + 1] = static_cast<Limb>(s >> kLimbBits);
-
-    // One reduction word: make t divisible by 2^64 and shift it out.
-    const Limb mfactor = t[0] * n0_;
-    const U128 mf = mfactor;
-    s = t[0] + mf * mod_[0];
-    carry = s >> kLimbBits;  // low word is zero by construction
-    for (std::size_t j = 1; j < n; ++j) {
-      s = t[j] + mf * mod_[j] + carry;
-      t[j - 1] = static_cast<Limb>(s);
-      carry = s >> kLimbBits;
-    }
-    s = t[n] + carry;
-    t[n - 1] = static_cast<Limb>(s);
-    t[n] = t[n + 1] + static_cast<Limb>(s >> kLimbBits);
-    t[n + 1] = 0;
-  }
-
-  // Conditional final subtraction: t in [0, 2m).
-  bool ge = t[n] != 0;
-  if (!ge) {
-    ge = true;
-    for (std::size_t i = n; i-- > 0;) {
-      if (t[i] != mod_[i]) {
-        ge = t[i] > mod_[i];
-        break;
-      }
-    }
-  }
-  out.assign(n, 0);
-  if (ge) {
-    Limb borrow = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      const Limb d = t[i] - mod_[i] - borrow;
-      borrow = (t[i] < mod_[i]) || (t[i] == mod_[i] && borrow) ? 1 : 0;
-      out[i] = d;
-    }
-  } else {
-    for (std::size_t i = 0; i < n; ++i) out[i] = t[i];
-  }
-}
-
 BigInt Montgomery::mul(const BigInt& a, const BigInt& b) const {
-  // cios(a, b) = a*b*R^-1; a second pass against R^2 restores the factor.
-  Limbs t, result;
-  cios(residue(a), residue(b), t);
-  cios(t, r2_, result);
-  return from_residue(result);
+  // a*b*R^-1, then a second pass against R^2 restores the factor.
+  Limb x[kMontMaxLimbs], y[kMontMaxLimbs];
+  load(a, x);
+  load(b, y);
+  mul_into(x, x, y);
+  mul_into(x, x, r2_.data());
+  return from_limbs(x);
 }
 
 BigInt Montgomery::pow(const BigInt& base, const BigInt& exp) const {
   require(!exp.is_negative(), "Montgomery::pow: negative exponent");
   if (exp.is_zero()) return BigInt(1).mod(modulus_);
+  const std::size_t n = n_;
 
-  // Montgomery form of the base and the 16-entry window table.
-  Limbs base_m;
-  cios(residue(base), r2_, base_m);
-  std::vector<Limbs> table(16);
-  table[0] = one_mont_;
-  table[1] = base_m;
-  for (std::size_t i = 2; i < 16; ++i) cios(table[i - 1], base_m, table[i]);
+  // The 16-entry window table, entry d at table + d*n: R mod m, then the
+  // base and its powers in Montgomery form.
+  Limb table[16 * kMontMaxLimbs];
+  auto entry = [&](unsigned d) { return table + d * n; };
+  std::copy(one_mont_.begin(), one_mont_.end(), entry(0));
+  load(base, entry(1));
+  mul_into(entry(1), entry(1), r2_.data());
+  for (unsigned d = 2; d < 16; ++d) mul_into(entry(d), entry(d - 1), entry(1));
 
-  const std::size_t bits = exp.bit_length();
-  const std::size_t windows = (bits + 3) / 4;
-  auto window_digit = [&](std::size_t w) {
-    unsigned d = 0;
-    for (unsigned k = 0; k < 4; ++k) {
-      if (exp.bit(4 * w + k)) d |= 1u << k;
-    }
-    return d;
+  // 4-bit windows never straddle a 64-bit limb.
+  const std::vector<Limb>& e = exp.limbs_;
+  auto digit = [&e](std::size_t w) {
+    return static_cast<unsigned>(e[w / 16] >> (4 * (w % 16))) & 15u;
   };
+  const std::size_t windows = (exp.bit_length() + 3) / 4;
 
-  Limbs acc = table[window_digit(windows - 1)];
-  Limbs tmp;
+  Limb acc[kMontMaxLimbs];
+  std::copy(entry(digit(windows - 1)), entry(digit(windows - 1)) + n, acc);
   for (std::size_t w = windows - 1; w-- > 0;) {
-    for (int s = 0; s < 4; ++s) {
-      cios(acc, acc, tmp);
-      acc.swap(tmp);
-    }
+    for (int s = 0; s < 4; ++s) mul_into(acc, acc, acc);
     // Unconditional table multiply (digit 0 hits the Montgomery one), so
-    // the CIOS sequence depends only on the exponent's bit-length.
-    cios(acc, table[window_digit(w)], tmp);
-    acc.swap(tmp);
+    // the kernel call sequence depends only on the exponent's bit-length.
+    mul_into(acc, acc, entry(digit(w)));
   }
 
-  Limbs one(n_, 0);
-  one[0] = 1;
-  cios(acc, one, tmp);  // leave the residue domain
-  return from_residue(tmp);
+  // Leave the residue domain: one more multiply, by plain 1.
+  Limb one[kMontMaxLimbs] = {1};
+  mul_into(acc, acc, one);
+  return from_limbs(acc);
 }
 
 }  // namespace datablinder::bigint

@@ -250,6 +250,16 @@ void Gateway::update_indexes(exec::CollectionRuntime& rt, const Document& d,
       for (auto& [alt_name, alt_slot] : ait->second) steps.emplace_back(&field, &alt_slot);
     }
   }
+  // Costliest prior first: step 0 runs on the calling thread at once, so
+  // a Paillier encryption starts before the cheap steps, not after them.
+  auto prior_us = [op](const exec::TacticSlot* slot) {
+    const auto& ops = slot->tactic->descriptor().cost.ops;
+    const auto it = ops.find(op);
+    return it == ops.end() ? 0.0 : it->second.base_us;
+  };
+  std::stable_sort(steps.begin(), steps.end(), [&](const auto& a, const auto& b) {
+    return prior_us(a.second) > prior_us(b.second);
+  });
   const std::vector<std::string> keywords =
       rt.boolean ? rt.boolean_keywords(d) : std::vector<std::string>{};
   const std::size_t n = steps.size() + (keywords.empty() ? 0 : 1);

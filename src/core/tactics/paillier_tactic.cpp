@@ -37,14 +37,14 @@ const TacticDescriptor& PaillierTactic::static_descriptor() {
     t.challenge = "Key management";
     t.preference = 10;
     t.updates_read_fixed_keys = true;
-    // Calibration (512-bit n, BENCH_crypto.json): an insert is one CRT
-    // encryption (BM_PaillierEncryptCrt/512); a sum or average is the
-    // cloud's O(1) running product plus one CRT decrypt at the gateway
-    // (BM_PaillierDecrypt/512).
+    // Calibration (512-bit n, BENCH_crypto.json kernel_refresh): an insert
+    // is one CRT encryption (BM_PaillierEncryptCrt/512, ~166 us); a sum or
+    // average is the cloud's O(1) running product plus one CRT decrypt at
+    // the gateway (BM_PaillierDecrypt/512, ~83 us).
     t.cost.ops = {
-        {TacticOperation::kInsert, {CostShape::kConstant, 360.0, 0.0}},
-        {TacticOperation::kSum, {CostShape::kConstant, 200.0, 0.0}},
-        {TacticOperation::kAverage, {CostShape::kConstant, 200.0, 0.0}},
+        {TacticOperation::kInsert, {CostShape::kConstant, 170.0, 0.0}},
+        {TacticOperation::kSum, {CostShape::kConstant, 85.0, 0.0}},
+        {TacticOperation::kAverage, {CostShape::kConstant, 85.0, 0.0}},
     };
     return t;
   }();

@@ -28,10 +28,10 @@ const TacticDescriptor& SophosTactic::static_descriptor() {
                           SpiInterface::kEqQuery, SpiInterface::kRetrieval};
     t.challenge = "Key management";
     t.preference = 5;  // below Mitra: no deletions, heavier updates
-    // Calibration: one RSA private op per update (~600us at 768 bits with
-    // the Montgomery/CRT fast path, BENCH_crypto BM_SophosUpdate).
+    // Calibration: one RSA private op per update, stepped back by CRT at
+    // 768 bits (BENCH_crypto.json kernel_refresh BM_SophosUpdate, ~149 us).
     t.cost.ops = {
-        {TacticOperation::kInsert, {CostShape::kConstant, 650.0, 0.0}},
+        {TacticOperation::kInsert, {CostShape::kConstant, 150.0, 0.0}},
         {TacticOperation::kEqualitySearch, {CostShape::kLinear, 300.0, 10.0}},
     };
     return t;

@@ -3,6 +3,7 @@
 #include <cctype>
 #include <charconv>
 #include <cmath>
+#include <stdexcept>
 
 #include "common/hex.hpp"
 #include "common/status.hpp"
@@ -79,6 +80,10 @@ void serialize_into(std::string& out, const Value& v) {
   }
 }
 
+/// Deepest array/object nesting the parser accepts, as in the binary codec:
+/// recursion past it would overflow the stack on hostile input.
+constexpr int kMaxDepth = 512;
+
 class Parser {
  public:
   explicit Parser(std::string_view text) : text_(text) {}
@@ -120,11 +125,13 @@ class Parser {
     return false;
   }
 
-  Value parse_value() {
+  Value parse_value(int depth = 0) {
     skip_ws();
     const char c = peek();
-    if (c == '{') return parse_object();
-    if (c == '[') return parse_array();
+    if (c == '{' || c == '[') {
+      require(depth < kMaxDepth, "json: nesting too deep");
+      return c == '{' ? parse_object(depth + 1) : parse_array(depth + 1);
+    }
     if (c == '"') return Value(parse_string());
     if (consume_literal("true")) return Value(true);
     if (consume_literal("false")) return Value(false);
@@ -195,9 +202,10 @@ class Parser {
       } else if (c == '.' || c == 'e' || c == 'E' || c == '+' || c == '-') {
         // '-' only valid after e/E; the from_chars below validates fully.
         if (c == '.' || c == 'e' || c == 'E') is_double = true;
+        // A sign anywhere else ends the number; a leading '+' (nothing
+        // before it to read) makes it empty.
         if (c == '+' || c == '-') {
-          const char prev = text_[pos_ - 1];
-          if (prev != 'e' && prev != 'E') break;
+          if (pos_ == start || (text_[pos_ - 1] != 'e' && text_[pos_ - 1] != 'E')) break;
         }
         ++pos_;
       } else {
@@ -217,7 +225,7 @@ class Parser {
     return Value(d);
   }
 
-  Value parse_array() {
+  Value parse_array(int depth) {
     expect('[');
     Array out;
     skip_ws();
@@ -226,7 +234,7 @@ class Parser {
       return Value(std::move(out));
     }
     for (;;) {
-      out.push_back(parse_value());
+      out.push_back(parse_value(depth));
       skip_ws();
       const char c = take();
       if (c == ']') return Value(std::move(out));
@@ -234,7 +242,7 @@ class Parser {
     }
   }
 
-  Value parse_object() {
+  Value parse_object(int depth) {
     expect('{');
     Object out;
     skip_ws();
@@ -247,7 +255,7 @@ class Parser {
       std::string key = parse_string();
       skip_ws();
       expect(':');
-      out[std::move(key)] = parse_value();
+      out[std::move(key)] = parse_value(depth);
       skip_ws();
       const char c = take();
       if (c == '}') break;
@@ -257,7 +265,11 @@ class Parser {
     if (out.size() == 1) {
       auto it = out.find("$bin");
       if (it != out.end() && it->second.type() == ValueType::kString) {
-        return Value(hex_decode(it->second.as_string()));
+        try {
+          return Value(hex_decode(it->second.as_string()));
+        } catch (const std::invalid_argument&) {
+          throw Error(ErrorCode::kInvalidArgument, "json: bad $bin hex");
+        }
       }
     }
     return Value(std::move(out));

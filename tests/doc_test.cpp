@@ -149,6 +149,19 @@ TEST(JsonTest, ParseErrors) {
   EXPECT_THROW(parse_json("tru"), Error);
   EXPECT_THROW(parse_json("12 34"), Error);
   EXPECT_THROW(parse_json("\"unterminated"), Error);
+  EXPECT_THROW(parse_json("+1"), Error);  // a sign with nothing before it
+  EXPECT_THROW(parse_json(R"({"$bin":"0g"})"), Error);  // not hex: typed error
+}
+
+TEST(JsonTest, DeepNestingIsMalformedNotAStackOverflow) {
+  // A million-deep recursive descent would overflow an 8 MB stack; the
+  // parser stops at 512 levels with its usual malformed-input error.
+  EXPECT_NO_THROW(parse_json(std::string(512, '[') + std::string(512, ']')));
+  EXPECT_THROW(parse_json(std::string(513, '[') + std::string(513, ']')), Error);
+  EXPECT_THROW(parse_json(std::string(1000000, '[')), Error);
+  std::string objects;
+  for (int i = 0; i < 100000; ++i) objects += "{\"a\":";
+  EXPECT_THROW(parse_json(objects), Error);
 }
 
 TEST(JsonTest, DocumentRoundTrip) {

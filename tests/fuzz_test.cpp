@@ -144,6 +144,21 @@ TEST(FuzzTest, JsonParserNeverCrashes) {
   }
 }
 
+TEST(FuzzTest, JsonTextNeverCrashes) {
+  // The same random, truncated and bit-flipped input the binary decoders
+  // get, over a JSON document, plus nesting far past the parser's bound.
+  const std::string valid =
+      R"({"id":"f1","v":[1,-2.5e3,true,null,{"$bin":"00ff"}],"s":"a\u0041\n"})";
+  fuzz_decoder(Bytes(valid.begin(), valid.end()), [](BytesView b) {
+    doc::parse_json(std::string_view(reinterpret_cast<const char*>(b.data()), b.size()));
+  });
+  for (const std::string open : {"[", "{\"k\":", "[{\"k\":"}) {
+    std::string deep;
+    for (int i = 0; i < 200000; ++i) deep += open;
+    EXPECT_THROW(doc::parse_json(deep), Error) << open;
+  }
+}
+
 TEST(FuzzTest, CloudRpcSurfaceSurvivesGarbage) {
   // Fire random bytes at every registered method; the node must answer
   // with typed errors and stay serviceable.

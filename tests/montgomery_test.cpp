@@ -1,18 +1,21 @@
 // Differential tests for the Montgomery fast paths: every accelerated
-// route (CIOS kernel, Paillier CRT decryption and encryption + randomizer
+// route (the kernel tables, Paillier CRT decryption and encryption + randomizer
 // pool, Sophos cached contexts and CRT trapdoor, hoisted PRF key schedules)
 // is pinned bit-for-bit against the reference implementation it replaced.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <functional>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "bigint/bigint.hpp"
 #include "bigint/montgomery.hpp"
+#include "bigint/montgomery_kernels.hpp"
 #include "common/rng.hpp"
 #include "common/status.hpp"
 #include "crypto/prf.hpp"
@@ -94,6 +97,187 @@ TEST(MontgomeryDifferential, RejectsBadModuli) {
   EXPECT_THROW(Montgomery(BigInt(4)), Error);
   EXPECT_THROW(Montgomery(BigInt(1)), Error);
   EXPECT_THROW(Montgomery(BigInt(0)), Error);
+}
+
+TEST(MontgomeryDifferential, PortableContextMatchesActiveAtLibraryWidths) {
+  // 4 limbs: a 256-bit Paillier key's p^2; 8: a 512-bit key's p^2, q^2
+  // and n; 16: its n^2; 12: a Sophos-768 modulus; 32: a 1024-bit key's n^2.
+  for (const std::size_t limbs : {4UL, 8UL, 12UL, 16UL, 32UL}) {
+    const BigInt m = random_odd(64 * limbs);
+    const Montgomery active(m);
+    const Montgomery portable(m, bigint::portable_mont_kernels());
+    ASSERT_EQ(active.limb_count(), limbs);
+    const BigInt base = BigInt::random_below(m);
+    const BigInt exp = BigInt::random_below(m);
+    EXPECT_EQ(active.pow(base, exp), portable.pow(base, exp)) << limbs << " limbs";
+    EXPECT_EQ(active.mul(base, exp), portable.mul(base, exp)) << limbs << " limbs";
+  }
+}
+
+TEST(MontgomeryDifferential, RejectsModuliWiderThanTheCapacity) {
+  const std::size_t cap_bits = 64 * bigint::kMontMaxLimbs;
+  const BigInt widest = random_odd(cap_bits);
+  const BigInt base = BigInt::random_below(widest);
+  EXPECT_EQ(Montgomery(widest).pow(base, BigInt(65537)),
+            base.pow_mod_generic(BigInt(65537), widest));
+  try {
+    Montgomery{random_odd(cap_bits + 1)};
+    ADD_FAILURE() << "a modulus one bit past the capacity was accepted";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.code(), ErrorCode::kInvalidArgument);
+  }
+  // The one-shot BigInt path keeps such moduli on the generic route.
+  const BigInt wide = random_odd(cap_bits + 64);
+  EXPECT_EQ(base.pow_mod(BigInt(65537), wide), base.pow_mod_generic(BigInt(65537), wide));
+}
+
+// --- kernel tables -------------------------------------------------------------
+
+using Limbs = std::vector<std::uint64_t>;
+
+Limbs to_limbs(const BigInt& v, std::size_t n) {
+  const Bytes be = v.to_bytes(8 * n);
+  Limbs out(n, 0);
+  for (std::size_t i = 0; i < 8 * n; ++i) {
+    out[(8 * n - 1 - i) / 8] |= std::uint64_t{be[i]} << (8 * ((8 * n - 1 - i) % 8));
+  }
+  return out;
+}
+
+BigInt from_limbs(const Limbs& limbs) {
+  Bytes be;
+  for (std::size_t i = limbs.size(); i-- > 0;) {
+    for (int b = 7; b >= 0; --b) be.push_back(static_cast<std::uint8_t>(limbs[i] >> (8 * b)));
+  }
+  return BigInt::from_bytes(be);
+}
+
+/// One modulus as the kernels see it, with a BigInt model of REDC.
+struct KernelModulus {
+  explicit KernelModulus(const BigInt& modulus)
+      : m(modulus), n((modulus.bit_length() + 63) / 64), r(BigInt(1) << (64 * n)),
+        limbs(to_limbs(modulus, n)), m_inv_r(modulus.inv_mod(r)),
+        m0inv(to_limbs((r - m_inv_r).mod(BigInt(1) << 64), 1)[0]) {}
+
+  /// a*b*R^-1 mod m through `k`.
+  BigInt mul(const bigint::MontKernels& k, const BigInt& a, const BigInt& b) const {
+    Limbs out(n);
+    k.mul(out.data(), to_limbs(a, n).data(), to_limbs(b, n).data(), limbs.data(), m0inv, n);
+    return from_limbs(out);
+  }
+
+  /// REDC(a*b) before its final subtraction: (a*b + q*m) / R, in [0, 2m).
+  BigInt unreduced(const BigInt& a, const BigInt& b) const {
+    const BigInt t = a * b;
+    const BigInt q = (t.mod(r) * (r - m_inv_r)).mod(r);
+    return (t + q * m) / r;
+  }
+
+  BigInt m;
+  std::size_t n;
+  BigInt r;
+  Limbs limbs;
+  BigInt m_inv_r;
+  std::uint64_t m0inv;
+};
+
+TEST(MontgomeryKernels, HardwareMatchesPortableAtEveryWidth) {
+  const bigint::MontKernels* hw = bigint::hardware_mont_kernels();
+  if (hw == nullptr) GTEST_SKIP() << "CPU lacks BMI2 or ADX: no hardware kernel to compare";
+  const bigint::MontKernels& sw = bigint::portable_mont_kernels();
+  for (std::size_t n = 1; n <= bigint::kMontMaxLimbs; ++n) {
+    // A full-width modulus and one whose top limb is nearly empty.
+    for (const std::size_t bits : {64 * n, 64 * n - 59}) {
+      const KernelModulus km(random_odd(bits));
+      ASSERT_EQ(km.n, n);
+      const BigInt r_mod_m = km.r.mod(km.m);
+      std::vector<BigInt> operands = {BigInt(0), BigInt(1), km.m - BigInt(1), r_mod_m};
+      for (int i = 0; i < 3; ++i) operands.push_back(BigInt::random_below(km.m));
+      for (const BigInt& a : operands) {
+        for (const BigInt& b : operands) {
+          const BigInt want = km.mul(sw, a, b);
+          ASSERT_EQ(km.mul(*hw, a, b), want) << n << " limbs, " << bits << " bits";
+          ASSERT_LT(want, km.m);
+        }
+      }
+    }
+  }
+}
+
+TEST(MontgomeryKernels, FinalSubtractionTakenAndSkippedAgreeWithModel) {
+  // Operands are drawn until REDC's final subtraction has been both skipped
+  // and taken, with and without a carry out of the top limb (the all-ones
+  // modulus R-1 makes that carry common). Every kernel must give the model's
+  // answer in every class.
+  std::vector<const bigint::MontKernels*> tables = {&bigint::portable_mont_kernels()};
+  if (bigint::hardware_mont_kernels() != nullptr) {
+    tables.push_back(bigint::hardware_mont_kernels());
+  }
+  for (const std::size_t n : {1UL, 4UL, 8UL, 12UL, 16UL}) {
+    const BigInt all_ones = (BigInt(1) << (64 * n)) - BigInt(1);
+    for (const BigInt& modulus : {random_odd(64 * n), all_ones}) {
+      const KernelModulus km(modulus);
+      const BigInt r_inv = km.r.mod(km.m).inv_mod(km.m);
+      bool skipped = false, taken = false, carried = false;
+      for (int trial = 0; trial < 4000 && !(skipped && taken && (carried || modulus != all_ones));
+           ++trial) {
+        const BigInt a = BigInt::random_below(km.m);
+        const BigInt b = BigInt::random_below(km.m);
+        const BigInt u = km.unreduced(a, b);
+        ASSERT_LT(u, km.m + km.m);
+        (u >= km.m ? taken : skipped) = true;
+        if (u >= km.r) carried = true;
+        const BigInt want = (a * b * r_inv).mod(km.m);
+        for (const bigint::MontKernels* k : tables) ASSERT_EQ(km.mul(*k, a, b), want) << n;
+      }
+      EXPECT_TRUE(skipped) << n << " limbs: subtraction never skipped";
+      EXPECT_TRUE(taken) << n << " limbs: subtraction never taken";
+      if (modulus == all_ones) {
+        EXPECT_TRUE(carried) << n << " limbs: no carry out";
+      }
+    }
+  }
+}
+
+/// Kernel calls a context makes, recorded by a table that wraps the
+/// portable kernel: (squaring, i.e. a is b; width).
+std::vector<std::pair<bool, std::size_t>> g_kernel_calls;
+
+void counting_mul(std::uint64_t* out, const std::uint64_t* a, const std::uint64_t* b,
+                  const std::uint64_t* m, std::uint64_t m0inv, std::size_t n) {
+  g_kernel_calls.emplace_back(a == b, n);
+  bigint::portable_mont_kernels().mul(out, a, b, m, m0inv, n);
+}
+
+TEST(MontgomeryKernels, CallSequenceDependsOnlyOnExponentBitLength) {
+  const bigint::MontKernels counting{counting_mul};
+  const BigInt m = random_odd(512);
+  const Montgomery ctx(m, counting);
+  const BigInt base = BigInt::random_below(m);
+  // Lowest and highest Hamming weight at 509 bits, and a random exponent
+  // of the same length: square-and-multiply would call the kernel 509,
+  // 1017 and ~763 times.
+  const std::size_t bits = 509;
+  const BigInt sparse = BigInt(1) << (bits - 1);
+  const BigInt dense = (BigInt(1) << bits) - BigInt(1);
+  const BigInt mixed = sparse + BigInt::random_below(sparse);
+  std::vector<std::vector<std::pair<bool, std::size_t>>> sequences;
+  for (const BigInt& exp : {sparse, dense, mixed}) {
+    ASSERT_EQ(exp.bit_length(), bits);
+    g_kernel_calls.clear();
+    EXPECT_EQ(ctx.pow(base, exp), base.pow_mod_generic(exp, m));
+    sequences.push_back(g_kernel_calls);
+  }
+  // Base into Montgomery form, 14 table entries (the first a squaring),
+  // 4 squarings and a multiply per further window, one multiply out of
+  // the domain.
+  const std::size_t windows = (bits + 3) / 4;
+  EXPECT_EQ(sequences[0].size(), 1 + 14 + 5 * (windows - 1) + 1);
+  EXPECT_EQ(std::count(sequences[0].begin(), sequences[0].end(), std::pair{true, std::size_t{8}}),
+            static_cast<std::ptrdiff_t>(1 + 4 * (windows - 1)));
+  EXPECT_EQ(sequences[1], sequences[0]);
+  EXPECT_EQ(sequences[2], sequences[0]);
+  g_kernel_calls.clear();
 }
 
 // --- Paillier ------------------------------------------------------------------
