@@ -434,13 +434,6 @@ BigInt BigInt::mod(const BigInt& m) const {
   return r;
 }
 
-BigInt BigInt::add_mod(const BigInt& rhs, const BigInt& m) const {
-  BigInt s = *this + rhs;
-  if (s >= m) s -= m;
-  if (s.is_negative()) s += m;
-  return s;
-}
-
 BigInt BigInt::mul_mod(const BigInt& rhs, const BigInt& m) const {
   return (*this * rhs).mod(m);
 }

@@ -98,9 +98,6 @@ class BigInt {
   /// Euclidean (always non-negative) remainder mod m. Requires m > 0.
   BigInt mod(const BigInt& m) const;
 
-  /// (this + rhs) mod m, inputs assumed already reduced.
-  BigInt add_mod(const BigInt& rhs, const BigInt& m) const;
-
   /// (this * rhs) mod m.
   BigInt mul_mod(const BigInt& rhs, const BigInt& m) const;
 

@@ -1,9 +1,9 @@
 // Counters — the one sink for named event counts.
 //
 // Event series that are counts rather than latencies: retry attempts,
-// breaker trips, hedges, replica failovers, shard scatters, journal
-// resumes, cache traffic ("net.retry.*", "net.breaker.*", "net.hedge.*",
-// "net.replica.*", "net.shard.*", "core.journal.*", "core.cache.*").
+// hedges, replica failovers, shard scatters, journal resumes, cache traffic
+// ("net.retry.*", "net.hedge.*", "net.replica.*", "net.shard.*",
+// "core.journal.*", "core.cache.*").
 // core::PerfRegistry is a Counters, so one registry snapshot covers the
 // whole middleware; the net layers count into whichever Counters their
 // owner binds with Backend::set_counters.

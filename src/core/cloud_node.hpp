@@ -42,7 +42,6 @@ class CloudNode {
   /// Number of secure-index operations served (Fig. 5 reports ~350k per
   /// experiment run).
   std::uint64_t index_ops() const noexcept { return index_ops_.load(); }
-  void reset_counters() { index_ops_ = 0; }
 
   /// Order-insensitive digest of all replicated state: document store,
   /// KV substrate, every SSE server structure, and Paillier aggregate

@@ -90,10 +90,7 @@ Gateway::Gateway(net::RpcClient& cloud, kms::KeyManager& kms,
                       ? std::make_unique<CostModel>(perf_, config_.cost, cache_.get())
                       : nullptr),
       pool_(default_workers()) {
-  if (config_.retry.enabled) cloud_.set_retry_policy(config_.retry);
-  if (config_.breaker.enabled && cloud_.breaker() != nullptr) {
-    cloud_.breaker()->configure(config_.breaker);
-  }
+  if (!config_.retry.retryable_methods.empty()) cloud_.set_retry_policy(config_.retry);
   cloud_.set_counters(&perf_);
   if (config_.journal_inserts) {
     journal_ = std::make_unique<exec::IntentJournal>(local_store_, cloud_);
@@ -187,10 +184,6 @@ const exec::CollectionRuntime& Gateway::runtime(const std::string& collection) c
 
 const CollectionPlan& Gateway::plan(const std::string& collection) const {
   return runtime(collection).plan;
-}
-
-const schema::Schema& Gateway::schema_of(const std::string& collection) const {
-  return runtime(collection).schema;
 }
 
 DocId Gateway::generate_doc_id() {

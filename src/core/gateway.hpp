@@ -55,14 +55,11 @@ struct GatewayConfig {
   /// "paillier_modulus_bits", "sophos_modulus_bits", "zmf_filter_bits").
   std::map<std::string, std::string> tactic_params;
 
-  /// Retry policy installed on the cloud RPC client when .enabled (default
-  /// off: the seed fails fast). See net::RetryPolicy::standard().
+  /// Retry policy installed on the cloud RPC client when its whitelist is
+  /// non-empty. The default's is empty, so a default gateway leaves the
+  /// client's policy as it was (none: fail fast). See
+  /// net::RetryPolicy::standard().
   net::RetryPolicy retry;
-
-  /// Circuit-breaker configuration applied to the cloud channel when
-  /// .enabled (default off). Only a single-endpoint client has a breaker;
-  /// replica groups track health by failure accrual instead.
-  net::BreakerConfig breaker;
 
   /// Crash-consistent inserts: when true, every insert/insert_many runs in
   /// RPC-capture mode, journals the exact cloud mutations into the local
@@ -97,8 +94,8 @@ struct GatewayConfig {
   /// Hedged reads (hedge.enabled): replay-idempotent reads fire a
   /// speculative duplicate to the next-best replica after a p95-derived
   /// delay; first success wins. A hedge is a speculative retry, so it is
-  /// gated on the retry whitelist: enable `retry` too or nothing will ever
-  /// hedge.
+  /// gated on the retry whitelist: install a `retry` whitelist too or
+  /// nothing will ever hedge.
   net::HedgeConfig hedge;
 
   /// Failure-accrual tuning for per-replica health / failover.
@@ -130,7 +127,6 @@ class Gateway {
   void register_schema(schema::Schema s);
 
   const CollectionPlan& plan(const std::string& collection) const;
-  const schema::Schema& schema_of(const std::string& collection) const;
 
   // --- Entities interface --------------------------------------------------
   /// Validates, encrypts and stores the document; indexes every sensitive

@@ -61,10 +61,6 @@ Value ObservationGenerator::random_subject() {
   return Value(kSubjects[rng_.uniform(kSubjects.size())]);
 }
 
-Value ObservationGenerator::random_performer() {
-  return Value(kPerformers[rng_.uniform(kPerformers.size())]);
-}
-
 std::pair<Value, Value> ObservationGenerator::random_effective_range() {
   const std::int64_t start = kEffectiveBase + rng_.range(0, kEffectiveSpan - 1);
   const std::int64_t width = rng_.range(24 * 3600, 60 * 24 * 3600);

@@ -30,7 +30,6 @@ class ObservationGenerator {
   doc::Value random_status();
   doc::Value random_code();
   doc::Value random_subject();
-  doc::Value random_performer();
   /// Random [lo, hi] window over the `effective` timestamp domain.
   std::pair<doc::Value, doc::Value> random_effective_range();
 

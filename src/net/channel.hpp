@@ -22,7 +22,6 @@
 #include <vector>
 
 #include "common/bytes.hpp"
-#include "net/resilience.hpp"
 
 namespace datablinder::net {
 
@@ -128,10 +127,6 @@ class Channel {
 
   ChannelStats& stats() noexcept { return stats_; }
 
-  /// Per-channel circuit breaker consulted by every RpcClient bound to
-  /// this channel (disabled until configured).
-  CircuitBreaker& breaker() noexcept { return breaker_; }
-
  private:
   void simulate_delay(std::uint64_t latency_us, std::uint64_t bandwidth,
                       std::size_t bytes) const;
@@ -150,7 +145,6 @@ class Channel {
   std::mt19937_64 rng_;
 
   ChannelStats stats_;
-  CircuitBreaker breaker_;
   std::atomic<bool> closed_{false};
 };
 

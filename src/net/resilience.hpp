@@ -1,6 +1,5 @@
-// Resilience primitives for the gateway<->cloud channel: retry policy with
-// exponential backoff and deadline budgets, an idempotency whitelist, and a
-// per-channel circuit breaker.
+// Resilience primitives for the gateway<->cloud channel: a retry policy
+// with exponential backoff, deadline budgets and an idempotency whitelist.
 //
 // The paper deploys the gateway in a trusted private zone talking to an
 // untrusted public cloud (§4), so every SE tactic round trip crosses a WAN
@@ -15,15 +14,14 @@
 #pragma once
 
 #include <cstdint>
-#include <mutex>
 #include <set>
 #include <string>
 
 namespace datablinder::net {
 
-/// Monotonic time source used by retry backoff and the circuit breaker.
-/// Injectable so tests can assert backoff schedules and breaker cooldowns
-/// against a fake clock instead of sleeping for real.
+/// Monotonic time source used by retry backoff and deadline budgets.
+/// Injectable so tests can assert backoff schedules and deadlines against a
+/// fake clock instead of sleeping for real.
 class RetryClock {
  public:
   virtual ~RetryClock() = default;
@@ -34,12 +32,10 @@ class RetryClock {
   static RetryClock& system();
 };
 
-/// Retry policy for RpcClient::call. Disabled by default: the seed
-/// behaviour (fail fast on the first kUnavailable) is preserved unless the
-/// gateway opts in.
+/// Retry policy for RpcClient::call. The whitelist alone decides whether a
+/// call retries: the default policy's is empty, so every call fails fast on
+/// its first kUnavailable until a whitelist is installed.
 struct RetryPolicy {
-  bool enabled = false;
-
   /// Total attempts including the first; >= 1.
   std::uint32_t max_attempts = 4;
   std::uint64_t initial_backoff_us = 1000;
@@ -70,57 +66,5 @@ struct RetryPolicy {
   /// batch queue only ever carries such updates.
   static RetryPolicy standard();
 };
-
-/// Circuit-breaker tuning. Disabled by default.
-struct BreakerConfig {
-  bool enabled = false;
-  /// Consecutive transport failures that trip the breaker open.
-  std::uint32_t failure_threshold = 5;
-  /// How long an open breaker rejects calls before admitting a half-open
-  /// probe.
-  std::uint64_t open_cooldown_us = 50000;
-};
-
-/// Per-channel circuit breaker: closed -> (threshold consecutive
-/// kUnavailable) -> open -> (cooldown elapses) -> half-open, where exactly
-/// one probe call is admitted; the probe's outcome closes or re-opens the
-/// breaker. Open-state rejections fail fast without touching the channel,
-/// shedding load from an endpoint that is already down.
-class CircuitBreaker {
- public:
-  enum class State { kClosed, kOpen, kHalfOpen };
-
-  void configure(const BreakerConfig& config);
-  bool enabled() const;
-
-  /// Admission control. Returns false when the call must be rejected
-  /// (breaker open, cooldown not elapsed). May transition open -> half-open
-  /// when the cooldown has passed; the caller owning that admission is the
-  /// probe.
-  bool try_admit(std::uint64_t now_us);
-
-  /// Outcome reporting for admitted calls. Only transport-level failures
-  /// (kUnavailable) should be reported as failures; typed server errors are
-  /// delivered responses and count as breaker successes.
-  void on_success();
-  void on_failure(std::uint64_t now_us);
-
-  State state() const;
-
- private:
-  mutable std::mutex mutex_;
-  BreakerConfig config_;
-  State state_ = State::kClosed;
-  std::uint32_t consecutive_failures_ = 0;
-  std::uint64_t opened_at_us_ = 0;
-  bool probe_in_flight_ = false;
-  // When the outstanding half-open probe was admitted. A probe whose owner
-  // never reports an outcome (caller died between admission and reporting)
-  // would otherwise hold the token forever; after a full cooldown the token
-  // is reclaimed and a new probe admitted.
-  std::uint64_t probe_started_us_ = 0;
-};
-
-std::string to_string(CircuitBreaker::State state);
 
 }  // namespace datablinder::net

@@ -9,8 +9,7 @@ namespace datablinder::net {
 
 RpcClient::RpcClient(RpcServer& server, Channel& channel)
     : endpoint_(std::make_unique<Endpoint>(server, channel)),
-      backend_(*endpoint_),
-      breaker_(&channel.breaker()) {}
+      backend_(*endpoint_) {}
 
 void RpcServer::register_method(const std::string& method, Handler handler) {
   std::lock_guard lock(mutex_);
@@ -150,19 +149,10 @@ RpcServer::Handler RpcClient::make_batch_handler(const RpcServer& server) {
 }
 
 void RpcClient::set_retry_policy(RetryPolicy policy) {
-  if (policy.enabled) {
-    backend_.set_hedgeable(
-        [policy](const std::string& method) { return policy.retryable(method); });
-  } else {
-    backend_.set_hedgeable(nullptr);
-  }
+  backend_.set_hedgeable(
+      [policy](const std::string& method) { return policy.retryable(method); });
   std::lock_guard lock(policy_mutex_);
   policy_ = std::move(policy);
-}
-
-RetryPolicy RpcClient::retry_policy() const {
-  std::lock_guard lock(policy_mutex_);
-  return policy_;
 }
 
 void RpcClient::set_clock(RetryClock* clock) {
@@ -218,86 +208,40 @@ Bytes RpcClient::call(const std::string& method, BytesView payload) {
     policy = policy_;
     clock = clock_ != nullptr ? clock_ : &RetryClock::system();
   }
-  if (!policy.enabled && (breaker_ == nullptr || !breaker_->enabled())) {
-    // Seed fast path: fail fast.
-    return backend_.call(method, wire_request);
-  }
+  // A method outside the whitelist may not be replay-idempotent: one attempt.
+  if (!policy.retryable(method)) return backend_.call(method, wire_request);
 
   const std::uint64_t start_us = clock->now_us();
   std::uint64_t backoff_us = policy.initial_backoff_us;
   std::mt19937_64 jitter_rng(DetRng::seed_or_entropy(policy.jitter_seed));
-  const std::uint32_t max_attempts =
-      policy.enabled ? std::max<std::uint32_t>(1, policy.max_attempts) : 1;
+  const std::uint32_t max_attempts = std::max<std::uint32_t>(1, policy.max_attempts);
 
+  // Whatever the backend's shape (one endpoint, a replica group that already
+  // failed over, a shard router), what escapes it is a typed server error,
+  // which is a delivered response that retrying cannot help, or kUnavailable.
+  // The latter retries within the attempt and deadline budgets, re-sending
+  // `wire_request`: the exact bytes of the first attempt, which a group or
+  // router routes into the same sub-requests and its replica logs dedup.
   for (std::uint32_t attempt = 1;; ++attempt) {
-    bool transport_failure;
-    std::exception_ptr error;
-    if (breaker_ == nullptr) {
-      // Group or router backend: it already did per-replica routing and
-      // failover; what escapes it is either a typed server error or "no
-      // replica could serve this". The latter retries under the normal
-      // budget, re-sending the SAME bytes, which routing re-derives into
-      // the same sub-requests and the replica logs dedup.
-      try {
-        return backend_.call(method, wire_request);
-      } catch (const Error& e) {
-        transport_failure = e.code() == ErrorCode::kUnavailable;
-        error = std::current_exception();
-      }
-    } else if (!breaker_->try_admit(clock->now_us())) {
-      counters_.incr("net.breaker.reject");
-      transport_failure = true;
-      error = std::make_exception_ptr(
-          Error(ErrorCode::kUnavailable, "circuit breaker open: " + method));
-    } else {
-      try {
-        Bytes out = backend_.call(method, wire_request);
-        breaker_->on_success();
-        return out;
-      } catch (const Error& e) {
-        transport_failure = e.code() == ErrorCode::kUnavailable;
-        if (transport_failure) {
-          const auto before = breaker_->state();
-          breaker_->on_failure(clock->now_us());
-          if (breaker_->state() == CircuitBreaker::State::kOpen &&
-              before != CircuitBreaker::State::kOpen) {
-            counters_.incr("net.breaker.open");
-          }
-        } else {
-          // A typed server error is a delivered response: endpoint healthy.
-          breaker_->on_success();
-        }
-        error = std::current_exception();
-      } catch (...) {
-        // Non-Error escape (allocation failure, codec logic bug): no
-        // verdict on endpoint health, but the admission MUST be settled —
-        // in half-open this admission holds the probe token, and leaving
-        // it unsettled would lock the breaker in half-open forever.
-        breaker_->on_failure(clock->now_us());
+    std::uint64_t sleep_us = backoff_us;
+    try {
+      return backend_.call(method, wire_request);
+    } catch (const Error& e) {
+      if (e.code() != ErrorCode::kUnavailable) throw;
+      if (attempt >= max_attempts) {
+        counters_.incr("net.retry.giveup");
         throw;
       }
-    }
-
-    // Retry only transport failures of whitelisted (replay-idempotent)
-    // methods, within the attempt and deadline budgets. A retry re-sends
-    // `wire_request` — the exact bytes of the first attempt.
-    if (!policy.enabled || !transport_failure || !policy.retryable(method) ||
-        attempt >= max_attempts) {
-      if (policy.enabled && transport_failure && policy.retryable(method)) {
-        counters_.incr("net.retry.giveup");
+      if (policy.jitter > 0.0) {
+        const double cut =
+            std::uniform_real_distribution<double>(0.0, policy.jitter)(jitter_rng);
+        sleep_us -= static_cast<std::uint64_t>(static_cast<double>(sleep_us) * cut);
       }
-      std::rethrow_exception(error);
-    }
-    std::uint64_t sleep_us = backoff_us;
-    if (policy.jitter > 0.0) {
-      const double cut =
-          std::uniform_real_distribution<double>(0.0, policy.jitter)(jitter_rng);
-      sleep_us -= static_cast<std::uint64_t>(static_cast<double>(sleep_us) * cut);
-    }
-    if (policy.deadline_us != 0 &&
-        clock->now_us() - start_us + sleep_us >= policy.deadline_us) {
-      counters_.incr("net.retry.deadline");
-      std::rethrow_exception(error);
+      if (policy.deadline_us != 0 &&
+          clock->now_us() - start_us + sleep_us >= policy.deadline_us) {
+        counters_.incr("net.retry.deadline");
+        throw;
+      }
     }
     counters_.incr("net.retry.attempt");
     counters_.incr("net.retry.backoff_us", sleep_us);

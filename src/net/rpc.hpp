@@ -6,13 +6,12 @@
 // the serialization path is exercised end-to-end even though both ends run
 // in one process.
 //
-// Resilience: with a RetryPolicy installed, transport failures
-// (kUnavailable) on whitelisted methods are retried with exponential
-// backoff + jitter under a per-call deadline budget, re-sending the SAME
-// serialized request bytes (byte-identical replay — see resilience.hpp for
-// why that preserves both exactly-once state and the leakage profile). The
-// channel's circuit breaker, when enabled, sheds calls while the endpoint
-// is down and probes it half-open after a cooldown.
+// Resilience: one retry loop over one Backend, whatever its shape. Transport
+// failures (kUnavailable) on methods in the RetryPolicy's whitelist are
+// retried with exponential backoff + jitter under a per-call deadline
+// budget, re-sending the SAME serialized request bytes (byte-identical
+// replay — see resilience.hpp for why that preserves both exactly-once
+// state and the leakage profile). Every other method gets one attempt.
 #pragma once
 
 #include <functional>
@@ -69,16 +68,15 @@ class Endpoint final : public Backend {
 class RpcClient {
  public:
   /// Single-endpoint client over `server` behind `channel`; both must
-  /// outlive the client. The only shape that consults the channel's
-  /// circuit breaker.
+  /// outlive the client.
   RpcClient(RpcServer& server, Channel& channel);
 
   /// Client over a replica group or shard router (which must outlive the
-  /// client). The backend's own health tracking replaces the breaker; the
-  /// retry loop still wraps it: a kUnavailable from it (no replica
-  /// reachable, or an applied write whose ack was lost) retries with the
-  /// same backoff/whitelist/budget rules, re-sending the same bytes, which
-  /// the backend routes deterministically and its replica logs dedup.
+  /// client). The backend tracks replica health itself; the retry loop
+  /// still wraps it: a kUnavailable from it (no replica reachable, or an
+  /// applied write whose ack was lost) retries with the same
+  /// backoff/whitelist/budget rules, re-sending the same bytes, which the
+  /// backend routes deterministically and its replica logs dedup.
   explicit RpcClient(Backend& backend) : backend_(backend) {}
 
   /// Full round trip: serialize, hand to the backend, deserialize. Throws
@@ -92,22 +90,17 @@ class RpcClient {
   /// hedging is a speculative retry, so only replay-idempotent methods may
   /// be re-sent after their request leg shipped.
   void set_retry_policy(RetryPolicy policy);
-  RetryPolicy retry_policy() const;
 
-  /// Overrides the clock used for backoff sleeps and breaker cooldowns
+  /// Overrides the clock used for backoff sleeps and deadline budgets
   /// (non-owning; nullptr restores the system steady clock). Test hook.
   void set_clock(RetryClock* clock);
 
-  /// Binds the sink for retry/breaker events ("net.retry.attempt",
-  /// "net.retry.backoff_us", "net.retry.giveup", "net.retry.deadline",
-  /// "net.breaker.open", "net.breaker.reject"), and the backend's for its
-  /// routing events. The gateway binds its PerfRegistry. nullptr unbinds;
-  /// it returns once no event is still being counted (CounterBinding).
+  /// Binds the sink for retry events ("net.retry.attempt",
+  /// "net.retry.backoff_us", "net.retry.giveup", "net.retry.deadline"), and
+  /// the backend's for its routing events. The gateway binds its
+  /// PerfRegistry. nullptr unbinds; it returns once no event is still being
+  /// counted (CounterBinding).
   void set_counters(Counters* counters);
-
-  /// The bound channel's circuit breaker, or nullptr for a group/router
-  /// backend (whose per-replica accrual is the health authority).
-  CircuitBreaker* breaker() noexcept { return breaker_; }
 
   // --- deferred batching ----------------------------------------------------
   //
@@ -163,7 +156,6 @@ class RpcClient {
 
   std::unique_ptr<Endpoint> endpoint_;  // owned by the single-endpoint shape
   Backend& backend_;
-  CircuitBreaker* breaker_ = nullptr;   // non-null only for a single endpoint
 
   mutable std::mutex policy_mutex_;  // guards policy_, clock_
   RetryPolicy policy_;

@@ -77,8 +77,6 @@ class Schema {
   /// at rest by the middleware, but unindexed) field.
   Schema& plain_field(const std::string& name, FieldType type, bool required = false);
 
-  bool has_field(const std::string& name) const { return fields_.count(name) > 0; }
-
   /// Throws Error(kNotFound) for unknown fields.
   const FieldAnnotation& annotation(const std::string& name) const;
 

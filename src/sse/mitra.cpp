@@ -39,10 +39,6 @@ Bytes MitraClient::address_for(const std::string& keyword, std::uint64_t count) 
   return key_.prf(keyword_input(keyword, count, 0));
 }
 
-Bytes MitraClient::pad_for(const std::string& keyword, std::uint64_t count) const {
-  return key_.prf(keyword_input(keyword, count, 1));
-}
-
 MitraUpdateToken MitraClient::update(MitraOp op, const std::string& keyword,
                                      const DocId& id) {
   const std::uint64_t c = counters_.increment(keyword);

@@ -79,7 +79,6 @@ class MitraClient {
 
  private:
   Bytes address_for(const std::string& keyword, std::uint64_t count) const;
-  Bytes pad_for(const std::string& keyword, std::uint64_t count) const;
 
   crypto::PrfKey key_;  // hoisted HMAC schedule — every op is PRF-bound
   KeywordCounters counters_;

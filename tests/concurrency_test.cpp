@@ -21,7 +21,6 @@
 #include "core/hot_cache.hpp"
 #include "core/tactics/builtin.hpp"
 #include "fhir/observation.hpp"
-#include "net/resilience.hpp"
 #include "store/kvstore.hpp"
 
 namespace datablinder {
@@ -504,61 +503,6 @@ TEST(ConcurrencyTest, HotCacheReadsRaceInvalidation) {
   // Montgomery contexts dedupe to one shared instance per modulus.
   EXPECT_EQ(cache.montgomery(bigint::BigInt(257)),
             cache.montgomery(bigint::BigInt(257)));
-}
-
-TEST(ConcurrencyTest, BreakerHalfOpenAdmitsExactlyOneProbePerWindow) {
-  // Regression for the half-open probe token: when the cooldown elapses and
-  // many callers race try_admit at the same instant, exactly ONE of them
-  // may own the probe. A second probe would double the load on an endpoint
-  // the breaker believes is down — the opposite of load shedding.
-  net::CircuitBreaker breaker;
-  net::BreakerConfig cfg;
-  cfg.enabled = true;
-  cfg.failure_threshold = 1;
-  cfg.open_cooldown_us = 10000;
-  breaker.configure(cfg);
-
-  breaker.on_failure(/*now_us=*/1000);  // trips open
-  ASSERT_EQ(breaker.state(), net::CircuitBreaker::State::kOpen);
-  EXPECT_FALSE(breaker.try_admit(1000 + cfg.open_cooldown_us - 1));
-
-  auto race_admits = [&breaker](std::uint64_t now_us) {
-    constexpr int kThreads = 16;
-    std::atomic<int> admitted{0};
-    std::vector<std::thread> threads;
-    threads.reserve(kThreads);
-    for (int t = 0; t < kThreads; ++t) {
-      threads.emplace_back([&breaker, &admitted, now_us] {
-        for (int i = 0; i < 50; ++i) {
-          if (breaker.try_admit(now_us)) admitted.fetch_add(1);
-        }
-      });
-    }
-    for (auto& t : threads) t.join();
-    return admitted.load();
-  };
-
-  // Window 1: cooldown elapsed, 16 threads x 50 attempts -> one token.
-  EXPECT_EQ(race_admits(1000 + cfg.open_cooldown_us), 1);
-  EXPECT_EQ(breaker.state(), net::CircuitBreaker::State::kHalfOpen);
-
-  // The probe's owner never reports an outcome (e.g. its thread died
-  // between admission and the call). After a FULL further cooldown the
-  // token is reclaimed — again to exactly one new owner.
-  EXPECT_EQ(race_admits(1000 + 2 * cfg.open_cooldown_us - 1), 0);
-  EXPECT_EQ(race_admits(1000 + 2 * cfg.open_cooldown_us), 1);
-
-  // A reported outcome resolves the window: success closes the breaker and
-  // admission goes wide open again.
-  breaker.on_success();
-  EXPECT_EQ(breaker.state(), net::CircuitBreaker::State::kClosed);
-  EXPECT_EQ(race_admits(1000 + 3 * cfg.open_cooldown_us), 16 * 50);
-
-  // ...and a failed probe re-opens with a fresh cooldown, one probe again.
-  breaker.on_failure(/*now_us=*/500000);
-  ASSERT_EQ(breaker.state(), net::CircuitBreaker::State::kOpen);
-  EXPECT_EQ(race_admits(500000 + cfg.open_cooldown_us - 1), 0);
-  EXPECT_EQ(race_admits(500000 + cfg.open_cooldown_us), 1);
 }
 
 // --- WorkerPool::run_all -----------------------------------------------------

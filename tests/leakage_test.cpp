@@ -10,10 +10,10 @@
 #include <set>
 
 #include "common/rng.hpp"
+#include "crypto/gcm.hpp"
 #include "ppe/det.hpp"
 #include "ppe/ope.hpp"
 #include "ppe/ore.hpp"
-#include "ppe/rnd.hpp"
 #include "sse/mitra.hpp"
 
 namespace datablinder {
@@ -44,10 +44,13 @@ TEST(LeakageTest, Class4DetRevealsExactFrequencyHistogram) {
 
 TEST(LeakageTest, Class1RndHidesTheHistogram) {
   // RND (structure only): every ciphertext is unique; the histogram
-  // degenerates to all-ones and frequency analysis gets nothing.
-  ppe::RndCipher rnd(Bytes(32, 2), "diagnosis");
+  // degenerates to all-ones and frequency analysis gets nothing. RND is
+  // the document blob's AES-GCM under a fresh random nonce.
+  crypto::AesGcm rnd(Bytes(32, 2));
   std::map<Bytes, int> histogram;
-  for (const auto& word : skewed_corpus()) ++histogram[rnd.encrypt(to_bytes(word))];
+  for (const auto& word : skewed_corpus()) {
+    ++histogram[rnd.seal_random_nonce(to_bytes(word), to_bytes("diagnosis"))];
+  }
   for (const auto& [ct, n] : histogram) EXPECT_EQ(n, 1);
   EXPECT_EQ(histogram.size(), skewed_corpus().size());
 }

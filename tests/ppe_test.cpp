@@ -1,5 +1,5 @@
-// Property-preserving encryption tests: DET determinism, RND semantics,
-// OPE order preservation and inversion, ORE comparison correctness.
+// Property-preserving encryption tests: DET determinism, OPE order
+// preservation and inversion, ORE comparison correctness.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -9,7 +9,6 @@
 #include "ppe/det.hpp"
 #include "ppe/ope.hpp"
 #include "ppe/ore.hpp"
-#include "ppe/rnd.hpp"
 
 namespace datablinder::ppe {
 namespace {
@@ -37,18 +36,6 @@ TEST(DetTest, RoundTripAndTamper) {
   EXPECT_EQ(to_string(*back), "payload");
   ct[5] ^= 1;
   EXPECT_FALSE(c.decrypt(ct).has_value());
-}
-
-TEST(RndTest, ProbabilisticAndAuthenticated) {
-  RndCipher c(Bytes(32, 3), "obs.performer");
-  const Bytes c1 = c.encrypt(to_bytes("Dr. Smith"));
-  const Bytes c2 = c.encrypt(to_bytes("Dr. Smith"));
-  EXPECT_NE(c1, c2);
-  EXPECT_EQ(to_string(*c.decrypt(c1)), "Dr. Smith");
-  EXPECT_EQ(to_string(*c.decrypt(c2)), "Dr. Smith");
-
-  RndCipher other(Bytes(32, 3), "other.context");
-  EXPECT_FALSE(other.decrypt(c1).has_value());
 }
 
 TEST(OpeTest, PreservesOrderOnKnownValues) {

@@ -1,9 +1,8 @@
 // Resilience-layer tests: scripted fault plans reproduce deterministically,
 // the RPC retry loop honours backoff schedules and deadline budgets (fake
-// clock — nothing here sleeps for real), the per-channel circuit breaker
-// walks closed -> open -> half-open -> closed, retry/breaker events land in
-// the gateway's PerfRegistry, and deferred-section failure paths leave no
-// queued requests behind.
+// clock — nothing here sleeps for real), only whitelisted methods are ever
+// retried, retry events land in the gateway's PerfRegistry, and
+// deferred-section failure paths leave no queued requests behind.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -142,7 +141,6 @@ TEST(ResilienceTest, RetryReplaysSameBytesWithExponentialBackoff) {
   rpc.set_clock(&clock);
 
   net::RetryPolicy p;
-  p.enabled = true;
   p.max_attempts = 4;
   p.initial_backoff_us = 1000;
   p.backoff_multiplier = 2.0;
@@ -169,7 +167,6 @@ TEST(ResilienceTest, JitterIsSeededAndBounded) {
     FakeClock clock;
     rpc.set_clock(&clock);
     net::RetryPolicy p;
-    p.enabled = true;
     p.max_attempts = 4;
     p.initial_backoff_us = 10000;
     p.backoff_multiplier = 2.0;
@@ -204,7 +201,6 @@ TEST(ResilienceTest, DeadlineBudgetAbandonsRetry) {
   rpc.set_counters(&events);
 
   net::RetryPolicy p;
-  p.enabled = true;
   p.max_attempts = 10;
   p.initial_backoff_us = 1000;
   p.backoff_multiplier = 2.0;
@@ -232,23 +228,75 @@ TEST(ResilienceTest, DeadlineBudgetAbandonsRetry) {
   EXPECT_EQ(events.counter("net.retry.attempt"), 1u);
 }
 
+void expect_no_retry_events(const Counters& events) {
+  for (const char* name : {"net.retry.attempt", "net.retry.backoff_us",
+                           "net.retry.giveup", "net.retry.deadline"}) {
+    EXPECT_EQ(events.counter(name), 0u) << name;
+  }
+}
+
 TEST(ResilienceTest, NonWhitelistedMethodsFailFast) {
-  net::Channel ch;
-  net::RpcClient rpc(echo_server(), ch);
+  // echo.get is not in the standard whitelist, and the default policy's
+  // whitelist is empty: either way the call gets exactly one attempt.
+  net::RetryPolicy standard = net::RetryPolicy::standard();
+  standard.jitter = 0.0;
+  for (const net::RetryPolicy& p : {standard, net::RetryPolicy{}}) {
+    SCOPED_TRACE(p.retryable_methods.empty() ? "default policy" : "standard policy");
+    net::Channel ch;
+    net::RpcClient rpc(echo_server(), ch);
+    FakeClock clock;
+    rpc.set_clock(&clock);
+    Counters events;
+    rpc.set_counters(&events);
+    rpc.set_retry_policy(p);
+
+    net::FaultPlan plan;
+    plan.fail_transfers = {1};
+    ch.arm_fault_plan(plan);
+
+    EXPECT_THROW(rpc.call("echo.get", to_bytes("x")), Error);
+    EXPECT_TRUE(clock.sleeps.empty());  // no retry attempted
+    EXPECT_EQ(ch.transfers(), 1u);
+    expect_no_retry_events(events);
+  }
+}
+
+TEST(ResilienceTest, DefaultGatewayKeepsTheClientsWhitelist) {
+  core::CloudNode cloud;
+  net::Channel channel;
+  net::RpcClient rpc(cloud.rpc(), channel);
   FakeClock clock;
   rpc.set_clock(&clock);
-
-  net::RetryPolicy p = net::RetryPolicy::standard();  // echo.get not listed
+  net::RetryPolicy p;
   p.jitter = 0.0;
+  p.retryable_methods = {"doc.get"};
   rpc.set_retry_policy(p);
 
+  // A default GatewayConfig's whitelist is empty: it installs nothing.
+  kms::KeyManager kms;
+  store::KvStore local;
+  core::Gateway gateway(rpc, kms, local, registry(), core::GatewayConfig{});
+
+  // doc.put is outside the client's whitelist: one transfer, no sleep.
+  const Bytes put = wire::pack(
+      {{"col", Value("c")}, {"id", Value("k")}, {"blob", Value(Bytes{4})}});
   net::FaultPlan plan;
   plan.fail_transfers = {1};
-  ch.arm_fault_plan(plan);
+  channel.arm_fault_plan(plan);
+  EXPECT_THROW(rpc.call("doc.put", put), Error);
+  EXPECT_TRUE(clock.sleeps.empty());
+  EXPECT_EQ(channel.transfers(), 1u);
+  expect_no_retry_events(gateway.perf());
 
-  EXPECT_THROW(rpc.call("echo.get", to_bytes("x")), Error);
-  EXPECT_TRUE(clock.sleeps.empty());  // no retry attempted
-  EXPECT_EQ(ch.transfers(), 1u);
+  // doc.get is still whitelisted, so its lost request leg is retried.
+  channel.clear_fault_plan();
+  rpc.call("doc.put", put);
+  channel.arm_fault_plan(plan);
+  const Bytes reply =
+      rpc.call("doc.get", wire::pack({{"col", Value("c")}, {"id", Value("k")}}));
+  EXPECT_EQ(wire::get_bin(wire::unpack(reply), "blob"), (Bytes{4}));
+  EXPECT_EQ(clock.sleeps.size(), 1u);
+  EXPECT_EQ(gateway.perf().counter("net.retry.attempt"), 1u);
 }
 
 TEST(ResilienceTest, StandardWhitelistCoversReadsAndKeyedOverwrites) {
@@ -318,7 +366,6 @@ TEST(ResilienceTest, TypedServerErrorsAreNotRetried) {
   FakeClock clock;
   rpc.set_clock(&clock);
   net::RetryPolicy p;
-  p.enabled = true;
   p.retryable_methods = {"always.fails"};
   rpc.set_retry_policy(p);
 
@@ -331,59 +378,6 @@ TEST(ResilienceTest, TypedServerErrorsAreNotRetried) {
   }
   EXPECT_EQ(calls, 1);
   EXPECT_TRUE(clock.sleeps.empty());
-}
-
-// --- Circuit breaker ---------------------------------------------------------
-
-TEST(ResilienceTest, BreakerWalksClosedOpenHalfOpenClosed) {
-  net::Channel ch;
-  net::RpcClient rpc(echo_server(), ch);
-  FakeClock clock;
-  rpc.set_clock(&clock);
-  Counters events;
-  rpc.set_counters(&events);
-
-  net::BreakerConfig bc;
-  bc.enabled = true;
-  bc.failure_threshold = 2;
-  bc.open_cooldown_us = 1000;
-  ch.breaker().configure(bc);
-
-  net::FaultPlan plan;
-  plan.outages = {{1, 3}};  // transfers 1..3 down, healed from #4
-  ch.arm_fault_plan(plan);
-
-  using State = net::CircuitBreaker::State;
-  EXPECT_EQ(ch.breaker().state(), State::kClosed);
-  EXPECT_THROW(rpc.call("echo.get", to_bytes("x")), Error);  // failure 1
-  EXPECT_EQ(ch.breaker().state(), State::kClosed);
-  EXPECT_THROW(rpc.call("echo.get", to_bytes("x")), Error);  // failure 2: trips
-  EXPECT_EQ(ch.breaker().state(), State::kOpen);
-  EXPECT_EQ(events.counter("net.breaker.open"), 1u);
-
-  // Open: calls shed without touching the channel.
-  const std::uint64_t before = ch.transfers();
-  try {
-    rpc.call("echo.get", to_bytes("x"));
-    FAIL() << "expected breaker rejection";
-  } catch (const Error& e) {
-    EXPECT_EQ(e.code(), ErrorCode::kUnavailable);
-    EXPECT_NE(std::string(e.what()).find("circuit breaker open"), std::string::npos);
-  }
-  EXPECT_EQ(ch.transfers(), before);
-  EXPECT_EQ(events.counter("net.breaker.reject"), 1u);
-
-  // Cooldown elapses; the half-open probe hits the last outage transfer (#3)
-  // and fails: straight back to open.
-  clock.now_ += 1500;
-  EXPECT_THROW(rpc.call("echo.get", to_bytes("x")), Error);
-  EXPECT_EQ(ch.breaker().state(), State::kOpen);
-  EXPECT_EQ(events.counter("net.breaker.open"), 2u);
-
-  // Second probe after another cooldown finds the channel healed: closed.
-  clock.now_ += 1500;
-  EXPECT_EQ(to_string(rpc.call("echo.get", to_bytes("x"))), "x");
-  EXPECT_EQ(ch.breaker().state(), State::kClosed);
 }
 
 // --- Gateway integration: metrics + retried insert ---------------------------
@@ -402,8 +396,6 @@ TEST(ResilienceTest, GatewayRetriesInsertAndRecordsMetrics) {
   cfg.retry.jitter_seed = 7;
   cfg.retry.initial_backoff_us = 10;  // keep the real-clock sleeps tiny
   cfg.retry.max_backoff_us = 100;
-  cfg.breaker.enabled = true;
-  cfg.breaker.failure_threshold = 50;  // present but not tripping here
   core::Gateway gateway(rpc, kms, local, registry(), cfg);
   gateway.register_schema(fhir::observation_schema("obs"));
 
