@@ -73,10 +73,7 @@ Row run(const std::string& tactic, bool adaptive = false, int docs = 250,
   store::KvStore local;
   const core::TacticRegistry registry = make_registry(tactic);
   core::GatewayConfig cfg;
-  if (adaptive) {
-    cfg.adaptive_selection = true;
-    cfg.hot_cache_capacity = 1024;
-  }
+  cfg.adaptive_selection = adaptive;
   core::Gateway gw(rpc, kms, local, registry, cfg);
 
   schema::Schema s("ts_col");
@@ -131,7 +128,7 @@ int main() {
                 r.insert_us, r.query_us, r.cloud_bytes);
   }
   // Fourth row: the static table is pinned to ORE (the costly choice for
-  // this workload) but adaptive selection + the hot cache are on — the
+  // this workload) but adaptive selection is on — the
   // cost model walks the plan back to the cheapest admissible candidate.
   const Row a = run("ORE", /*adaptive=*/true);
   std::printf("%-10s %-8s %-22s %12.1f %12.1f %12zu\n", "ORE+adapt", "5",
@@ -143,6 +140,6 @@ int main() {
       "the policy engine can offer a field whose class bound excludes order.\n"
       "The adaptive row starts from the worst static choice and converges to\n"
       "the cheapest admissible candidate (see bench_adaptive for the CI-\n"
-      "asserted convergence + cache-hit numbers).\n");
+      "asserted convergence + speedup numbers).\n");
   return 0;
 }

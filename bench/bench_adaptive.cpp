@@ -1,13 +1,13 @@
 // bench_adaptive — CI-checkable proof that adaptive selection converges
-// and that the hot-path cache earns its keep.
+// and that the switch pays off in the steady state.
 //
 // Setup mirrors bench_ablation_ranges' promoted registry: ORE gets
 // preference 100, so the §5.1 static table picks ORE for the C5 range
 // field — a deliberately poor static choice (O(N) token comparisons per
 // query). With adaptive_selection on, the cost model's priors already
 // rank OPE well clear of ORE at this cardinality and selectivity, so the
-// plan must switch within hysteresis_windows decisions; from then on the
-// hot cache serves repeat OPE bound labels and decrypted documents.
+// plan must switch within hysteresis_windows decisions; from then on each
+// query is one OPE index scan plus one doc.mget of the matching documents.
 //
 // RangeBRC is deliberately absent from this registry: its measured range
 // cost sits close to OPE's, so once observations outweigh the priors the
@@ -16,8 +16,8 @@
 // bench_ablation_ranges keeps the full triangle.
 //
 // Emits BENCH_adaptive.json and exits non-zero when adaptation fails to
-// converge to OPE, when the query-phase cache hit ratio is <= 0.9, or
-// when the adaptive steady state is not faster than the static baseline.
+// converge to OPE within 10 queries, or when the adaptive steady state is
+// not at least kMinSpeedup times faster than the static baseline.
 #include <cstdio>
 
 #include "common/rng.hpp"
@@ -36,8 +36,11 @@ namespace {
 constexpr int kDocs = 300;
 constexpr int kQueries = 40;
 // Fixed 2% window: every run asks the same narrow question, the shape the
-// cache and the cost model's default_selectivity are tuned for below.
+// cost model's default_selectivity is tuned for below.
 constexpr std::int64_t kLo = 450000, kHi = 470000;
+// OPE's O(log N + K) scan against ORE's O(N) token comparisons measured
+// 12-24x at this size; 5x leaves room for noisy hosts.
+constexpr double kMinSpeedup = 5.0;
 
 core::TacticRegistry make_registry() {
   core::TacticRegistry r;
@@ -70,7 +73,6 @@ struct Run {
   double steady_query_us = 0.0;  // over the last half
   int converged_at = -1;         // first query answered by the cost model's switch
   std::string final_choice;
-  double query_hit_ratio = 0.0;  // cache hits/(hits+misses) in the query phase only
 };
 
 Run run(bool adaptive) {
@@ -83,7 +85,6 @@ Run run(bool adaptive) {
   core::GatewayConfig cfg;
   if (adaptive) {
     cfg.adaptive_selection = true;
-    cfg.hot_cache_capacity = 1024;
     cfg.cost.default_selectivity = 0.02;  // the 2% window above
   }
   core::Gateway gw(rpc, kms, local, registry, cfg);
@@ -100,8 +101,6 @@ Run run(bool adaptive) {
     gw.insert("ts_col", d);
   }
 
-  const std::uint64_t h0 = adaptive ? gw.cache()->hits() : 0;
-  const std::uint64_t m0 = adaptive ? gw.cache()->misses() : 0;
   Run out;
   double total_us = 0.0, steady_us = 0.0;
   for (int q = 0; q < kQueries; ++q) {
@@ -121,13 +120,7 @@ Run run(bool adaptive) {
   }
   out.mean_query_us = total_us / kQueries;
   out.steady_query_us = steady_us / (kQueries - kQueries / 2);
-  if (adaptive) {
-    out.final_choice = gw.plan("ts_col").fields.at("ts").range_last_choice;
-    const std::uint64_t h = gw.cache()->hits() - h0;
-    const std::uint64_t m = gw.cache()->misses() - m0;
-    out.query_hit_ratio =
-        (h + m) == 0 ? 0.0 : static_cast<double>(h) / static_cast<double>(h + m);
-  }
+  if (adaptive) out.final_choice = gw.plan("ts_col").fields.at("ts").range_last_choice;
   return out;
 }
 
@@ -146,7 +139,6 @@ int main() {
               ad.steady_query_us);
   std::printf("%-28s %14s %14s\n", "final range tactic", "ORE", ad.final_choice.c_str());
   std::printf("%-28s %14s %14d\n", "converged by query", "-", ad.converged_at);
-  std::printf("%-28s %14s %14.3f\n", "query-phase cache hit ratio", "-", ad.query_hit_ratio);
   std::printf("%-28s %14s %13.1fx\n", "steady-state speedup", "-", speedup);
 
   std::FILE* f = std::fopen("BENCH_adaptive.json", "w");
@@ -160,11 +152,10 @@ int main() {
                  "  \"adaptive_final_tactic\": \"%s\",\n"
                  "  \"adaptive_converged_by_query\": %d,\n"
                  "  \"adaptive_steady_query_us\": %.1f,\n"
-                 "  \"adaptive_query_hit_ratio\": %.4f,\n"
                  "  \"steady_state_speedup\": %.2f\n"
                  "}\n",
                  kDocs, kQueries, st.steady_query_us, ad.final_choice.c_str(),
-                 ad.converged_at, ad.steady_query_us, ad.query_hit_ratio, speedup);
+                 ad.converged_at, ad.steady_query_us, speedup);
     std::fclose(f);
   }
 
@@ -179,16 +170,13 @@ int main() {
                  ad.converged_at);
     ok = false;
   }
-  if (ad.query_hit_ratio <= 0.9) {
-    std::fprintf(stderr, "FAIL: query-phase cache hit ratio %.3f (want > 0.9)\n",
-                 ad.query_hit_ratio);
+  if (!(speedup >= kMinSpeedup)) {
+    std::fprintf(stderr,
+                 "FAIL: steady-state speedup %.1fx (adaptive %.1fus, static %.1fus; "
+                 "want >= %.0fx)\n",
+                 speedup, ad.steady_query_us, st.steady_query_us, kMinSpeedup);
     ok = false;
   }
-  if (ad.steady_query_us >= st.steady_query_us) {
-    std::fprintf(stderr, "FAIL: adaptive steady state %.1fus not faster than static %.1fus\n",
-                 ad.steady_query_us, st.steady_query_us);
-    ok = false;
-  }
-  if (ok) std::printf("\nadaptive convergence + cache assertions OK\n");
+  if (ok) std::printf("\nadaptive convergence + speedup assertions OK\n");
   return ok ? 0 : 1;
 }

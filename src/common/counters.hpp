@@ -1,9 +1,9 @@
 // Counters — the one sink for named event counts.
 //
 // Event series that are counts rather than latencies: retry attempts,
-// hedges, replica failovers, shard scatters, journal resumes, cache traffic
+// hedges, replica failovers, shard scatters, journal resumes, crypto routes
 // ("net.retry.*", "net.hedge.*", "net.replica.*", "net.shard.*",
-// "core.journal.*", "core.cache.*").
+// "core.journal.*", "core.crypto.*").
 // core::PerfRegistry is a Counters, so one registry snapshot covers the
 // whole middleware; the net layers count into whichever Counters their
 // owner binds with Backend::set_counters.

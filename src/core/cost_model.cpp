@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <limits>
 
-#include "core/hot_cache.hpp"
-
 namespace datablinder::core {
 
 namespace {
@@ -29,8 +27,8 @@ const CostProfile& post_filter_cost_profile() {
   return p;
 }
 
-CostModel::CostModel(PerfRegistry& perf, Config config, const HotCache* cache)
-    : perf_(perf), config_(config), cache_(cache) {}
+CostModel::CostModel(PerfRegistry& perf, Config config)
+    : perf_(perf), config_(config) {}
 
 const PerfSeries* CostModel::observed(const std::string& name, TacticOperation op) {
   std::lock_guard lock(mutex_);
@@ -41,16 +39,10 @@ const PerfSeries* CostModel::observed(const std::string& name, TacticOperation o
 
 double CostModel::predict_us(const CostCandidate& candidate, TacticOperation op,
                              std::uint64_t n) {
-  double prior = candidate.profile == nullptr
-                     ? 0.0
-                     : candidate.profile->predict_us(op, n, config_.default_selectivity);
-  // Cache feedback: when the decrypted-document cache is running hot, the
-  // dominant per-document cost of the post-filter shape (fetch + AEAD
-  // open) is mostly skipped — discount the prior accordingly. Live EWMA
-  // evidence already embodies the effect, so only the prior is scaled.
-  if (cache_ != nullptr && candidate.name == kPostFilterTactic) {
-    prior *= 1.0 - 0.7 * cache_->hit_ratio();
-  }
+  const double prior =
+      candidate.profile == nullptr
+          ? 0.0
+          : candidate.profile->predict_us(op, n, config_.default_selectivity);
   const PerfSeries* series = observed(plan_series(candidate.name), op);
   const double recent = static_cast<double>(series->recent_count());
   if (recent == 0.0) return prior;

@@ -34,8 +34,6 @@
 
 namespace datablinder::core {
 
-class HotCache;
-
 /// Name of the retrieve-and-post-filter pseudo-candidate of range
 /// selection: bulk retrieve + gateway-side decrypt + predicate. Not a
 /// registry tactic — the gateway runs this shape directly.
@@ -72,8 +70,8 @@ class CostModel {
     double default_selectivity = 0.1;
   };
 
-  CostModel(PerfRegistry& perf, Config config, const HotCache* cache = nullptr);
-  explicit CostModel(PerfRegistry& perf) : CostModel(perf, Config(), nullptr) {}
+  CostModel(PerfRegistry& perf, Config config);
+  explicit CostModel(PerfRegistry& perf) : CostModel(perf, Config()) {}
 
   /// Blended cost prediction for one candidate at cardinality n.
   double predict_us(const CostCandidate& candidate, TacticOperation op,
@@ -100,7 +98,6 @@ class CostModel {
 
   PerfRegistry& perf_;
   Config config_;
-  const HotCache* cache_;  // optional: hit ratio discounts post-filter cost
 
   std::mutex mutex_;  // guards handles_ and state_
   std::map<std::pair<std::string, TacticOperation>, const PerfSeries*> handles_;

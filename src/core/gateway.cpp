@@ -11,7 +11,6 @@
 #include "common/logging.hpp"
 #include "common/rng.hpp"
 #include "core/wire.hpp"
-#include "doc/binary_codec.hpp"
 #include "store/docstore.hpp"  // compare_values for post-verification
 
 namespace datablinder::core {
@@ -82,12 +81,8 @@ Gateway::Gateway(net::RpcClient& cloud, kms::KeyManager& kms,
       registry_(registry),
       config_(std::move(config)),
       policy_(registry),
-      cache_(config_.hot_cache_capacity > 0
-                 ? std::make_unique<HotCache>(&perf_,
-                                              HotCache::Config{config_.hot_cache_capacity})
-                 : nullptr),
       cost_model_(config_.adaptive_selection
-                      ? std::make_unique<CostModel>(perf_, config_.cost, cache_.get())
+                      ? std::make_unique<CostModel>(perf_, config_.cost)
                       : nullptr),
       pool_(default_workers()) {
   if (!config_.retry.retryable_methods.empty()) cloud_.set_retry_policy(config_.retry);
@@ -109,7 +104,6 @@ GatewayContext Gateway::make_context(const std::string& collection,
   ctx.collection = collection;
   ctx.field = field;
   ctx.params = config_.tactic_params;
-  ctx.cache = cache_.get();
   return ctx;
 }
 
@@ -296,45 +290,19 @@ std::vector<Document> Gateway::resolve(const exec::CollectionRuntime& rt,
                                        const std::vector<DocId>& ids) {
   std::vector<Document> out;
   if (ids.empty()) return out;
-  const std::string& col = rt.schema.name();
-
-  // Hot-path cache: repeated retrievals of the same candidate hit the
-  // decrypted-document cache instead of paying a round trip + AEAD open.
-  // Entries live in the collection's epoch domain — any remove/update
-  // bumps the epoch and drops the whole collection's cached documents.
-  std::vector<std::optional<Bytes>> cached(cache_ != nullptr ? ids.size() : 0);
-  std::vector<std::string_view> missing;
-  missing.reserve(ids.size());
-  for (std::size_t i = 0; i < ids.size(); ++i) {
-    if (cache_ != nullptr) cached[i] = cache_->get("doc/" + col + "/" + ids[i]);
-    if (cache_ == nullptr || !cached[i]) missing.push_back(ids[i]);
-  }
 
   // The cloud returns only the ids that still exist, in request order, so
-  // one cursor walks the candidates alongside the reply: cache hits are
-  // taken in place, and a miss whose id is not the next entry's vanished
-  // concurrently and is skipped. Each blob is opened from its view into
-  // the reply.
+  // one cursor walks the candidates alongside the reply: a candidate that
+  // is not the next entry's id vanished concurrently and is skipped. Each
+  // blob is opened from its view into the reply.
   out.reserve(ids.size());
-  auto hit = [&](std::size_t i) { return cache_ != nullptr && cached[i].has_value(); };
+  const Bytes reply = cloud_.call("doc.mget", wire::pack_mget(rt.schema.name(), ids));
   std::size_t next = 0;
-  // Advances to the next miss for `until` (to the end when nullopt).
-  auto take_hits = [&](std::optional<std::string_view> until) {
-    for (; next < ids.size() && (hit(next) || ids[next] != until); ++next) {
-      if (hit(next)) out.push_back(doc::decode_document(*cached[next]));
-    }
-  };
-  if (!missing.empty()) {
-    const Bytes reply = cloud_.call("doc.mget", wire::pack_mget(col, missing));
-    wire::for_each_doc(reply, [&](std::string_view id, BytesView blob) {
-      take_hits(id);
-      if (next == ids.size()) return;  // an entry no candidate asked for
-      Document d = rt.open_document(ids[next++], blob);
-      if (cache_ != nullptr) cache_->put("doc/" + col + "/" + d.id, doc::encode_document(d), col);
-      out.push_back(std::move(d));
-    });
-  }
-  take_hits(std::nullopt);
+  wire::for_each_doc(reply, [&](std::string_view id, BytesView blob) {
+    while (next < ids.size() && ids[next] != id) ++next;
+    if (next == ids.size()) return;  // an entry no candidate asked for
+    out.push_back(rt.open_document(ids[next++], blob));
+  });
   return out;
 }
 
@@ -447,9 +415,6 @@ void Gateway::remove(const std::string& collection, const DocId& id) {
   while (n > 0 &&
          !rt.doc_count.compare_exchange_weak(n, n - 1, std::memory_order_relaxed)) {
   }
-  // Any removal (update = remove + insert) may orphan cached documents of
-  // this collection: bump the epoch so they all go stale at once.
-  if (cache_ != nullptr) cache_->bump_epoch(collection);
 }
 
 void Gateway::update(const std::string& collection, Document d) {
@@ -665,8 +630,7 @@ std::vector<Document> Gateway::range_search(const std::string& collection,
     const ScopedPerf stage(perf_, "core.index", op);
     if (post_filter) {
       // Post-filter shape: enumerate every id, let resolve bulk-retrieve
-      // (through the document cache when present) and verify apply the
-      // range predicate after decryption.
+      // and verify apply the range predicate after decryption.
       const ScopedPerf perf(perf_, kPostFilterTactic, op);
       ids = wire::unpack_ids(
           cloud_.call("doc.list", wire::pack({{"col", Value(rt.schema.name())}})));

@@ -29,7 +29,6 @@
 #include "core/cost_model.hpp"
 #include "core/exec/intent_journal.hpp"
 #include "core/exec/runtime.hpp"
-#include "core/hot_cache.hpp"
 #include "core/metrics.hpp"
 #include "core/policy.hpp"
 #include "core/registry.hpp"
@@ -77,11 +76,6 @@ struct GatewayConfig {
   /// Tuning knobs for the adaptive cost model (ignored unless
   /// adaptive_selection is on).
   CostModel::Config cost;
-
-  /// Entry capacity of the gateway hot cache (trapdoors, deterministic
-  /// labels, Montgomery contexts, decrypted documents). 0 (default)
-  /// disables the cache entirely.
-  std::size_t hot_cache_capacity = 0;
 
   /// Cloud replicas per shard for ShardedCloud (core/sharding.hpp).
   /// With replicas = 1 and hedging off, no replication layer is built
@@ -189,10 +183,6 @@ class Gateway {
   const PerfRegistry& perf() const noexcept { return perf_; }
   PerfRegistry& perf() noexcept { return perf_; }
 
-  /// The gateway hot cache, or nullptr when hot_cache_capacity is 0.
-  const HotCache* cache() const noexcept { return cache_.get(); }
-  HotCache* cache() noexcept { return cache_.get(); }
-
   /// The adaptive cost model, or nullptr when adaptive_selection is off.
   const CostModel* cost_model() const noexcept { return cost_model_.get(); }
 
@@ -218,9 +208,9 @@ class Gateway {
   void update_indexes(exec::CollectionRuntime& rt, const doc::Document& d,
                       TacticOperation op);
 
-  /// The "resolve" stage of every search: cache hits in place, ONE
-  /// doc.mget round trip for the rest. Returns the documents in candidate
-  /// order; ids whose document vanished (races with deletions) are skipped.
+  /// The "resolve" stage of every search: ONE doc.mget round trip for all
+  /// candidates. Returns the documents in candidate order; ids whose
+  /// document vanished (races with deletions) are skipped.
   std::vector<doc::Document> resolve(const exec::CollectionRuntime& rt,
                                      const std::vector<DocId>& ids);
 
@@ -243,7 +233,6 @@ class Gateway {
   GatewayConfig config_;
   PolicyEngine policy_;
   PerfRegistry perf_;
-  std::unique_ptr<HotCache> cache_;      // before cost_model_: it holds the pointer
   std::unique_ptr<CostModel> cost_model_;
   std::unique_ptr<exec::IntentJournal> journal_;
 

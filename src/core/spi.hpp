@@ -147,7 +147,6 @@ struct TacticDescriptor {
 };
 
 class PerfRegistry;
-class HotCache;
 
 /// Everything a gateway-side tactic implementation receives (the "tactic
 /// commonalities" of §4.2: cloud channel, key management, local repository,
@@ -157,7 +156,6 @@ struct GatewayContext {
   store::KvStore* local_store = nullptr;   // gateway-side repository (Redis role)
   kms::KeyManager* kms = nullptr;          // key management integration
   PerfRegistry* perf = nullptr;            // gateway metrics (null in bare tests)
-  HotCache* cache = nullptr;               // hot-path cache (null = caching off)
   std::string collection;
   std::string field;  // empty for collection-scoped (boolean) tactics
 

@@ -1,7 +1,5 @@
 #include "core/tactics/det_tactic.hpp"
 
-#include "common/hex.hpp"
-#include "core/hot_cache.hpp"
 #include "core/tactics/builtin.hpp"
 #include "core/wire.hpp"
 
@@ -58,16 +56,6 @@ void DetTactic::setup() {
 
 Bytes DetTactic::label(const Value& value) const {
   // Deterministic: equal values -> equal labels within this field scope.
-  // Labels are pure functions of key material + value, so cached entries
-  // (no epoch domain) never go stale.
-  if (ctx_.cache != nullptr) {
-    const std::string key =
-        "det/" + ctx_.scope("det") + "/" + hex_encode(value.scalar_bytes());
-    if (auto cached = ctx_.cache->get(key)) return std::move(*cached);
-    Bytes l = cipher_->encrypt(value.scalar_bytes());
-    ctx_.cache->put(key, l);
-    return l;
-  }
   return cipher_->encrypt(value.scalar_bytes());
 }
 

@@ -1,6 +1,5 @@
 #include "core/tactics/mitra_tactic.hpp"
 
-#include "core/hot_cache.hpp"
 #include "core/tactics/builtin.hpp"
 #include "core/wire.hpp"
 
@@ -57,12 +56,6 @@ void MitraTactic::setup() {
 void MitraTactic::send_update(sse::MitraOp op, const std::string& keyword,
                               const DocId& id) {
   const sse::MitraUpdateToken token = client_->update(op, keyword, id);
-  // The keyword counter advanced (on add AND delete): any cached search
-  // trapdoor for it now misses the newest entry. Keyed invalidation —
-  // exactly this keyword, nothing else.
-  if (ctx_.cache != nullptr) {
-    ctx_.cache->erase("mitra/" + ctx_.scope("mitra") + "/" + keyword);
-  }
   ctx_.local_store->hset(state_key_, keyword, be64(client_->counter(keyword)));
   ctx_.cloud->call("mitra.update",
                    wire::pack({{"scope", Value(ctx_.scope("mitra"))},
@@ -80,43 +73,10 @@ void MitraTactic::on_delete(const DocId& id, const Value& value) {
 
 std::vector<DocId> MitraTactic::equality_search(const Value& value) {
   const std::string keyword = field_keyword(ctx_.field, value);
-  // Trapdoor cache: deriving c_w PRF addresses is the gateway-side cost of
-  // a Mitra search. Cached under a per-keyword key (state-dependent:
-  // send_update erases it whenever the counter advances).
-  const std::string cache_key = "mitra/" + ctx_.scope("mitra") + "/" + keyword;
-  std::vector<Bytes> addrs;
-  bool have = false;
-  if (ctx_.cache != nullptr) {
-    if (auto blob = ctx_.cache->get(cache_key)) {
-      const BytesView v(*blob);
-      const std::uint32_t count = read_be32(v);
-      std::size_t off = 4;
-      addrs.reserve(count);
-      for (std::uint32_t i = 0; i < count; ++i) {
-        const std::uint32_t len = read_be32(v.subspan(off));
-        off += 4;
-        const BytesView a = v.subspan(off, len);
-        off += len;
-        addrs.emplace_back(a.begin(), a.end());
-      }
-      have = true;
-    }
-  }
-  if (!have) {
-    sse::MitraSearchToken token = client_->search_token(keyword);
-    addrs = std::move(token.addresses);
-    if (ctx_.cache != nullptr) {
-      Bytes blob = be32(static_cast<std::uint32_t>(addrs.size()));
-      for (const auto& a : addrs) {
-        append(blob, be32(static_cast<std::uint32_t>(a.size())));
-        append(blob, a);
-      }
-      ctx_.cache->put(cache_key, blob);
-    }
-  }
+  const sse::MitraSearchToken token = client_->search_token(keyword);
   doc::Array addresses;
-  addresses.reserve(addrs.size());
-  for (const auto& a : addrs) addresses.emplace_back(a);
+  addresses.reserve(token.addresses.size());
+  for (const auto& a : token.addresses) addresses.emplace_back(a);
   const Bytes reply = ctx_.cloud->call(
       "mitra.search", wire::pack({{"scope", Value(ctx_.scope("mitra"))},
                                   {"addresses", Value(std::move(addresses))}}));

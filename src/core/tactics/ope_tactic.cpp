@@ -1,7 +1,5 @@
 #include "core/tactics/ope_tactic.hpp"
 
-#include "common/hex.hpp"
-#include "core/hot_cache.hpp"
 #include "core/tactics/builtin.hpp"
 #include "doc/numeric.hpp"
 #include "core/wire.hpp"
@@ -50,16 +48,6 @@ void OpeTactic::setup() {
 }
 
 Bytes OpeTactic::score(const Value& value) const {
-  // Scores are pure functions of key material + value (deterministic
-  // monotone injection): cacheable without an epoch domain.
-  if (ctx_.cache != nullptr) {
-    const std::string key =
-        "ope/" + ctx_.scope("ope") + "/" + hex_encode(value.scalar_bytes());
-    if (auto cached = ctx_.cache->get(key)) return std::move(*cached);
-    Bytes s = cipher_->encrypt(doc::ordered_key(value)).to_bytes();
-    ctx_.cache->put(key, s);
-    return s;
-  }
   return cipher_->encrypt(doc::ordered_key(value)).to_bytes();
 }
 

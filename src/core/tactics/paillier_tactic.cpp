@@ -2,7 +2,6 @@
 
 #include <cmath>
 
-#include "core/hot_cache.hpp"
 #include "core/metrics.hpp"
 #include "core/tactics/builtin.hpp"
 #include "core/wire.hpp"
@@ -71,17 +70,7 @@ void PaillierTactic::setup() {
   }
   // Montgomery contexts, the CRT residue system when p/q are known, and an
   // optional randomizer pool ("paillier_pool" = pool low-water mark, 0
-  // disables) refilled by that CRT routine. The keypair is persisted, so
-  // re-registrations see the same modulus: draw the contexts from the
-  // gateway's shared per-modulus store when a hot cache is wired, and let
-  // init_fast_paths keep them (idempotent).
-  if (ctx_.cache != nullptr) {
-    if (keys_->pub.n_squared.is_zero()) {
-      keys_->pub.n_squared = keys_->pub.n * keys_->pub.n;
-    }
-    keys_->pub.mont_n = ctx_.cache->montgomery(keys_->pub.n);
-    keys_->pub.mont_n2 = ctx_.cache->montgomery(keys_->pub.n_squared);
-  }
+  // disables) refilled by that CRT routine.
   const int pool = ctx_.param_int("paillier_pool", 0);
   keys_->priv.pub = keys_->pub;
   keys_->priv.init_fast_paths(pool > 0 ? static_cast<std::size_t>(pool) : 0);

@@ -149,10 +149,11 @@ RpcServer::Handler RpcClient::make_batch_handler(const RpcServer& server) {
 }
 
 void RpcClient::set_retry_policy(RetryPolicy policy) {
+  auto shared = std::make_shared<const RetryPolicy>(std::move(policy));
   backend_.set_hedgeable(
-      [policy](const std::string& method) { return policy.retryable(method); });
+      [shared](const std::string& method) { return shared->retryable(method); });
   std::lock_guard lock(policy_mutex_);
-  policy_ = std::move(policy);
+  policy_ = std::move(shared);
 }
 
 void RpcClient::set_clock(RetryClock* clock) {
@@ -201,7 +202,9 @@ Bytes RpcClient::call(const std::string& method, BytesView payload) {
   request.payload.assign(payload.begin(), payload.end());
   const Bytes wire_request = request.serialize();
 
-  RetryPolicy policy;
+  // A snapshot of the installed policy: one refcount, not a copy of its
+  // whitelist.
+  std::shared_ptr<const RetryPolicy> policy;
   RetryClock* clock;
   {
     std::lock_guard lock(policy_mutex_);
@@ -209,12 +212,12 @@ Bytes RpcClient::call(const std::string& method, BytesView payload) {
     clock = clock_ != nullptr ? clock_ : &RetryClock::system();
   }
   // A method outside the whitelist may not be replay-idempotent: one attempt.
-  if (!policy.retryable(method)) return backend_.call(method, wire_request);
+  if (!policy->retryable(method)) return backend_.call(method, wire_request);
 
   const std::uint64_t start_us = clock->now_us();
-  std::uint64_t backoff_us = policy.initial_backoff_us;
-  std::mt19937_64 jitter_rng(DetRng::seed_or_entropy(policy.jitter_seed));
-  const std::uint32_t max_attempts = std::max<std::uint32_t>(1, policy.max_attempts);
+  std::uint64_t backoff_us = policy->initial_backoff_us;
+  std::mt19937_64 jitter_rng(DetRng::seed_or_entropy(policy->jitter_seed));
+  const std::uint32_t max_attempts = std::max<std::uint32_t>(1, policy->max_attempts);
 
   // Whatever the backend's shape (one endpoint, a replica group that already
   // failed over, a shard router), what escapes it is a typed server error,
@@ -232,13 +235,13 @@ Bytes RpcClient::call(const std::string& method, BytesView payload) {
         counters_.incr("net.retry.giveup");
         throw;
       }
-      if (policy.jitter > 0.0) {
+      if (policy->jitter > 0.0) {
         const double cut =
-            std::uniform_real_distribution<double>(0.0, policy.jitter)(jitter_rng);
+            std::uniform_real_distribution<double>(0.0, policy->jitter)(jitter_rng);
         sleep_us -= static_cast<std::uint64_t>(static_cast<double>(sleep_us) * cut);
       }
-      if (policy.deadline_us != 0 &&
-          clock->now_us() - start_us + sleep_us >= policy.deadline_us) {
+      if (policy->deadline_us != 0 &&
+          clock->now_us() - start_us + sleep_us >= policy->deadline_us) {
         counters_.incr("net.retry.deadline");
         throw;
       }
@@ -248,8 +251,8 @@ Bytes RpcClient::call(const std::string& method, BytesView payload) {
     clock->sleep_us(sleep_us);
     backoff_us = std::min(
         static_cast<std::uint64_t>(static_cast<double>(backoff_us) *
-                                   policy.backoff_multiplier),
-        policy.max_backoff_us);
+                                   policy->backoff_multiplier),
+        policy->max_backoff_us);
   }
 }
 

@@ -158,7 +158,7 @@ class RpcClient {
   Backend& backend_;
 
   mutable std::mutex policy_mutex_;  // guards policy_, clock_
-  RetryPolicy policy_;
+  std::shared_ptr<const RetryPolicy> policy_ = std::make_shared<const RetryPolicy>();
   RetryClock* clock_ = nullptr;
   CounterBinding counters_;
 };

@@ -14,11 +14,9 @@
 #include <thread>
 #include <vector>
 
-#include "bigint/bigint.hpp"
 #include "common/worker_pool.hpp"
 #include "core/cloud_node.hpp"
 #include "core/gateway.hpp"
-#include "core/hot_cache.hpp"
 #include "core/tactics/builtin.hpp"
 #include "fhir/observation.hpp"
 #include "store/kvstore.hpp"
@@ -452,57 +450,55 @@ TEST(ConcurrencyTest, ChannelConfigMutationRacesTransfers) {
   EXPECT_EQ(ch.stats().bytes_sent.load() % 64, 0u);
 }
 
-TEST(ConcurrencyTest, HotCacheReadsRaceInvalidation) {
-  // The gateway's hot cache serves trapdoors and decrypted documents from
-  // query threads while mutating operations bump epochs and erase keys.
-  // Racing readers against invalidators must stay TSan-clean: a get sees
-  // a fresh value or a miss, never a torn entry, and the counters balance.
-  core::HotCache cache(nullptr, core::HotCache::Config{64});
-  constexpr int kReaders = 4;
-  constexpr int kOps = 2000;
-  std::atomic<std::uint64_t> served{0};
+TEST(ConcurrencyTest, SearchesRaceRemovalsAndSkipVanishedDocuments) {
+  // Equality searches resolve their candidates while another thread
+  // removes documents: a candidate whose document vanished between the
+  // index lookup and doc.mget is skipped, never an error, and every
+  // returned document still matches the query.
+  core::CloudNode cloud;
+  net::Channel channel;
+  net::RpcClient rpc(cloud.rpc(), channel);
+  kms::KeyManager kms;
+  store::KvStore local;
+  core::TacticRegistry registry;
+  core::register_builtin_tactics(registry);
+  core::Gateway gateway(rpc, kms, local, registry,
+                        core::GatewayConfig{{{"paillier_modulus_bits", "256"}}});
+  gateway.register_schema(fhir::benchmark_schema("obs"));
 
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kReaders; ++t) {
-    threads.emplace_back([&cache, &served, t] {
-      for (int i = 0; i < kOps; ++i) {
-        const std::string key = "doc/obs/" + std::to_string(i % 97);
-        const auto cached = cache.get(key);
-        if (cached.has_value()) {
-          // Values are never torn: each entry is one byte tagged by its
-          // writer, re-put whole.
-          ASSERT_EQ(cached->size(), 1u);
-          served.fetch_add(1);
-        } else {
-          cache.put(key, Bytes{static_cast<std::uint8_t>(t)}, "obs");
-        }
-        if (i % 31 == 0) {
-          cache.montgomery(bigint::BigInt(257));  // shared, never evicted
+  constexpr int kDocs = 40;
+  const Value status("final");
+  fhir::ObservationGenerator gen(7);
+  std::vector<DocId> ids;
+  for (int i = 0; i < kDocs; ++i) {
+    Document d = gen.next();
+    d.set("status", status);
+    ids.push_back(gateway.insert("obs", d));
+  }
+
+  std::atomic<bool> stop{false};
+  std::atomic<int> errors{0};
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 2; ++t) {
+    readers.emplace_back([&] {
+      while (!stop.load()) {
+        try {
+          for (const auto& d : gateway.equality_search("obs", "status", status)) {
+            if (!(d.at("status") == status)) ++errors;
+          }
+        } catch (...) {
+          ++errors;
         }
       }
     });
   }
-  // Fixed iteration count (not a stop flag): the invalidator is
-  // guaranteed its bumps even if the scheduler starves it until the
-  // readers are done, so the counter floor below is deterministic.
-  threads.emplace_back([&cache] {
-    for (int n = 1; n <= 600; ++n) {
-      if (n % 3 == 0) {
-        cache.bump_epoch("obs");
-      } else {
-        cache.erase("doc/obs/" + std::to_string(n % 97));
-      }
-      std::this_thread::yield();
-    }
-  });
-  for (auto& t : threads) t.join();
+  for (int i = 0; i < kDocs; i += 2) gateway.remove("obs", ids[i]);
+  stop = true;
+  for (auto& t : readers) t.join();
 
-  EXPECT_LE(cache.size(), 64u);
-  EXPECT_EQ(cache.hits(), served.load());
-  EXPECT_GE(cache.invalidations(), 1u);
-  // Montgomery contexts dedupe to one shared instance per modulus.
-  EXPECT_EQ(cache.montgomery(bigint::BigInt(257)),
-            cache.montgomery(bigint::BigInt(257)));
+  EXPECT_EQ(errors.load(), 0);
+  EXPECT_EQ(gateway.equality_search("obs", "status", status).size(),
+            static_cast<std::size_t>(kDocs / 2));
 }
 
 // --- WorkerPool::run_all -----------------------------------------------------

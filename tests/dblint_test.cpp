@@ -134,9 +134,9 @@ TEST(DblintExpose, KernelAllowlistPasses) {
         "src/common/secret.cpp"}) {
     EXPECT_FALSE(has_rule(lint_file(path, unwrap), "expose")) << path;
   }
-  // The flow-engine audit shrank the allowlist: kms/ and core/hot_cache
-  // are not blanket-exempt — their reviewed unwraps carry inline escapes.
-  for (const char* path : {"src/kms/key_manager.cpp", "src/core/hot_cache.cpp"}) {
+  // The flow-engine audit shrank the allowlist: kms/ and core/ are not
+  // blanket-exempt — their reviewed unwraps carry inline escapes.
+  for (const char* path : {"src/kms/key_manager.cpp", "src/core/cost_model.cpp"}) {
     EXPECT_TRUE(has_rule(lint_file(path, unwrap), "expose")) << path;
   }
 }
@@ -167,12 +167,14 @@ TEST(DblintSecretCache, FlagsSecretFlowingIntoCacheContainer) {
       "secret-cache"));
 }
 
-TEST(DblintSecretCache, HotCacheAndUnrelatedStatementsPass) {
-  // The HotCache implementation is the single sanctioned unwrap point.
-  EXPECT_FALSE(has_rule(
-      lint_file("src/core/hot_cache.cpp",
-                "const BytesView v = it->second.value.expose_secret();\n"),
-      "secret-cache"));
+TEST(DblintSecretCache, NoPathIsExemptAndUnrelatedStatementsPass) {
+  // No file is a sanctioned cache any more: core/ (which once held the
+  // exempt gateway cache), kms/ and the crypto kernel are all flagged.
+  const std::string cached = "doc_cache[id] = key.expose_secret();\n";
+  for (const char* path : {"src/core/gateway.cpp", "src/core/cost_model.hpp",
+                           "src/kms/key_manager.cpp", "src/crypto/prf.cpp"}) {
+    EXPECT_TRUE(has_rule(lint_file(path, cached), "secret-cache")) << path;
+  }
   // expose without a cache container, and caches without secrets, pass.
   EXPECT_FALSE(has_rule(
       lint_file("src/crypto/prf.cpp", "return prf(key.expose_secret(), in);\n"),

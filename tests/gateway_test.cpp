@@ -21,11 +21,14 @@ using doc::Value;
 
 class GatewayFixture : public ::testing::Test {
  protected:
-  GatewayFixture()
+  static GatewayConfig default_config() {
+    return GatewayConfig{{{"paillier_modulus_bits", "256"},
+                          {"sophos_modulus_bits", "512"}}};
+  }
+
+  explicit GatewayFixture(GatewayConfig config = default_config())
       : rpc_(cloud_.rpc(), channel_),
-        gateway_(rpc_, kms_, local_, registry_,
-                 GatewayConfig{{{"paillier_modulus_bits", "256"},
-                                {"sophos_modulus_bits", "512"}}}) {
+        gateway_(rpc_, kms_, local_, registry_, std::move(config)) {
     register_builtin_tactics(registry_);
   }
 
@@ -115,6 +118,11 @@ TEST_F(GatewayFixture, EqualitySearchViaMitra) {
   for (const auto& d : alice) EXPECT_EQ(d.at("subject").as_string(), "Alice");
 
   EXPECT_TRUE(gateway_.equality_search("obs", "subject", Value("Nobody")).empty());
+
+  // A keyword update after a search advances Mitra's counter; the next
+  // search derives the longer address chain and finds the new document.
+  gateway_.insert("obs", make_obs("final", "sodium", "Alice", 400, 8.0));
+  EXPECT_EQ(gateway_.equality_search("obs", "subject", Value("Alice")).size(), 3u);
 }
 
 TEST_F(GatewayFixture, EqualityFoldedIntoBoolean) {
@@ -303,148 +311,53 @@ TEST_F(GatewayFixture, NoPlaintextCrossesTheChannel) {
   EXPECT_EQ(gateway_.read("obs", id).at("subject").as_string(), marker_subject);
 }
 
-TEST_F(GatewayFixture, DefaultConfigHasNoCacheOrCostModel) {
-  // Byte-identical-off guarantee: adaptive selection and the hot cache are
-  // strictly opt-in, so a default-config gateway takes the static paths.
-  EXPECT_EQ(gateway_.cache(), nullptr);
-  EXPECT_EQ(gateway_.cost_model(), nullptr);
-}
-
-// --- HotCache integration: epoch + keyed invalidation, adaptive planning ---
-
-class CachedGatewayFixture : public ::testing::Test {
- protected:
-  static GatewayConfig make_config(bool adaptive) {
-    GatewayConfig cfg{{{"paillier_modulus_bits", "256"},
-                       {"sophos_modulus_bits", "512"}}};
-    cfg.hot_cache_capacity = 256;
-    cfg.adaptive_selection = adaptive;
-    return cfg;
-  }
-
-  explicit CachedGatewayFixture(bool adaptive = false)
-      : rpc_(cloud_.rpc(), channel_),
-        gateway_(rpc_, kms_, local_, registry_, make_config(adaptive)) {
-    register_builtin_tactics(registry_);
-    gateway_.register_schema(fhir::observation_schema("obs"));
-  }
-
-  Document make_obs(const std::string& status, const std::string& subject,
-                    std::int64_t effective, double value) {
-    Document d;
-    d.set("identifier", Value(std::int64_t{1}));
-    d.set("status", Value(status));
-    d.set("code", Value("glucose"));
-    d.set("subject", Value(subject));
-    d.set("effective", Value(effective));
-    d.set("issued", Value(effective + 1000));
-    d.set("performer", Value("Dr. Smith"));
-    d.set("value", Value(value));
-    d.set("interpretation", Value("Normal"));
-    return d;
-  }
-
-  CloudNode cloud_;
-  net::Channel channel_;
-  net::RpcClient rpc_;
-  kms::KeyManager kms_;
-  store::KvStore local_;
-  TacticRegistry registry_;
-  Gateway gateway_;
-};
-
-TEST_F(CachedGatewayFixture, RepeatQueriesHitTheCacheUntilTheEpochBumps) {
-  gateway_.insert("obs", make_obs("final", "Alice", 100, 5.0));
-  gateway_.insert("obs", make_obs("final", "Bob", 500, 6.0));
-  const DocId gone = gateway_.insert("obs", make_obs("final", "Carol", 900, 7.0));
-
-  const auto hits = [&] {
-    return gateway_.range_search("obs", "effective", Value(std::int64_t{0}),
-                                 Value(std::int64_t{1000}));
-  };
-  ASSERT_EQ(hits().size(), 3u);
-  const std::uint64_t hits_before = gateway_.cache()->hits();
-  // The repeat serves decrypted documents (and OPE bound labels) from the
-  // cache — and still returns the same result set.
-  ASSERT_EQ(hits().size(), 3u);
-  EXPECT_GT(gateway_.cache()->hits(), hits_before);
-
-  // A delete bumps the collection epoch: every cached document of "obs"
-  // goes stale at once, so the next read cannot resurrect Carol.
-  gateway_.remove("obs", gone);
-  EXPECT_GE(gateway_.cache()->invalidations(), 1u);
-  const auto after = hits();
-  ASSERT_EQ(after.size(), 2u);
-  for (const auto& d : after) EXPECT_NE(d.at("subject").as_string(), "Carol");
-}
-
-TEST_F(CachedGatewayFixture, ResolveKeepsCandidateOrderAcrossHitsMissesAndVanishedIds) {
+TEST_F(GatewayFixture, RangeResolveKeepsOpeOrderAndSkipsVanishedIds) {
+  register_observation_schema();
   // Inserted out of order; OPE returns range candidates by effective.
   DocId vanished;
   for (const auto& [subject, effective] :
        std::vector<std::pair<std::string, std::int64_t>>{
            {"F", 600}, {"A", 100}, {"D", 400}, {"B", 200}, {"E", 500}, {"C", 300}}) {
-    const DocId id = gateway_.insert("obs", make_obs("final", subject, effective, 1.0));
+    const DocId id =
+        gateway_.insert("obs", make_obs("final", "glucose", subject, effective, 1.0));
     if (subject == "E") vanished = id;
   }
-  // Warm the cache for B, C and D only.
-  ASSERT_EQ(gateway_
-                .range_search("obs", "effective", Value(std::int64_t{150}),
-                              Value(std::int64_t{450}))
-                .size(),
-            3u);
-  // Delete uncached E behind the index's back: no epoch bump, so B, C and D
-  // stay cached while the index still lists E.
+  // Delete E behind the index's back: the index still lists it, doc.mget
+  // no longer returns it.
   rpc_.call("doc.del", wire::pack({{"col", Value("obs")}, {"id", Value(vanished)}}));
 
-  const std::uint64_t hits_before = gateway_.cache()->hits();
   const auto docs = gateway_.range_search("obs", "effective", Value(std::int64_t{0}),
                                           Value(std::int64_t{1000}));
-  EXPECT_GE(gateway_.cache()->hits() - hits_before, 3u);
   std::vector<std::string> subjects;
   for (const auto& d : docs) subjects.push_back(d.at("subject").as_string());
   EXPECT_EQ(subjects, (std::vector<std::string>{"A", "B", "C", "D", "F"}));
 }
 
-TEST_F(CachedGatewayFixture, UpdateInvalidatesCachedDocuments) {
-  const DocId id = gateway_.insert("obs", make_obs("final", "Alice", 100, 5.0));
-  EXPECT_EQ(gateway_.read("obs", id).at("status").as_string(), "final");
-
-  Document updated = make_obs("amended", "Alice", 700, 8.0);
-  updated.id = id;
-  gateway_.update("obs", updated);
-  // The pre-update blob was cached by the read; the epoch bump keeps it
-  // from being served.
-  EXPECT_EQ(gateway_.read("obs", id).at("status").as_string(), "amended");
+TEST_F(GatewayFixture, DefaultConfigHasNoCostModel) {
+  // Byte-identical-off guarantee: adaptive selection is strictly opt-in,
+  // so a default-config gateway takes the static paths.
+  EXPECT_EQ(gateway_.cost_model(), nullptr);
 }
 
-TEST_F(CachedGatewayFixture, MitraTrapdoorCacheInvalidatedByKeywordUpdates) {
-  gateway_.insert("obs", make_obs("final", "Alice", 100, 5.0));
-  gateway_.insert("obs", make_obs("final", "Bob", 200, 6.0));
+// --- Adaptive planning --------------------------------------------------------
 
-  // First search derives and caches the Mitra trapdoor addresses; the
-  // repeat is served from the cache.
-  ASSERT_EQ(gateway_.equality_search("obs", "subject", Value("Alice")).size(), 1u);
-  const std::uint64_t hits_before = gateway_.cache()->hits();
-  ASSERT_EQ(gateway_.equality_search("obs", "subject", Value("Alice")).size(), 1u);
-  EXPECT_GT(gateway_.cache()->hits(), hits_before);
-
-  // Inserting another Alice advances the Mitra keyword counter, which
-  // changes the address set — send_update must have erased the cached
-  // trapdoor, or this search would miss the new document.
-  gateway_.insert("obs", make_obs("amended", "Alice", 300, 7.0));
-  EXPECT_EQ(gateway_.equality_search("obs", "subject", Value("Alice")).size(), 2u);
-}
-
-class AdaptiveGatewayFixture : public CachedGatewayFixture {
+class AdaptiveGatewayFixture : public GatewayFixture {
  protected:
-  AdaptiveGatewayFixture() : CachedGatewayFixture(true) {}
+  static GatewayConfig adaptive_config() {
+    GatewayConfig cfg = default_config();
+    cfg.adaptive_selection = true;
+    return cfg;
+  }
+
+  AdaptiveGatewayFixture() : GatewayFixture(adaptive_config()) {
+    register_observation_schema();
+  }
 };
 
 TEST_F(AdaptiveGatewayFixture, AdaptivePlanningKeepsResultsCorrect) {
-  gateway_.insert("obs", make_obs("final", "Alice", 100, 5.0));
-  gateway_.insert("obs", make_obs("final", "Bob", 500, 6.0));
-  gateway_.insert("obs", make_obs("final", "Carol", 900, 7.0));
+  gateway_.insert("obs", make_obs("final", "glucose", "Alice", 100, 5.0));
+  gateway_.insert("obs", make_obs("final", "glucose", "Bob", 500, 6.0));
+  gateway_.insert("obs", make_obs("final", "glucose", "Carol", 900, 7.0));
   ASSERT_NE(gateway_.cost_model(), nullptr);
 
   // Whatever the cost model picks — OPE, ORE, RangeBRC or the post-filter

@@ -60,7 +60,7 @@ namespace dblint {
 /// One row of the inferred guarded-by map (doc/CONCURRENCY.md). Line-free
 /// so the document drifts only when the locking contract changes.
 struct GuardedByEntry {
-  std::string field;                // "HotCache::entries_"
+  std::string field;                // "CostModel::state_"
   std::string type;                 // declared type's last segment
   std::vector<std::string> guards;  // lockset intersection over all writes
   std::size_t writes = 0;           // non-ctor write sites

@@ -91,10 +91,10 @@ bool in_rng_restricted_dir(const std::string& path) {
 }
 
 /// The crypto kernel: the only files allowed to unwrap SecretBytes without
-/// a justification. Shrunk by the flow-engine audit (PR 8): key_manager,
-/// hot_cache and the wrapper's own test now carry per-site
-/// `dblint:allow(expose)` escapes instead of a blanket entry, so every
-/// unwrap outside the kernel names its reason in-line.
+/// a justification. Shrunk by the flow-engine audit (PR 8): key_manager
+/// and the wrapper's own test now carry per-site `dblint:allow(expose)`
+/// escapes instead of a blanket entry, so every unwrap outside the kernel
+/// names its reason in-line.
 bool may_expose_secret(const std::string& path) {
   if (path == "src/common/secret.hpp" || path == "src/common/secret.cpp") return true;
   for (const char* dir : {"src/crypto/", "src/ppe/", "src/sse/", "src/phe/"}) {
@@ -212,15 +212,14 @@ void check_log_secret(const std::string& path, const std::vector<Token>& tokens,
   }
 }
 
-/// R10: secret-derived cached values belong in the HotCache — its entries
-/// are SecretBytes, wiped on eviction/invalidation — and nowhere else. A
-/// statement that both unwraps a secret (expose_secret) and touches a
-/// cache-named container is a plaintext copy an ordinary container would
-/// keep alive after "deletion". Statement granularity: token run up to ';'.
+/// R10: secret-derived values are never cached. A statement that both
+/// unwraps a secret (expose_secret) and touches a cache-named container is
+/// a plaintext copy the container would keep alive after "deletion". No
+/// file is exempt; a reviewed exception carries an inline escape.
+/// Statement granularity: token run up to ';'.
 void check_secret_cache(const std::string& path, const std::vector<Token>& tokens,
                         const std::vector<std::set<std::string>>& allows,
                         std::vector<Diagnostic>* out) {
-  if (path == "src/core/hot_cache.cpp" || path == "src/core/hot_cache.hpp") return;
   auto mentions_cache = [](const std::string& ident) {
     std::string lower = ident;
     std::transform(lower.begin(), lower.end(), lower.begin(),
@@ -247,8 +246,8 @@ void check_secret_cache(const std::string& path, const std::vector<Token>& token
       out->push_back({path, static_cast<int>(expose_line + 1), "secret-cache",
                       "expose_secret() product flows into cache-named container '" +
                           cache_ident +
-                          "'; cache secret-derived values only through core/hot_cache "
-                          "(wiped SecretBytes entries)"});
+                          "'; secret-derived values stay in SecretBytes and are "
+                          "never cached"});
     }
     stmt_begin = i + 1;
   }

@@ -34,10 +34,9 @@
 //   leakage-conformance (R9)  declared tactic leakage within the
 //                             schema/leakage.hpp ceilings; doc/LEAKAGE.md
 //                             in sync (see leakage_pass.hpp).
-//   secret-cache        (R10) secret-derived cached values live only in
-//                             core/hot_cache (SecretBytes entries, wiped
-//                             on eviction); no other cache-named container
-//                             may receive expose_secret() products.
+//   secret-cache        (R10) secret-derived values are never cached: no
+//                             cache-named container, in any file, may
+//                             receive expose_secret() products.
 //   secret-egress       (R11) interprocedural: no unsanitized secret/
 //                             plaintext flow reaches an egress sink; the
 //                             diagnostic carries the source→…→sink trace

@@ -46,7 +46,7 @@ const std::vector<RuleMeta>& rule_table() {
       {"unchecked-status", "Status/Result return values must be consumed"},
       {"lock-discipline", "RAII guards only; the lock-order graph must be acyclic"},
       {"leakage-conformance", "Declared tactic leakage must fit the schema ceilings"},
-      {"secret-cache", "Secret-derived cached values live only in core/hot_cache"},
+      {"secret-cache", "Secret-derived values are never cached"},
       {"secret-egress",
        "No unsanitized secret/plaintext flow may reach an egress sink "
        "(interprocedural taint analysis)"},
