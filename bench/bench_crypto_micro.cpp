@@ -11,6 +11,7 @@
 #include "crypto/hmac.hpp"
 #include "crypto/prf.hpp"
 #include "crypto/sha256.hpp"
+#include "crypto/sha256_kernels.hpp"
 #include "crypto/siv.hpp"
 #include "phe/paillier.hpp"
 #include "ppe/det.hpp"
@@ -351,6 +352,35 @@ void BM_MontgomeryMulPortable(benchmark::State& state) {
   run_montgomery_mul(state, bigint::portable_mont_kernels());
 }
 BENCHMARK(BM_MontgomeryMulPortable)->Arg(8)->Arg(16)->Arg(32);
+
+void run_sha256_compress(benchmark::State& state, const crypto::Sha256Kernels& kernels) {
+  // Raw compression of `blocks` 64-byte blocks per call, no padding or
+  // digest encoding: the kernel's own throughput.
+  const auto blocks = static_cast<std::size_t>(state.range(0));
+  const Bytes data = DetRng(12).bytes(64 * blocks);
+  std::uint32_t st[8] = {0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
+                         0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19};
+  for (auto _ : state) {
+    kernels.compress(st, data.data(), blocks);
+    benchmark::DoNotOptimize(st);
+  }
+  state.SetBytesProcessed(state.iterations() * state.range(0) * 64);
+}
+
+void BM_Sha256Compress(benchmark::State& state) {
+  // The SHA-NI kernel when CPUID reports it, else the portable one; the
+  // label names it, so a CI check can tell whether there was one to compare.
+  const crypto::Sha256Kernels* hw = crypto::hardware_sha256_kernels();
+  run_sha256_compress(state, hw != nullptr ? *hw : crypto::portable_sha256_kernels());
+  state.SetLabel(hw != nullptr ? "sha-ni" : "portable");
+}
+BENCHMARK(BM_Sha256Compress)->Arg(1)->Arg(16);
+
+void BM_Sha256CompressPortable(benchmark::State& state) {
+  // The reference FIPS 180-4 round loop.
+  run_sha256_compress(state, crypto::portable_sha256_kernels());
+}
+BENCHMARK(BM_Sha256CompressPortable)->Arg(1)->Arg(16);
 
 }  // namespace
 

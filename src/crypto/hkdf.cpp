@@ -1,5 +1,7 @@
 #include "crypto/hkdf.hpp"
 
+#include <algorithm>
+
 #include "common/status.hpp"
 #include "crypto/hmac.hpp"
 
@@ -15,21 +17,20 @@ Bytes hkdf_extract(BytesView salt, BytesView ikm) {
 
 Bytes hkdf_expand(BytesView prk, BytesView info, std::size_t length) {
   require(length <= 255 * HmacSha256::kTagSize, "hkdf_expand: length too large");
+  const HmacSha256 mac(prk);  // one key schedule for every T(i)
   Bytes out;
   out.reserve(length);
-  Bytes t;
+  HmacSha256::Tag t{};
+  std::size_t t_len = 0;  // T(0) is empty
   std::uint8_t counter = 1;
   while (out.size() < length) {
-    HmacSha256 h(prk);
-    h.update(t);
-    h.update(info);
-    h.update({&counter, 1});
-    t = h.finalize();
+    t = mac.tag({BytesView(t.data(), t_len), info, {&counter, 1}});
+    t_len = t.size();
     const std::size_t take = std::min(t.size(), length - out.size());
     out.insert(out.end(), t.begin(), t.begin() + static_cast<std::ptrdiff_t>(take));
     ++counter;
   }
-  secure_wipe(t);  // T(i) blocks are key material: no residue on the heap
+  secure_wipe(t);  // T(i) blocks are key material: no residue
   return out;
 }
 

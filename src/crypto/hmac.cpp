@@ -1,47 +1,45 @@
 #include "crypto/hmac.hpp"
 
+#include <algorithm>
+#include <array>
+
 namespace datablinder::crypto {
 
 HmacSha256::HmacSha256(BytesView key) {
-  Bytes k(key.begin(), key.end());
-  if (k.size() > Sha256::kBlockSize) {
-    Bytes digest = Sha256::digest(k);
-    secure_wipe(k);
-    k = std::move(digest);
+  // K0: the key, hashed down when longer than a block, zero-padded.
+  std::array<std::uint8_t, Sha256::kBlockSize> block{};
+  if (key.size() > Sha256::kBlockSize) {
+    Sha256 h;
+    h.update(key);
+    Sha256::Digest digest = h.finalize();
+    std::copy(digest.begin(), digest.end(), block.begin());
+    secure_wipe(digest);
+  } else {
+    std::copy(key.begin(), key.end(), block.begin());
   }
-  k.resize(Sha256::kBlockSize, 0);
-
-  inner_pad_.resize(Sha256::kBlockSize);
-  outer_pad_.resize(Sha256::kBlockSize);
-  for (std::size_t i = 0; i < Sha256::kBlockSize; ++i) {
-    inner_pad_[i] = k[i] ^ 0x36;
-    outer_pad_[i] = k[i] ^ 0x5c;
-  }
-  secure_wipe(k);  // transient key copy leaves no residue
-  reset();
+  for (auto& b : block) b ^= 0x36;
+  inner_mid_.update(block);
+  for (auto& b : block) b ^= 0x36 ^ 0x5c;
+  outer_mid_.update(block);
+  secure_wipe(block);  // transient key copy leaves no residue
 }
 
 HmacSha256::HmacSha256(const SecretBytes& key) : HmacSha256(key.expose_secret()) {}
 
-void HmacSha256::reset() {
-  inner_.reset();
-  inner_.update(inner_pad_);
+HmacSha256::~HmacSha256() {
+  // reset() reloads the IV constants, clearing the key-derived states.
+  inner_mid_.reset();
+  outer_mid_.reset();
 }
 
-void HmacSha256::update(BytesView data) { inner_.update(data); }
-
-Bytes HmacSha256::finalize() {
-  const Bytes inner_digest = inner_.finalize();
-  Sha256 outer;
-  outer.update(outer_pad_);
-  outer.update(inner_digest);
-  return outer.finalize();
+HmacSha256::Tag HmacSha256::tag(std::initializer_list<BytesView> parts) const {
+  const Sha256::Digest inner = inner_mid_.digest_with(parts);
+  return outer_mid_.digest_with({inner});
 }
 
 Bytes HmacSha256::mac(BytesView key, BytesView data) {
-  HmacSha256 h(key);
-  h.update(data);
-  return h.finalize();
+  const Tag t = HmacSha256(key).tag({data});
+  return Bytes(t.begin(), t.end());
 }
 
 bool HmacSha256::verify(BytesView key, BytesView data, BytesView tag) {

@@ -4,6 +4,8 @@
 // IVs and KMS key derivation are all built on it.
 #pragma once
 
+#include <initializer_list>
+
 #include "common/bytes.hpp"
 #include "common/secret.hpp"
 #include "crypto/sha256.hpp"
@@ -13,22 +15,23 @@ namespace datablinder::crypto {
 class HmacSha256 {
  public:
   static constexpr std::size_t kTagSize = Sha256::kDigestSize;
+  using Tag = Sha256::Digest;
 
-  /// Keys of any length are accepted (hashed down if > block size).
+  /// Keys of any length are accepted (hashed down if > block size). The
+  /// key schedule runs once, here: the SHA-256 midstates after key ^ ipad
+  /// and key ^ opad are kept, so every MAC under this object (and every
+  /// copy of it) skips the key hashing and two compressions.
   explicit HmacSha256(BytesView key);
   explicit HmacSha256(const SecretBytes& key);
 
   HmacSha256(const HmacSha256&) = default;
   HmacSha256& operator=(const HmacSha256&) = default;
-  /// The pads are key-derived: wipe them on destruction.
-  ~HmacSha256() {
-    secure_wipe(inner_pad_);
-    secure_wipe(outer_pad_);
-  }
+  /// The midstates are key-derived: wipe them on destruction.
+  ~HmacSha256();
 
-  void update(BytesView data);
-  Bytes finalize();
-  void reset();
+  /// MAC over the concatenation of `parts`, into a fixed-size tag (no
+  /// heap allocation).
+  Tag tag(std::initializer_list<BytesView> parts) const;
 
   /// One-shot MAC.
   static Bytes mac(BytesView key, BytesView data);
@@ -37,9 +40,8 @@ class HmacSha256 {
   static bool verify(BytesView key, BytesView data, BytesView tag);
 
  private:
-  Bytes inner_pad_;
-  Bytes outer_pad_;
-  Sha256 inner_;
+  Sha256 inner_mid_;  // state after absorbing key ^ ipad
+  Sha256 outer_mid_;  // state after absorbing key ^ opad
 };
 
 }  // namespace datablinder::crypto

@@ -1,122 +1,53 @@
 #include "crypto/prf.hpp"
 
 #include "crypto/hkdf.hpp"
-#include "crypto/hmac.hpp"
 
 namespace datablinder::crypto {
 
-PrfKey::PrfKey(BytesView key) {
-  Bytes k(key.begin(), key.end());
-  if (k.size() > Sha256::kBlockSize) {
-    Bytes digest = Sha256::digest(k);
-    secure_wipe(k);
-    k = std::move(digest);
+PrfKey::Tag PrfKey::tag(BytesView input) const { return mac_.tag({input}); }
+
+PrfKey::Tag PrfKey::tag_labeled(std::string_view label, BytesView input) const {
+  const std::uint8_t sep = 0;
+  return mac_.tag({{reinterpret_cast<const std::uint8_t*>(label.data()), label.size()},
+                   {&sep, 1},
+                   input});
+}
+
+void PrfKey::xor_pad(BytesView input, std::span<std::uint8_t> data) const {
+  if (data.size() <= HmacSha256::kTagSize) {
+    const Tag pad = tag(input);
+    xor_inplace(data, BytesView(pad).first(data.size()));
+  } else {
+    xor_inplace(data, prf_n(input, data.size()));
   }
-  k.resize(Sha256::kBlockSize, 0);
-
-  Bytes pad(Sha256::kBlockSize);
-  for (std::size_t i = 0; i < Sha256::kBlockSize; ++i) pad[i] = k[i] ^ 0x36;
-  inner_mid_.update(pad);
-  for (std::size_t i = 0; i < Sha256::kBlockSize; ++i) pad[i] = k[i] ^ 0x5c;
-  outer_mid_.update(pad);
-  secure_wipe(pad);
-  secure_wipe(k);
-}
-
-PrfKey::PrfKey(const SecretBytes& key) : PrfKey(key.expose_secret()) {}
-
-PrfKey::~PrfKey() {
-  // reset() reloads the IV constants, clearing the key-derived midstates.
-  inner_mid_.reset();
-  outer_mid_.reset();
-}
-
-Bytes PrfKey::finish(Sha256 inner) const {
-  const Bytes inner_digest = inner.finalize();
-  Sha256 outer = outer_mid_;
-  outer.update(inner_digest);
-  return outer.finalize();
 }
 
 Bytes PrfKey::prf(BytesView input) const {
-  Sha256 inner = inner_mid_;
-  inner.update(input);
-  return finish(std::move(inner));
+  const Tag t = tag(input);
+  return Bytes(t.begin(), t.end());
 }
 
 Bytes PrfKey::prf_labeled(std::string_view label, BytesView input) const {
-  Sha256 inner = inner_mid_;
-  inner.update(to_bytes(label));
-  const std::uint8_t sep = 0;
-  inner.update({&sep, 1});
-  inner.update(input);
-  return finish(std::move(inner));
+  const Tag t = tag_labeled(label, input);
+  return Bytes(t.begin(), t.end());
 }
 
 Bytes PrfKey::prf_n(BytesView input, std::size_t n) const {
   if (n <= HmacSha256::kTagSize) {
-    Bytes out = prf(input);
-    out.resize(n);
-    return out;
+    const Tag t = tag(input);
+    return Bytes(t.begin(), t.begin() + static_cast<std::ptrdiff_t>(n));
   }
   return hkdf_expand(prf(input), to_bytes("prf_n"), n);
 }
 
-std::uint64_t PrfKey::prf_u64(BytesView input) const { return read_be64(prf(input)); }
+std::uint64_t PrfKey::prf_u64(BytesView input) const { return read_be64(tag(input)); }
 
 std::uint64_t PrfKey::prf_mod(BytesView input, std::uint64_t bound) const {
   return prf_u64(input) % bound;
 }
 
-Bytes prf(BytesView key, BytesView input) { return HmacSha256::mac(key, input); }
-
-Bytes prf_labeled(BytesView key, std::string_view label, BytesView input) {
-  HmacSha256 h(key);
-  h.update(to_bytes(label));
-  const std::uint8_t sep = 0;
-  h.update({&sep, 1});
-  h.update(input);
-  return h.finalize();
-}
-
-Bytes prf_n(BytesView key, BytesView input, std::size_t n) {
-  if (n <= HmacSha256::kTagSize) {
-    Bytes out = prf(key, input);
-    out.resize(n);
-    return out;
-  }
-  return hkdf_expand(prf(key, input), to_bytes("prf_n"), n);
-}
-
-std::uint64_t prf_u64(BytesView key, BytesView input) {
-  return read_be64(prf(key, input));
-}
-
 std::uint64_t prf_mod(BytesView key, BytesView input, std::uint64_t bound) {
-  // Bias is negligible for bound << 2^64 (all library uses are tiny bounds).
-  return prf_u64(key, input) % bound;
-}
-
-// SecretBytes overloads: the one sanctioned unwrap point for PRF callers,
-// so scheme code passes tainted keys without touching expose_secret().
-Bytes prf(const SecretBytes& key, BytesView input) {
-  return prf(key.expose_secret(), input);
-}
-
-Bytes prf_labeled(const SecretBytes& key, std::string_view label, BytesView input) {
-  return prf_labeled(key.expose_secret(), label, input);
-}
-
-Bytes prf_n(const SecretBytes& key, BytesView input, std::size_t n) {
-  return prf_n(key.expose_secret(), input, n);
-}
-
-std::uint64_t prf_u64(const SecretBytes& key, BytesView input) {
-  return prf_u64(key.expose_secret(), input);
-}
-
-std::uint64_t prf_mod(const SecretBytes& key, BytesView input, std::uint64_t bound) {
-  return prf_mod(key.expose_secret(), input, bound);
+  return PrfKey(key).prf_mod(input, bound);
 }
 
 }  // namespace datablinder::crypto

@@ -4,27 +4,25 @@
 
 #include "common/status.hpp"
 #include "crypto/ctr.hpp"
-#include "crypto/hmac.hpp"
 
 namespace datablinder::crypto {
 
-AesSiv::AesSiv(BytesView key) {
+namespace {
+BytesView checked_siv_key(BytesView key) {
   require(key.size() == 32, "AesSiv: key must be 32 bytes");
-  mac_key_ = SecretBytes::from_view(key.first(16));
-  enc_key_ = SecretBytes::from_view(key.subspan(16));
+  return key;
 }
+}  // namespace
+
+AesSiv::AesSiv(BytesView key)
+    : mac_(checked_siv_key(key).first(16)), aes_(key.subspan(16)) {}
 
 AesSiv::AesSiv(const SecretBytes& key) : AesSiv(key.expose_secret()) {}
 
 Bytes AesSiv::compute_siv(BytesView plaintext, BytesView aad) const {
   // S2V simplified: HMAC over len(aad) || aad || plaintext, truncated to 16B.
-  HmacSha256 h(mac_key_);
-  h.update(be64(aad.size()));
-  h.update(aad);
-  h.update(plaintext);
-  Bytes tag = h.finalize();
-  tag.resize(kIvSize);
-  return tag;
+  const HmacSha256::Tag tag = mac_.tag({be64(aad.size()), aad, plaintext});
+  return Bytes(tag.begin(), tag.begin() + kIvSize);
 }
 
 Bytes AesSiv::seal(BytesView plaintext, BytesView aad) const {
@@ -37,9 +35,8 @@ Bytes AesSiv::seal(BytesView plaintext, BytesView aad) const {
   counter[8] &= 0x7f;
   counter[12] &= 0x7f;
 
-  const Aes aes(enc_key_);
   Bytes out = siv;
-  append(out, aes_ctr(aes, counter, plaintext));
+  append(out, aes_ctr(aes_, counter, plaintext));
   return out;
 }
 
@@ -53,8 +50,7 @@ std::optional<Bytes> AesSiv::open(BytesView sealed, BytesView aad) const {
   counter[8] &= 0x7f;
   counter[12] &= 0x7f;
 
-  const Aes aes(enc_key_);
-  Bytes plaintext = aes_ctr(aes, counter, ciphertext);
+  Bytes plaintext = aes_ctr(aes_, counter, ciphertext);
 
   if (!ct_equal(compute_siv(plaintext, aad), siv)) return std::nullopt;
   return plaintext;

@@ -10,6 +10,8 @@
 
 #include "common/bytes.hpp"
 #include "common/secret.hpp"
+#include "crypto/aes.hpp"
+#include "crypto/hmac.hpp"
 
 namespace datablinder::crypto {
 
@@ -30,8 +32,9 @@ class AesSiv {
  private:
   Bytes compute_siv(BytesView plaintext, BytesView aad) const;
 
-  SecretBytes mac_key_;
-  SecretBytes enc_key_;
+  // Both halves' key schedules are expanded once, here, not per call.
+  HmacSha256 mac_;  // S2V PRF over the first 16 key bytes
+  Aes aes_;         // CTR cipher over the last 16
 };
 
 }  // namespace datablinder::crypto

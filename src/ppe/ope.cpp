@@ -1,7 +1,8 @@
 #include "ppe/ope.hpp"
 
+#include <array>
+
 #include "common/status.hpp"
-#include "crypto/prf.hpp"
 
 namespace datablinder::ppe {
 
@@ -27,7 +28,7 @@ Ope128 Ope128::from_bytes(BytesView b) {
 }
 
 OpeCipher::OpeCipher(BytesView key, std::string_view context)
-    : key_(crypto::prf_labeled(key, "ope-key", to_bytes(context))) {}
+    : key_(SecretBytes(crypto::PrfKey(key).prf_labeled("ope-key", to_bytes(context)))) {}
 
 OpeCipher::OpeCipher(const SecretBytes& key, std::string_view context)
     : OpeCipher(key.expose_secret(), context) {}
@@ -38,8 +39,7 @@ Ope128 OpeCipher::encrypt(std::uint64_t plaintext) const {
   U128 hi = static_cast<U128>(-1);  // 2^128 - 1; treat as exclusive-ish upper bound
   // Descend the plaintext bits MSB-first. Before consuming bit i there are
   // r = 64 - i bits left, so each half must keep room for 2^(r-1) leaves.
-  Bytes path;
-  path.reserve(72);
+  std::array<std::uint8_t, 64> path{};  // bits walked so far, one byte each
   for (int i = 0; i < 64; ++i) {
     const int remaining = 64 - i;             // bits still to place (incl. this)
     const U128 min_half = static_cast<U128>(1) << (remaining - 1);
@@ -47,7 +47,8 @@ Ope128 OpeCipher::encrypt(std::uint64_t plaintext) const {
     // Split point s in [lo + min_half, hi - min_half]; the PRF picks the
     // offset within that window deterministically from the path walked.
     const U128 window = span - 2 * min_half + 1;
-    const Bytes tag = crypto::prf_labeled(key_, "ope-split", path);
+    const crypto::PrfKey::Tag tag =
+        key_.tag_labeled("ope-split", BytesView(path.data(), static_cast<std::size_t>(i)));
     // Derive a 128-bit pseudorandom value from the 32-byte PRF output.
     U128 rnd = 0;
     for (int b = 0; b < 16; ++b) rnd = (rnd << 8) | tag[static_cast<std::size_t>(b)];
@@ -59,7 +60,7 @@ Ope128 OpeCipher::encrypt(std::uint64_t plaintext) const {
     } else {
       hi = s;
     }
-    path.push_back(bit ? 1 : 0);
+    path[static_cast<std::size_t>(i)] = bit ? 1 : 0;
   }
   return from_u128(lo);
 }

@@ -16,6 +16,7 @@
 
 #include "common/bytes.hpp"
 #include "common/secret.hpp"
+#include "crypto/prf.hpp"
 
 namespace datablinder::ppe {
 
@@ -46,7 +47,7 @@ class OpeCipher {
   std::uint64_t decrypt(const Ope128& ciphertext) const;
 
  private:
-  SecretBytes key_;
+  crypto::PrfKey key_;  // hoisted HMAC schedule: encrypt() runs 64 PRFs under it
 };
 
 }  // namespace datablinder::ppe

@@ -5,7 +5,6 @@
 
 #include "common/rng.hpp"
 #include "common/status.hpp"
-#include "crypto/prf.hpp"
 
 namespace datablinder::ppe {
 
@@ -65,37 +64,46 @@ OreRight OreRight::deserialize(BytesView b) {
 }
 
 OreCipher::OreCipher(BytesView key, std::string_view context, std::size_t bits)
-    : bits_(bits) {
-  require(bits > 0 && bits <= 64 && bits % kBlockBits == 0,
-          "OreCipher: bits must be a positive multiple of 4, <= 64");
-  prf_key_ = SecretBytes(crypto::prf_labeled(key, "ore-prf", to_bytes(context)));
-  prp_key_ = SecretBytes(crypto::prf_labeled(key, "ore-prp", to_bytes(context)));
-}
+    : OreCipher(crypto::PrfKey(key), context, bits) {}
 
 OreCipher::OreCipher(const SecretBytes& key, std::string_view context, std::size_t bits)
-    : OreCipher(key.expose_secret(), context, bits) {}
+    : OreCipher(crypto::PrfKey(key), context, bits) {}
 
-std::uint8_t OreCipher::permute(std::size_t block, std::uint8_t value) const {
-  // Keyed Fisher–Yates over the 16 slots, seeded per block. Deterministic
-  // for a given key, so the left encryptor can compute the same table.
-  std::array<std::uint8_t, kSlots> perm;
-  std::iota(perm.begin(), perm.end(), 0);
-  const Bytes seed = crypto::prf_labeled(prp_key_, "slot-perm", be64(block));
-  // The PRF output seeds the shuffle, so this stays a keyed PRP — the
-  // generator is a deterministic expander here, not an entropy source.
-  DetRng rng(read_be64(seed));  // dblint:allow(rng): PRF-seeded keyed permutation
-  for (std::size_t i = kSlots - 1; i > 0; --i) {
-    std::swap(perm[i], perm[rng.uniform(i + 1)]);
+OreCipher::OreCipher(const crypto::PrfKey& master, std::string_view context,
+                     std::size_t bits)
+    : pad_prf_(SecretBytes(master.prf_labeled("ore-prf", to_bytes(context)))), bits_(bits) {
+  require(bits > 0 && bits <= 64 && bits % kBlockBits == 0,
+          "OreCipher: bits must be a positive multiple of 4, <= 64");
+  const crypto::PrfKey prp(SecretBytes(master.prf_labeled("ore-prp", to_bytes(context))));
+  slot_perm_.resize(num_blocks());
+  for (std::size_t block = 0; block < slot_perm_.size(); ++block) {
+    // Keyed Fisher–Yates over the 16 slots, seeded per block. Deterministic
+    // for a given key, so the left encryptor sees the same table.
+    auto& perm = slot_perm_[block];
+    std::iota(perm.begin(), perm.end(), 0);
+    // The PRF output seeds the shuffle, so this stays a keyed PRP — the
+    // generator is a deterministic expander here, not an entropy source.
+    const std::uint64_t seed = read_be64(prp.tag_labeled("slot-perm", be64(block)));
+    DetRng rng(seed);  // dblint:allow(rng): PRF-seeded keyed permutation
+    for (std::size_t i = kSlots - 1; i > 0; --i) {
+      std::swap(perm[i], perm[rng.uniform(i + 1)]);
+    }
   }
-  return perm[value];
 }
 
-Bytes OreCipher::block_pad_key(std::size_t block, std::uint64_t prefix,
-                               std::uint8_t value) const {
-  Bytes input = be64(block);
-  append(input, be64(prefix));
-  input.push_back(value);
-  return crypto::prf_n(prf_key_, input, kPadKeySize);
+OreCipher::~OreCipher() {
+  for (auto& perm : slot_perm_) secure_wipe(perm);
+}
+
+crypto::PrfKey::Tag OreCipher::block_pad_tag(std::size_t block, std::uint64_t prefix,
+                                             std::uint8_t value) const {
+  std::array<std::uint8_t, 17> input;  // be64(block) || be64(prefix) || value
+  for (std::size_t i = 0; i < 8; ++i) {
+    input[i] = static_cast<std::uint8_t>(static_cast<std::uint64_t>(block) >> (56 - 8 * i));
+    input[8 + i] = static_cast<std::uint8_t>(prefix >> (56 - 8 * i));
+  }
+  input[16] = value;
+  return pad_prf_.tag(input);
 }
 
 OreLeft OreCipher::encrypt_left(std::uint64_t plaintext) const {
@@ -106,17 +114,23 @@ OreLeft OreCipher::encrypt_left(std::uint64_t plaintext) const {
   for (std::size_t i = 0; i < nblocks; ++i) {
     const unsigned shift = static_cast<unsigned>(bits_ - kBlockBits * (i + 1));
     const std::uint8_t xi = static_cast<std::uint8_t>((plaintext >> shift) & 0xf);
-    out.blocks[i].pad_key = block_pad_key(i, prefix, xi);
-    out.blocks[i].slot = permute(i, xi);
+    const crypto::PrfKey::Tag tag = block_pad_tag(i, prefix, xi);
+    out.blocks[i].pad_key.assign(tag.begin(), tag.begin() + kPadKeySize);
+    out.blocks[i].slot = slot_perm_[i][xi];
     prefix = (prefix << kBlockBits) | xi;
   }
   return out;
 }
 
 OreRight OreCipher::encrypt_right(std::uint64_t plaintext) const {
+  return encrypt_right(plaintext, SecureRng::bytes(16));
+}
+
+OreRight OreCipher::encrypt_right(std::uint64_t plaintext, BytesView nonce) const {
+  require(nonce.size() == 16, "OreCipher::encrypt_right: nonce must be 16 bytes");
   const std::size_t nblocks = num_blocks();
   OreRight out;
-  out.nonce = SecureRng::bytes(16);
+  out.nonce.assign(nonce.begin(), nonce.end());
   out.tables.resize(nblocks);
   std::uint64_t prefix = 0;
   for (std::size_t i = 0; i < nblocks; ++i) {
@@ -127,9 +141,9 @@ OreRight OreCipher::encrypt_right(std::uint64_t plaintext) const {
       if (j < yi) cmp = static_cast<std::uint8_t>(OreResult::kLess);
       else if (j == yi) cmp = static_cast<std::uint8_t>(OreResult::kEqual);
       else cmp = static_cast<std::uint8_t>(OreResult::kGreater);
-      const Bytes pad = block_pad_key(i, prefix, j);
-      out.tables[i][permute(i, j)] =
-          static_cast<std::uint8_t>((cmp + trit_pad(pad, out.nonce)) % 3);
+      const crypto::PrfKey::Tag tag = block_pad_tag(i, prefix, j);
+      out.tables[i][slot_perm_[i][j]] = static_cast<std::uint8_t>(
+          (cmp + trit_pad(BytesView(tag).first(kPadKeySize), out.nonce)) % 3);
     }
     prefix = (prefix << kBlockBits) | yi;
   }

@@ -18,6 +18,7 @@
 
 #include "common/bytes.hpp"
 #include "common/secret.hpp"
+#include "crypto/prf.hpp"
 
 namespace datablinder::ppe {
 
@@ -52,6 +53,11 @@ class OreCipher {
   OreCipher(BytesView key, std::string_view context, std::size_t bits = 64);
   OreCipher(const SecretBytes& key, std::string_view context, std::size_t bits = 64);
 
+  OreCipher(const OreCipher&) = default;
+  OreCipher& operator=(const OreCipher&) = default;
+  /// The slot permutations are key-derived: wipe them on destruction.
+  ~OreCipher();
+
   /// Query-side token for `plaintext`.
   OreLeft encrypt_left(std::uint64_t plaintext) const;
 
@@ -64,11 +70,21 @@ class OreCipher {
   std::size_t num_blocks() const noexcept { return bits_ / kBlockBits; }
 
  private:
-  std::uint8_t permute(std::size_t block, std::uint8_t value) const;
-  Bytes block_pad_key(std::size_t block, std::uint64_t prefix, std::uint8_t value) const;
+  // Pins the nonce of encrypt_right for the known-answer tests (ppe_test).
+  friend struct OreKnownAnswerAccess;
 
-  SecretBytes prf_key_;  // pads comparison trits
-  SecretBytes prp_key_;  // permutes table slots
+  OreCipher(const crypto::PrfKey& master, std::string_view context, std::size_t bits);
+  /// encrypt_right under a given 16-byte nonce. A reused nonce links right
+  /// ciphertexts, so only the random-nonce form is public.
+  OreRight encrypt_right(std::uint64_t plaintext, BytesView nonce) const;
+  /// PRF(block || prefix || value); its first 16 bytes are the slot's pad key.
+  crypto::PrfKey::Tag block_pad_tag(std::size_t block, std::uint64_t prefix,
+                                    std::uint8_t value) const;
+
+  crypto::PrfKey pad_prf_;  // pads comparison trits (hoisted HMAC schedule)
+  // Keyed permutation of the 16 table slots, one per block. It depends only
+  // on the key, so it is drawn once here instead of per encryption.
+  std::vector<std::array<std::uint8_t, kSlots>> slot_perm_;
   std::size_t bits_;
 };
 

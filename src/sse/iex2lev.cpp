@@ -8,15 +8,6 @@
 
 namespace datablinder::sse {
 
-namespace {
-Bytes stream_input(const std::string& stream, std::uint64_t count, std::uint8_t role) {
-  Bytes input = to_bytes(stream);
-  append(input, be64(count));
-  input.push_back(role);
-  return input;
-}
-}  // namespace
-
 void Iex2LevServer::apply_update(const IexUpdateToken& token) {
   dict_.put(token.address, token.value);
 }
@@ -53,11 +44,12 @@ std::string Iex2LevClient::pair_stream(const std::string& w, const std::string& 
 IexUpdateToken Iex2LevClient::make_token(IexOp op, const std::string& stream,
                                          std::uint64_t count, const DocId& id) const {
   IexUpdateToken token;
-  token.address = key_.prf(stream_input(stream, count, 0));
+  CounterInput input(stream);
+  token.address = key_.prf(input.at(count, 0));
   Bytes payload;
   payload.push_back(static_cast<std::uint8_t>(op));
   append(payload, to_bytes(id));
-  xor_inplace(payload, key_.prf_n(stream_input(stream, count, 1), payload.size()));
+  key_.xor_pad(input.at(count, 1), payload);
   token.value = std::move(payload);
   return token;
 }
@@ -87,8 +79,9 @@ IexConjToken Iex2LevClient::conj_token(const std::vector<std::string>& conj) con
     std::vector<Bytes> addrs;
     const std::uint64_t c = counters_.get(stream);
     addrs.reserve(c);
+    CounterInput input(stream);
     for (std::uint64_t i = 1; i <= c; ++i) {
-      addrs.push_back(key_.prf(stream_input(stream, i, 0)));
+      addrs.push_back(key_.prf(input.at(i, 0)));
     }
     return addrs;
   };
@@ -103,10 +96,11 @@ std::vector<DocId> Iex2LevClient::resolve_stream(const std::string& stream,
                                                  const std::vector<Bytes>& values) const {
   std::unordered_map<DocId, bool> live;
   std::vector<DocId> order;
+  CounterInput input(stream);
   for (std::size_t i = 0; i < values.size(); ++i) {
     if (values[i].empty()) continue;  // positional placeholder for a miss
     Bytes payload = values[i];
-    xor_inplace(payload, key_.prf_n(stream_input(stream, i + 1, 1), payload.size()));
+    key_.xor_pad(input.at(i + 1, 1), payload);
     const auto op = static_cast<IexOp>(payload[0]);
     DocId id(reinterpret_cast<const char*>(payload.data() + 1), payload.size() - 1);
     if (op == IexOp::kAdd) {

@@ -10,13 +10,6 @@
 namespace datablinder::sse {
 
 namespace {
-Bytes stream_input(const std::string& w, std::uint64_t count, std::uint8_t role) {
-  Bytes input = to_bytes(w);
-  append(input, be64(count));
-  input.push_back(role);
-  return input;
-}
-
 bool filter_test(BytesView filter, const std::vector<std::size_t>& positions) {
   for (std::size_t pos : positions) {
     if ((filter[pos / 8] & (1u << (pos % 8))) == 0) return false;
@@ -25,14 +18,14 @@ bool filter_test(BytesView filter, const std::vector<std::size_t>& positions) {
 }
 }  // namespace
 
-std::vector<std::size_t> zmf_positions(BytesView keyword_token, BytesView salt,
+std::vector<std::size_t> zmf_positions(const crypto::PrfKey& keyword_token, BytesView salt,
                                        const ZmfFilterParams& params) {
   std::vector<std::size_t> out;
   out.reserve(params.num_hashes);
   for (std::size_t i = 0; i < params.num_hashes; ++i) {
     Bytes input(salt.begin(), salt.end());
     append(input, be64(i));
-    out.push_back(crypto::prf_mod(keyword_token, input, params.filter_bits));
+    out.push_back(keyword_token.prf_mod(input, params.filter_bits));
   }
   return out;
 }
@@ -48,6 +41,10 @@ std::vector<Bytes> IexZmfServer::search(const ZmfConjToken& token) const {
   std::vector<Bytes> out;
   out.reserve(token.addresses.size());
   const std::size_t filter_len = (params_.filter_bits + 7) / 8;
+  // Each keyword token keys num_hashes PRFs per candidate: one schedule each.
+  std::vector<crypto::PrfKey> keyword_keys;
+  keyword_keys.reserve(token.keyword_tokens.size());
+  for (const auto& kt : token.keyword_tokens) keyword_keys.emplace_back(kt);
   for (const auto& addr : token.addresses) {
     auto value = values_.get(addr);
     auto stored = filters_.get(addr);
@@ -56,8 +53,8 @@ std::vector<Bytes> IexZmfServer::search(const ZmfConjToken& token) const {
     if (pass) {
       const BytesView salt(stored->data(), 16);
       const BytesView filter(stored->data() + 16, filter_len);
-      for (const auto& kt : token.keyword_tokens) {
-        if (!filter_test(filter, zmf_positions(kt, salt, params_))) {
+      for (const auto& kk : keyword_keys) {
+        if (!filter_test(filter, zmf_positions(kk, salt, params_))) {
           pass = false;
           break;
         }
@@ -90,22 +87,26 @@ std::vector<ZmfUpdateToken> IexZmfClient::update(
   std::vector<ZmfUpdateToken> tokens;
   tokens.reserve(keywords.size());
   const std::size_t filter_len = (params_.filter_bits + 7) / 8;
+  std::vector<crypto::PrfKey> keyword_keys;
+  keyword_keys.reserve(keywords.size());
+  for (const auto& v : keywords) keyword_keys.emplace_back(keyword_token(v));
 
   for (const auto& w : keywords) {
     const std::uint64_t c = counters_.increment(w);
     ZmfUpdateToken token;
-    token.address = key_.prf(stream_input(w, c, 0));
+    CounterInput input(w);
+    token.address = key_.prf(input.at(c, 0));
 
     Bytes payload;
     payload.push_back(static_cast<std::uint8_t>(op));
     append(payload, to_bytes(id));
-    xor_inplace(payload, key_.prf_n(stream_input(w, c, 1), payload.size()));
+    key_.xor_pad(input.at(c, 1), payload);
     token.value = std::move(payload);
 
     token.salt = SecureRng::bytes(16);
     token.filter.assign(filter_len, 0);
-    for (const auto& v : keywords) {
-      for (std::size_t pos : zmf_positions(keyword_token(v), token.salt, params_)) {
+    for (const auto& kk : keyword_keys) {
+      for (std::size_t pos : zmf_positions(kk, token.salt, params_)) {
         token.filter[pos / 8] |= static_cast<std::uint8_t>(1u << (pos % 8));
       }
     }
@@ -120,8 +121,9 @@ ZmfConjToken IexZmfClient::conj_token(const std::vector<std::string>& conj) cons
   const std::string& w1 = conj[0];
   const std::uint64_t c = counters_.get(w1);
   token.addresses.reserve(c);
+  CounterInput input(w1);
   for (std::uint64_t i = 1; i <= c; ++i) {
-    token.addresses.push_back(key_.prf(stream_input(w1, i, 0)));
+    token.addresses.push_back(key_.prf(input.at(i, 0)));
   }
   for (std::size_t j = 1; j < conj.size(); ++j) {
     token.keyword_tokens.push_back(keyword_token(conj[j]));
@@ -134,10 +136,11 @@ std::vector<DocId> IexZmfClient::resolve_conj(const std::vector<std::string>& co
   const std::string& w1 = conj[0];
   std::unordered_map<DocId, bool> live;
   std::vector<DocId> order;
+  CounterInput input(w1);
   for (std::size_t i = 0; i < values.size(); ++i) {
     if (values[i].empty()) continue;  // filtered out or missing
     Bytes payload = values[i];
-    xor_inplace(payload, key_.prf_n(stream_input(w1, i + 1, 1), payload.size()));
+    key_.xor_pad(input.at(i + 1, 1), payload);
     const auto op = static_cast<IexOp>(payload[0]);
     DocId id(reinterpret_cast<const char*>(payload.data() + 1), payload.size() - 1);
     if (op == IexOp::kAdd) {

@@ -104,7 +104,7 @@ class IexZmfClient {
 };
 
 /// Bit positions a keyword token hashes to within a salted filter.
-std::vector<std::size_t> zmf_positions(BytesView keyword_token, BytesView salt,
+std::vector<std::size_t> zmf_positions(const crypto::PrfKey& keyword_token, BytesView salt,
                                        const ZmfFilterParams& params);
 
 }  // namespace datablinder::sse

@@ -15,6 +15,17 @@ std::size_t BytesHash::operator()(const Bytes& b) const noexcept {
   return h;
 }
 
+CounterInput::CounterInput(std::string_view prefix) : buf_(to_bytes(prefix)) {
+  buf_.resize(buf_.size() + 9);
+}
+
+BytesView CounterInput::at(std::uint64_t count, std::uint8_t role) {
+  std::uint8_t* tail = buf_.data() + buf_.size() - 9;
+  for (std::size_t i = 0; i < 8; ++i) tail[i] = static_cast<std::uint8_t>(count >> (56 - 8 * i));
+  tail[8] = role;
+  return buf_;
+}
+
 void EncryptedDict::put(Bytes label, Bytes value) {
   auto it = map_.find(label);
   if (it != map_.end()) {

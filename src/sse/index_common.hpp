@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -50,6 +51,19 @@ class EncryptedDict {
 /// Length-prefixed encoding of a list of DocIds.
 Bytes encode_id_list(const std::vector<DocId>& ids);
 std::vector<DocId> decode_id_list(BytesView b);
+
+/// The PRF input `prefix || be64(count) || role` from which the counter-
+/// based schemes (Mitra, IEX-2Lev, IEX-ZMF) derive addresses (role 0) and
+/// payload pads (role 1). Rewritten in place, so a walk over counts 1..c
+/// allocates once.
+class CounterInput {
+ public:
+  explicit CounterInput(std::string_view prefix);
+  BytesView at(std::uint64_t count, std::uint8_t role);
+
+ private:
+  Bytes buf_;
+};
 
 /// Per-keyword update counters (client state for dynamic schemes).
 /// Serializable so the gateway can persist it in its local KvStore.

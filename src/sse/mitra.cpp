@@ -7,15 +7,6 @@
 
 namespace datablinder::sse {
 
-namespace {
-Bytes keyword_input(const std::string& keyword, std::uint64_t count, std::uint8_t role) {
-  Bytes input = to_bytes(keyword);
-  append(input, be64(count));
-  input.push_back(role);
-  return input;
-}
-}  // namespace
-
 void MitraServer::apply_update(const MitraUpdateToken& token) {
   dict_.put(token.address, token.value);
 }
@@ -36,7 +27,7 @@ MitraClient::MitraClient(BytesView key) : key_(key) {
 MitraClient::MitraClient(const SecretBytes& key) : MitraClient(key.expose_secret()) {}
 
 Bytes MitraClient::address_for(const std::string& keyword, std::uint64_t count) const {
-  return key_.prf(keyword_input(keyword, count, 0));
+  return key_.prf(CounterInput(keyword).at(count, 0));
 }
 
 MitraUpdateToken MitraClient::update(MitraOp op, const std::string& keyword,
@@ -49,8 +40,7 @@ MitraUpdateToken MitraClient::update(MitraOp op, const std::string& keyword,
   Bytes payload;
   payload.push_back(static_cast<std::uint8_t>(op));
   append(payload, to_bytes(id));
-  Bytes pad = key_.prf_n(keyword_input(keyword, c, 1), payload.size());
-  xor_inplace(payload, pad);
+  key_.xor_pad(CounterInput(keyword).at(c, 1), payload);
   token.value = std::move(payload);
   return token;
 }
@@ -59,8 +49,9 @@ MitraSearchToken MitraClient::search_token(const std::string& keyword) const {
   MitraSearchToken token;
   const std::uint64_t c = counters_.get(keyword);
   token.addresses.reserve(c);
+  CounterInput input(keyword);
   for (std::uint64_t i = 1; i <= c; ++i) {
-    token.addresses.push_back(address_for(keyword, i));
+    token.addresses.push_back(key_.prf(input.at(i, 0)));
   }
   return token;
 }
@@ -73,10 +64,10 @@ std::vector<DocId> MitraClient::resolve(const std::string& keyword,
   std::vector<DocId> order;
   const std::uint64_t c = counters_.get(keyword);
   require(values.size() <= c, "MitraClient::resolve: more values than updates");
+  CounterInput input(keyword);
   for (std::size_t i = 0; i < values.size(); ++i) {
     Bytes payload = values[i];
-    const Bytes pad = key_.prf_n(keyword_input(keyword, i + 1, 1), payload.size());
-    xor_inplace(payload, pad);
+    key_.xor_pad(input.at(i + 1, 1), payload);
     require(!payload.empty(), "MitraClient::resolve: empty payload");
     const auto op = static_cast<MitraOp>(payload[0]);
     DocId id(reinterpret_cast<const char*>(payload.data() + 1), payload.size() - 1);

@@ -8,15 +8,6 @@
 
 namespace datablinder::sse {
 
-namespace {
-Bytes keyword_input(const std::string& keyword, std::uint64_t count, std::uint8_t role) {
-  Bytes input = to_bytes(keyword);
-  append(input, be64(count));
-  input.push_back(role);
-  return input;
-}
-}  // namespace
-
 void MitraStatelessServer::put_counter(const Bytes& label, Bytes encrypted_counter) {
   counters_.put(label, std::move(encrypted_counter));
 }
@@ -40,7 +31,7 @@ std::vector<Bytes> MitraStatelessServer::search(const MitraSearchToken& token) c
 
 MitraStatelessClient::MitraStatelessClient(BytesView key)
     : key_(key),
-      counter_key_(crypto::prf_labeled(key, "mitra-sl-counter", {})) {
+      counter_key_(key_.prf_labeled("mitra-sl-counter", {})) {
   require(!key.empty(), "MitraStatelessClient: empty key");
 }
 
@@ -74,11 +65,12 @@ MitraUpdateToken MitraStatelessClient::update(MitraOp op, const std::string& key
                                               std::uint64_t current_count) const {
   const std::uint64_t c = current_count + 1;
   MitraUpdateToken token;
-  token.address = key_.prf(keyword_input(keyword, c, 0));
+  CounterInput input(keyword);
+  token.address = key_.prf(input.at(c, 0));
   Bytes payload;
   payload.push_back(static_cast<std::uint8_t>(op));
   append(payload, to_bytes(id));
-  xor_inplace(payload, key_.prf_n(keyword_input(keyword, c, 1), payload.size()));
+  key_.xor_pad(input.at(c, 1), payload);
   token.value = std::move(payload);
   return token;
 }
@@ -87,8 +79,9 @@ MitraSearchToken MitraStatelessClient::search_token(const std::string& keyword,
                                                     std::uint64_t count) const {
   MitraSearchToken token;
   token.addresses.reserve(count);
+  CounterInput input(keyword);
   for (std::uint64_t i = 1; i <= count; ++i) {
-    token.addresses.push_back(key_.prf(keyword_input(keyword, i, 0)));
+    token.addresses.push_back(key_.prf(input.at(i, 0)));
   }
   return token;
 }
@@ -97,9 +90,10 @@ std::vector<DocId> MitraStatelessClient::resolve(const std::string& keyword,
                                                  const std::vector<Bytes>& values) const {
   std::unordered_map<DocId, bool> live;
   std::vector<DocId> order;
+  CounterInput input(keyword);
   for (std::size_t i = 0; i < values.size(); ++i) {
     Bytes payload = values[i];
-    xor_inplace(payload, key_.prf_n(keyword_input(keyword, i + 1, 1), payload.size()));
+    key_.xor_pad(input.at(i + 1, 1), payload);
     require(!payload.empty(), "mitra-stateless: empty payload");
     const auto op = static_cast<MitraOp>(payload[0]);
     DocId id(reinterpret_cast<const char*>(payload.data() + 1), payload.size() - 1);

@@ -6,17 +6,6 @@
 
 namespace datablinder::sse {
 
-Bytes sophos_h1(BytesView kw_token, BytesView st_bytes) {
-  return crypto::prf_labeled(kw_token, "sophos-h1", st_bytes);
-}
-
-Bytes sophos_h2(BytesView kw_token, BytesView st_bytes, std::size_t len) {
-  Bytes input = to_bytes("sophos-h2");
-  input.push_back(0);
-  append(input, st_bytes);
-  return crypto::prf_n(kw_token, input, len);
-}
-
 Bytes sophos_h1(const crypto::PrfKey& kw, BytesView st_bytes) {
   return kw.prf_labeled("sophos-h1", st_bytes);
 }

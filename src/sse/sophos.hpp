@@ -118,11 +118,9 @@ class SophosClient {
   std::unordered_map<std::string, KeywordState> state_;
 };
 
-/// H1/H2 are shared between client and server (token-keyed PRFs). The
-/// PrfKey overloads let a search walk hoist the HMAC key schedule for the
-/// keyword token once and reuse it across every chain step.
-Bytes sophos_h1(BytesView kw_token, BytesView st_bytes);
-Bytes sophos_h2(BytesView kw_token, BytesView st_bytes, std::size_t len);
+/// H1/H2 are shared between client and server (token-keyed PRFs). They
+/// take the keyword token as a PrfKey so a search walk hoists its HMAC key
+/// schedule once and reuses it across every chain step.
 Bytes sophos_h1(const crypto::PrfKey& kw, BytesView st_bytes);
 Bytes sophos_h2(const crypto::PrfKey& kw, BytesView st_bytes, std::size_t len);
 

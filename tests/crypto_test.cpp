@@ -1,6 +1,10 @@
 // Known-answer and behavioural tests for the crypto substrate.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include "common/hex.hpp"
 #include "common/status.hpp"
 #include "common/rng.hpp"
@@ -12,27 +16,46 @@
 #include "crypto/hmac.hpp"
 #include "crypto/prf.hpp"
 #include "crypto/sha256.hpp"
+#include "crypto/sha256_kernels.hpp"
 #include "crypto/siv.hpp"
 
 namespace datablinder::crypto {
 namespace {
 
+/// The portable kernel, plus the SHA-NI one where the CPU has it.
+std::vector<const Sha256Kernels*> sha256_kernel_tables() {
+  std::vector<const Sha256Kernels*> out{&portable_sha256_kernels()};
+  if (const Sha256Kernels* hw = hardware_sha256_kernels()) out.push_back(hw);
+  return out;
+}
+
 TEST(Sha256Test, Fips180KnownAnswers) {
-  EXPECT_EQ(hex_encode(Sha256::digest(to_bytes("abc"))),
-            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad");
-  EXPECT_EQ(hex_encode(Sha256::digest({})),
-            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855");
-  EXPECT_EQ(hex_encode(Sha256::digest(to_bytes(
-                "abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq"))),
-            "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1");
+  for (const Sha256Kernels* k : sha256_kernel_tables()) {
+    EXPECT_EQ(hex_encode(Sha256::digest(to_bytes("abc"), *k)),
+              "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad");
+    EXPECT_EQ(hex_encode(Sha256::digest({}, *k)),
+              "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855");
+    // 448 bits: the padding needs a second block.
+    EXPECT_EQ(hex_encode(Sha256::digest(
+                  to_bytes("abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq"), *k)),
+              "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1");
+    // 896 bits.
+    EXPECT_EQ(hex_encode(Sha256::digest(
+                  to_bytes("abcdefghbcdefghicdefghijdefghijkefghijklfghijklmghijklmn"
+                           "hijklmnoijklmnopjklmnopqklmnopqrlmnopqrsmnopqrstnopqrstu"),
+                  *k)),
+              "cf5b16a778af8380036ce59e7b0492370b249b11e8f07a51afac45037afee9d1");
+  }
 }
 
 TEST(Sha256Test, MillionAs) {
-  Sha256 h;
-  const Bytes chunk(1000, 'a');
-  for (int i = 0; i < 1000; ++i) h.update(chunk);
-  EXPECT_EQ(hex_encode(h.finalize()),
-            "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0");
+  for (const Sha256Kernels* k : sha256_kernel_tables()) {
+    Sha256 h(*k);
+    const Bytes chunk(1000, 'a');
+    for (int i = 0; i < 1000; ++i) h.update(chunk);
+    EXPECT_EQ(hex_encode(h.finalize()),
+              "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0");
+  }
 }
 
 TEST(Sha256Test, IncrementalMatchesOneShot) {
@@ -45,6 +68,29 @@ TEST(Sha256Test, IncrementalMatchesOneShot) {
   }
 }
 
+TEST(Sha256Test, DigestWithMatchesUpdateAndLeavesStateAlone) {
+  // Both the one-block stack path and the general path, on both tables.
+  const Bytes data = DetRng(3).bytes(300);
+  for (const Sha256Kernels* k : sha256_kernel_tables()) {
+    for (const std::size_t prefix : {0UL, 10UL, 64UL, 70UL}) {
+      Sha256 mid(*k);
+      mid.update(BytesView(data).first(prefix));
+      for (std::size_t len = 0; len <= 80; ++len) {
+        const BytesView a = BytesView(data).subspan(prefix, len / 2);
+        const BytesView b = BytesView(data).subspan(prefix + len / 2, len - len / 2);
+        Sha256 copy = mid;
+        copy.update(a);
+        copy.update(b);
+        EXPECT_EQ(mid.digest_with({a, b}), copy.finalize())
+            << "prefix=" << prefix << " len=" << len;
+      }
+      Sha256 whole(*k);
+      whole.update(BytesView(data).first(prefix));
+      EXPECT_EQ(mid.finalize(), whole.finalize()) << "prefix=" << prefix;
+    }
+  }
+}
+
 TEST(HmacTest, Rfc4231Vectors) {
   // Test case 1.
   EXPECT_EQ(hex_encode(HmacSha256::mac(Bytes(20, 0x0b), to_bytes("Hi There"))),
@@ -53,11 +99,30 @@ TEST(HmacTest, Rfc4231Vectors) {
   EXPECT_EQ(hex_encode(HmacSha256::mac(to_bytes("Jefe"),
                                        to_bytes("what do ya want for nothing?"))),
             "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843");
+  // Test case 3: 50 bytes of data.
+  EXPECT_EQ(hex_encode(HmacSha256::mac(Bytes(20, 0xaa), Bytes(50, 0xdd))),
+            "773ea91e36800e46854db8ebd09181a72959098b3ef8c122d9635514ced565fe");
+  // Test case 4: 25-byte key 0x01..0x19.
+  Bytes key4(25);
+  for (std::size_t i = 0; i < key4.size(); ++i) key4[i] = static_cast<std::uint8_t>(i + 1);
+  EXPECT_EQ(hex_encode(HmacSha256::mac(key4, Bytes(50, 0xcd))),
+            "82558a389a443c0ea4cc819899f2083a85f0faa3e578f8077a2e3ff46729665b");
+  // Test case 5: output truncated to 128 bits.
+  EXPECT_EQ(hex_encode(HmacSha256::mac(Bytes(20, 0x0c), to_bytes("Test With Truncation")))
+                .substr(0, 32),
+            "a3b6167473100ee06e0c796c2955552b");
   // Test case 6: key larger than block size.
   EXPECT_EQ(hex_encode(HmacSha256::mac(
                 Bytes(131, 0xaa),
                 to_bytes("Test Using Larger Than Block-Size Key - Hash Key First"))),
             "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54");
+  // Test case 7: key and data both larger than a block.
+  EXPECT_EQ(hex_encode(HmacSha256::mac(
+                Bytes(131, 0xaa),
+                to_bytes("This is a test using a larger than block-size key and a larger "
+                         "than block-size data. The key needs to be hashed before being "
+                         "used by the HMAC algorithm."))),
+            "9b09ffa71b942fcb27635fbcd5b0e944bfdc63644f0713938a7f51535c3a35e2");
 }
 
 TEST(HmacTest, VerifyRejectsWrongTag) {
@@ -262,6 +327,43 @@ TEST(AesKernelDiffTest, GcmSealOpenMatchPortable) {
   }
 }
 
+// --- SHA-NI vs portable compression --------------------------------------------
+// The SHA-NI kernel must reproduce the portable reference state for state;
+// these run only where the CPU has the SHA extensions.
+
+TEST(Sha256KernelDiffTest, DigestsMatchPortableForEveryLengthUpTo300) {
+  const Sha256Kernels* hw = hardware_sha256_kernels();
+  if (hw == nullptr) GTEST_SKIP() << "CPU lacks the SHA extensions (or SSE4.1/SSSE3)";
+  const Bytes data = DetRng(21).bytes(320);
+  for (std::size_t len = 0; len <= 300; ++len) {
+    // Start at len % 16 so the kernel's loads see every alignment.
+    const BytesView msg = BytesView(data).subspan(len % 16, len);
+    EXPECT_EQ(Sha256::digest(msg, *hw), Sha256::digest(msg, portable_sha256_kernels()))
+        << "len=" << len;
+  }
+}
+
+TEST(Sha256KernelDiffTest, CompressMatchesPortableFromRandomStates) {
+  const Sha256Kernels* hw = hardware_sha256_kernels();
+  if (hw == nullptr) GTEST_SKIP() << "CPU lacks the SHA extensions (or SSE4.1/SSSE3)";
+  DetRng rng(22);
+  for (std::size_t trial = 0; trial < 64; ++trial) {
+    std::uint32_t fast[8], ref[8];
+    for (std::size_t i = 0; i < 8; ++i) {
+      fast[i] = ref[i] = static_cast<std::uint32_t>(rng.engine()());
+    }
+    const std::size_t n = 1 + trial % 8;
+    const Bytes blocks = rng.bytes(64 * n + 1);
+    hw->compress(fast, blocks.data() + 1, n);  // odd offset: unaligned loads
+    portable_sha256_kernels().compress(ref, blocks.data() + 1, n);
+    EXPECT_TRUE(std::equal(fast, fast + 8, ref)) << "trial=" << trial << " blocks=" << n;
+  }
+}
+
+TEST(Sha256KernelDiffTest, ActiveTableIsPortable) {
+  EXPECT_EQ(&active_sha256_kernels(), &portable_sha256_kernels());
+}
+
 TEST(SivTest, DeterministicAndAuthenticated) {
   AesSiv siv(Bytes(32, 7));
   const Bytes c1 = siv.seal(to_bytes("hello"), to_bytes("aad"));
@@ -288,20 +390,94 @@ TEST(SivTest, KeySeparation) {
 }
 
 TEST(PrfTest, LabelsSeparateDomains) {
-  const Bytes key(32, 3);
-  EXPECT_NE(prf_labeled(key, "a", to_bytes("x")), prf_labeled(key, "b", to_bytes("x")));
+  const PrfKey key(Bytes(32, 3));
+  EXPECT_NE(key.prf_labeled("a", to_bytes("x")), key.prf_labeled("b", to_bytes("x")));
   // label||input ambiguity is broken by the separator byte.
-  EXPECT_NE(prf_labeled(key, "ab", to_bytes("c")), prf_labeled(key, "a", to_bytes("bc")));
+  EXPECT_NE(key.prf_labeled("ab", to_bytes("c")), key.prf_labeled("a", to_bytes("bc")));
 }
 
 TEST(PrfTest, PrfNExtendsDeterministically) {
-  const Bytes key(32, 5);
-  const Bytes long1 = prf_n(key, to_bytes("in"), 100);
-  const Bytes long2 = prf_n(key, to_bytes("in"), 100);
+  const PrfKey key(Bytes(32, 5));
+  const Bytes long1 = key.prf_n(to_bytes("in"), 100);
+  const Bytes long2 = key.prf_n(to_bytes("in"), 100);
   EXPECT_EQ(long1, long2);
   EXPECT_EQ(long1.size(), 100u);
-  const Bytes short1 = prf_n(key, to_bytes("in"), 8);
+  const Bytes short1 = key.prf_n(to_bytes("in"), 8);
   EXPECT_EQ(short1.size(), 8u);
+}
+
+Bytes counting(std::size_t n, std::uint8_t start, std::uint8_t step) {
+  Bytes b(n);
+  for (std::size_t i = 0; i < n; ++i) b[i] = static_cast<std::uint8_t>(start + i * step);
+  return b;
+}
+
+TEST(PrfTest, KnownAnswers) {
+  // Recorded from the portable-SHA-256, per-call-HMAC build; every value is
+  // also plain HMAC-SHA256 (RFC 2104) over the stated input.
+  struct Case {
+    Bytes key;
+    Bytes input;
+    const char* prf;          // HMAC(key, input)
+    const char* labeled;      // HMAC(key, "lbl" || 0x00 || input)
+    std::uint64_t u64;        // first 8 bytes of prf, big-endian
+    std::uint64_t free_mod3;  // prf_mod(key, input, 3), one-shot form
+  };
+  const Case cases[] = {
+      {counting(32, 0x00, 1), Bytes{},
+       "d38b42096d80f45f826b44a9d5607de72496a415d3f4a1a8c88e3bb9da8dc1cb",
+       "ab36264be67f5c1bcccf0120bd902e08d9f7fb5ac16e044c86d532e625dde540",
+       15243349972024882271ULL, 2},
+      {counting(32, 0x00, 1), to_bytes("abc"),
+       "f0133729c4163dede81e21cd47839256da58171238c8a0d874397c73b14e1e47",
+       "47e66fe224cc1efb6de6bab15b48a0e17491470cd3a5e3c6af61e235d2056bc0",
+       17299231246183185901ULL, 1},
+      {counting(32, 0x00, 1), counting(100, 0x00, 7),
+       "d749a5cfb47349640e1747a58a9c1af59beefbeec73ad2b064a9f73979c7cf5a",
+       "0b88c3beea3c18a6076ff04e8352468245778e2e0fbdb1a262e9b3830bc43ca7",
+       15513112702958651748ULL, 0},
+      {counting(100, 0x30, 3), Bytes{},
+       "8bfafa7f45459937f12a84abe6b8a60b30b2bbf0c989890cc7c299c19f4320d7",
+       "a6d0243935c7565032bb5f5cc0c1d4a1bb4d5b150dceea292c91987fa8dd0f63",
+       10086649739979626807ULL, 2},
+      {counting(100, 0x30, 3), to_bytes("abc"),
+       "4134b09c1742b0fda30f52b48f7805c57a92c14d33bf1f540e490fa65f0107fc",
+       "507a1667ad693da2845a5a76c0bdd7c1f91fc667414ad36a5a13dbf821621360",
+       4698574495705903357ULL, 1},
+      {counting(100, 0x30, 3), counting(100, 0x00, 7),
+       "00fa5493315e64571717c4dbab182f903c3b5ac984e91408e37369a47f2e44b2",
+       "95d999ac5304e0b7f9d852c61293fcd86ba0601a6e4788bfd68a1fc645e10711",
+       70461735342859351ULL, 1},
+  };
+  for (const Case& c : cases) {
+    const PrfKey key(c.key);
+    const std::string where = std::to_string(c.key.size()) + "/" + std::to_string(c.input.size());
+    EXPECT_EQ(hex_encode(key.prf(c.input)), c.prf) << where;
+    EXPECT_EQ(hex_encode(key.tag(c.input)), c.prf) << where;
+    EXPECT_EQ(hex_encode(key.prf_labeled("lbl", c.input)), c.labeled) << where;
+    EXPECT_EQ(hex_encode(key.tag_labeled("lbl", c.input)), c.labeled) << where;
+    EXPECT_EQ(hex_encode(key.prf_n(c.input, 16)), std::string(c.prf, 32)) << where;
+    EXPECT_EQ(key.prf_u64(c.input), c.u64) << where;
+    EXPECT_EQ(key.prf_mod(c.input, 97), c.u64 % 97) << where;
+    EXPECT_EQ(prf_mod(c.key, c.input, 3), c.free_mod3) << where;
+  }
+  // Past 32 bytes prf_n is HKDF-expand(prf, "prf_n").
+  EXPECT_EQ(hex_encode(PrfKey(counting(32, 0x00, 1)).prf_n(to_bytes("abc"), 100)),
+            "c27fb3503341114417c763ca4b991a2feea6474255110c9332"
+            "64707bf96804db7c48223dd5d6fcd900a23b0976a9cec3314d"
+            "92b984b325fbf2d721473f2a6054b71053c681605dcac7eb1f"
+            "e0c5f94424791fadbd0b94f9711d0ca509186f00ea7566096d");
+}
+
+TEST(PrfTest, XorPadMatchesPrfN) {
+  const PrfKey key(Bytes(32, 9));
+  for (const std::size_t len : {0UL, 1UL, 17UL, 32UL, 33UL, 100UL}) {
+    Bytes data = DetRng(len).bytes(len);
+    Bytes expected = data;
+    xor_inplace(expected, key.prf_n(to_bytes("pad"), len));
+    key.xor_pad(to_bytes("pad"), data);
+    EXPECT_EQ(data, expected) << "len=" << len;
+  }
 }
 
 TEST(RngTest, SecureRngProducesDistinctValues) {

@@ -18,7 +18,10 @@
 #include "bigint/montgomery_kernels.hpp"
 #include "common/rng.hpp"
 #include "common/status.hpp"
+#include "crypto/hmac.hpp"
 #include "crypto/prf.hpp"
+#include "crypto/sha256.hpp"
+#include "crypto/sha256_kernels.hpp"
 #include "phe/paillier.hpp"
 #include "sse/sophos.hpp"
 
@@ -545,19 +548,71 @@ TEST(SophosDifferential, CrtStepBackEqualsTheDExponent) {
 
 // --- PrfKey --------------------------------------------------------------------
 
-TEST(PrfKeyDifferential, MatchesFreeFunctions) {
-  for (const std::size_t key_len : {1UL, 16UL, 32UL, 64UL, 65UL, 200UL}) {
+/// HMAC-SHA256 by its RFC 2104 definition, streamed through the portable
+/// SHA-256: K0 is the key (hashed down when longer than a block) zero-padded
+/// to 64 bytes, and the MAC is H((K0 ^ opad) || H((K0 ^ ipad) || msg)). It
+/// shares none of HmacSha256's midstate code.
+Bytes reference_hmac(BytesView key, BytesView msg) {
+  const crypto::Sha256Kernels& portable = crypto::portable_sha256_kernels();
+  Bytes k0(crypto::Sha256::kBlockSize, 0);
+  if (key.size() > crypto::Sha256::kBlockSize) {
+    const crypto::Sha256::Digest d = crypto::Sha256::digest(key, portable);
+    std::copy(d.begin(), d.end(), k0.begin());
+  } else {
+    std::copy(key.begin(), key.end(), k0.begin());
+  }
+  Bytes ipad = k0;
+  Bytes opad = k0;
+  for (auto& b : ipad) b ^= 0x36;
+  for (auto& b : opad) b ^= 0x5c;
+  crypto::Sha256 inner(portable);
+  inner.update(ipad);
+  inner.update(msg);
+  const crypto::Sha256::Digest inner_digest = inner.finalize();
+  crypto::Sha256 outer(portable);
+  outer.update(opad);
+  outer.update(inner_digest);
+  const crypto::Sha256::Digest d = outer.finalize();
+  return Bytes(d.begin(), d.end());
+}
+
+/// HKDF-expand (RFC 5869 §2.3) over reference_hmac.
+Bytes reference_hkdf_expand(BytesView prk, BytesView info, std::size_t n) {
+  Bytes out;
+  Bytes t;
+  for (std::uint8_t i = 1; out.size() < n; ++i) {
+    Bytes input = t;
+    append(input, info);
+    input.push_back(i);
+    t = reference_hmac(prk, input);
+    append(out, t);
+  }
+  out.resize(n);
+  return out;
+}
+
+TEST(PrfKeyDifferential, MatchesHmacDefinition) {
+  // The hoisted midstates must give exactly HMAC-SHA256 by its definition,
+  // at key lengths on both sides of the 64-byte block and message lengths
+  // on both sides of the one-final-block limit (55 bytes after the pad).
+  for (const std::size_t key_len : {1UL, 16UL, 32UL, 63UL, 64UL, 65UL, 200UL}) {
     const Bytes key = SecureRng::bytes(key_len);
     const crypto::PrfKey pk(key);
-    for (const std::size_t msg_len : {0UL, 1UL, 55UL, 64UL, 100UL}) {
+    for (const std::size_t msg_len : {0UL, 1UL, 55UL, 56UL, 64UL, 100UL}) {
       const Bytes msg = SecureRng::bytes(msg_len);
-      EXPECT_EQ(pk.prf(msg), crypto::prf(key, msg)) << key_len << "/" << msg_len;
-      EXPECT_EQ(pk.prf_labeled("label", msg), crypto::prf_labeled(key, "label", msg));
-      EXPECT_EQ(pk.prf_n(msg, 16), crypto::prf_n(key, msg, 16));
-      EXPECT_EQ(pk.prf_n(msg, 32), crypto::prf_n(key, msg, 32));
-      EXPECT_EQ(pk.prf_n(msg, 100), crypto::prf_n(key, msg, 100));
-      EXPECT_EQ(pk.prf_u64(msg), crypto::prf_u64(key, msg));
-      EXPECT_EQ(pk.prf_mod(msg, 97), crypto::prf_mod(key, msg, 97));
+      const Bytes mac = reference_hmac(key, msg);
+      EXPECT_EQ(crypto::HmacSha256::mac(key, msg), mac) << key_len << "/" << msg_len;
+      EXPECT_EQ(pk.prf(msg), mac) << key_len << "/" << msg_len;
+      Bytes labeled = to_bytes("label");
+      labeled.push_back(0);
+      append(labeled, msg);
+      EXPECT_EQ(pk.prf_labeled("label", msg), reference_hmac(key, labeled));
+      EXPECT_EQ(pk.prf_n(msg, 16), Bytes(mac.begin(), mac.begin() + 16));
+      EXPECT_EQ(pk.prf_n(msg, 32), mac);
+      EXPECT_EQ(pk.prf_n(msg, 100), reference_hkdf_expand(mac, to_bytes("prf_n"), 100));
+      EXPECT_EQ(pk.prf_u64(msg), read_be64(mac));
+      EXPECT_EQ(pk.prf_mod(msg, 97), read_be64(mac) % 97);
+      EXPECT_EQ(crypto::prf_mod(key, msg, 97), read_be64(mac) % 97);
     }
   }
 }
@@ -568,7 +623,7 @@ TEST(PrfKeyDifferential, CopiesAreIndependent) {
   const crypto::PrfKey copy = original;
   const Bytes msg = SecureRng::bytes(40);
   EXPECT_EQ(copy.prf(msg), original.prf(msg));
-  EXPECT_EQ(copy.prf(msg), crypto::prf(key, msg));
+  EXPECT_EQ(copy.prf(msg), reference_hmac(key, msg));
 }
 
 }  // namespace
