@@ -77,14 +77,14 @@ Row run(bool stateless, std::uint64_t latency_us, int docs = 150, int searches =
   Stopwatch sw;
   for (int i = 0; i < docs; ++i) {
     Document d;
-    d.set("name", Value("p" + std::to_string(rng.uniform(10))));
+    d.set("name", Value(std::string("p").append(std::to_string(rng.uniform(10)))));
     gw.insert("people", d);
   }
   row.insert_us = sw.elapsed_us() / docs;
 
   sw.reset();
   for (int i = 0; i < searches; ++i) {
-    gw.equality_search("people", "name", Value("p" + std::to_string(rng.uniform(10))));
+    gw.equality_search("people", "name", Value(std::string("p").append(std::to_string(rng.uniform(10)))));
   }
   row.search_us = sw.elapsed_us() / searches;
   row.round_trips = channel.stats().round_trips.load();

@@ -121,7 +121,7 @@ Measured measure(const core::TacticRegistry& registry, const schema::Schema& s,
   for (int i = 0; i < inserts; ++i) {
     Document d;
     if (type == schema::FieldType::kString) {
-      d.set("f", Value("v" + std::to_string(rng.uniform(8))));
+      d.set("f", Value(std::string("v").append(std::to_string(rng.uniform(8)))));
     } else if (type == schema::FieldType::kDouble) {
       d.set("f", Value(static_cast<double>(rng.range(10, 200)) / 10.0));
     } else {

@@ -82,9 +82,7 @@ BigInt BigInt::from_bytes(BytesView b) {
 
 Bytes BigInt::to_bytes(std::size_t min_len) const {
   require(!negative_, "BigInt::to_bytes: negative value");
-  const std::size_t bits = bit_length();
-  std::size_t n = (bits + 7) / 8;
-  if (n < min_len) n = min_len;
+  const std::size_t n = std::max(byte_length(), min_len);
   Bytes out(n, 0);
   for (std::size_t i = 0; i < n; ++i) {
     const std::size_t byte_index = i;  // from LSB

@@ -66,6 +66,9 @@ class BigInt {
 
   /// Number of significant bits (0 for zero).
   std::size_t bit_length() const noexcept;
+  /// Bytes of the minimal big-endian encoding: the width at which
+  /// to_bytes pads every value below *this.
+  std::size_t byte_length() const noexcept { return (bit_length() + 7) / 8; }
 
   /// Value of bit i (0 = least significant).
   bool bit(std::size_t i) const noexcept;

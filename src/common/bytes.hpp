@@ -6,7 +6,9 @@
 // and conversions to/from std::string.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <span>
 #include <string>
 #include <string_view>
@@ -37,6 +39,19 @@ Bytes xor_bytes(BytesView a, BytesView b);
 
 /// Constant-time equality check (length leak only), for MAC/tag comparison.
 bool ct_equal(BytesView a, BytesView b) noexcept;
+
+/// Unsigned lexicographic order, a proper prefix first: the order of
+/// Bytes' own operator<. Ordered containers keyed by Bytes use it because
+/// GCC 12 at -O3 misjudges the bound of the memcmp inside vector's
+/// operator<=> and warns (-Wstringop-overread).
+struct BytesLess {
+  bool operator()(BytesView a, BytesView b) const noexcept {
+    const std::size_t n = std::min(a.size(), b.size());
+    // dblint:allow(ct-compare): orders container keys; never checks a secret
+    const int c = n == 0 ? 0 : std::memcmp(a.data(), b.data(), n);
+    return c != 0 ? c < 0 : a.size() < b.size();
+  }
+};
 
 /// Big-endian encoding of a 32-bit integer.
 Bytes be32(std::uint32_t v);

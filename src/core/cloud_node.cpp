@@ -524,7 +524,7 @@ void CloudNode::register_agg_handlers() {
     AggColumn& col = it->second;
     const std::uint64_t count = col.cts.size();
     index_ops_ += count;  // a sum still counts the ciphertexts it covers
-    return wire::pack({{"sum_ct", Value(col.sum().to_bytes())},
+    return wire::pack({{"sum_ct", Value(col.sum().to_bytes(col.n_squared.byte_length()))},
                        {"count", Value(static_cast<std::int64_t>(count))}});
   });
 }

@@ -39,14 +39,7 @@ struct Cursor {
     off += len;
     return s;
   }
-  BytesView raw(std::size_t len) {
-    if (off + len > b.size()) {
-      throw_error(ErrorCode::kInternal, "intent journal: truncated record");
-    }
-    BytesView v = b.subspan(off, len);
-    off += len;
-    return v;
-  }
+  BytesView rest() const { return b.subspan(off); }
 };
 
 Bytes encode(const std::string& collection, const std::vector<std::string>& ids,
@@ -55,12 +48,9 @@ Bytes encode(const std::string& collection, const std::vector<std::string>& ids,
   put_str(out, collection);
   append(out, be32(static_cast<std::uint32_t>(ids.size())));
   for (const auto& id : ids) put_str(out, id);
-  append(out, be32(static_cast<std::uint32_t>(rpcs.size())));
-  for (const auto& r : rpcs) {
-    const Bytes sub = r.serialize();
-    append(out, be32(static_cast<std::uint32_t>(sub.size())));
-    append(out, sub);
-  }
+  net::BatchWriter batch;
+  for (const auto& r : rpcs) batch.add(r.serialize());
+  append(out, std::move(batch).finish());
   return out;
 }
 
@@ -75,11 +65,8 @@ IntentJournal::Intent decode(std::string token, BytesView record) {
   const std::uint32_t n_ids = c.u32();
   intent.ids.reserve(n_ids);
   for (std::uint32_t i = 0; i < n_ids; ++i) intent.ids.push_back(c.str());
-  const std::uint32_t n_rpcs = c.u32();
-  intent.rpcs.reserve(n_rpcs);
-  for (std::uint32_t i = 0; i < n_rpcs; ++i) {
-    const std::uint32_t len = c.u32();
-    intent.rpcs.push_back(net::Request::deserialize(c.raw(len)));
+  for (const BytesView rpc : net::read_batch(c.rest(), ErrorCode::kInternal)) {
+    intent.rpcs.push_back(net::Request::deserialize(rpc));
   }
   return intent;
 }

@@ -26,8 +26,10 @@
 //
 // Record layout (hash "intent/pending", field = token):
 //   be32 version | str collection | be32 n_ids | ids... |
-//   be32 n_rpcs | (be32 len | serialized net::Request)...
-// where str = be32 length + bytes.
+//   the captured requests as a batch (net::BatchWriter in net/message:
+//   be32 n_rpcs | (be32 len | serialized net::Request)...)
+// where str = be32 length + bytes. The requests are rows of the
+// cloud-method table (net/methods) that it marks deferrable.
 #pragma once
 
 #include <optional>

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <optional>
-#include <set>
 #include <shared_mutex>
 #include <thread>
 #include <unordered_set>
@@ -11,6 +10,7 @@
 #include "common/logging.hpp"
 #include "common/rng.hpp"
 #include "core/wire.hpp"
+#include "net/methods.hpp"
 #include "store/docstore.hpp"  // compare_values for post-verification
 
 namespace datablinder::core {
@@ -56,18 +56,6 @@ TacticOperation op_of(schema::Aggregate a) {
     case schema::Aggregate::kMax: return TacticOperation::kMax;
   }
   return TacticOperation::kSum;
-}
-
-// Fire-and-forget update methods whose responses are empty by protocol.
-// mitrasl.* is deliberately absent: its update protocol reads the current
-// counter from the server, so deferring would use stale counters (and, for
-// the same reason, Mitra-SL updates sit outside the insert intent journal).
-const std::set<std::string>& deferrable_methods() {
-  static const std::set<std::string> kDeferrable = {
-      "doc.put",      "det.insert", "ope.insert", "ore.insert",
-      "mitra.update", "iex.update", "zmf.update", "sophos.update",
-      "agg.insert"};
-  return kDeferrable;
 }
 
 }  // namespace
@@ -190,7 +178,7 @@ void Gateway::journaled_run(const std::string& collection,
                             const std::function<void()>& body) {
   // Capture: the plan runs fully (gateway-side tactic state advances) but
   // every deferrable cloud mutation is queued, not sent.
-  cloud_.begin_deferred(deferrable_methods());
+  cloud_.begin_deferred(net::deferrable_methods());
   std::vector<net::Request> captured;
   try {
     body();
@@ -377,7 +365,7 @@ std::vector<DocId> Gateway::insert_many(const std::string& collection,
     return ids;
   }
 
-  cloud_.begin_deferred(deferrable_methods());
+  cloud_.begin_deferred(net::deferrable_methods());
   try {
     write_all();
   } catch (...) {

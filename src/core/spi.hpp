@@ -129,8 +129,8 @@ struct TacticDescriptor {
   /// SPI coverage (Table 1 / Table 2 interface counts).
   std::set<SpiInterface> gateway_interfaces;
   std::set<SpiInterface> cloud_interfaces;
-  /// Table 2 "challenge" column.
-  std::string challenge;
+  /// Table 2 "challenge" column; "-" where the paper names none.
+  std::string challenge = "-";
   /// Tie-break preference when several tactics qualify (higher wins).
   int preference = 0;
   /// Static cost priors for the adaptive cost model (cost_model.hpp).

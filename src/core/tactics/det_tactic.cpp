@@ -32,7 +32,6 @@ const TacticDescriptor& DetTactic::static_descriptor() {
     t.cloud_interfaces = {SpiInterface::kInsertion, SpiInterface::kUpdate,
                           SpiInterface::kRetrieval, SpiInterface::kDeletion,
                           SpiInterface::kEqQuery,   SpiInterface::kSetup};
-    t.challenge = "-";
     t.preference = 10;
     t.updates_read_fixed_keys = true;
     // Calibration: one AES-SIV label (~10us) + round trip; equality hits

@@ -26,7 +26,6 @@ const TacticDescriptor& OpeTactic::static_descriptor() {
                             SpiInterface::kRangeResolution};
     t.cloud_interfaces = {SpiInterface::kInsertion, SpiInterface::kRangeQuery,
                           SpiInterface::kDeletion};
-    t.challenge = "-";
     t.preference = 10;  // index-backed scans beat ORE's linear compare
     // Calibration: OPE encrypt is one AES-SIV pass (~10us, BENCH_crypto
     // BM_OpeEncrypt); per-result work is an mget share (~2us) + AES-GCM open

@@ -26,7 +26,6 @@ const TacticDescriptor& OreTactic::static_descriptor() {
                             SpiInterface::kRangeResolution};
     t.cloud_interfaces = {SpiInterface::kInsertion, SpiInterface::kRangeQuery,
                           SpiInterface::kDeletion};
-    t.challenge = "-";
     t.preference = 5;
     // Calibration: right-ciphertext build is block*slot PRF work (~200us);
     // queries pay one comparison per stored row server-side plus the

@@ -99,9 +99,12 @@ void PaillierTactic::on_insert(const DocId& id, const Value& value) {
                              : "core.crypto.paillier.pool.miss");
     }
   }
+  // Every ciphertext at n²'s byte width, so its length says nothing about
+  // its value.
+  Bytes ct_bytes = ct.to_bytes(keys_->priv.pub.n_squared.byte_length());
   ctx_.cloud->call("agg.insert", wire::pack({{"scope", Value(ctx_.scope("paillier"))},
                                              {"id", Value(id)},
-                                             {"ct", Value(ct.to_bytes())}}));
+                                             {"ct", Value(std::move(ct_bytes))}}));
 }
 
 void PaillierTactic::on_delete(const DocId& id, const Value&) {

@@ -1,5 +1,7 @@
 #include "net/message.hpp"
 
+#include <algorithm>
+
 namespace datablinder::net {
 
 namespace {
@@ -89,6 +91,42 @@ Response Response::deserialize(BytesView b) {
   }
   if (off != b.size()) throw_error(ErrorCode::kProtocolError, "response: trailing bytes");
   return r;
+}
+
+void BatchWriter::add(BytesView frame) {
+  append(out_, be32(static_cast<std::uint32_t>(frame.size())));
+  append(out_, frame);
+  ++count_;
+}
+
+Bytes BatchWriter::finish() && {
+  const Bytes count = be32(count_);
+  std::copy(count.begin(), count.end(), out_.begin());
+  return std::move(out_);
+}
+
+std::vector<BytesView> read_batch(BytesView batch, ErrorCode error) {
+  std::size_t off = 0;
+  auto take32 = [&] {
+    if (batch.size() - off < 4) throw_error(error, "batch: truncated");
+    const std::uint32_t v = read_be32(batch.subspan(off));
+    off += 4;
+    return v;
+  };
+  const std::uint32_t n = take32();
+  // Every frame needs at least its length word: a count the bytes left
+  // cannot hold is refused before anything is reserved for it.
+  if (n > (batch.size() - off) / 4) throw_error(error, "batch: truncated");
+  std::vector<BytesView> frames;
+  frames.reserve(n);
+  for (std::uint32_t i = 0; i < n; ++i) {
+    const std::uint32_t len = take32();
+    if (batch.size() - off < len) throw_error(error, "batch: truncated frame");
+    frames.push_back(batch.subspan(off, len));
+    off += len;
+  }
+  if (off != batch.size()) throw_error(error, "batch: trailing bytes");
+  return frames;
 }
 
 }  // namespace datablinder::net

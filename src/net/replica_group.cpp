@@ -3,10 +3,10 @@
 #include <algorithm>
 #include <chrono>
 #include <condition_variable>
-#include <set>
 #include <tuple>
 
 #include "common/status.hpp"
+#include "net/methods.hpp"
 #include "net/rpc.hpp"
 
 namespace datablinder::net {
@@ -21,20 +21,6 @@ std::uint64_t elapsed_ns(std::chrono::steady_clock::time_point t0) {
 }
 
 }  // namespace
-
-bool is_read_method(const std::string& method) {
-  // Mirrors the "Reads" group of RetryPolicy::standard(): methods whose
-  // cloud handlers never mutate state, so any in-sync replica may serve
-  // them. Everything else routes through the primary + replication log.
-  static const std::set<std::string> kReads = {
-      "doc.get",        "doc.mget",          "doc.list",       "det.search",
-      "ope.range",      "ope.extreme",       "ore.range",      "mitra.search",
-      "mitrasl.search", "mitrasl.get_counter", "sophos.search", "iex.search",
-      "zmf.search",     "agg.sum",           "admin.storage",  "admin.index_ops",
-      "admin.digest",   "plain.get",         "plain.find_eq",  "plain.find_range",
-      "plain.find_bool", "plain.avg"};
-  return kReads.count(method) > 0;
-}
 
 ReplicaGroup::ReplicaGroup(std::vector<ReplicaEndpoint> endpoints, HedgeConfig hedge,
                            AccrualConfig accrual)
@@ -164,7 +150,13 @@ std::vector<std::size_t> ReplicaGroup::read_order() const {
 }
 
 Bytes ReplicaGroup::call(const std::string& method, const Bytes& wire_request) {
-  if (is_read_method(method)) return call_read(method, wire_request);
+  // Reads change no cloud state, so any in-sync replica may serve them;
+  // every other method, in the table or not, goes through the primary and
+  // the replication log.
+  const MethodInfo* info = find_method(method);
+  if (info != nullptr && info->kind == MethodKind::kRead) {
+    return call_read(method, wire_request);
+  }
   return call_write(method, wire_request);
 }
 

@@ -89,12 +89,6 @@ struct ReplicaHealth {
   double score = 0.0;
 };
 
-/// Server-side read methods: no cloud state change, so they may be served
-/// by any in-sync replica (and hedged, if also replay-idempotent). Every
-/// other method is treated as a state mutation and routed through the
-/// primary + replication log.
-bool is_read_method(const std::string& method);
-
 class ReplicaGroup final : public Backend {
  public:
   /// At least one endpoint; endpoint 0 starts as primary. Endpoints are

@@ -3,6 +3,8 @@
 #include <chrono>
 #include <thread>
 
+#include "net/methods.hpp"
+
 namespace datablinder::net {
 
 namespace {
@@ -27,25 +29,7 @@ RetryClock& RetryClock::system() {
 
 RetryPolicy RetryPolicy::standard() {
   RetryPolicy p;
-  p.retryable_methods = {
-      // Reads: no server-side state change.
-      "doc.get", "doc.mget", "doc.list", "det.search", "ope.range", "ope.extreme",
-      "ore.range", "mitra.search", "mitrasl.search", "mitrasl.get_counter",
-      "sophos.search", "iex.search", "zmf.search", "agg.sum", "admin.storage",
-      "admin.index_ops", "admin.digest", "plain.get", "plain.find_eq",
-      "plain.find_range", "plain.find_bool", "plain.avg",
-      // Updates whose handlers are keyed overwrites (sadd / zadd / hset /
-      // dict.put): a byte-identical replay re-writes the same key with the
-      // same value, so at-least-once delivery yields exactly-once state.
-      "doc.put", "doc.del", "det.insert", "det.remove", "ope.insert", "ope.remove",
-      "ore.insert", "ore.remove", "mitra.update", "mitrasl.update", "sophos.update",
-      "iex.update", "zmf.update", "agg.insert", "agg.remove", "plain.put",
-      "plain.del", "plain.index",
-      // Setup methods re-derive the same provisioning from recovered keys.
-      "sophos.setup", "zmf.setup", "agg.setup",
-      // The deferred-batch envelope only ever carries methods from the
-      // update group above.
-      "rpc.batch"};
+  for (const MethodInfo& m : cloud_methods()) p.retryable_methods.emplace(m.name);
   return p;
 }
 

@@ -60,10 +60,11 @@ struct RetryPolicy {
     return retryable_methods.count(method) > 0;
   }
 
-  /// Whitelist covering every built-in method: reads trivially, update
-  /// methods because their cloud handlers are keyed overwrites that absorb
-  /// byte-identical replay (see file comment), and "rpc.batch" because the
-  /// batch queue only ever carries such updates.
+  /// Whitelist covering every row of the cloud-method table (net/methods),
+  /// all of which are safe to replay: reads trivially, updates because
+  /// their cloud handlers are keyed overwrites that absorb byte-identical
+  /// replay (see file comment), setups because they re-derive the same
+  /// provisioning, and "rpc.batch" because it only carries such updates.
   static RetryPolicy standard();
 };
 

@@ -81,39 +81,22 @@ std::size_t RpcClient::flush_deferred() { return send_batch(take_deferred()); }
 std::size_t RpcClient::send_batch(const std::vector<Request>& queue) {
   if (queue.empty()) return 0;
 
-  // Encode: count, then length-prefixed serialized sub-requests.
-  Bytes payload = be32(static_cast<std::uint32_t>(queue.size()));
-  for (const auto& request : queue) {
-    const Bytes sub = request.serialize();
-    append(payload, be32(static_cast<std::uint32_t>(sub.size())));
-    append(payload, sub);
-  }
-  const Bytes reply = call("rpc.batch", payload);
+  BatchWriter batch;
+  for (const auto& request : queue) batch.add(request.serialize());
+  const Bytes reply = call("rpc.batch", std::move(batch).finish());
 
-  // Decode per-call responses; surface the first failure.
-  std::size_t off = 0;
-  auto take32 = [&](BytesView b) {
-    if (off + 4 > b.size()) throw_error(ErrorCode::kProtocolError, "batch: truncated");
-    const std::uint32_t v = read_be32(b.subspan(off));
-    off += 4;
-    return v;
-  };
-  const std::size_t n = take32(reply);
-  if (n != queue.size()) {
+  // Per-call responses; surface the first failure.
+  const std::vector<BytesView> responses = read_batch(reply);
+  if (responses.size() != queue.size()) {
     throw_error(ErrorCode::kProtocolError, "batch: response count mismatch");
   }
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::size_t len = take32(reply);
-    if (off + len > reply.size()) {
-      throw_error(ErrorCode::kProtocolError, "batch: truncated response");
-    }
-    const Response r = Response::deserialize(BytesView(reply).subspan(off, len));
-    off += len;
+  for (std::size_t i = 0; i < responses.size(); ++i) {
+    const Response r = Response::deserialize(responses[i]);
     if (!r.ok) {
       throw Error(r.error, "batch[" + queue[i].method + "]: " + r.error_message);
     }
   }
-  return n;
+  return responses.size();
 }
 
 void RpcClient::abandon_deferred() noexcept { deferred_sections().erase(this); }
@@ -124,27 +107,11 @@ bool RpcClient::in_deferred_section() const noexcept {
 
 RpcServer::Handler RpcClient::make_batch_handler(const RpcServer& server) {
   return [&server](BytesView payload) {
-    std::size_t off = 0;
-    auto take32 = [&](BytesView b) {
-      if (off + 4 > b.size()) throw_error(ErrorCode::kProtocolError, "batch: truncated");
-      const std::uint32_t v = read_be32(b.subspan(off));
-      off += 4;
-      return v;
-    };
-    const std::size_t n = take32(payload);
-    Bytes out = be32(static_cast<std::uint32_t>(n));
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::size_t len = take32(payload);
-      if (off + len > payload.size()) {
-        throw_error(ErrorCode::kProtocolError, "batch: truncated request");
-      }
-      const Request sub = Request::deserialize(payload.subspan(off, len));
-      off += len;
-      const Bytes sub_response = server.dispatch(sub).serialize();
-      append(out, be32(static_cast<std::uint32_t>(sub_response.size())));
-      append(out, sub_response);
+    BatchWriter out;
+    for (const BytesView sub : read_batch(payload)) {
+      out.add(server.dispatch(Request::deserialize(sub)).serialize());
     }
-    return out;
+    return std::move(out).finish();
   };
 }
 

@@ -9,6 +9,7 @@
 #include "doc/value.hpp"
 #include "doc/wire.hpp"
 #include "net/message.hpp"
+#include "net/methods.hpp"
 
 namespace datablinder::net {
 
@@ -44,14 +45,14 @@ std::uint64_t hash_key(std::string_view key) {
   return mix64(h);
 }
 
-/// Structure-wide reads/updates that fan out to every shard and merge.
-bool is_broadcast(const std::string& method) {
-  return method == "doc.list" || method == "plain.index" ||
-         method == "plain.find_eq" || method == "plain.find_range" ||
-         method == "plain.find_bool" || method == "plain.avg" ||
-         method == "agg.setup" || method == "agg.sum" ||
-         method == "admin.storage" || method == "admin.index_ops" ||
-         method == "admin.digest";
+/// The table row of a method the router can place; kProtocolError for a
+/// method outside the table.
+const MethodInfo& routable(const std::string& method) {
+  const MethodInfo* info = find_method(method);
+  if (info == nullptr) {
+    throw_error(ErrorCode::kProtocolError, "shard router: unroutable method " + method);
+  }
+  return *info;
 }
 
 }  // namespace
@@ -157,45 +158,45 @@ Bytes ShardRouter::route_single(std::size_t shard, const std::string& method,
   return call_shard(shard, method, wire);
 }
 
-std::size_t ShardRouter::single_shard_of(const std::string& method,
+std::size_t ShardRouter::single_shard_of(const MethodInfo& info,
                                          const Bytes& payload) const {
   const doc::Object obj = unpack(payload);
   // Documents shard by id; DET postings by keyword label; Mitra postings
   // by PRF-derived address; aggregate rows by id. Server-side structures
   // that cannot be split (OPE/ORE orderings, Sophos chains, Mitra-SL
-  // counter coupling, IEX/ZMF boolean indexes) scope-route whole.
-  if (method == "doc.put" || method == "doc.get" || method == "doc.del") {
-    return ring_.shard_of(doc_key(get_str(obj, "col"), get_str(obj, "id")));
+  // counter coupling, IEX/ZMF boolean indexes) scope-route whole, keyed by
+  // the method's family (the name before its '.').
+  const std::string_view family = info.name.substr(0, info.name.find('.'));
+  switch (info.placement) {
+    case Placement::kDocId:
+      return ring_.shard_of(doc_key(get_str(obj, "col"), get_str(obj, "id")));
+    case Placement::kPlainDoc: {
+      const std::string id = obj.find("doc") != obj.end()
+                                 ? doc::decode_document(get_bin(obj, "doc")).id
+                                 : get_str(obj, "id");
+      return ring_.shard_of(doc_key("plain:" + get_str(obj, "col"), id));
+    }
+    case Placement::kDetLabel:
+      return ring_.shard_of("det/" + get_str(obj, "col") + "/" + get_str(obj, "field") +
+                            "/" + raw(get_bin(obj, "label")));
+    case Placement::kSseAddress:
+      return ring_.shard_of("sse/" + get_str(obj, "scope") + "/" +
+                            raw(get_bin(obj, "address")));
+    case Placement::kAggRow:
+      return ring_.shard_of("agg/" + get_str(obj, "scope") + "/" + get_str(obj, "id"));
+    case Placement::kColumnScope:
+      return ring_.shard_of("scope/" + std::string(family) + "/" + get_str(obj, "col") +
+                            "/" + get_str(obj, "field"));
+    case Placement::kNamedScope:
+      return ring_.shard_of("scope/" + std::string(family) + "/" + get_str(obj, "scope"));
+    case Placement::kScatterMget:
+    case Placement::kScatterMitra:
+    case Placement::kBroadcast:
+    case Placement::kSplitBatch:
+      break;
   }
-  if (method == "plain.put") {
-    const doc::Document d = doc::decode_document(get_bin(obj, "doc"));
-    return ring_.shard_of(doc_key("plain:" + get_str(obj, "col"), d.id));
-  }
-  if (method == "plain.get" || method == "plain.del") {
-    return ring_.shard_of(doc_key("plain:" + get_str(obj, "col"), get_str(obj, "id")));
-  }
-  if (method == "det.insert" || method == "det.remove" || method == "det.search") {
-    return ring_.shard_of("det/" + get_str(obj, "col") + "/" + get_str(obj, "field") +
-                          "/" + raw(get_bin(obj, "label")));
-  }
-  if (method == "mitra.update") {
-    return ring_.shard_of("sse/" + get_str(obj, "scope") + "/" +
-                          raw(get_bin(obj, "address")));
-  }
-  if (method == "agg.insert" || method == "agg.remove") {
-    return ring_.shard_of("agg/" + get_str(obj, "scope") + "/" + get_str(obj, "id"));
-  }
-  const std::size_t dot = method.find('.');
-  const std::string family = method.substr(0, dot == std::string::npos ? 0 : dot);
-  if (family == "ope" || family == "ore") {
-    return ring_.shard_of("scope/" + family + "/" + get_str(obj, "col") + "/" +
-                          get_str(obj, "field"));
-  }
-  if (family == "mitrasl" || family == "sophos" || family == "iex" ||
-      family == "zmf") {
-    return ring_.shard_of("scope/" + family + "/" + get_str(obj, "scope"));
-  }
-  throw_error(ErrorCode::kProtocolError, "shard router: unroutable method " + method);
+  throw_error(ErrorCode::kProtocolError,
+              "shard router: " + std::string(info.name) + " does not route to one shard");
 }
 
 // --- scatter / merge --------------------------------------------------------
@@ -291,11 +292,12 @@ Bytes ShardRouter::scatter_mitra_search(const std::string& method,
   return pack({{"values", Value(std::move(out))}});
 }
 
-Bytes ShardRouter::broadcast(const std::string& method, const Bytes& wire) {
+Bytes ShardRouter::broadcast(const MethodInfo& info, const Bytes& wire) {
+  const std::string method(info.name);
   // agg.setup carries the Paillier public modulus: remember n^2 per scope
   // BEFORE fanning out, so a later agg.sum can merge partials even if it
   // races the setup acks.
-  if (method == "agg.setup") {
+  if (info.merge == Merge::kPaillierSetup) {
     const Request req = Request::deserialize(wire);
     const doc::Object obj = unpack(req.payload);
     const BigInt n = BigInt::from_bytes(get_bin(obj, "n"));
@@ -314,170 +316,127 @@ Bytes ShardRouter::broadcast(const std::string& method, const Bytes& wire) {
   for (std::size_t s = 0; s < shards_.size(); ++s) calls.emplace_back(s, wire);
   const std::vector<Bytes> replies = fan_out(method, calls);
 
-  if (method == "doc.list") {
-    doc::wire::IdsWriter ids;
-    for (const auto& reply : replies) {
-      for (const auto& id : doc::wire::unpack_ids(reply)) ids.add(id);
-    }
-    return ids.finish();
-  }
-  if (method == "plain.find_eq" || method == "plain.find_range" ||
-      method == "plain.find_bool") {
-    doc::Array docs;
-    for (const auto& reply : replies) {
-      const doc::Object resp = unpack(reply);
-      for (const auto& d : get_arr(resp, "docs")) docs.push_back(d);
-    }
-    return pack({{"docs", Value(std::move(docs))}});
-  }
-  if (method == "plain.avg") {
-    double sum = 0.0;
-    std::int64_t count = 0;
-    for (const auto& reply : replies) {
-      const doc::Object resp = unpack(reply);
-      sum += get(resp, "sum").as_double();
-      count += get_int(resp, "count");
-    }
-    return pack({{"sum", Value(sum)}, {"count", Value(count)}});
-  }
-  if (method == "agg.sum") {
-    const Request req = Request::deserialize(wire);
-    const std::string scope_name = get_str(unpack(req.payload), "scope");
-    AggScope scope;
-    {
-      std::lock_guard lock(agg_mutex_);
-      auto it = agg_scopes_.find(scope_name);
-      if (it == agg_scopes_.end()) {
-        throw_error(ErrorCode::kNotFound,
-                    "shard router: agg scope not set up: " + scope_name);
+  switch (info.merge) {
+    case Merge::kIds: {
+      doc::wire::IdsWriter ids;
+      for (const auto& reply : replies) {
+        for (const auto& id : doc::wire::unpack_ids(reply)) ids.add(id);
       }
-      scope = it->second;
+      return ids.finish();
     }
-    // Homomorphic merge: the product of per-shard partial sums mod n^2 is
-    // the Paillier encryption of the global sum.
-    BigInt acc(1);
-    std::int64_t count = 0;
-    for (const auto& reply : replies) {
-      const doc::Object resp = unpack(reply);
-      const BigInt part = BigInt::from_bytes(get_bin(resp, "sum_ct"));
-      acc = scope.mont ? acc.mul_mod(part, *scope.mont)
-                       : acc.mul_mod(part, scope.n_squared);
-      count += get_int(resp, "count");
+    case Merge::kDocs: {
+      doc::Array docs;
+      for (const auto& reply : replies) {
+        const doc::Object resp = unpack(reply);
+        for (const auto& d : get_arr(resp, "docs")) docs.push_back(d);
+      }
+      return pack({{"docs", Value(std::move(docs))}});
     }
-    return pack({{"sum_ct", Value(acc.to_bytes())}, {"count", Value(count)}});
-  }
-  if (method == "admin.storage" || method == "admin.index_ops" ||
-      method == "admin.digest") {
-    const char* key = method == "admin.storage"
-                          ? "bytes"
-                          : (method == "admin.index_ops" ? "ops" : "digest");
-    // Sum as uint64 (digests combine by wrapping sum, mirroring
-    // CloudNode::state_digest's per-scope combination).
-    std::uint64_t total = 0;
-    for (const auto& reply : replies) {
-      total += static_cast<std::uint64_t>(get_int(unpack(reply), key));
+    case Merge::kPlainAvg: {
+      double sum = 0.0;
+      std::int64_t count = 0;
+      for (const auto& reply : replies) {
+        const doc::Object resp = unpack(reply);
+        sum += get(resp, "sum").as_double();
+        count += get_int(resp, "count");
+      }
+      return pack({{"sum", Value(sum)}, {"count", Value(count)}});
     }
-    return pack({{key, Value(static_cast<std::int64_t>(total))}});
+    case Merge::kPaillierSum: {
+      const Request req = Request::deserialize(wire);
+      const std::string scope_name = get_str(unpack(req.payload), "scope");
+      AggScope scope;
+      {
+        std::lock_guard lock(agg_mutex_);
+        auto it = agg_scopes_.find(scope_name);
+        if (it == agg_scopes_.end()) {
+          throw_error(ErrorCode::kNotFound,
+                      "shard router: agg scope not set up: " + scope_name);
+        }
+        scope = it->second;
+      }
+      // Homomorphic merge: the product of per-shard partial sums mod n^2 is
+      // the Paillier encryption of the global sum.
+      BigInt acc(1);
+      std::int64_t count = 0;
+      for (const auto& reply : replies) {
+        const doc::Object resp = unpack(reply);
+        const BigInt part = BigInt::from_bytes(get_bin(resp, "sum_ct"));
+        acc = scope.mont ? acc.mul_mod(part, *scope.mont)
+                         : acc.mul_mod(part, scope.n_squared);
+        count += get_int(resp, "count");
+      }
+      return pack({{"sum_ct", Value(acc.to_bytes(scope.n_squared.byte_length()))},
+                   {"count", Value(count)}});
+    }
+    case Merge::kCounterSum: {
+      // Sum as uint64 (digests combine by wrapping sum, mirroring
+      // CloudNode::state_digest's per-scope combination).
+      std::uint64_t total = 0;
+      for (const auto& reply : replies) {
+        total += static_cast<std::uint64_t>(get_int(unpack(reply), info.sum_field));
+      }
+      return pack({{std::string(info.sum_field), Value(static_cast<std::int64_t>(total))}});
+    }
+    case Merge::kNone:
+    case Merge::kFirstAck:
+    case Merge::kPaillierSetup:
+      break;
   }
   // Identical empty acks (plain.index, agg.setup): forward the first.
   return replies[0];
 }
 
 Bytes ShardRouter::split_batch(const Bytes& payload) {
-  // Decode the rpc.batch framing (count, then length-prefixed serialized
-  // sub-requests), route every sub-request to its single shard, ship one
+  // Route every sub-request of the rpc.batch to its single shard, ship one
   // per-shard batch concurrently, and reassemble the sub-responses in
   // their original positions.
-  std::size_t off = 0;
-  auto take32 = [&](BytesView b) {
-    if (off + 4 > b.size()) {
-      throw_error(ErrorCode::kProtocolError, "shard batch: truncated");
-    }
-    const std::uint32_t v = read_be32(b.subspan(off));
-    off += 4;
-    return v;
-  };
-  const std::size_t n = take32(payload);
-  std::vector<std::size_t> owner(n);
-  std::vector<std::size_t> slot(n);  // position within the owner's batch
-  std::vector<Bytes> shard_payloads(shards_.size());
+  const std::vector<BytesView> subs = read_batch(payload);
+  std::vector<std::size_t> owner(subs.size());
+  std::vector<std::size_t> slot(subs.size());  // position within the owner's batch
+  std::vector<BatchWriter> shard_batches(shards_.size());
   std::vector<std::size_t> shard_counts(shards_.size(), 0);
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::size_t len = take32(payload);
-    if (off + len > payload.size()) {
-      throw_error(ErrorCode::kProtocolError, "shard batch: truncated request");
-    }
-    const BytesView sub_wire = BytesView(payload).subspan(off, len);
-    const Request sub = Request::deserialize(sub_wire);
-    off += len;
-    owner[i] = single_shard_of(sub.method, sub.payload);
+  for (std::size_t i = 0; i < subs.size(); ++i) {
+    const Request sub = Request::deserialize(subs[i]);
+    owner[i] = single_shard_of(routable(sub.method), sub.payload);
     slot[i] = shard_counts[owner[i]]++;
-    append(shard_payloads[owner[i]], be32(static_cast<std::uint32_t>(len)));
-    shard_payloads[owner[i]].insert(shard_payloads[owner[i]].end(), sub_wire.begin(),
-                                    sub_wire.end());
+    shard_batches[owner[i]].add(subs[i]);
   }
 
   std::vector<std::pair<std::size_t, Bytes>> calls;
   std::vector<std::size_t> call_shard_index;
   for (std::size_t s = 0; s < shards_.size(); ++s) {
     if (shard_counts[s] == 0) continue;
-    Bytes body = be32(static_cast<std::uint32_t>(shard_counts[s]));
-    append(body, shard_payloads[s]);
-    calls.emplace_back(s, sub_request("rpc.batch", std::move(body)));
+    calls.emplace_back(s, sub_request("rpc.batch", std::move(shard_batches[s]).finish()));
     call_shard_index.push_back(s);
   }
   const std::vector<Bytes> replies = fan_out("rpc.batch", calls);
 
-  // Per-shard response queues, then original-order reassembly.
-  std::vector<std::vector<Bytes>> responses(shards_.size());
+  // Per-shard response views, then original-order reassembly.
+  std::vector<std::vector<BytesView>> responses(shards_.size());
   for (std::size_t k = 0; k < replies.size(); ++k) {
-    const Bytes& reply = replies[k];
-    std::size_t roff = 0;
-    auto rtake32 = [&](BytesView b) {
-      if (roff + 4 > b.size()) {
-        throw_error(ErrorCode::kProtocolError, "shard batch: truncated response");
-      }
-      const std::uint32_t v = read_be32(b.subspan(roff));
-      roff += 4;
-      return v;
-    };
-    const std::size_t count = rtake32(reply);
     const std::size_t s = call_shard_index[k];
-    if (count != shard_counts[s]) {
+    responses[s] = read_batch(replies[k]);
+    if (responses[s].size() != shard_counts[s]) {
       throw_error(ErrorCode::kProtocolError, "shard batch: response count mismatch");
     }
-    responses[s].reserve(count);
-    for (std::size_t i = 0; i < count; ++i) {
-      const std::size_t len = rtake32(reply);
-      if (roff + len > reply.size()) {
-        throw_error(ErrorCode::kProtocolError, "shard batch: truncated response");
-      }
-      responses[s].emplace_back(reply.begin() + static_cast<std::ptrdiff_t>(roff),
-                                reply.begin() + static_cast<std::ptrdiff_t>(roff + len));
-      roff += len;
-    }
   }
-  Bytes out = be32(static_cast<std::uint32_t>(n));
-  for (std::size_t i = 0; i < n; ++i) {
-    const Bytes& r = responses[owner[i]][slot[i]];
-    append(out, be32(static_cast<std::uint32_t>(r.size())));
-    append(out, r);
-  }
-  return out;
+  BatchWriter out;
+  for (std::size_t i = 0; i < subs.size(); ++i) out.add(responses[owner[i]][slot[i]]);
+  return std::move(out).finish();
 }
 
 Bytes ShardRouter::call(const std::string& method, const Bytes& wire_request) {
   if (shards_.size() == 1) return call_shard(0, method, wire_request);
-  if (method == "doc.mget" || method == "mitra.search" || method == "rpc.batch" ||
-      is_broadcast(method)) {
-    const Request req = Request::deserialize(wire_request);
-    if (method == "doc.mget") return scatter_mget(method, req.payload);
-    if (method == "mitra.search") return scatter_mitra_search(method, req.payload);
-    if (method == "rpc.batch") return split_batch(req.payload);
-    return broadcast(method, wire_request);
-  }
+  const MethodInfo& info = routable(method);
+  if (info.placement == Placement::kBroadcast) return broadcast(info, wire_request);
   const Request req = Request::deserialize(wire_request);
-  return route_single(single_shard_of(method, req.payload), method, wire_request);
+  switch (info.placement) {
+    case Placement::kScatterMget: return scatter_mget(method, req.payload);
+    case Placement::kScatterMitra: return scatter_mitra_search(method, req.payload);
+    case Placement::kSplitBatch: return split_batch(req.payload);
+    default: return route_single(single_shard_of(info, req.payload), method, wire_request);
+  }
 }
 
 }  // namespace datablinder::net

@@ -10,6 +10,8 @@
 // Sophos chains, Mitra-SL counter coupling, IEX/ZMF boolean structures)
 // scope-route to one shard. Aggregates shard by row id and merge
 // homomorphically at the router (partial Paillier sums multiply mod n²).
+// Which of these a method gets is its row's placement in the cloud-method
+// table (net/methods.hpp); a method outside the table is not routable.
 //
 // The ring uses virtual nodes with deterministic seeded placement: the
 // mapping is a pure function of (shard count, virtual nodes, seed), so
@@ -45,6 +47,7 @@
 #include "common/bytes.hpp"
 #include "common/worker_pool.hpp"
 #include "net/backend.hpp"
+#include "net/methods.hpp"
 #include "net/replica_group.hpp"
 
 namespace datablinder::net {
@@ -122,11 +125,11 @@ class ShardRouter final : public Backend {
   Bytes route_single(std::size_t shard, const std::string& method, const Bytes& wire);
   Bytes scatter_mget(const std::string& method, const Bytes& wire);
   Bytes scatter_mitra_search(const std::string& method, const Bytes& wire);
-  Bytes broadcast(const std::string& method, const Bytes& wire);
+  Bytes broadcast(const MethodInfo& info, const Bytes& wire);
   Bytes split_batch(const Bytes& wire);
   /// Target shard for a request that must be servable by ONE shard
   /// (single-key or scope-routed); throws kProtocolError otherwise.
-  std::size_t single_shard_of(const std::string& method, const Bytes& payload) const;
+  std::size_t single_shard_of(const MethodInfo& info, const Bytes& payload) const;
 
   std::vector<ReplicaGroup*> shards_;
   HashRing ring_;

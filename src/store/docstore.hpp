@@ -110,7 +110,7 @@ class Collection {
   };
   std::unordered_map<std::string, doc::Document, IdHash, std::equal_to<>> docs_;
   // field -> ordered index (key bytes -> ids)
-  std::unordered_map<std::string, std::map<Bytes, std::set<std::string>>> indexes_;
+  std::unordered_map<std::string, std::map<Bytes, std::set<std::string>, BytesLess>> indexes_;
 };
 
 class DocumentStore {

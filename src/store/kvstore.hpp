@@ -102,7 +102,7 @@ class KvStore {
   std::unordered_map<std::string, Bytes> strings_;
   std::unordered_map<std::string, std::map<std::string, Bytes>> hashes_;
   std::unordered_map<std::string, std::set<std::string>> sets_;
-  std::unordered_map<std::string, std::map<Bytes, std::set<std::string>>> zsets_;
+  std::unordered_map<std::string, std::map<Bytes, std::set<std::string>, BytesLess>> zsets_;
   std::unordered_map<std::string, std::int64_t> counters_;
 
   std::string aof_path_;

@@ -63,11 +63,11 @@ struct Column {
     rpc.call("agg.remove", wire::pack({{"scope", Value(scope)}, {"id", Value(id)}}));
     model.erase(id);
   }
-  /// The fold agg.sum used to compute, over the model.
+  /// The fold agg.sum used to compute, over the model, at n²'s byte width.
   Bytes folded() const {
     BigInt acc(1);
     for (const auto& [id, ct] : model) acc = acc.mul_mod(ct, key->n_squared);
-    return acc.to_bytes();
+    return acc.to_bytes(key->n_squared.byte_length());
   }
   void expect_sum_matches_fold(const std::string& where) {
     const doc::Object resp =
@@ -88,7 +88,7 @@ void run_random_sequence(core::ShardedCloud& cloud, std::uint64_t seed) {
   // but the cloud must stay exact if it arrives (re-fold fallback).
   const BigInt crafted = keys().priv.p * BigInt(3);
   for (int step = 0; step < 300; ++step) {
-    const std::string id = "d" + std::to_string(rng.uniform(24));
+    const std::string id = std::string("d").append(std::to_string(rng.uniform(24)));
     const std::string where = "seed=" + std::to_string(seed) + " step=" + std::to_string(step);
     switch (rng.uniform(8)) {
       case 0:
@@ -132,7 +132,7 @@ void run_random_sequence(core::ShardedCloud& cloud, std::uint64_t seed) {
   Column clean{cloud.client(), "prop.clean", {}};
   clean.setup();
   for (int i = 0; i < 20; ++i) {
-    clean.insert("c" + std::to_string(i % 7), keys().pub.encrypt_i64(i));
+    clean.insert(std::string("c").append(std::to_string(i % 7)), keys().pub.encrypt_i64(i));
   }
   clean.remove("c1");
   clean.remove("c4");
@@ -179,7 +179,7 @@ TEST(RunningAggregateTest, ConcurrentInsertsAndSums) {
     for (int w = 0; w < kWriters; ++w) {
       threads.emplace_back([&, w] {
         for (int i = 0; i < kPerWriter; ++i) {
-          const std::string id = "w" + std::to_string(w) + "-" + std::to_string(i % 30);
+          const std::string id = std::string("w").append(std::to_string(w)).append("-").append(std::to_string(i % 30));
           cloud.client().call("agg.insert", wire::pack({{"scope", Value(col.scope)},
                                                         {"id", Value(id)},
                                                         {"ct", Value(cts[w][i].to_bytes())}}));
@@ -201,7 +201,7 @@ TEST(RunningAggregateTest, ConcurrentInsertsAndSums) {
     // final state does not depend on how the threads interleaved.
     for (int w = 0; w < kWriters; ++w) {
       for (int i = 0; i < kPerWriter; ++i) {
-        const std::string id = "w" + std::to_string(w) + "-" + std::to_string(i % 30);
+        const std::string id = std::string("w").append(std::to_string(w)).append("-").append(std::to_string(i % 30));
         col.model[id] = cts[w][i];
         if (i % 10 == 9) col.model.erase(id);
       }

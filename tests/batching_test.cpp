@@ -5,6 +5,7 @@
 
 #include <thread>
 
+#include "common/hex.hpp"
 #include "common/status.hpp"
 #include "core/cloud_node.hpp"
 #include "core/gateway.hpp"
@@ -41,6 +42,48 @@ TEST(RpcBatchingTest, DeferredCallsTravelAsOneRoundTrip) {
   EXPECT_FALSE(client.in_deferred_section());
   EXPECT_EQ(hits, 10);
   EXPECT_EQ(channel.stats().round_trips.load(), 1u);
+}
+
+// Forwards to a single endpoint and keeps the last request's wire bytes.
+class CapturingBackend final : public net::Backend {
+ public:
+  CapturingBackend(net::RpcServer& server, net::Channel& channel)
+      : endpoint_(server, channel) {}
+  Bytes call(const std::string& method, const Bytes& wire_request) override {
+    last_wire = wire_request;
+    return endpoint_.call(method, wire_request);
+  }
+  void set_counters(Counters*) override {}
+  void set_hedgeable(MethodPredicate) override {}
+
+  Bytes last_wire;
+
+ private:
+  net::Endpoint endpoint_;
+};
+
+TEST(RpcBatchingTest, BatchEnvelopeKnownAnswer) {
+  // The rpc.batch envelope of two deferred calls, pinned byte for byte:
+  // be32 count, then each sub-request as be32 length + serialized Request,
+  // all inside a Request named "rpc.batch".
+  net::RpcServer server;
+  server.register_method("doc.put", [](BytesView) { return Bytes{8, 0, 0, 0, 0}; });
+  server.register_method("det.insert", [](BytesView) { return Bytes{8, 0, 0, 0, 0}; });
+  server.register_method("rpc.batch", net::RpcClient::make_batch_handler(server));
+  net::Channel channel;
+  CapturingBackend backend(server, channel);
+  net::RpcClient client(backend);
+
+  client.begin_deferred({"doc.put", "det.insert"});
+  client.call("doc.put", Bytes{0x01, 0x02, 0x03});
+  client.call("det.insert", Bytes{});
+  EXPECT_EQ(client.flush_deferred(), 2u);
+  EXPECT_EQ(hex_encode(backend.last_wire),
+            "00000009" "7270632e6261746368"  // method "rpc.batch"
+            "00000030"                       // payload length
+            "00000002"                       // frames
+            "00000012" "00000007646f632e707574" "00000003010203"
+            "00000012" "0000000a6465742e696e73657274" "00000000");
 }
 
 TEST(RpcBatchingTest, NonDeferrableMethodsPassThrough) {

@@ -63,7 +63,7 @@ TEST(BigIntTest, Multiplication) {
   EXPECT_EQ((a * b).to_decimal(),
             "121932631137021795226185032733622923332237463801111263526900");
   EXPECT_EQ((a * BigInt(0)).to_decimal(), "0");
-  EXPECT_EQ((a * BigInt(-1)).to_decimal(), "-" + a.to_decimal());
+  EXPECT_EQ((a * BigInt(-1)).to_decimal(), std::string("-").append(a.to_decimal()));
   EXPECT_EQ(((-a) * (-b)), a * b);
 }
 

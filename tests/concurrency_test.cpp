@@ -36,7 +36,7 @@ TEST(ConcurrencyTest, KvStoreParallelMixedOps) {
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&kv, t] {
       for (int i = 0; i < kOps; ++i) {
-        const std::string key = "k" + std::to_string(i % 17);
+        const std::string key = std::string("k").append(std::to_string(i % 17));
         kv.set(key, Bytes{static_cast<std::uint8_t>(t)});
         kv.sadd("set", std::to_string(t * kOps + i));
         kv.incr("counter");

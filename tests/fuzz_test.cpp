@@ -11,6 +11,7 @@
 #include "doc/json.hpp"
 #include "doc/wire.hpp"
 #include "net/message.hpp"
+#include "net/methods.hpp"
 #include "net/rpc.hpp"
 #include "ppe/ore.hpp"
 #include "sse/index_common.hpp"
@@ -166,13 +167,8 @@ TEST(FuzzTest, CloudRpcSurfaceSurvivesGarbage) {
   net::Channel channel;
   net::RpcClient rpc(cloud.rpc(), channel);
   DetRng rng(31337);
-  const char* methods[] = {"doc.put",     "doc.get",      "doc.mget",     "det.insert",
-                           "det.search",  "ope.insert",   "ope.range",
-                           "ore.insert",  "ore.range",    "mitra.update",
-                           "mitra.search", "sophos.update", "iex.search",
-                           "zmf.update",  "agg.sum",      "plain.find_eq",
-                           "rpc.batch",   "admin.storage", "doc.list"};
-  for (const char* method : methods) {
+  for (const net::MethodInfo& m : net::cloud_methods()) {
+    const std::string method(m.name);
     for (int i = 0; i < 60; ++i) {
       try {
         rpc.call(method, rng.bytes(rng.uniform(120)));

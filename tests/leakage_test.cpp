@@ -32,7 +32,7 @@ TEST(LeakageTest, Class4DetRevealsExactFrequencyHistogram) {
   // DET (equalities leak): the ciphertext multiset has the same histogram
   // as the plaintexts — frequency analysis applies (Naveed et al.).
   ppe::DetCipher det(Bytes(32, 1), "diagnosis");
-  std::map<Bytes, int> histogram;
+  std::map<Bytes, int, BytesLess> histogram;
   for (const auto& word : skewed_corpus()) ++histogram[det.encrypt(to_bytes(word))];
 
   std::vector<int> counts;
@@ -47,7 +47,7 @@ TEST(LeakageTest, Class1RndHidesTheHistogram) {
   // degenerates to all-ones and frequency analysis gets nothing. RND is
   // the document blob's AES-GCM under a fresh random nonce.
   crypto::AesGcm rnd(Bytes(32, 2));
-  std::map<Bytes, int> histogram;
+  std::map<Bytes, int, BytesLess> histogram;
   for (const auto& word : skewed_corpus()) {
     ++histogram[rnd.seal_random_nonce(to_bytes(word), to_bytes("diagnosis"))];
   }
@@ -61,8 +61,8 @@ TEST(LeakageTest, Class2MitraHidesHistogramUntilQueried) {
   // even for repeated keywords. Identifiers leak only AT SEARCH TIME
   // (access pattern), which is what Class 2 means.
   sse::MitraClient client(Bytes(32, 3));
-  std::set<Bytes> addresses;
-  std::set<Bytes> values;
+  std::set<Bytes, BytesLess> addresses;
+  std::set<Bytes, BytesLess> values;
   for (const auto& word : skewed_corpus()) {
     const auto token = client.update(sse::MitraOp::kAdd, word, "doc");
     addresses.insert(token.address);
@@ -134,10 +134,10 @@ TEST(LeakageTest, MitraForwardPrivacyAcrossSearch) {
   sse::MitraClient client(Bytes(32, 7));
   sse::MitraServer server;
   for (int i = 0; i < 5; ++i) {
-    server.apply_update(client.update(sse::MitraOp::kAdd, "w", "d" + std::to_string(i)));
+    server.apply_update(client.update(sse::MitraOp::kAdd, "w", std::string("d").append(std::to_string(i))));
   }
   const auto revealed = client.search_token("w");
-  const std::set<Bytes> seen(revealed.addresses.begin(), revealed.addresses.end());
+  const std::set<Bytes, BytesLess> seen(revealed.addresses.begin(), revealed.addresses.end());
 
   const auto future = client.update(sse::MitraOp::kAdd, "w", "d-new");
   EXPECT_FALSE(seen.count(future.address));

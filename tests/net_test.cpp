@@ -2,10 +2,16 @@
 // dispatch and error propagation.
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
+
 #include "common/status.hpp"
 #include "common/stopwatch.hpp"
+#include "core/cloud_node.hpp"
 #include "net/channel.hpp"
 #include "net/message.hpp"
+#include "net/methods.hpp"
+#include "net/resilience.hpp"
 #include "net/rpc.hpp"
 
 namespace datablinder::net {
@@ -39,6 +45,87 @@ TEST(MessageTest, MalformedRejected) {
   Bytes extra = Response::success({}).serialize();
   extra.push_back(1);
   EXPECT_THROW(Response::deserialize(extra), Error);
+}
+
+TEST(BatchCodecTest, RoundTripsFramesAsViews) {
+  BatchWriter w;
+  w.add(Bytes{1, 2, 3});
+  w.add(Bytes{});
+  w.add(Bytes{9});
+  const Bytes batch = std::move(w).finish();
+  EXPECT_EQ(batch, (Bytes{0, 0, 0, 3, 0, 0, 0, 3, 1, 2, 3, 0, 0, 0, 0, 0, 0, 0, 1, 9}));
+  const std::vector<BytesView> frames = read_batch(batch);
+  ASSERT_EQ(frames.size(), 3u);
+  EXPECT_EQ(Bytes(frames[0].begin(), frames[0].end()), (Bytes{1, 2, 3}));
+  EXPECT_TRUE(frames[1].empty());
+  EXPECT_EQ(Bytes(frames[2].begin(), frames[2].end()), (Bytes{9}));
+  const Bytes empty = BatchWriter().finish();
+  EXPECT_EQ(empty, (Bytes{0, 0, 0, 0}));
+  EXPECT_TRUE(read_batch(empty).empty());
+}
+
+TEST(BatchCodecTest, MalformedBatchesThrowTheCallersCode) {
+  const Bytes bad[] = {
+      {},                                   // no count
+      {0, 0, 0},                            // short count
+      {0, 0, 0, 1},                         // count without a frame
+      {0, 0, 0, 1, 0, 0, 0, 2, 7},          // frame shorter than its length
+      {0, 0, 0, 0, 5},                      // trailing bytes
+      {0xFF, 0xFF, 0xFF, 0xFF, 0, 0, 0, 0}  // count the bytes cannot hold
+  };
+  for (const Bytes& b : bad) {
+    for (const ErrorCode code : {ErrorCode::kProtocolError, ErrorCode::kInternal}) {
+      try {
+        read_batch(b, code);
+        ADD_FAILURE() << "accepted " << b.size() << " bytes";
+      } catch (const Error& e) {
+        EXPECT_EQ(e.code(), code);
+      }
+    }
+  }
+}
+
+TEST(MethodTableTest, CloudNodeRegistersExactlyTheTable) {
+  core::CloudNode node;
+  EXPECT_EQ(node.rpc().method_count(), cloud_methods().size());
+  EXPECT_EQ(cloud_methods().size(), 44u);
+  for (const MethodInfo& m : cloud_methods()) {
+    // A second registration of a name CloudNode already serves is refused.
+    try {
+      node.rpc().register_method(std::string(m.name), [](BytesView) { return Bytes{}; });
+      ADD_FAILURE() << m.name << " is in the table but CloudNode does not register it";
+    } catch (const Error& e) {
+      EXPECT_EQ(e.code(), ErrorCode::kAlreadyExists) << m.name;
+    }
+    EXPECT_EQ(find_method(m.name), &m);
+  }
+  EXPECT_EQ(find_method("echo.get"), nullptr);
+}
+
+TEST(MethodTableTest, StandardRetryPolicyIsEveryReplaySafeRow) {
+  // Every row is replay-safe (see net/methods.hpp); nothing else is.
+  std::set<std::string> rows;
+  for (const MethodInfo& m : cloud_methods()) rows.emplace(m.name);
+  EXPECT_EQ(RetryPolicy::standard().retryable_methods, rows);
+}
+
+TEST(MethodTableTest, DeferrableRowsAreSingleShardUpdates) {
+  // A deferred call is answered with an empty object before it is sent, and
+  // its batch is split per shard: only single-shard updates qualify.
+  std::size_t deferrable = 0;
+  for (const MethodInfo& m : cloud_methods()) {
+    if (!m.deferrable) continue;
+    ++deferrable;
+    EXPECT_TRUE(deferrable_methods().count(std::string(m.name))) << m.name;
+    EXPECT_EQ(m.kind, MethodKind::kUpdate) << m.name;
+    EXPECT_LT(m.placement, Placement::kScatterMget) << m.name;
+  }
+  EXPECT_EQ(deferrable, deferrable_methods().size());
+  // Broadcast rows, and only they, name a merge.
+  for (const MethodInfo& m : cloud_methods()) {
+    EXPECT_EQ(m.placement == Placement::kBroadcast, m.merge != Merge::kNone) << m.name;
+    EXPECT_EQ(m.merge == Merge::kCounterSum, !m.sum_field.empty()) << m.name;
+  }
 }
 
 TEST(ChannelTest, AccountsBytesAndRoundTrips) {

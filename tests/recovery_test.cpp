@@ -7,7 +7,9 @@
 #include <cstdio>
 #include <unistd.h>
 
+#include "common/hex.hpp"
 #include "core/cloud_node.hpp"
+#include "core/exec/intent_journal.hpp"
 #include "core/gateway.hpp"
 #include "core/sharding.hpp"
 #include "core/tactics/builtin.hpp"
@@ -197,15 +199,11 @@ TEST(RecoveryTest, MidInsertKillThenRetryConvergesExactlyOnce) {
   // Compute the exact wire size the recorded batch must occupy when
   // replayed: byte-identical replay is observable through the channel's
   // byte accounting.
-  Bytes batch_payload = be32(static_cast<std::uint32_t>(intent->rpcs.size()));
-  for (const auto& r : intent->rpcs) {
-    const Bytes sub = r.serialize();
-    append(batch_payload, be32(static_cast<std::uint32_t>(sub.size())));
-    append(batch_payload, sub);
-  }
+  net::BatchWriter batch;
+  for (const auto& r : intent->rpcs) batch.add(r.serialize());
   net::Request envelope;
   envelope.method = "rpc.batch";
-  envelope.payload = batch_payload;
+  envelope.payload = std::move(batch).finish();
   const std::uint64_t expected_batch_bytes = envelope.serialize().size();
 
   // Retry with the same document: the gateway resumes the pending intent
@@ -332,15 +330,11 @@ TEST(RecoveryTest, PendingIntentReplaysToEveryReplicaExactlyOnce) {
 
   // The exact wire size the recorded batch occupies when replayed — the
   // same envelope encoding flush_deferred() uses.
-  Bytes batch_payload = be32(static_cast<std::uint32_t>(intent->rpcs.size()));
-  for (const auto& r : intent->rpcs) {
-    const Bytes sub = r.serialize();
-    append(batch_payload, be32(static_cast<std::uint32_t>(sub.size())));
-    append(batch_payload, sub);
-  }
+  net::BatchWriter batch;
+  for (const auto& r : intent->rpcs) batch.add(r.serialize());
   net::Request envelope;
   envelope.method = "rpc.batch";
-  envelope.payload = batch_payload;
+  envelope.payload = std::move(batch).finish();
   const std::uint64_t expected_batch_bytes = envelope.serialize().size();
 
   ASSERT_NE(rc.group(0), nullptr);
@@ -369,6 +363,44 @@ TEST(RecoveryTest, PendingIntentReplaysToEveryReplicaExactlyOnce) {
   EXPECT_EQ(gw.equality_search("obs", "subject", Value("patient-z")).size(), 1u);
   EXPECT_EQ(gw.read("obs", "doc-cluster-interrupted").id, "doc-cluster-interrupted");
   EXPECT_EQ(gw.aggregate("obs", "value", schema::Aggregate::kAverage).count, 1u);
+}
+
+TEST(RecoveryTest, IntentRecordKnownAnswer) {
+  // One pending-intent record, pinned byte for byte: be32 version, the
+  // collection, the ids, then the captured requests in the rpc.batch
+  // framing. Records written by earlier builds must keep decoding.
+  net::RpcServer server;
+  net::Channel channel;
+  net::RpcClient rpc(server, channel);
+  std::vector<net::Request> rpcs(2);
+  rpcs[0].method = "doc.put";
+  rpcs[0].payload = Bytes{0x01, 0x02, 0x03};
+  rpcs[1].method = "det.insert";
+  const char* kRecord =
+      "00000001"                                   // version
+      "000000036f6273"                             // collection "obs"
+      "00000002" "000000026431" "000000026432"     // ids "d1", "d2"
+      "00000002"                                   // requests
+      "00000012" "00000007646f632e707574" "00000003010203"
+      "00000012" "0000000a6465742e696e73657274" "00000000";
+
+  store::KvStore local;
+  core::exec::IntentJournal journal(local, rpc);
+  const std::string token = journal.begin("obs", {"d1", "d2"}, rpcs);
+  EXPECT_EQ(token, "000000000001/obs/d1");
+  EXPECT_EQ(hex_encode(*local.hget("intent/pending", token)), kRecord);
+
+  store::KvStore reloaded;
+  reloaded.hset("intent/pending", token, hex_decode(kRecord));
+  const auto pending = core::exec::IntentJournal(reloaded, rpc).pending();
+  ASSERT_EQ(pending.size(), 1u);
+  EXPECT_EQ(pending[0].collection, "obs");
+  EXPECT_EQ(pending[0].ids, (std::vector<std::string>{"d1", "d2"}));
+  ASSERT_EQ(pending[0].rpcs.size(), 2u);
+  for (std::size_t i = 0; i < rpcs.size(); ++i) {
+    EXPECT_EQ(pending[0].rpcs[i].method, rpcs[i].method);
+    EXPECT_EQ(pending[0].rpcs[i].payload, rpcs[i].payload);
+  }
 }
 
 TEST(RecoveryTest, WithoutPersistenceMitraSearchDegradesLoudlyNot) {

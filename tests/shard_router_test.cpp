@@ -3,7 +3,9 @@
 // non-leakage contract (no routing metadata on the wire).
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdint>
+#include <memory>
 #include <map>
 #include <set>
 #include <string>
@@ -14,6 +16,7 @@
 #include "core/sharding.hpp"
 #include "core/wire.hpp"
 #include "net/channel.hpp"
+#include "net/methods.hpp"
 #include "net/rpc.hpp"
 #include "net/shard_router.hpp"
 
@@ -36,7 +39,7 @@ TEST(HashRingTest, SeedChangesPlacement) {
   const HashRing a(8), b(8, other);
   int moved = 0;
   for (int i = 0; i < 2000; ++i) {
-    const std::string key = "k" + std::to_string(i);
+    const std::string key = std::string("k").append(std::to_string(i));
     if (a.shard_of(key) != b.shard_of(key)) ++moved;
   }
   // A different seed is a different ring: most keys should relocate.
@@ -199,6 +202,56 @@ TEST(ShardRouterTest, BroadcastListConcatenatesAllShards) {
   const Bytes reply =
       cloud.client().call("doc.list", core::wire::pack({{"col", Value("obs")}}));
   EXPECT_EQ(core::wire::get_arr(core::wire::unpack(reply), "ids").size(), 20u);
+}
+
+TEST(ShardRouterTest, EveryDeferrableMethodSplitsAcrossShards) {
+  // One frame of every deferrable row of the method table, each carrying
+  // every field a single-shard placement reads: the router must place all
+  // of them (no kProtocolError) and deliver each exactly once.
+  constexpr std::size_t kShards = 4;
+  std::array<RpcServer, kShards> servers;
+  std::array<Channel, kShards> channels;
+  // Each shard's batch runs on one thread at a time, so per-shard logs
+  // need no lock.
+  std::array<std::vector<std::string>, kShards> received;
+  std::vector<std::unique_ptr<ReplicaGroup>> groups;
+  std::vector<ReplicaGroup*> shards;
+  for (std::size_t s = 0; s < kShards; ++s) {
+    for (const MethodInfo& m : cloud_methods()) {
+      const std::string name(m.name);
+      if (m.kind == MethodKind::kBatch) continue;
+      servers[s].register_method(name, [&received, s, name](BytesView) {
+        received[s].push_back(name);
+        return core::wire::pack({});
+      });
+    }
+    servers[s].register_method("rpc.batch", RpcClient::make_batch_handler(servers[s]));
+    groups.push_back(std::make_unique<ReplicaGroup>(
+        std::vector<ReplicaEndpoint>{{&servers[s], &channels[s]}}));
+    shards.push_back(groups.back().get());
+  }
+  ShardRouter router(shards);
+  RpcClient client(router);
+
+  const Bytes payload = core::wire::pack({{"col", Value("obs")},
+                                          {"id", Value("row-1")},
+                                          {"field", Value("f")},
+                                          {"label", Value(Bytes{1, 2})},
+                                          {"scope", Value("s")},
+                                          {"address", Value(Bytes{3, 4})}});
+  client.begin_deferred(deferrable_methods());
+  for (const std::string& method : deferrable_methods()) client.call(method, payload);
+  ASSERT_NO_THROW(EXPECT_EQ(client.flush_deferred(), deferrable_methods().size()));
+
+  std::multiset<std::string> delivered;
+  std::size_t shards_used = 0;
+  for (const auto& names : received) {
+    delivered.insert(names.begin(), names.end());
+    if (!names.empty()) ++shards_used;
+  }
+  EXPECT_EQ(delivered, std::multiset<std::string>(deferrable_methods().begin(),
+                                                  deferrable_methods().end()));
+  EXPECT_GT(shards_used, 1u);
 }
 
 TEST(ShardRouterTest, UnroutableMethodThrowsProtocolError) {

@@ -97,10 +97,10 @@ TEST(MitraTest, ForwardPrivacyStructure) {
   MitraClient client(Bytes(32, 3));
   MitraServer server;
   for (int i = 0; i < 10; ++i) {
-    server.apply_update(client.update(MitraOp::kAdd, "kw", "d" + std::to_string(i)));
+    server.apply_update(client.update(MitraOp::kAdd, "kw", std::string("d").append(std::to_string(i))));
   }
   const auto token = client.search_token("kw");
-  const std::set<Bytes> seen(token.addresses.begin(), token.addresses.end());
+  const std::set<Bytes, BytesLess> seen(token.addresses.begin(), token.addresses.end());
   const auto future = client.update(MitraOp::kAdd, "kw", "dnew");
   EXPECT_EQ(seen.count(future.address), 0u);
 }

@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <filesystem>
 
+#include "common/rng.hpp"
 #include "common/status.hpp"
 #include "store/docstore.hpp"
 #include "store/kvstore.hpp"
@@ -19,6 +20,23 @@ std::vector<std::string> members(const KvStore& kv, const std::string& key) {
   std::vector<std::string> out;
   kv.visit_members(key, [&](const std::string& m) { out.push_back(m); });
   return out;
+}
+
+TEST(KvStoreTest, BytesLessIsTheVectorOrder) {
+  // The sorted-set and index maps order keys by BytesLess; a range scan is
+  // only right if that is exactly std::vector<uint8_t>'s own order.
+  auto vector_less = [](const Bytes& a, const Bytes& b) {
+    for (std::size_t i = 0; i < a.size() && i < b.size(); ++i) {
+      if (a[i] != b[i]) return a[i] < b[i];
+    }
+    return a.size() < b.size();
+  };
+  std::vector<Bytes> keys = {{}, {0}, {0, 0}, {1}, {0x7F, 0x80}, {0x80}, {0xFF}, {0xFF, 0}};
+  DetRng rng(7);
+  for (int i = 0; i < 100; ++i) keys.push_back(rng.bytes(rng.uniform(4)));
+  for (const Bytes& a : keys) {
+    for (const Bytes& b : keys) EXPECT_EQ(BytesLess{}(a, b), vector_less(a, b));
+  }
 }
 
 TEST(KvStoreTest, Strings) {
