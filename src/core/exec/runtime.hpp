@@ -4,6 +4,10 @@
 // whole-document AEAD cipher, and the locks the gateway takes around
 // tactic invocations.
 //
+// The pipeline pieces that need no middleware are defined here once: the
+// Gateway wraps them in its timers, and the hand-wired Figure 5 baseline
+// (workload::ScenarioB) calls them bare, so the two cannot drift apart.
+//
 // Locking model: one reader/writer lock PER TACTIC INSTANCE (not per
 // collection). Index mutations (on_insert/on_delete advance SSE client
 // state) take the tactic's lock exclusively, unless the tactic declares
@@ -28,14 +32,40 @@
 #include "core/registry.hpp"
 #include "crypto/gcm.hpp"
 #include "doc/value.hpp"
+#include "net/rpc.hpp"
 
 namespace datablinder::core::exec {
+
+/// Width of the pool a write's index steps fan out on: small, as a write
+/// has single-digit steps and the calling thread takes part too.
+std::size_t default_workers();
 
 /// A tactic instance plus its reader/writer lock. Stored in node-stable
 /// maps so an operation's steps can hold pointers to slots.
 struct TacticSlot {
   std::unique_ptr<FieldTactic> tactic;
   mutable std::shared_mutex mutex;
+};
+
+/// One step of a write's index fan-out: a tactic slot and the document
+/// value it indexes.
+struct IndexStep {
+  const doc::Value* value;
+  TacticSlot* slot;
+
+  /// Runs update(tactic, value) under the slot's lock, shared per the
+  /// locking model above: a slow shared update (a Paillier encryption)
+  /// then never queues writers or queries.
+  template <typename Update>
+  void run(Update&& update) const {
+    if (slot->tactic->descriptor().updates_read_fixed_keys) {
+      std::shared_lock lock(slot->mutex);
+      update(*slot->tactic, *value);
+    } else {
+      std::unique_lock lock(slot->mutex);
+      update(*slot->tactic, *value);
+    }
+  }
 };
 
 struct CollectionRuntime {
@@ -76,6 +106,28 @@ struct CollectionRuntime {
 
   /// Cross-field keyword set of the document's boolean-member fields.
   std::vector<std::string> boolean_keywords(const doc::Document& d) const;
+
+  /// The index steps of a write of `d`: one per tactic slot (adaptive
+  /// alternates included, so every index that saw an insert sees its
+  /// removal) of every field `d` carries, so writers of disjoint fields
+  /// never contend. Costliest prior for `op` first: WorkerPool::run_all
+  /// runs step 0 on the calling thread at once, so a Paillier encryption
+  /// starts before the cheap steps, not after them.
+  std::vector<IndexStep> index_steps(const doc::Document& d, TacticOperation op);
+
+  /// The store step of an insert: one doc.put of the sealed document.
+  void store(net::RpcClient& cloud, const doc::Document& d) const;
+
+  /// The resolve step of every search: ONE doc.mget round trip for all
+  /// candidates. Returns the documents in candidate order; ids whose
+  /// document vanished (races with deletions) are skipped.
+  std::vector<doc::Document> resolve(net::RpcClient& cloud,
+                                     const std::vector<DocId>& ids) const;
 };
+
+/// The exact post-filter of one equality term: `d` carries `field` and its
+/// value equals `value`. Values of incomparable types never match.
+bool term_matches(const doc::Document& d, const std::string& field,
+                  const doc::Value& value);
 
 }  // namespace datablinder::core::exec

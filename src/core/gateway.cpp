@@ -3,14 +3,12 @@
 #include <algorithm>
 #include <optional>
 #include <shared_mutex>
-#include <thread>
 #include <unordered_set>
 
 #include "common/hex.hpp"
 #include "common/logging.hpp"
 #include "common/rng.hpp"
 #include "core/wire.hpp"
-#include "net/methods.hpp"
 #include "store/docstore.hpp"  // compare_values for post-verification
 
 namespace datablinder::core {
@@ -19,22 +17,6 @@ using doc::Document;
 using doc::Value;
 
 namespace {
-
-std::size_t default_workers() {
-  const std::size_t hw = std::thread::hardware_concurrency();
-  // Small by design: index fan-out width is bounded by tactics-per-document
-  // (single digits); the calling thread participates too.
-  return std::clamp<std::size_t>(hw == 0 ? 2 : hw / 2, 2, 4);
-}
-
-bool term_matches(const Document& d, const std::string& field, const Value& value) {
-  if (!d.has(field)) return false;
-  try {
-    return store::compare_values(d.at(field), value) == 0;
-  } catch (const Error&) {
-    return false;
-  }
-}
 
 bool in_range(const Document& d, const std::string& field, const Value& lo,
               const Value& hi) {
@@ -72,7 +54,7 @@ Gateway::Gateway(net::RpcClient& cloud, kms::KeyManager& kms,
       cost_model_(config_.adaptive_selection
                       ? std::make_unique<CostModel>(perf_, config_.cost)
                       : nullptr),
-      pool_(default_workers()) {
+      pool_(exec::default_workers()) {
   if (!config_.retry.retryable_methods.empty()) cloud_.set_retry_policy(config_.retry);
   cloud_.set_counters(&perf_);
   if (config_.journal_inserts) {
@@ -173,20 +155,21 @@ DocId Gateway::generate_doc_id() {
   return hex_encode(SecureRng::bytes(12));
 }
 
-void Gateway::journaled_run(const std::string& collection,
-                            const std::vector<std::string>& ids,
-                            const std::function<void()>& body) {
-  // Capture: the plan runs fully (gateway-side tactic state advances) but
-  // every deferrable cloud mutation is queued, not sent.
-  cloud_.begin_deferred(net::deferrable_methods());
-  std::vector<net::Request> captured;
+std::vector<net::Request> Gateway::capture(const std::function<void()>& body) {
+  cloud_.begin_deferred();
   try {
     body();
-    captured = cloud_.take_deferred();
+    return cloud_.take_deferred();
   } catch (...) {
     cloud_.abandon_deferred();
     throw;
   }
+}
+
+void Gateway::journaled_run(const std::string& collection,
+                            const std::vector<std::string>& ids,
+                            const std::function<void()>& body) {
+  const std::vector<net::Request> captured = capture(body);
   // Journal the exact wire bytes durably BEFORE anything ships, then send
   // the whole batch in one round trip. A fault between begin and complete
   // leaves a pending intent that recover_pending_inserts()/a retried
@@ -196,7 +179,6 @@ void Gateway::journaled_run(const std::string& collection,
   cloud_.send_batch(captured);
   journal_->complete(token);
 }
-
 
 void Gateway::run_steps(std::size_t n, const std::function<void(std::size_t)>& step) {
   if (n == 1 || cloud_.in_deferred_section()) {
@@ -208,33 +190,7 @@ void Gateway::run_steps(std::size_t n, const std::function<void(std::size_t)>& s
 
 void Gateway::update_indexes(exec::CollectionRuntime& rt, const Document& d,
                              TacticOperation op) {
-  // Steps exist only for fields the document carries, so writers touching
-  // disjoint fields never contend for a lock.
-  std::vector<std::pair<const std::string*, exec::TacticSlot*>> steps;
-  for (const auto& [field, fp] : rt.plan.fields) {
-    if (!d.has(field)) continue;
-    for (auto* slots : {&rt.eq, &rt.range, &rt.agg}) {
-      if (auto it = slots->find(field); it != slots->end()) {
-        steps.emplace_back(&field, &it->second);
-      }
-    }
-    // Adaptive alternates keep their indexes current too — the cost model
-    // may route the next query through any of them without a rebuild, and
-    // removals must clean every index that saw the insert.
-    if (auto ait = rt.range_alts.find(field); ait != rt.range_alts.end()) {
-      for (auto& [alt_name, alt_slot] : ait->second) steps.emplace_back(&field, &alt_slot);
-    }
-  }
-  // Costliest prior first: step 0 runs on the calling thread at once, so
-  // a Paillier encryption starts before the cheap steps, not after them.
-  auto prior_us = [op](const exec::TacticSlot* slot) {
-    const auto& ops = slot->tactic->descriptor().cost.ops;
-    const auto it = ops.find(op);
-    return it == ops.end() ? 0.0 : it->second.base_us;
-  };
-  std::stable_sort(steps.begin(), steps.end(), [&](const auto& a, const auto& b) {
-    return prior_us(a.second) > prior_us(b.second);
-  });
+  const std::vector<exec::IndexStep> steps = rt.index_steps(d, op);
   const std::vector<std::string> keywords =
       rt.boolean ? rt.boolean_keywords(d) : std::vector<std::string>{};
   const std::size_t n = steps.size() + (keywords.empty() ? 0 : 1);
@@ -253,45 +209,15 @@ void Gateway::update_indexes(exec::CollectionRuntime& rt, const Document& d,
       }
       return;
     }
-    const auto& [field, slot] = steps[i];
-    auto update = [&] {
-      const ScopedPerf perf(perf_, slot->tactic->descriptor().name, op);
+    steps[i].run([&](FieldTactic& tactic, const Value& value) {
+      const ScopedPerf perf(perf_, tactic.descriptor().name, op);
       if (is_insert) {
-        slot->tactic->on_insert(d.id, d.at(*field));
+        tactic.on_insert(d.id, value);
       } else {
-        slot->tactic->on_delete(d.id, d.at(*field));
+        tactic.on_delete(d.id, value);
       }
-    };
-    // A tactic whose updates read only setup-time keys shares its lock, so
-    // a slow update (a Paillier encryption) never queues writers or queries.
-    if (slot->tactic->descriptor().updates_read_fixed_keys) {
-      std::shared_lock lock(slot->mutex);
-      update();
-    } else {
-      std::unique_lock lock(slot->mutex);
-      update();
-    }
+    });
   });
-}
-
-std::vector<Document> Gateway::resolve(const exec::CollectionRuntime& rt,
-                                       const std::vector<DocId>& ids) {
-  std::vector<Document> out;
-  if (ids.empty()) return out;
-
-  // The cloud returns only the ids that still exist, in request order, so
-  // one cursor walks the candidates alongside the reply: a candidate that
-  // is not the next entry's id vanished concurrently and is skipped. Each
-  // blob is opened from its view into the reply.
-  out.reserve(ids.size());
-  const Bytes reply = cloud_.call("doc.mget", wire::pack_mget(rt.schema.name(), ids));
-  std::size_t next = 0;
-  wire::for_each_doc(reply, [&](std::string_view id, BytesView blob) {
-    while (next < ids.size() && ids[next] != id) ++next;
-    if (next == ids.size()) return;  // an entry no candidate asked for
-    out.push_back(rt.open_document(ids[next++], blob));
-  });
-  return out;
 }
 
 Document Gateway::get_document(const exec::CollectionRuntime& rt, const DocId& id) {
@@ -303,9 +229,7 @@ Document Gateway::get_document(const exec::CollectionRuntime& rt, const DocId& i
 void Gateway::store_and_index(exec::CollectionRuntime& rt, const Document& d) {
   {
     const ScopedPerf stage(perf_, "core.store", TacticOperation::kInsert);
-    cloud_.call("doc.put", wire::pack({{"col", Value(rt.schema.name())},
-                                       {"id", Value(d.id)},
-                                       {"blob", Value(rt.seal_document(d))}}));
+    rt.store(cloud_, d);
   }
   update_indexes(rt, d, TacticOperation::kInsert);
 }
@@ -365,14 +289,7 @@ std::vector<DocId> Gateway::insert_many(const std::string& collection,
     return ids;
   }
 
-  cloud_.begin_deferred(net::deferrable_methods());
-  try {
-    write_all();
-  } catch (...) {
-    cloud_.abandon_deferred();
-    throw;
-  }
-  cloud_.flush_deferred();
+  cloud_.send_batch(capture(write_all));
   rt.doc_count.fetch_add(ids.size(), std::memory_order_relaxed);
   return ids;
 }
@@ -449,7 +366,7 @@ std::vector<Document> Gateway::equality_search(const std::string& collection,
   std::vector<Document> docs;
   {
     const ScopedPerf stage(perf_, "core.resolve", op);
-    docs = resolve(rt, ids);
+    docs = rt.resolve(cloud_, ids);
   }
 
   // EqResolution: exact post-filtering after decryption. Unconditional —
@@ -457,7 +374,8 @@ std::vector<Document> Gateway::equality_search(const std::string& collection,
   // shields exact tactics from candidates replaced by a concurrent update
   // between index query and retrieval.
   const ScopedPerf stage(perf_, "core.verify", op);
-  std::erase_if(docs, [&](const Document& d) { return !term_matches(d, field, value); });
+  std::erase_if(docs,
+                [&](const Document& d) { return !exec::term_matches(d, field, value); });
   return docs;
 }
 
@@ -545,7 +463,7 @@ std::vector<Document> Gateway::boolean_search(const std::string& collection,
         if (seen.insert(id).second) ids.push_back(std::move(id));
       }
     }
-    docs = resolve(rt, ids);
+    docs = rt.resolve(cloud_, ids);
   }
 
   // BoolResolution: decrypt candidates and re-evaluate the DNF exactly —
@@ -555,7 +473,7 @@ std::vector<Document> Gateway::boolean_search(const std::string& collection,
   std::erase_if(docs, [&](const Document& d) {
     return std::none_of(query.dnf.begin(), query.dnf.end(), [&](const auto& conj) {
       return std::all_of(conj.begin(), conj.end(), [&](const FieldTerm& t) {
-        return term_matches(d, t.field, t.value);
+        return exec::term_matches(d, t.field, t.value);
       });
     });
   });
@@ -632,7 +550,7 @@ std::vector<Document> Gateway::range_search(const std::string& collection,
   std::vector<Document> docs;
   {
     const ScopedPerf stage(perf_, "core.resolve", op);
-    docs = resolve(rt, ids);
+    docs = rt.resolve(cloud_, ids);
   }
 
   // RangeResolution: exact bound re-check after decryption (no-op for

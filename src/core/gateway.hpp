@@ -202,17 +202,11 @@ class Gateway {
   /// inline, the first exception propagates at once.
   void run_steps(std::size_t n, const std::function<void(std::size_t)>& step);
 
-  /// The "index"/"unindex" stage of a write: one step per tactic slot of
-  /// every field `d` carries, plus one for the boolean tactic when `d` has
-  /// boolean keywords. Each step holds only its own tactic's lock.
+  /// The "index"/"unindex" stage of a write: the runtime's index steps of
+  /// `d`, plus one for the boolean tactic when `d` has boolean keywords.
+  /// Each step holds only its own tactic's lock.
   void update_indexes(exec::CollectionRuntime& rt, const doc::Document& d,
                       TacticOperation op);
-
-  /// The "resolve" stage of every search: ONE doc.mget round trip for all
-  /// candidates. Returns the documents in candidate order; ids whose
-  /// document vanished (races with deletions) are skipped.
-  std::vector<doc::Document> resolve(const exec::CollectionRuntime& rt,
-                                     const std::vector<DocId>& ids);
 
   /// One doc.get round trip, opened and authenticated. Throws kNotFound.
   doc::Document get_document(const exec::CollectionRuntime& rt, const DocId& id);
@@ -220,8 +214,13 @@ class Gateway {
   /// The "store" stage (one doc.put) then the "index" stage of an insert.
   void store_and_index(exec::CollectionRuntime& rt, const doc::Document& d);
 
-  /// Runs `body` in RPC-capture mode, journals the captured mutations for
-  /// `ids`, ships them as one batch, then completes the intent.
+  /// Runs `body` in RPC-capture mode (tactic state advances, deferrable
+  /// cloud calls are queued, not sent) and returns the queued requests; if
+  /// `body` throws, the section is abandoned and nothing ships.
+  std::vector<net::Request> capture(const std::function<void()>& body);
+
+  /// Captures `body`, journals the captured mutations for `ids`, ships
+  /// them as one batch, then completes the intent.
   void journaled_run(const std::string& collection,
                      const std::vector<std::string>& ids,
                      const std::function<void()>& body);

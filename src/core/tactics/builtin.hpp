@@ -3,8 +3,10 @@
 // using the proposed architecture based on the SPI pattern").
 //
 // Every header exposes the concrete gateway-side class so applications can
-// also hard-code a tactic without the middleware (scenario S_B of the
-// evaluation) — the Figure 5 bench relies on that to isolate the
+// also hard-code a tactic without the middleware. Scenario S_B of the
+// evaluation (workload/scenarios.hpp) constructs DET, Mitra, RND and
+// Paillier this way and runs them through the gateway's own pipeline
+// pieces (core/exec/runtime.hpp), so the Figure 5 bench isolates the
 // middleware's own overhead.
 #pragma once
 

@@ -81,15 +81,4 @@ const MethodInfo* find_method(std::string_view method) {
   return it == kByName.end() ? nullptr : it->second;
 }
 
-const std::set<std::string>& deferrable_methods() {
-  static const std::set<std::string> kNames = [] {
-    std::set<std::string> names;
-    for (const MethodInfo& m : kMethods) {
-      if (m.deferrable) names.emplace(m.name);
-    }
-    return names;
-  }();
-  return kNames;
-}
-
 }  // namespace datablinder::net

@@ -6,7 +6,7 @@
 //   - whether it only reads (ReplicaGroup serves reads from any in-sync
 //     replica and sends everything else through the primary's log);
 //   - whether it is safe to replay (RetryPolicy::standard());
-//   - whether it is fire-and-forget (the gateway's deferred sections);
+//   - whether it is fire-and-forget (RpcClient's deferred sections);
 //   - which shard owns it (ShardRouter).
 // Each row of the table states them for one method; the places above read
 // the table and keep no list of their own.
@@ -18,14 +18,12 @@
 //
 // A method outside the table (a test's echo server, a third-party tactic)
 // keeps the conservative defaults: a replica group treats it as a write,
-// the standard retry policy does not retry it, the gateway never defers
-// it, and the shard router refuses it.
+// the standard retry policy does not retry it, a deferred section never
+// queues it, and the shard router refuses it.
 #pragma once
 
 #include <cstdint>
-#include <set>
 #include <span>
-#include <string>
 #include <string_view>
 
 namespace datablinder::net {
@@ -82,8 +80,5 @@ std::span<const MethodInfo> cloud_methods();
 
 /// The row of `method`, or nullptr when it is not in the table.
 const MethodInfo* find_method(std::string_view method);
-
-/// Names of the deferrable rows: what a gateway deferred section queues.
-const std::set<std::string>& deferrable_methods();
 
 }  // namespace datablinder::net

@@ -4,6 +4,7 @@
 #include <random>
 
 #include "common/rng.hpp"
+#include "net/methods.hpp"
 
 namespace datablinder::net {
 
@@ -44,34 +45,34 @@ std::size_t RpcServer::method_count() const {
   return handlers_.size();
 }
 
-std::unordered_map<const RpcClient*, RpcClient::Deferred>&
+std::unordered_map<const RpcClient*, std::vector<Request>>&
 RpcClient::deferred_sections() noexcept {
-  thread_local std::unordered_map<const RpcClient*, Deferred> sections;
+  thread_local std::unordered_map<const RpcClient*, std::vector<Request>> sections;
   return sections;
 }
 
-RpcClient::Deferred* RpcClient::deferred_slot() const noexcept {
+std::vector<Request>* RpcClient::deferred_queue() const noexcept {
   auto& sections = deferred_sections();
   if (sections.empty()) return nullptr;  // the common case: no open section
   auto it = sections.find(this);
   return it == sections.end() ? nullptr : &it->second;
 }
 
-void RpcClient::begin_deferred(std::set<std::string> deferrable_methods) {
-  if (deferred_slot() != nullptr) {
+void RpcClient::begin_deferred() {
+  if (deferred_queue() != nullptr) {
     throw_error(ErrorCode::kInvalidArgument, "rpc: deferred section already active");
   }
-  deferred_sections().emplace(this, Deferred{std::move(deferrable_methods), {}});
+  deferred_sections().emplace(this, std::vector<Request>{});
 }
 
 std::vector<Request> RpcClient::take_deferred() {
-  Deferred* d = deferred_slot();
-  if (d == nullptr) {
+  std::vector<Request>* queued = deferred_queue();
+  if (queued == nullptr) {
     throw_error(ErrorCode::kInvalidArgument, "rpc: no deferred section active");
   }
   // Move the queue out and end the section before anything else so error
   // paths can never leave a dangling section or stale queued requests.
-  std::vector<Request> queue = std::move(d->queue);
+  std::vector<Request> queue = std::move(*queued);
   deferred_sections().erase(this);
   return queue;
 }
@@ -102,7 +103,7 @@ std::size_t RpcClient::send_batch(const std::vector<Request>& queue) {
 void RpcClient::abandon_deferred() noexcept { deferred_sections().erase(this); }
 
 bool RpcClient::in_deferred_section() const noexcept {
-  return deferred_slot() != nullptr;
+  return deferred_queue() != nullptr;
 }
 
 RpcServer::Handler RpcClient::make_batch_handler(const RpcServer& server) {
@@ -148,13 +149,14 @@ Bytes Endpoint::call(const std::string& method, const Bytes& wire_request) {
 }
 
 Bytes RpcClient::call(const std::string& method, BytesView payload) {
-  if (Deferred* d = deferred_slot(); d != nullptr && d->methods.count(method)) {
+  std::vector<Request>* queued = deferred_queue();
+  if (const MethodInfo* row = queued ? find_method(method) : nullptr; row && row->deferrable) {
     // Fire-and-forget method inside a deferred section: queue it. The
     // caller receives the empty payload these methods return by protocol.
     Request request;
     request.method = method;
     request.payload.assign(payload.begin(), payload.end());
-    d->queue.push_back(std::move(request));
+    queued->push_back(std::move(request));
     static const Bytes kEmptyObject = [] {
       Bytes b;
       b.push_back(8);  // binary-codec object tag

@@ -17,7 +17,6 @@
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <set>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -105,9 +104,9 @@ class RpcClient {
   // --- deferred batching ----------------------------------------------------
   //
   // Between begin_deferred() and flush_deferred(), calls *on this thread*
-  // whose method is in the deferrable set are queued instead of sent and
-  // return an empty payload immediately (only fire-and-forget update
-  // methods qualify — their responses are empty by protocol). flush sends
+  // whose method is a deferrable row of net/methods.hpp (a fire-and-forget
+  // update, empty reply by protocol) are queued instead of sent and return
+  // an empty payload immediately. flush sends
   // the whole queue as ONE "rpc.batch" round trip; any sub-call failure
   // surfaces as the corresponding Error at flush time. Thread-local, so
   // concurrent callers on other threads are unaffected.
@@ -117,7 +116,7 @@ class RpcClient {
   // requests behind and a fresh section can immediately be re-begun.
 
   /// Starts a deferred section. Throws kInvalidArgument if one is active.
-  void begin_deferred(std::set<std::string> deferrable_methods);
+  void begin_deferred();
 
   /// Sends all queued calls as one batch round trip; returns how many were
   /// sent. Always ends the deferred section, even on error.
@@ -145,14 +144,11 @@ class RpcClient {
   static RpcServer::Handler make_batch_handler(const RpcServer& server);
 
  private:
-  struct Deferred {
-    std::set<std::string> methods;
-    std::vector<Request> queue;
-  };
-  /// This thread's open deferred sections, keyed by client so independent
-  /// gateway stacks in one process never cross-contaminate.
-  static std::unordered_map<const RpcClient*, Deferred>& deferred_sections() noexcept;
-  Deferred* deferred_slot() const noexcept;
+  /// This thread's open deferred sections' queues, keyed by client so
+  /// independent gateway stacks in one process never cross-contaminate.
+  static std::unordered_map<const RpcClient*, std::vector<Request>>&
+  deferred_sections() noexcept;
+  std::vector<Request>* deferred_queue() const noexcept;
 
   std::unique_ptr<Endpoint> endpoint_;  // owned by the single-endpoint shape
   Backend& backend_;

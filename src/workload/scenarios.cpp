@@ -1,8 +1,14 @@
 #include "workload/scenarios.hpp"
 
+#include <algorithm>
+#include <shared_mutex>
+
 #include "common/hex.hpp"
 #include "common/rng.hpp"
-#include "core/tactics/builtin.hpp"
+#include "core/tactics/det_tactic.hpp"
+#include "core/tactics/mitra_tactic.hpp"
+#include "core/tactics/paillier_tactic.hpp"
+#include "core/tactics/rnd_tactic.hpp"
 #include "core/wire.hpp"
 #include "doc/binary_codec.hpp"
 #include "fhir/observation.hpp"
@@ -13,6 +19,9 @@ using core::wire::pack;
 using core::wire::unpack;
 using doc::Document;
 using doc::Value;
+
+// The tactic parameters of S_B and S_C, so both run one Paillier modulus.
+const std::map<std::string, std::string> kTacticParams = {{"paillier_modulus_bits", "512"}};
 
 ScenarioHarness::ScenarioHarness(net::ChannelConfig channel_config)
     : cloud(core::GatewayConfig{}, channel_config),
@@ -54,97 +63,69 @@ double ScenarioA::aggregate_average(const std::string& field) {
 
 // --- S_B ------------------------------------------------------------------
 
-core::GatewayContext ScenarioB::ctx(const std::string& field) const {
-  core::GatewayContext c;
-  c.cloud = &h_.rpc;
-  c.local_store = &h_.local_store;
-  c.kms = &h_.kms;
-  c.collection = "observations";
-  c.field = field;
-  c.params = {{"paillier_modulus_bits", "512"}};
-  return c;
-}
-
-ScenarioB::ScenarioB(ScenarioHarness& h)
-    : h_(h),
-      doc_cipher_(h.kms.derive("doc/observations", 32)),
-      det_status_(ctx("status")),
-      det_code_(ctx("code")),
-      det_effective_(ctx("effective")),
-      det_issued_(ctx("issued")),
-      det_value_(ctx("value")),
-      mitra_subject_(ctx("subject")),
-      rnd_performer_(ctx("performer")),
-      paillier_value_(ctx("value")) {
-  det_status_.setup();
-  det_code_.setup();
-  det_effective_.setup();
-  det_issued_.setup();
-  det_value_.setup();
-  mitra_subject_.setup();
-  rnd_performer_.setup();
-  paillier_value_.setup();
+ScenarioB::ScenarioB(ScenarioHarness& h) : h_(h), pool_(core::exec::default_workers()) {
+  rt_.schema = schema::Schema("observations");
+  rt_.doc_cipher = std::make_unique<crypto::AesGcm>(h.kms.derive("doc/" + rt_.schema.name(), 32));
+  auto ctx = [&](const std::string& field) {
+    return core::GatewayContext{.cloud = &h.rpc, .local_store = &h.local_store, .kms = &h.kms,
+                                .collection = rt_.schema.name(), .field = field,
+                                .params = kTacticParams};
+  };
+  // Hand-wired routing — the inflexibility DataBlinder removes.
+  for (const char* field : {"status", "code", "effective", "issued", "value"}) {
+    rt_.eq[field].tactic = std::make_unique<core::DetTactic>(ctx(field));
+  }
+  rt_.eq["subject"].tactic = std::make_unique<core::MitraTactic>(ctx("subject"));
+  rt_.eq["performer"].tactic = std::make_unique<core::RndTactic>(ctx("performer"));
+  rt_.agg["value"].tactic = std::make_unique<core::PaillierTactic>(ctx("value"));
+  for (auto* slots : {&rt_.eq, &rt_.agg}) {
+    for (auto& [field, slot] : *slots) slot.tactic->setup();
+  }
 }
 
 void ScenarioB::insert_document(Document d) {
   if (d.id.empty()) d.id = hex_encode(SecureRng::bytes(12));
-  std::unique_lock lock(mutex_);
-  const Bytes blob =
-      doc_cipher_.seal_random_nonce(doc::encode_document(d), to_bytes(d.id));
-  h_.rpc.call("doc.put", pack({{"col", Value("observations")},
-                               {"id", Value(d.id)},
-                               {"blob", Value(blob)}}));
-  // Hand-wired routing — the inflexibility DataBlinder removes.
-  det_status_.on_insert(d.id, d.at("status"));
-  det_code_.on_insert(d.id, d.at("code"));
-  det_effective_.on_insert(d.id, d.at("effective"));
-  det_issued_.on_insert(d.id, d.at("issued"));
-  det_value_.on_insert(d.id, d.at("value"));
-  mitra_subject_.on_insert(d.id, d.at("subject"));
-  rnd_performer_.on_insert(d.id, d.at("performer"));
-  paillier_value_.on_insert(d.id, d.at("value"));
+  rt_.store(h_.rpc, d);
+  const std::vector<core::exec::IndexStep> steps =
+      rt_.index_steps(d, core::TacticOperation::kInsert);
+  pool_.run_all(steps.size(), [&](std::size_t i) {
+    steps[i].run([&](core::FieldTactic& tactic, const Value& value) {
+      tactic.on_insert(d.id, value);
+    });
+  });
 }
 
 std::size_t ScenarioB::equality_search(const std::string& field, const Value& value) {
-  std::shared_lock lock(mutex_);
-  std::vector<std::string> ids;
-  if (field == "status") ids = det_status_.equality_search(value);
-  else if (field == "code") ids = det_code_.equality_search(value);
-  else if (field == "effective") ids = det_effective_.equality_search(value);
-  else if (field == "issued") ids = det_issued_.equality_search(value);
-  else if (field == "value") ids = det_value_.equality_search(value);
-  else if (field == "subject") ids = mitra_subject_.equality_search(value);
-  else throw_error(ErrorCode::kInvalidArgument, "S_B: unsupported search field " + field);
-
-  // Retrieval + SecureEnc: fetch and decrypt the matches like a real app.
-  std::size_t count = 0;
-  for (const auto& id : ids) {
-    const Bytes reply = h_.rpc.call(
-        "doc.get", pack({{"col", Value("observations")}, {"id", Value(id)}}));
-    const Bytes blob = core::wire::get_bin(unpack(reply), "blob");
-    if (doc_cipher_.open_with_nonce(blob, to_bytes(id))) ++count;
+  const auto it = rt_.eq.find(field);
+  if (it == rt_.eq.end()) {
+    throw_error(ErrorCode::kInvalidArgument, "S_B: unsupported search field " + field);
   }
-  return count;
+  std::vector<core::DocId> ids;
+  {
+    std::shared_lock lock(it->second.mutex);
+    ids = it->second.tactic->equality_search(value);
+  }
+  // Retrieval + SecureEnc, then the gateway's exact re-check.
+  const std::vector<Document> docs = rt_.resolve(h_.rpc, ids);
+  return static_cast<std::size_t>(std::count_if(
+      docs.begin(), docs.end(),
+      [&](const Document& d) { return core::exec::term_matches(d, field, value); }));
 }
 
 double ScenarioB::aggregate_average(const std::string& field) {
-  require(field == "value", "S_B: only 'value' has an aggregate tactic");
-  std::shared_lock lock(mutex_);
-  return paillier_value_.aggregate(schema::Aggregate::kAverage).value;
+  const auto it = rt_.agg.find(field);
+  if (it == rt_.agg.end()) {
+    throw_error(ErrorCode::kInvalidArgument, "S_B: no aggregate tactic on " + field);
+  }
+  std::shared_lock lock(it->second.mutex);
+  return it->second.tactic->aggregate(schema::Aggregate::kAverage).value;
 }
 
 // --- S_C ------------------------------------------------------------------
 
-namespace {
-core::GatewayConfig scenario_c_config() {
-  core::GatewayConfig config;
-  config.tactic_params = {{"paillier_modulus_bits", "512"}};
-  return config;
-}
-}  // namespace
-
 ScenarioC::ScenarioC(ScenarioHarness& h, const core::TacticRegistry& registry)
-    : gateway_(h.rpc, h.kms, h.local_store, registry, scenario_c_config()) {
+    : gateway_(h.rpc, h.kms, h.local_store, registry,
+               core::GatewayConfig{kTacticParams}) {
   gateway_.register_schema(fhir::benchmark_schema("observations"));
 }
 

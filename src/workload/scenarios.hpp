@@ -1,25 +1,24 @@
 // The three evaluation scenarios of paper §5.2:
 //   S_A — the application stores plaintext documents, no middleware, no
 //         tactics (upper throughput bound);
-//   S_B — the data protection tactics are hard-coded into the application
-//         (concrete tactic classes wired by hand, no schema validation, no
-//         policy engine, no registry indirection);
+//   S_B — the data protection tactics are hard-coded into the application:
+//         concrete tactic classes wired by hand and run through the
+//         gateway's own pipeline pieces (core/exec/runtime.hpp), with no
+//         schema validation, policy engine, registry or metrics;
 //   S_C — the application uses DataBlinder (full Gateway).
-// All three talk to a fresh CloudNode over the same simulated channel, so
-// the differences isolate (a) the tactics' cost and (b) the middleware's
-// own overhead — the 44% / 1.4% decomposition of Figure 5.
+// All three talk to a fresh CloudNode over the same simulated channel (S_B
+// and S_C put the same bytes on it), so the differences isolate (a) the
+// tactics' cost and (b) the middleware's own overhead — the 44% / 1.4%
+// decomposition of Figure 5.
 #pragma once
 
-#include <shared_mutex>
 #include <string>
 
+#include "common/worker_pool.hpp"
 #include "core/cloud_node.hpp"
+#include "core/exec/runtime.hpp"
 #include "core/gateway.hpp"
 #include "core/sharding.hpp"
-#include "core/tactics/det_tactic.hpp"
-#include "core/tactics/mitra_tactic.hpp"
-#include "core/tactics/paillier_tactic.hpp"
-#include "core/tactics/rnd_tactic.hpp"
 #include "doc/value.hpp"
 
 namespace datablinder::workload {
@@ -79,16 +78,11 @@ class ScenarioB final : public ScenarioApi {
   double aggregate_average(const std::string& field) override;
 
  private:
-  core::GatewayContext ctx(const std::string& field) const;
-
   ScenarioHarness& h_;
-  crypto::AesGcm doc_cipher_;
-  // Hard-coded tactic instances — exactly the 8 of the paper's benchmark.
-  core::DetTactic det_status_, det_code_, det_effective_, det_issued_, det_value_;
-  core::MitraTactic mitra_subject_;
-  core::RndTactic rnd_performer_;
-  core::PaillierTactic paillier_value_;
-  mutable std::shared_mutex mutex_;
+  // The hard-coded plan: exactly the 8 tactic instances of the paper's
+  // benchmark, each in the slot of the field and operation it serves.
+  core::exec::CollectionRuntime rt_;
+  WorkerPool pool_;  // last: joined before the slots its steps touch die
 };
 
 /// S_C — the same policy enforced through DataBlinder.

@@ -24,7 +24,7 @@ using doc::Value;
 TEST(RpcBatchingTest, DeferredCallsTravelAsOneRoundTrip) {
   net::RpcServer server;
   int hits = 0;
-  server.register_method("upd", [&hits](BytesView) {
+  server.register_method("det.insert", [&hits](BytesView) {
     ++hits;
     return Bytes{8, 0, 0, 0, 0};  // empty object
   });
@@ -33,9 +33,9 @@ TEST(RpcBatchingTest, DeferredCallsTravelAsOneRoundTrip) {
   net::Channel channel;
   net::RpcClient client(server, channel);
 
-  client.begin_deferred({"upd"});
+  client.begin_deferred();
   EXPECT_TRUE(client.in_deferred_section());
-  for (int i = 0; i < 10; ++i) client.call("upd", Bytes{1});
+  for (int i = 0; i < 10; ++i) client.call("det.insert", Bytes{1});
   EXPECT_EQ(hits, 0);  // nothing sent yet
   EXPECT_EQ(channel.stats().round_trips.load(), 0u);
   EXPECT_EQ(client.flush_deferred(), 10u);
@@ -74,7 +74,7 @@ TEST(RpcBatchingTest, BatchEnvelopeKnownAnswer) {
   CapturingBackend backend(server, channel);
   net::RpcClient client(backend);
 
-  client.begin_deferred({"doc.put", "det.insert"});
+  client.begin_deferred();
   client.call("doc.put", Bytes{0x01, 0x02, 0x03});
   client.call("det.insert", Bytes{});
   EXPECT_EQ(client.flush_deferred(), 2u);
@@ -93,7 +93,7 @@ TEST(RpcBatchingTest, NonDeferrableMethodsPassThrough) {
   net::Channel channel;
   net::RpcClient client(server, channel);
 
-  client.begin_deferred({"upd"});
+  client.begin_deferred();
   EXPECT_EQ(client.call("read", {}), Bytes{42});  // immediate, not queued
   EXPECT_EQ(channel.stats().round_trips.load(), 1u);
   EXPECT_EQ(client.flush_deferred(), 0u);
@@ -102,7 +102,7 @@ TEST(RpcBatchingTest, NonDeferrableMethodsPassThrough) {
 TEST(RpcBatchingTest, SubCallErrorSurfacesAtFlush) {
   net::RpcServer server;
   int calls = 0;
-  server.register_method("upd", [&calls](BytesView p) -> Bytes {
+  server.register_method("det.insert", [&calls](BytesView p) -> Bytes {
     ++calls;
     if (!p.empty() && p[0] == 0xff) {
       throw_error(ErrorCode::kSchemaViolation, "poison update");
@@ -113,10 +113,10 @@ TEST(RpcBatchingTest, SubCallErrorSurfacesAtFlush) {
   net::Channel channel;
   net::RpcClient client(server, channel);
 
-  client.begin_deferred({"upd"});
-  client.call("upd", Bytes{1});
-  client.call("upd", Bytes{0xff});
-  client.call("upd", Bytes{2});
+  client.begin_deferred();
+  client.call("det.insert", Bytes{1});
+  client.call("det.insert", Bytes{0xff});
+  client.call("det.insert", Bytes{2});
   try {
     client.flush_deferred();
     FAIL() << "expected schema violation";
@@ -130,7 +130,7 @@ TEST(RpcBatchingTest, SubCallErrorSurfacesAtFlush) {
 TEST(RpcBatchingTest, SectionsAreThreadLocal) {
   net::RpcServer server;
   std::atomic<int> hits{0};
-  server.register_method("upd", [&hits](BytesView) {
+  server.register_method("det.insert", [&hits](BytesView) {
     ++hits;
     return Bytes{8, 0, 0, 0, 0};
   });
@@ -138,12 +138,12 @@ TEST(RpcBatchingTest, SectionsAreThreadLocal) {
   net::Channel channel;
   net::RpcClient client(server, channel);
 
-  client.begin_deferred({"upd"});
-  client.call("upd", {});
+  client.begin_deferred();
+  client.call("det.insert", {});
   // Another thread's call must NOT be captured by this thread's section.
   std::thread other([&] {
     EXPECT_FALSE(client.in_deferred_section());
-    client.call("upd", {});
+    client.call("det.insert", {});
   });
   other.join();
   EXPECT_EQ(hits.load(), 1);  // the other thread's call went through live
@@ -158,8 +158,8 @@ TEST(RpcBatchingTest, NestedAndDanglingSectionsRejected) {
   net::RpcClient client(server, channel);
 
   EXPECT_THROW(client.flush_deferred(), Error);  // no section
-  client.begin_deferred({});
-  EXPECT_THROW(client.begin_deferred({}), Error);  // nested
+  client.begin_deferred();
+  EXPECT_THROW(client.begin_deferred(), Error);  // nested
   client.abandon_deferred();
   EXPECT_FALSE(client.in_deferred_section());
 }

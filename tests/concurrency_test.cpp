@@ -20,6 +20,7 @@
 #include "core/tactics/builtin.hpp"
 #include "fhir/observation.hpp"
 #include "store/kvstore.hpp"
+#include "workload/scenarios.hpp"
 
 namespace datablinder {
 namespace {
@@ -125,6 +126,59 @@ TEST(ConcurrencyTest, GatewayParallelUsersStayConsistent) {
   }
   const auto avg = gateway.aggregate("obs", "value", schema::Aggregate::kAverage);
   EXPECT_EQ(avg.count, static_cast<std::uint64_t>(kUsers * kDocsPerUser));
+}
+
+TEST(ConcurrencyTest, HandWiredBaselineServesParallelUsers) {
+  // S_B runs the gateway's per-slot locks and write fan-out without the
+  // gateway: four users insert, search and average on one ScenarioB, then
+  // its answers must match a plaintext ScenarioA fed the same documents.
+  workload::ScenarioHarness hb, ha;
+  workload::ScenarioB sb(hb);
+  workload::ScenarioA sa(ha);
+
+  constexpr int kUsers = 4;
+  constexpr int kDocsPerUser = 15;
+  std::vector<std::vector<Document>> docs(kUsers);
+  for (int u = 0; u < kUsers; ++u) {
+    fhir::ObservationGenerator gen(2000 + u);
+    for (int i = 0; i < kDocsPerUser; ++i) {
+      Document d = gen.next();
+      d.id = "u" + std::to_string(u) + "-" + std::to_string(i);
+      docs[u].push_back(std::move(d));
+    }
+  }
+
+  std::atomic<int> failures{0};
+  std::vector<std::thread> users;
+  for (int u = 0; u < kUsers; ++u) {
+    users.emplace_back([&, u] {
+      try {
+        for (int i = 0; i < kDocsPerUser; ++i) {
+          const Document& d = docs[u][i];
+          sb.insert_document(d);
+          // The user's own insert has returned, so its document is found.
+          if (sb.equality_search("status", d.at("status")) == 0) ++failures;
+          if (i % 5 == 0) sb.aggregate_average("value");
+        }
+      } catch (...) {
+        ++failures;
+      }
+    });
+  }
+  for (auto& t : users) t.join();
+  EXPECT_EQ(failures.load(), 0);
+
+  for (const auto& user_docs : docs) {
+    for (const Document& d : user_docs) sa.insert_document(d);
+  }
+  for (const auto& user_docs : docs) {
+    for (const char* field : {"status", "code", "subject", "effective", "value"}) {
+      const Value& value = user_docs.front().at(field);
+      EXPECT_EQ(sb.equality_search(field, value), sa.equality_search(field, value))
+          << field;
+    }
+  }
+  EXPECT_NEAR(sb.aggregate_average("value"), sa.aggregate_average("value"), 0.01);
 }
 
 TEST(ConcurrencyTest, ParallelSearchesDuringWrites) {

@@ -42,7 +42,7 @@ TEST(ScenarioTest, AllThreeScenariosAgreeOnResults) {
   }
 
   // Equality searches return identical counts in all scenarios, on every
-  // field S_B routes. effective, issued and value rarely repeat, so their
+  // field S_C routes. effective, issued and value rarely repeat, so their
   // probes are taken from stored documents: each matches at least once.
   fhir::ObservationGenerator qgen(77);
   std::size_t matched = 0;
@@ -66,6 +66,57 @@ TEST(ScenarioTest, AllThreeScenariosAgreeOnResults) {
   const double plain_avg = sa.aggregate_average("value");
   EXPECT_NEAR(sb.aggregate_average("value"), plain_avg, 0.01);
   EXPECT_NEAR(sc.aggregate_average("value"), plain_avg, 0.01);
+}
+
+TEST(ScenarioTest, HandWiredBaselineSendsExactlyWhatTheGatewaySends) {
+  // S_B is S_C minus the middleware: fed the same documents under fixed
+  // ids, and asked the same queries, both put the same traffic on the wire
+  // after every phase.
+  ScenarioHarness hb, hc;
+  ScenarioB sb(hb);
+  ScenarioC sc(hc, shared_registry());
+  auto expect_same_wire = [&](const char* phase) {
+    const net::ChannelStats& b = hb.channel.stats();
+    const net::ChannelStats& c = hc.channel.stats();
+    EXPECT_EQ(b.round_trips.load(), c.round_trips.load()) << phase;
+    EXPECT_EQ(b.bytes_sent.load(), c.bytes_sent.load()) << phase;
+    EXPECT_EQ(b.bytes_received.load(), c.bytes_received.load()) << phase;
+  };
+  expect_same_wire("setup");
+
+  fhir::ObservationGenerator gen(2024);
+  std::vector<Document> corpus;
+  for (int i = 0; i < 40; ++i) {
+    Document d = gen.next();
+    d.id = "obs-" + std::to_string(i);
+    corpus.push_back(d);
+    sb.insert_document(d);
+    sc.insert_document(d);
+  }
+  expect_same_wire("insert");
+
+  fhir::ObservationGenerator qgen(31);
+  std::size_t matched = 0;
+  for (int i = 0; i < 10; ++i) {
+    const Document& stored = corpus[static_cast<std::size_t>(i) * 4];
+    const std::pair<const char*, Value> probes[] = {
+        {"status", qgen.random_status()},   {"code", qgen.random_code()},
+        {"subject", qgen.random_subject()}, {"effective", stored.at("effective")},
+        {"issued", stored.at("issued")},    {"value", stored.at("value")},
+    };
+    for (const auto& [field, value] : probes) {
+      const std::size_t found = sc.equality_search(field, value);
+      EXPECT_EQ(sb.equality_search(field, value), found) << field;
+      matched += found;
+    }
+  }
+  EXPECT_GE(matched, 30u);
+  expect_same_wire("search");
+
+  for (int i = 0; i < 10; ++i) {
+    EXPECT_NEAR(sb.aggregate_average("value"), sc.aggregate_average("value"), 1e-9);
+  }
+  expect_same_wire("average");
 }
 
 TEST(ScenarioTest, CloudTracksIndexOpsAndStorage) {

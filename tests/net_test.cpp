@@ -112,20 +112,41 @@ TEST(MethodTableTest, StandardRetryPolicyIsEveryReplaySafeRow) {
 TEST(MethodTableTest, DeferrableRowsAreSingleShardUpdates) {
   // A deferred call is answered with an empty object before it is sent, and
   // its batch is split per shard: only single-shard updates qualify.
-  std::size_t deferrable = 0;
   for (const MethodInfo& m : cloud_methods()) {
     if (!m.deferrable) continue;
-    ++deferrable;
-    EXPECT_TRUE(deferrable_methods().count(std::string(m.name))) << m.name;
     EXPECT_EQ(m.kind, MethodKind::kUpdate) << m.name;
     EXPECT_LT(m.placement, Placement::kScatterMget) << m.name;
   }
-  EXPECT_EQ(deferrable, deferrable_methods().size());
   // Broadcast rows, and only they, name a merge.
   for (const MethodInfo& m : cloud_methods()) {
     EXPECT_EQ(m.placement == Placement::kBroadcast, m.merge != Merge::kNone) << m.name;
     EXPECT_EQ(m.merge == Merge::kCounterSum, !m.sum_field.empty()) << m.name;
   }
+}
+
+TEST(MethodTableTest, DeferredSectionQueuesExactlyTheDeferrableRows) {
+  // Every row, and a name outside the table, called inside one deferred
+  // section against a server that serves nothing: a queued call returns at
+  // once, any other travels and fails on the server.
+  RpcServer server;
+  Channel channel;
+  RpcClient client(server, channel);
+  client.begin_deferred();
+  std::set<std::string> deferrable;
+  for (const MethodInfo& m : cloud_methods()) {
+    if (m.deferrable) deferrable.emplace(m.name);
+    try {
+      client.call(std::string(m.name), Bytes{});
+    } catch (const Error&) {
+    }
+  }
+  EXPECT_THROW(client.call("echo.put", Bytes{}), Error);
+  std::set<std::string> queued;
+  for (const Request& r : client.take_deferred()) queued.emplace(r.method);
+  EXPECT_FALSE(deferrable.empty());
+  EXPECT_EQ(queued, deferrable);
+  EXPECT_EQ(channel.stats().round_trips.load(),
+            cloud_methods().size() - deferrable.size() + 1);
 }
 
 TEST(ChannelTest, AccountsBytesAndRoundTrips) {

@@ -436,7 +436,7 @@ TEST(ResilienceTest, FlushFailureLeavesNoQueueAndSectionCanRestart) {
                                     {"blob", Value(Bytes{1, 2, 3})}}));
   };
 
-  rpc.begin_deferred({"doc.put"});
+  rpc.begin_deferred();
   put("a");
   channel.close();
   EXPECT_THROW(rpc.flush_deferred(), Error);
@@ -445,7 +445,7 @@ TEST(ResilienceTest, FlushFailureLeavesNoQueueAndSectionCanRestart) {
   channel.reopen();
 
   // A fresh section works immediately and ships only its own requests.
-  rpc.begin_deferred({"doc.put"});
+  rpc.begin_deferred();
   put("b");
   EXPECT_EQ(rpc.flush_deferred(), 1u);
   EXPECT_FALSE(rpc.in_deferred_section());
@@ -462,7 +462,7 @@ TEST(ResilienceTest, TakeDeferredCapturesQueueAndBatchReplayIsIdempotent) {
   net::Channel channel;
   net::RpcClient rpc(cloud.rpc(), channel);
 
-  rpc.begin_deferred({"doc.put"});
+  rpc.begin_deferred();
   rpc.call("doc.put", wire::pack({{"col", Value("c")},
                                   {"id", Value("r")},
                                   {"blob", Value(Bytes{9})}}));

@@ -171,7 +171,7 @@ TEST(ShardRouterTest, BatchSplitsPerShardAndReassemblesInOrder) {
   core::ShardedCloud cloud(cfg);
   RpcClient& client = cloud.client();
 
-  client.begin_deferred({"doc.put"});
+  client.begin_deferred();
   for (int i = 0; i < 12; ++i) {
     client.call("doc.put",
                 core::wire::pack({{"col", Value("obs")},
@@ -239,9 +239,13 @@ TEST(ShardRouterTest, EveryDeferrableMethodSplitsAcrossShards) {
                                           {"label", Value(Bytes{1, 2})},
                                           {"scope", Value("s")},
                                           {"address", Value(Bytes{3, 4})}});
-  client.begin_deferred(deferrable_methods());
-  for (const std::string& method : deferrable_methods()) client.call(method, payload);
-  ASSERT_NO_THROW(EXPECT_EQ(client.flush_deferred(), deferrable_methods().size()));
+  std::multiset<std::string> deferrable;
+  for (const MethodInfo& m : cloud_methods()) {
+    if (m.deferrable) deferrable.emplace(m.name);
+  }
+  client.begin_deferred();
+  for (const std::string& method : deferrable) client.call(method, payload);
+  ASSERT_NO_THROW(EXPECT_EQ(client.flush_deferred(), deferrable.size()));
 
   std::multiset<std::string> delivered;
   std::size_t shards_used = 0;
@@ -249,8 +253,7 @@ TEST(ShardRouterTest, EveryDeferrableMethodSplitsAcrossShards) {
     delivered.insert(names.begin(), names.end());
     if (!names.empty()) ++shards_used;
   }
-  EXPECT_EQ(delivered, std::multiset<std::string>(deferrable_methods().begin(),
-                                                  deferrable_methods().end()));
+  EXPECT_EQ(delivered, deferrable);
   EXPECT_GT(shards_used, 1u);
 }
 
