@@ -212,8 +212,8 @@ void BM_PaillierEncrypt(benchmark::State& state) {
 BENCHMARK(BM_PaillierEncrypt)->Arg(256)->Arg(512)->Arg(1024)->Unit(benchmark::kMicrosecond);
 
 void BM_PaillierEncryptCrt(benchmark::State& state) {
-  // The key holder's path: r^n mod p^2 and mod q^2 with reduced exponents,
-  // recombined — the same ciphertext as BM_PaillierEncrypt for the same r.
+  // The key holder's path: h_s^alpha by two fixed-base table walks, mod p^2
+  // and mod q^2, recombined and multiplied by 1 + m*n.
   const phe::PaillierKeyPair kp =
       phe::paillier_generate(static_cast<std::size_t>(state.range(0)));
   std::int64_t v = 630;
@@ -221,15 +221,24 @@ void BM_PaillierEncryptCrt(benchmark::State& state) {
     benchmark::DoNotOptimize(kp.priv.encrypt_i64(v++));
   }
 }
-BENCHMARK(BM_PaillierEncryptCrt)->Arg(256)->Arg(512)->Arg(1024)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_PaillierEncryptCrt)
+    ->Arg(256)
+    ->Arg(512)
+    ->Arg(1024)
+    ->Arg(2048)
+    ->Unit(benchmark::kMicrosecond);
 
 void BM_PaillierEncryptPooled(benchmark::State& state) {
-  // Steady-state hot path with the key holder's randomizer pool attached:
-  // the CRT r^n exponentiation moves to the background worker, leaving
-  // two modmuls.
+  // A pool hit: pop a precomputed factor and multiply it by 1 + m*n. The
+  // pool's source hands out one precomputed factor, so the refill never
+  // lags the loop and (almost) every take hits; a deployment's pool draws
+  // each factor fresh, at BM_PaillierEncryptCrt's cost.
   phe::PaillierKeyPair kp =
       phe::paillier_generate(static_cast<std::size_t>(state.range(0)));
-  kp.priv.init_fast_paths(/*pool_low_water=*/64);
+  const BigInt factor = kp.priv.encrypt_i64(0);  // an n-th residue
+  kp.priv.pub.pool = std::make_shared<phe::PaillierRandomizerPool>(
+      [factor] { return factor; }, /*low_water=*/64);
+  kp.priv.pub.pool->prefill(64);
   std::int64_t v = 630;
   for (auto _ : state) {
     benchmark::DoNotOptimize(kp.priv.encrypt_i64(v++));
@@ -237,7 +246,11 @@ void BM_PaillierEncryptPooled(benchmark::State& state) {
   state.counters["pool_hits"] = static_cast<double>(kp.priv.pub.pool->hits());
   state.counters["pool_misses"] = static_cast<double>(kp.priv.pub.pool->misses());
 }
-BENCHMARK(BM_PaillierEncryptPooled)->Arg(256)->Arg(512)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_PaillierEncryptPooled)
+    ->Arg(256)
+    ->Arg(512)
+    ->Arg(2048)
+    ->Unit(benchmark::kMicrosecond);
 
 void BM_PaillierAdd(benchmark::State& state) {
   const phe::PaillierKeyPair kp = phe::paillier_generate(512);
@@ -258,7 +271,7 @@ void BM_PaillierDecrypt(benchmark::State& state) {
     benchmark::DoNotOptimize(kp.priv.decrypt_i64(c));
   }
 }
-BENCHMARK(BM_PaillierDecrypt)->Arg(256)->Arg(512)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_PaillierDecrypt)->Arg(256)->Arg(512)->Arg(2048)->Unit(benchmark::kMicrosecond);
 
 void BM_PaillierDecryptGeneric(benchmark::State& state) {
   // Reference lambda/mu exponentiation mod n^2 — the pre-CRT cost.
@@ -310,7 +323,29 @@ void BM_BigIntModExpMontgomery(benchmark::State& state) {
     benchmark::DoNotOptimize(base.pow_mod(exp, ctx));
   }
 }
-BENCHMARK(BM_BigIntModExpMontgomery)->Arg(256)->Arg(512)->Arg(1024)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_BigIntModExpMontgomery)
+    ->Arg(256)
+    ->Arg(512)
+    ->Arg(1024)
+    ->Arg(2048)
+    ->Arg(4096)
+    ->Unit(benchmark::kMicrosecond);
+
+void BM_FixedBasePow(benchmark::State& state) {
+  // One of the two table walks a Paillier key of state.range(0) bits runs
+  // per encryption: a modulus of that width (p^2) and an exponent of half
+  // of it (alpha), each window's entry gathered by a masked scan.
+  const std::size_t bits = static_cast<std::size_t>(state.range(0));
+  BigInt m = BigInt::random_bits(bits);
+  if (m.is_even()) m += BigInt(1);
+  const bigint::Montgomery ctx(m);
+  const bigint::FixedBasePow fixed(ctx, BigInt::random_below(m), bits / 2);
+  const BigInt alpha = BigInt::random_below(BigInt(1) << (bits / 2));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(fixed.pow(alpha));
+  }
+}
+BENCHMARK(BM_FixedBasePow)->Arg(512)->Arg(2048)->Unit(benchmark::kMicrosecond);
 
 /// One Montgomery multiply through `kernels` at state.range(0) limbs,
 /// chained so each call's output is the next call's input.

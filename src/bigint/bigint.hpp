@@ -136,6 +136,7 @@ class BigInt {
 
  private:
   friend class Montgomery;
+  friend class FixedBasePow;
 
   // Magnitude comparison ignoring sign.
   static int cmp_mag(const std::vector<Limb>& a, const std::vector<Limb>& b) noexcept;

@@ -104,4 +104,72 @@ BigInt Montgomery::pow(const BigInt& base, const BigInt& exp) const {
   return from_limbs(acc);
 }
 
+FixedBasePow::FixedBasePow(const Montgomery& ctx, const BigInt& base, std::size_t exp_bits)
+    : ctx_(ctx), exp_bits_(exp_bits), windows_((exp_bits + 3) / 4) {
+  require(exp_bits >= 1 && exp_bits <= kLimbBits * kMontMaxLimbs,
+          "FixedBasePow: exponent length out of range");
+  const std::size_t n = ctx_.n_;
+  table_.resize(windows_ * 16 * n);
+  // Each window's 16 entries are built one after another in `row`, then
+  // stored limb-major (limb j of entry d at (w * n + j) * 16 + d), so the
+  // masked scan reads a limb's 16 candidates as one contiguous run.
+  std::vector<Limb> row(16 * n), prev(16 * n);
+  auto entry = [n](std::vector<Limb>& r, unsigned d) { return r.data() + d * n; };
+  for (std::size_t w = 0; w < windows_; ++w) {
+    std::copy(ctx_.one_mont_.begin(), ctx_.one_mont_.end(), entry(row, 0));
+    if (w == 0) {
+      ctx_.load(base, entry(row, 1));
+      ctx_.mul_into(entry(row, 1), entry(row, 1), ctx_.r2_.data());
+    } else {
+      // h^(16^w) = h^(15 * 16^(w-1)) * h^(16^(w-1)).
+      ctx_.mul_into(entry(row, 1), entry(prev, 15), entry(prev, 1));
+    }
+    for (unsigned d = 2; d < 16; ++d) {
+      ctx_.mul_into(entry(row, d), entry(row, d - 1), entry(row, 1));
+    }
+    Limb* block = table_.data() + w * 16 * n;
+    for (unsigned d = 0; d < 16; ++d) {
+      for (std::size_t j = 0; j < n; ++j) block[j * 16 + d] = row[d * n + j];
+    }
+    std::swap(row, prev);
+  }
+}
+
+void FixedBasePow::select(std::size_t w, Limb digit, Limb* out) const {
+  // mask[d] is all ones when d == digit, else zero, with no comparison to
+  // branch on.
+  Limb mask[16];
+  for (Limb d = 0; d < 16; ++d) {
+    const Limb x = d ^ digit;
+    mask[d] = ((x | (Limb{0} - x)) >> 63) - 1;
+  }
+  const std::size_t n = ctx_.n_;
+  const Limb* block = table_.data() + w * 16 * n;
+  for (std::size_t j = 0; j < n; ++j) {
+    const Limb* candidates = block + j * 16;
+    Limb limb = 0;
+    for (unsigned d = 0; d < 16; ++d) limb |= candidates[d] & mask[d];
+    out[j] = limb;
+  }
+}
+
+BigInt FixedBasePow::pow(const BigInt& exp) const {
+  require(!exp.is_negative() && exp.bit_length() <= exp_bits_,
+          "FixedBasePow::pow: exponent out of range");
+  // The digits come from a zero-padded copy, so every window reads a limb.
+  Limb e[kMontMaxLimbs] = {};
+  std::copy(exp.limbs_.begin(), exp.limbs_.end(), e);
+  auto digit = [&e](std::size_t w) { return (e[w / 16] >> (4 * (w % 16))) & 15u; };
+
+  Limb acc[kMontMaxLimbs], pick[kMontMaxLimbs];
+  select(0, digit(0), acc);
+  for (std::size_t w = 1; w < windows_; ++w) {
+    select(w, digit(w), pick);
+    ctx_.mul_into(acc, acc, pick);
+  }
+  Limb one[kMontMaxLimbs] = {1};
+  ctx_.mul_into(acc, acc, one);
+  return ctx_.from_limbs(acc);
+}
+
 }  // namespace datablinder::bigint

@@ -9,7 +9,9 @@
 //
 // This is the kernel under every public-key hot path in the library:
 // Paillier encrypt/decrypt (mod n^2, and mod p^2/q^2 under CRT) and the
-// Sophos RSA trapdoor permutation.
+// Sophos RSA trapdoor permutation. `FixedBasePow`, below, runs on the same
+// kernel for a base fixed once per key (the key holder's Paillier
+// encryption).
 // Callers hold one context per long-lived modulus; `BigInt::pow_mod`
 // builds a transient context for one-shot odd-modulus calls.
 //
@@ -52,6 +54,7 @@ class Montgomery {
   BigInt pow(const BigInt& base, const BigInt& exp) const;
 
  private:
+  friend class FixedBasePow;
   using Limb = BigInt::Limb;
 
   /// Writes a mod m as exactly n_ limbs.
@@ -70,6 +73,44 @@ class Montgomery {
   Limb n0_ = 0;                 // -m^{-1} mod 2^64
   std::size_t n_ = 0;
   const MontKernels* kernels_;
+};
+
+// Fixed-base exponentiation (Lim & Lee, CRYPTO '94, one row per 4-bit
+// window). For a base h fixed at construction and exponents below
+// 2^exp_bits, the table holds T[i][d] = h^(d * 16^i) in Montgomery form for
+// every window i and digit d, so h^e is the product of one entry per
+// window: ceil(exp_bits / 4) kernel multiplies and no squarings, against
+// ~1.25 multiplies per exponent bit for `Montgomery::pow`.
+//
+// The exponent is secret (the key holder's Paillier encryption randomness),
+// so no digit picks an address: each window's entry is gathered by a
+// masked scan of all 16 entries into one stack buffer, and every kernel
+// call reads the same buffers in the same order whatever the exponent.
+// The table costs 16 * ceil(exp_bits / 4) entries of the modulus's width
+// (64 KB for a 256-bit exponent mod a 512-bit modulus). Immutable after
+// construction, so concurrent `pow` calls need no locking.
+class FixedBasePow {
+ public:
+  /// Requires 1 <= exp_bits <= 64 * kMontMaxLimbs; the base is reduced
+  /// mod ctx's modulus. Copies ctx (and its kernel table).
+  FixedBasePow(const Montgomery& ctx, const BigInt& base, std::size_t exp_bits);
+
+  /// base^exp mod m. Requires 0 <= exp < 2^exp_bits; the kernel call
+  /// sequence and memory reads depend on exp_bits only.
+  BigInt pow(const BigInt& exp) const;
+
+  std::size_t exp_bits() const noexcept { return exp_bits_; }
+
+ private:
+  using Limb = BigInt::Limb;
+
+  /// out = T[w][digit], by a masked read of every entry in window w.
+  void select(std::size_t w, Limb digit, Limb* out) const;
+
+  Montgomery ctx_;
+  std::size_t exp_bits_;
+  std::size_t windows_;
+  std::vector<Limb> table_;  // limb j of entry (w, d) at (w * n + j) * 16 + d
 };
 
 }  // namespace datablinder::bigint

@@ -533,11 +533,25 @@ void CloudNode::register_agg_handlers() {
 
 void CloudNode::register_plain_handlers() {
   auto col_name = [](const Object& req) { return "plain:" + wire::get_str(req, "col"); };
-  rpc_.register_method("plain.put", [this, col_name](BytesView p) {
+  // Applies one document's values to the collection's tracked averages.
+  // Called with plain_mutex_ held.
+  auto track = [this](const std::string& col, const doc::Document& d, int sign) {
+    const auto sums = plain_sums_.find(col);
+    if (sums == plain_sums_.end()) return;
+    for (auto& [field, total] : sums->second) total.add(d, field, sign);
+  };
+  auto untrack_stored = [this, track](const std::string& col, const std::string& id) {
+    docs_.collection(col).visit_many({id}, [&](const doc::Document& old) { track(col, old, -1); });
+  };
+  rpc_.register_method("plain.put", [this, col_name, track, untrack_stored](BytesView p) {
     const Object req = wire::unpack(p);
-    auto& col = docs_.collection(col_name(req));
+    const std::string name = col_name(req);
     doc::Document d = doc::decode_document(wire::get_bin(req, "doc"));
-    col.put(std::move(d));
+    require(!d.id.empty(), "plain.put: empty id");
+    std::lock_guard lock(plain_mutex_);
+    untrack_stored(name, d.id);
+    track(name, d, +1);
+    docs_.collection(name).put(std::move(d));
     return wire::pack({});
   });
   rpc_.register_method("plain.index", [this, col_name](BytesView p) {
@@ -551,9 +565,13 @@ void CloudNode::register_plain_handlers() {
     if (!d) throw_error(ErrorCode::kNotFound, "plain.get: no such document");
     return wire::pack({{"doc", Value(doc::encode_document(*d))}});
   });
-  rpc_.register_method("plain.del", [this, col_name](BytesView p) {
+  rpc_.register_method("plain.del", [this, col_name, untrack_stored](BytesView p) {
     const Object req = wire::unpack(p);
-    docs_.collection(col_name(req)).erase(wire::get_str(req, "id"));
+    const std::string name = col_name(req);
+    const std::string id = wire::get_str(req, "id");
+    std::lock_guard lock(plain_mutex_);
+    untrack_stored(name, id);
+    docs_.collection(name).erase(id);
     return wire::pack({});
   });
   auto docs_to_value = [](const std::vector<doc::Document>& found) {
@@ -597,18 +615,27 @@ void CloudNode::register_plain_handlers() {
   });
   rpc_.register_method("plain.avg", [this, col_name](BytesView p) {
     const Object req = wire::unpack(p);
+    const std::string name = col_name(req);
     const std::string field = wire::get_str(req, "field");
-    double sum = 0;
-    std::int64_t count = 0;
-    docs_.collection(col_name(req)).scan([&](const doc::Document& d) {
-      if (d.has(field)) {
-        sum += d.at(field).as_double();
-        ++count;
-      }
-      return true;
-    });
-    return wire::pack({{"sum", Value(sum)}, {"count", Value(count)}});
+    std::lock_guard lock(plain_mutex_);
+    const auto [it, first] = plain_sums_[name].try_emplace(field);
+    PlainSum& total = it->second;
+    if (first) {
+      docs_.collection(name).scan([&](const doc::Document& d) {
+        total.add(d, field, +1);
+        return true;
+      });
+    }
+    return wire::pack({{"sum", Value(total.sum)}, {"count", Value(total.count)}});
   });
+}
+
+void CloudNode::PlainSum::add(const doc::Document& d, const std::string& field, int sign) {
+  if (!d.has(field)) return;
+  const Value& v = d.at(field);
+  if (v.type() != doc::ValueType::kInt && v.type() != doc::ValueType::kDouble) return;
+  sum += sign * v.as_double();
+  count += sign;
 }
 
 // --- admin / observability -------------------------------------------------------

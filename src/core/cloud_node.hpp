@@ -106,6 +106,21 @@ class CloudNode {
   std::unordered_map<std::string, AggColumn> agg_;
   std::mutex agg_mutex_;
 
+  // S_A's running averages, so plain.avg is O(1) like agg.sum: per plain
+  // collection and averaged field, the sum and count of the numeric values
+  // held. A field is tracked from its first plain.avg (one scan); then
+  // plain.put (an overwrite subtracts the old value) and plain.del keep it
+  // current, under plain_mutex_, which also makes their read of the old
+  // document and their write one step.
+  struct PlainSum {
+    double sum = 0;
+    std::int64_t count = 0;
+    /// Adds (sign +1) or removes (sign -1) d's value of `field`, if numeric.
+    void add(const doc::Document& d, const std::string& field, int sign);
+  };
+  std::unordered_map<std::string, std::unordered_map<std::string, PlainSum>> plain_sums_;
+  std::mutex plain_mutex_;
+
   std::atomic<std::uint64_t> index_ops_{0};
 };
 

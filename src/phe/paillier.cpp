@@ -155,43 +155,27 @@ BigInt PaillierPublicKey::encrypt_zero() const { return encrypt(BigInt(0)); }
 // ---------------------------------------------------------------------------
 
 /// The key holder's residue system mod p^2 and q^2, for decryption and for
-/// the blinding factor r^n mod n^2.
+/// the blinding factor of every encryption.
 struct PaillierPrivateKey::Crt {
   Crt(const BigInt& modulus, const BigInt& p_in, const BigInt& q_in)
-      : n(modulus), p(p_in), q(q_in), q2(q * q), mont_p2(p * p), mont_q2(q2),
-        p_minus_1(p - BigInt(1)), q_minus_1(q - BigInt(1)) {
-    // h_p = L_p(g^{p-1} mod p^2)^{-1} mod p with g = n+1 (and symmetrically
-    // for q): the constant folded out of every CRT decryption branch.
-    const BigInt g = n + BigInt(1);
-    hp = ((g.pow_mod(p_minus_1, mont_p2) - BigInt(1)) / p).inv_mod(p);
-    hq = ((g.pow_mod(q_minus_1, mont_q2) - BigInt(1)) / q).inv_mod(q);
-    q_inv_p = q.inv_mod(p);
-    // (Z/p^2)* has order p(p-1), so for a unit r, r^n = r^(n mod p(p-1))
-    // mod p^2; likewise mod q^2.
-    n_mod_p_order = n.mod(p * p_minus_1);
-    n_mod_q_order = n.mod(q * q_minus_1);
-    q2_inv_p2 = q2.inv_mod(mont_p2.modulus());
+      : Crt(modulus, p_in, q_in, djn_base(modulus)) {}
+
+  /// h = -x^2 mod n for a fresh unit x (Damgard, Jurik & Nielsen): h^n
+  /// generates a subgroup of the n-th residues mod n^2 in which a short
+  /// exponent is assumed to look like a uniform one.
+  static BigInt djn_base(const BigInt& n) {
+    const BigInt x = sample_unit(n);
+    return n - x.mul_mod(x, n);
   }
 
-  /// gcd(r, n) = 1, by two short divisions.
-  bool is_unit(const BigInt& r) const {
-    return !r.mod(p).is_zero() && !r.mod(q).is_zero();
-  }
-
-  /// r^n mod n^2 for a unit r: two half-width exponentiations, recombined
-  /// mod n^2 = p^2 q^2 (Garner). Same value as the full-width r^n.
-  BigInt blind(const BigInt& r) const {
-    const BigInt a = r.pow_mod(n_mod_p_order, mont_p2);
-    const BigInt b = r.pow_mod(n_mod_q_order, mont_q2);
-    return b + (a - b).mul_mod(q2_inv_p2, mont_p2) * q2;
-  }
-
-  /// r^n mod n^2 for a fresh unit r.
+  /// h_s^alpha = (h^alpha)^n mod n^2 for a fresh alpha of ceil(bits(n) / 2)
+  /// bits: one fixed-base walk mod p^2 and one mod q^2, recombined mod
+  /// n^2 = p^2 q^2 (Garner).
   BigInt fresh_factor() const {
-    for (;;) {
-      const BigInt r = BigInt::random_below(n);
-      if (is_unit(r)) return blind(r);
-    }
+    const BigInt alpha = BigInt::random_below(BigInt(1) << hs_p.exp_bits());
+    const BigInt a = hs_p.pow(alpha);
+    const BigInt b = hs_q.pow(alpha);
+    return b + (a - b).mul_mod(q2_inv_p2, mont_p2) * q2;
   }
 
   BigInt n, p, q, q2;
@@ -199,8 +183,25 @@ struct PaillierPrivateKey::Crt {
   BigInt p_minus_1, q_minus_1;
   BigInt hp, hq;     // L_p(g^{p-1} mod p^2)^{-1} mod p, resp. for q
   BigInt q_inv_p;    // q^{-1} mod p
-  BigInt n_mod_p_order, n_mod_q_order;  // n mod p(p-1), n mod q(q-1)
   BigInt q2_inv_p2;  // (q^2)^{-1} mod p^2
+  // h_s = h^n mod p^2 and mod q^2, with tables for exponents of
+  // ceil(bits(n) / 2) bits.
+  bigint::FixedBasePow hs_p, hs_q;
+
+ private:
+  Crt(const BigInt& modulus, const BigInt& p_in, const BigInt& q_in, const BigInt& h)
+      : n(modulus), p(p_in), q(q_in), q2(q * q), mont_p2(p * p), mont_q2(q2),
+        p_minus_1(p - BigInt(1)), q_minus_1(q - BigInt(1)),
+        hs_p(mont_p2, h.pow_mod(n, mont_p2), (n.bit_length() + 1) / 2),
+        hs_q(mont_q2, h.pow_mod(n, mont_q2), (n.bit_length() + 1) / 2) {
+    // h_p = L_p(g^{p-1} mod p^2)^{-1} mod p with g = n+1 (and symmetrically
+    // for q): the constant folded out of every CRT decryption branch.
+    const BigInt g = n + BigInt(1);
+    hp = ((g.pow_mod(p_minus_1, mont_p2) - BigInt(1)) / p).inv_mod(p);
+    hq = ((g.pow_mod(q_minus_1, mont_q2) - BigInt(1)) / q).inv_mod(q);
+    q_inv_p = q.inv_mod(p);
+    q2_inv_p2 = q2.inv_mod(mont_p2.modulus());
+  }
 };
 
 void PaillierPrivateKey::init_fast_paths(std::size_t pool_low_water) {
@@ -210,7 +211,7 @@ void PaillierPrivateKey::init_fast_paths(std::size_t pool_low_water) {
   }
   if (pool_low_water > 0 && !pub.pool) {
     // One blinding routine on the key holder: a miss and a refill both run
-    // the CRT exponentiation; only a key without p and q pays full width.
+    // the fixed-base walks; only a key without p and q pays a full-width r^n.
     std::function<BigInt()> fresh;
     if (crt_) {
       fresh = [crt = crt_] { return crt->fresh_factor(); };
@@ -230,12 +231,6 @@ BigInt PaillierPrivateKey::encrypt(const BigInt& m, bool* pooled) const {
 
 BigInt PaillierPrivateKey::encrypt_i64(std::int64_t m, bool* pooled) const {
   return encrypt(BigInt(m), pooled);
-}
-
-BigInt PaillierPrivateKey::encrypt_with(const BigInt& m, const BigInt& r) const {
-  if (!crt_) return pub.encrypt_with(m, r);
-  require(crt_->is_unit(r), "Paillier: r must be a unit mod n");
-  return pub.with_factor(m, crt_->blind(r));
 }
 
 BigInt PaillierPrivateKey::decode_signed(BigInt m) const {

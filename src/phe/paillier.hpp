@@ -15,12 +15,15 @@
 //    encryption/homomorphic op amortizes the per-modulus precomputation;
 //  * keygen retains p and q, so the key holder works by CRT. Decryption
 //    exponentiates mod p^2 and q^2 separately (~4x less work than one
-//    exponentiation mod n^2). Encryption computes r^n mod p^2 and mod q^2
-//    with the exponent reduced mod p(p-1) and q(q-1), then recombines: two
-//    half-width exponentiations instead of one full-width one, and the same
-//    ciphertext as the public path for the same r;
-//  * a randomizer pool, attached by the key holder, precomputes the r^n
-//    blinding factors off the hot path with that same CRT routine,
+//    exponentiation mod n^2). Encryption is the Damgard-Jurik-Nielsen
+//    variant (IJIS 2010): each loaded key draws h = -x^2 mod n once and
+//    fixes h_s = h^n mod n^2, and an encryption is (1 + m*n) * h_s^alpha
+//    for a fresh alpha of ceil(bits(n) / 2) bits, i.e. Enc(m; r = h^alpha).
+//    h_s^alpha is a fixed-base table walk mod p^2 and mod q^2
+//    (bigint::FixedBasePow), recombined. Beyond DCR this assumes that a
+//    short exponent on the fixed base looks like a uniform one;
+//  * a randomizer pool, attached by the key holder, precomputes the
+//    blinding factors off the hot path with that same fixed-base routine,
 //    reducing a hot encryption to two modular multiplications.
 #pragma once
 
@@ -50,7 +53,7 @@ struct PaillierPublicKey {
   // Derived accelerators (never serialized; rebuilt via init_fast_paths).
   std::shared_ptr<const Montgomery> mont_n;
   std::shared_ptr<const Montgomery> mont_n2;
-  /// Precomputed r^n factors; attached by the key holder
+  /// Precomputed blinding factors; attached by the key holder
   /// (PaillierPrivateKey::init_fast_paths), drawn by every encrypt.
   std::shared_ptr<PaillierRandomizerPool> pool;
 
@@ -108,28 +111,26 @@ struct PaillierPrivateKey {
 
   /// Builds pub's contexts and, when p and q are set, the CRT residue
   /// system: p^2/q^2 contexts, the L-inverse constants h_p/h_q, q^{-1} mod
-  /// p, the encryption exponents n mod p(p-1) and n mod q(q-1), and
-  /// (q^2)^{-1} mod p^2. When `pool_low_water` > 0 it also attaches to
-  /// `pub` a randomizer pool that keeps at least that many r^n factors
-  /// ready, computed by this key's blinding routine (CRT when available)
-  /// on a background worker. Idempotent; without p and q, encryption and
-  /// decryption fall back to the public and lambda/mu paths.
+  /// p, (q^2)^{-1} mod p^2, and this key's own h_s with its fixed-base
+  /// tables mod p^2 and q^2 (drawn from SecureRng, never persisted). When
+  /// `pool_low_water` > 0 it also attaches to `pub` a randomizer pool that
+  /// keeps at least that many blinding factors ready, computed by this
+  /// key's blinding routine (fixed-base when available) on a background
+  /// worker. Idempotent; without p and q, encryption and decryption fall
+  /// back to the public and lambda/mu paths.
   void init_fast_paths(std::size_t pool_low_water = 0);
 
   /// True when init_fast_paths built the CRT residue system.
   bool has_crt() const noexcept { return crt_ != nullptr; }
 
   /// Encrypts like pub.encrypt, drawing from pub.pool when attached and
-  /// otherwise computing r^n by CRT (the public path without p and q).
-  /// When `pooled` is given, it reports whether the factor came from the
-  /// pool — per call, so concurrent encryptions count correctly.
+  /// otherwise computing h_s^alpha by the fixed-base walks (the public
+  /// path's r^n without p and q). The ciphertext is an encryption under
+  /// the same n, decrypted by either path. When `pooled` is given, it
+  /// reports whether the factor came from the pool — per call, so
+  /// concurrent encryptions count correctly.
   BigInt encrypt(const BigInt& m, bool* pooled = nullptr) const;
   BigInt encrypt_i64(std::int64_t m, bool* pooled = nullptr) const;
-
-  /// Enc(m; r) for a caller-chosen r, by CRT: byte-identical to
-  /// pub.encrypt_with(m, r). Throws Error(kInvalidArgument) unless
-  /// r mod p != 0 and r mod q != 0 (the same condition as gcd(r, n) = 1).
-  BigInt encrypt_with(const BigInt& m, const BigInt& r) const;
 
   /// Decrypts to a signed integer (half-range decoding). Uses CRT when
   /// init_fast_paths() ran with p/q available.
@@ -155,12 +156,12 @@ struct PaillierKeyPair {
   PaillierPrivateKey priv;
 };
 
-/// Precomputed pool of r^n mod n^2 blinding factors. `take()` pops in O(1);
-/// when the pool drains below its low-water mark a refill task on a
-/// one-thread WorkerPool tops it up to the high-water mark, so steady-state
-/// encryption never runs the r^n exponentiation inline. Thread-safe.
-/// Entries come from `fresh`, which must be thread-safe and draw r from
-/// SecureRng (via BigInt::random_below) — pool entries are key material.
+/// Precomputed pool of blinding factors (n-th residues mod n^2). `take()`
+/// pops in O(1); when the pool drains below its low-water mark a refill
+/// task on a one-thread WorkerPool tops it up to the high-water mark, so
+/// steady-state encryption never computes its blinding factor inline.
+/// Thread-safe. Entries come from `fresh`, which must be thread-safe and
+/// draw its randomness from SecureRng — pool entries are key material.
 class PaillierRandomizerPool {
  public:
   PaillierRandomizerPool(std::function<BigInt()> fresh, std::size_t low_water);

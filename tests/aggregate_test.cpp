@@ -4,9 +4,12 @@
 // removes, overwrites, journal replays, a repeated agg.setup, and a crafted
 // ciphertext with no inverse mod n^2 — on one node, three replicas and
 // four shards. Also run under TSan with inserts and sums in flight together.
+// S_A's plaintext average is a running sum too, checked the same way
+// against a scan of the documents the node holds.
 #include <gtest/gtest.h>
 
 #include <map>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -14,6 +17,7 @@
 #include "common/rng.hpp"
 #include "core/gateway.hpp"
 #include "core/sharding.hpp"
+#include "doc/binary_codec.hpp"
 #include "doc/wire.hpp"
 #include "phe/paillier.hpp"
 
@@ -208,6 +212,85 @@ TEST(RunningAggregateTest, ConcurrentInsertsAndSums) {
     }
     col.expect_sum_matches_fold("shards=" + std::to_string(shards));
   }
+}
+
+// --- S_A's running plaintext average -------------------------------------------
+
+/// Drives plain.put, plain.del and plain.avg on one collection and keeps
+/// what a scan of its documents reads: id -> the numeric "value", if any.
+/// Values are multiples of 1/4 well below 2^52, so every sum is exact in
+/// any order and the running total must equal the scan bit for bit.
+struct PlainColumn {
+  net::RpcClient& rpc;
+  std::map<std::string, std::optional<double>> model;
+
+  void put_doc(const std::string& id, std::optional<Value> value) {
+    doc::Document d;
+    d.id = id;
+    d.set("status", Value("final"));
+    if (value) d.set("value", *value);
+    rpc.call("plain.put", wire::pack({{"col", Value("obs")},
+                                      {"doc", Value(doc::encode_document(d))}}));
+    model[id] = value ? std::optional<double>(value->as_double()) : std::nullopt;
+  }
+  void del_doc(const std::string& id) {
+    rpc.call("plain.del", wire::pack({{"col", Value("obs")}, {"id", Value(id)}}));
+    model.erase(id);
+  }
+  void expect_average_matches_scan(const std::string& where) {
+    double sum = 0;
+    std::int64_t count = 0;
+    for (const auto& [id, v] : model) {
+      if (v) {
+        sum += *v;
+        ++count;
+      }
+    }
+    const doc::Object resp = wire::unpack(
+        rpc.call("plain.avg", wire::pack({{"col", Value("obs")}, {"field", Value("value")}})));
+    EXPECT_EQ(wire::get(resp, "sum").as_double(), sum) << where;
+    EXPECT_EQ(wire::get_int(resp, "count"), count) << where;
+  }
+};
+
+void run_plain_sequence(core::ShardedCloud& cloud, std::uint64_t seed) {
+  PlainColumn col{cloud.client(), {}};
+  DetRng rng(seed);
+  auto value = [&]() -> std::optional<Value> {
+    switch (rng.uniform(3)) {
+      case 0: return std::nullopt;  // a document without the field
+      case 1: return Value(static_cast<std::int64_t>(rng.uniform(1000)) - 500);
+      default: return Value(static_cast<double>(rng.uniform(4000)) / 4.0 - 500.0);
+    }
+  };
+  // Documents stored before the first average are counted by its scan.
+  for (int i = 0; i < 12; ++i) col.put_doc(std::string("p").append(std::to_string(i)), value());
+  col.expect_average_matches_scan("first average");
+  // Then puts (new ids and overwrites, which may add or drop the field)
+  // and deletes (of present and absent ids) keep the running total.
+  for (int step = 0; step < 300; ++step) {
+    const std::string id = std::string("p").append(std::to_string(rng.uniform(30)));
+    if (rng.uniform(4) == 0) {
+      col.del_doc(id);
+    } else {
+      col.put_doc(id, value());
+    }
+    if (step % 3 == 0) {
+      col.expect_average_matches_scan("seed=" + std::to_string(seed) +
+                                      " step=" + std::to_string(step));
+    }
+  }
+  for (int i = 0; i < 30; ++i) col.del_doc(std::string("p").append(std::to_string(i)));
+  col.expect_average_matches_scan("all deleted");
+}
+
+TEST(RunningPlainAverageTest, MatchesScanAfterPutOverwriteAndDelete) {
+  for (std::uint64_t seed : {1u, 2u}) {
+    core::ShardedCloud cloud(shape(1, 1));
+    run_plain_sequence(cloud, seed);
+  }
+  core::ShardedCloud sharded(shape(4, 1));
+  run_plain_sequence(sharded, 3);
 }
 
 }  // namespace

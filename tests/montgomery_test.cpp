@@ -1,7 +1,8 @@
 // Differential tests for the Montgomery fast paths: every accelerated
-// route (the kernel tables, Paillier CRT decryption and encryption + randomizer
-// pool, Sophos cached contexts and CRT trapdoor, hoisted PRF key schedules)
-// is pinned bit-for-bit against the reference implementation it replaced.
+// route (the kernel tables, fixed-base exponentiation, Paillier CRT
+// decryption, fixed-base encryption + randomizer pool, Sophos cached
+// contexts and CRT trapdoor, hoisted PRF key schedules) is pinned against
+// the reference implementation it replaced.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -366,54 +367,118 @@ TEST(PaillierDifferential, RandomizerPoolDestroyedMidRefillJoinsCleanly) {
   }
 }
 
-// --- Paillier CRT encryption ---------------------------------------------------
+// --- fixed-base exponentiation ------------------------------------------------
 
-/// A uniformly random unit of Z_n, drawn independently of the key's sampler.
-BigInt random_unit(const BigInt& n) {
-  for (;;) {
-    const BigInt r = BigInt::random_below(n);
-    if (!r.is_zero() && BigInt::gcd(r, n) == BigInt(1)) return r;
+/// Exponents below 2^bits that stress the table walk: 0, 1, all ones, only
+/// the top window set, and random ones.
+std::vector<BigInt> fixed_base_exponents(std::size_t bits) {
+  const BigInt all_ones = (BigInt(1) << bits) - BigInt(1);
+  const std::size_t top_window = 4 * ((bits - 1) / 4);
+  std::vector<BigInt> out = {BigInt(0), BigInt(1), all_ones,
+                             (all_ones >> top_window) << top_window};
+  for (int i = 0; i < 6; ++i) out.push_back(BigInt::random_below(all_ones + BigInt(1)));
+  return out;
+}
+
+TEST(FixedBasePow, TableWalkEqualsPowOnEveryKernel) {
+  std::vector<const bigint::MontKernels*> tables = {&bigint::portable_mont_kernels()};
+  if (bigint::hardware_mont_kernels() != nullptr) {
+    tables.push_back(bigint::hardware_mont_kernels());
+  }
+  for (const bigint::MontKernels* k : tables) {
+    for (const std::size_t limbs : {1UL, 8UL, 32UL}) {
+      const BigInt m = random_odd(64 * limbs);
+      const Montgomery ctx(m, *k);
+      const BigInt h = BigInt::random_below(m);
+      // A whole number of windows, and a top window of one bit.
+      for (const std::size_t bits : {32 * limbs, 32 * limbs + 1}) {
+        const bigint::FixedBasePow fixed(ctx, h, bits);
+        for (const BigInt& alpha : fixed_base_exponents(bits)) {
+          ASSERT_EQ(fixed.pow(alpha), ctx.pow(h, alpha))
+              << limbs << " limbs, " << bits << "-bit exponent " << alpha.to_decimal();
+        }
+      }
+      // A base at or above the modulus is reduced first, as pow reduces it.
+      const bigint::FixedBasePow wide(ctx, h + m, 16);
+      EXPECT_EQ(wide.pow(BigInt(40503)), h.pow_mod_generic(BigInt(40503), m));
+    }
   }
 }
 
-class PaillierCrtEncryption : public ::testing::TestWithParam<std::size_t> {};
+TEST(FixedBasePow, RejectsExponentsOutsideTheTable) {
+  const BigInt m = random_odd(256);
+  const Montgomery ctx(m);
+  const bigint::FixedBasePow fixed(ctx, BigInt(7), 100);
+  EXPECT_THROW(fixed.pow(BigInt(1) << 100), Error);
+  EXPECT_THROW(fixed.pow(BigInt(-1)), Error);
+  EXPECT_THROW(bigint::FixedBasePow(ctx, BigInt(7), 0), Error);
+  EXPECT_EQ(fixed.pow((BigInt(1) << 100) - BigInt(1)),
+            BigInt(7).pow_mod_generic((BigInt(1) << 100) - BigInt(1), m));
+}
 
-TEST_P(PaillierCrtEncryption, CiphertextEqualsPublicForSameR) {
+/// Every kernel call's operand addresses, recorded by a table that wraps
+/// the portable kernel.
+std::vector<std::vector<const void*>> g_kernel_operands;
+
+void recording_mul(std::uint64_t* out, const std::uint64_t* a, const std::uint64_t* b,
+                   const std::uint64_t* m, std::uint64_t m0inv, std::size_t n) {
+  g_kernel_operands.push_back({out, a, b, m});
+  bigint::portable_mont_kernels().mul(out, a, b, m, m0inv, n);
+}
+
+TEST(FixedBasePow, NoExponentDigitPicksAnAddress) {
+  // The walk gathers each window's entry by a masked scan into one buffer,
+  // so the kernel sees the same operands, call for call, for any exponent
+  // the table covers: sparse, dense, random and zero. The log sees kernel
+  // operands only; the scan itself reads all 16 entries of every window.
+  const bigint::MontKernels recording{recording_mul};
+  const BigInt m = random_odd(512);
+  const Montgomery ctx(m, recording);
+  const BigInt h = BigInt::random_below(m);
+  const std::size_t bits = 256;
+  const bigint::FixedBasePow fixed(ctx, h, bits);
+  const BigInt sparse = BigInt(1) << (bits - 1);
+  const BigInt dense = (BigInt(1) << bits) - BigInt(1);
+  const BigInt mixed = sparse + BigInt::random_below(sparse);
+  std::vector<std::vector<std::vector<const void*>>> logs;
+  for (const BigInt& alpha : {sparse, dense, mixed, BigInt(0)}) {
+    g_kernel_operands.clear();
+    EXPECT_EQ(fixed.pow(alpha), h.pow_mod_generic(alpha, m));
+    logs.push_back(g_kernel_operands);
+  }
+  // One multiply per further window and one out of the domain.
+  EXPECT_EQ(logs[0].size(), bits / 4);
+  for (std::size_t i = 1; i < logs.size(); ++i) EXPECT_EQ(logs[i], logs[0]) << i;
+  g_kernel_operands.clear();
+}
+
+// --- Paillier fixed-base encryption --------------------------------------------
+
+class PaillierFixedBaseEncryption : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(PaillierFixedBaseEncryption, RoundTripsBoundaryPlaintexts) {
   const phe::PaillierKeyPair kp = phe::paillier_generate(GetParam());
   ASSERT_TRUE(kp.priv.has_crt());
-  DetRng rng(GetParam() + 1);
-  for (int i = 0; i < 6; ++i) {
-    const BigInt r = random_unit(kp.pub.n);
-    const BigInt m(rng.range(-1000000, 1000000));
-    const BigInt ct = kp.priv.encrypt_with(m, r);
-    EXPECT_EQ(ct, kp.pub.encrypt_with(m, r)) << GetParam() << " bits, trial " << i;
-    EXPECT_EQ(kp.priv.decrypt(ct), m);
-  }
-  // r = 1 and r = n - 1 are units at the edges of the range.
-  EXPECT_EQ(kp.priv.encrypt_with(BigInt(5), BigInt(1)),
-            kp.pub.encrypt_with(BigInt(5), BigInt(1)));
-  EXPECT_EQ(kp.priv.encrypt_with(BigInt(5), kp.pub.n - BigInt(1)),
-            kp.pub.encrypt_with(BigInt(5), kp.pub.n - BigInt(1)));
-}
-
-TEST_P(PaillierCrtEncryption, RoundTripsBoundaryPlaintexts) {
-  const phe::PaillierKeyPair kp = phe::paillier_generate(GetParam());
   // Half-range encoding: (n-1)/2 is the largest positive plaintext and
-  // -(n-1)/2 the most negative one.
+  // -(n-1)/2 the most negative one; the int64 extremes ride the same path.
   const BigInt half = kp.pub.n >> 1;
   const BigInt two62 = BigInt(1) << 62;
-  for (const BigInt& m : {BigInt(0), BigInt(1), BigInt(-1), two62, -two62, half, -half,
-                          half - BigInt(1), -(half - BigInt(1))}) {
+  for (const BigInt& m :
+       {BigInt(0), BigInt(1), BigInt(-1), two62, -two62, half, -half, half - BigInt(1),
+        -(half - BigInt(1)), BigInt(INT64_MAX), BigInt(INT64_MIN)}) {
     const BigInt ct = kp.priv.encrypt(m);
+    EXPECT_LT(ct, kp.pub.n_squared);
     EXPECT_EQ(kp.priv.decrypt(ct), m) << m.to_decimal();
     EXPECT_EQ(kp.priv.decrypt_generic(ct), m) << m.to_decimal();
   }
+  // Fresh alpha per encryption: one plaintext, two ciphertexts.
+  EXPECT_NE(kp.priv.encrypt_i64(9), kp.priv.encrypt_i64(9));
 }
 
-INSTANTIATE_TEST_SUITE_P(ModulusSizes, PaillierCrtEncryption,
+INSTANTIATE_TEST_SUITE_P(ModulusSizes, PaillierFixedBaseEncryption,
                          ::testing::Values(256, 512, 1024));
 
-TEST(PaillierCrtEncryptionTest, HomomorphicAddMixesCrtAndPublicCiphertexts) {
+TEST(PaillierFixedBaseEncryptionTest, HomomorphicAddMixesFixedBaseAndPublicCiphertexts) {
   const phe::PaillierKeyPair kp = phe::paillier_generate(256);
   DetRng rng(41);
   BigInt acc = kp.pub.encrypt_zero();
@@ -428,6 +493,25 @@ TEST(PaillierCrtEncryptionTest, HomomorphicAddMixesCrtAndPublicCiphertexts) {
             -2);
 }
 
+TEST(PaillierFixedBaseEncryptionTest, EachLoadedKeyDrawsItsOwnBase) {
+  // Two key holders loaded from the same factors build their own h_s; each
+  // decrypts the other's ciphertexts, and their sum.
+  const phe::PaillierKeyPair kp = phe::paillier_generate(256);
+  phe::PaillierPrivateKey other;
+  other.lambda = kp.priv.lambda;
+  other.mu = kp.priv.mu;
+  other.p = kp.priv.p;
+  other.q = kp.priv.q;
+  other.pub.n = kp.pub.n;
+  other.init_fast_paths();
+  ASSERT_TRUE(other.has_crt());
+  const BigInt a = kp.priv.encrypt_i64(-1234);
+  const BigInt b = other.encrypt_i64(5678);
+  EXPECT_EQ(other.decrypt_i64(a), -1234);
+  EXPECT_EQ(kp.priv.decrypt_i64(b), 5678);
+  EXPECT_EQ(kp.priv.decrypt_i64(kp.pub.add(a, b)), 4444);
+}
+
 /// Runs `fn` and expects Error(kInvalidArgument).
 template <typename Fn>
 void expect_invalid_argument(Fn fn, const std::string& what) {
@@ -439,19 +523,17 @@ void expect_invalid_argument(Fn fn, const std::string& what) {
   }
 }
 
-TEST(PaillierCrtEncryptionTest, RejectsRThatIsNotAUnit) {
+TEST(PaillierFixedBaseEncryptionTest, PublicPathRejectsRThatIsNotAUnit) {
   const phe::PaillierKeyPair kp = phe::paillier_generate(256);
   const BigInt& p = kp.priv.p;
   const BigInt& q = kp.priv.q;
   for (const BigInt& r : {BigInt(0), p, q, p * BigInt(3), q * BigInt(5), kp.pub.n}) {
-    expect_invalid_argument([&] { kp.priv.encrypt_with(BigInt(1), r); },
-                            "CRT path, r = " + r.to_decimal());
     expect_invalid_argument([&] { kp.pub.encrypt_with(BigInt(1), r); },
                             "public path, r = " + r.to_decimal());
   }
 }
 
-TEST(PaillierCrtEncryptionTest, LegacyKeyWithoutFactorsUsesThePublicPath) {
+TEST(PaillierFixedBaseEncryptionTest, LegacyKeyWithoutFactorsUsesThePublicPath) {
   // A key persisted before p and q were kept: no CRT, but it still
   // encrypts (the public path), decrypts (lambda/mu) and runs a pool.
   const phe::PaillierKeyPair full = phe::paillier_generate(256);
@@ -462,19 +544,17 @@ TEST(PaillierCrtEncryptionTest, LegacyKeyWithoutFactorsUsesThePublicPath) {
   legacy.init_fast_paths(/*pool_low_water=*/2);
   EXPECT_FALSE(legacy.has_crt());
   ASSERT_NE(legacy.pub.pool, nullptr);
-  const BigInt r = random_unit(full.pub.n);
-  EXPECT_EQ(legacy.encrypt_with(BigInt(-31), r), full.priv.encrypt_with(BigInt(-31), r));
   for (const std::int64_t m : {-777LL, 0LL, 31337LL}) {
     EXPECT_EQ(legacy.decrypt_i64(legacy.encrypt_i64(m)), m);
     EXPECT_EQ(full.priv.decrypt_i64(legacy.encrypt_i64(m)), m);
+    EXPECT_EQ(legacy.decrypt_i64(full.priv.encrypt_i64(m)), m);
   }
-  EXPECT_THROW(legacy.encrypt_with(BigInt(1), full.priv.p), Error);
 }
 
-TEST(PaillierCrtEncryptionTest, KeyHolderPoolIsFilledByTheCrtRoutine) {
-  // The key holder's pool is filled by its CRT routine: at setup, on the
-  // refill worker and on a miss. Every entry must be an n-th residue mod
-  // n^2, i.e. an encryption of zero; a wrong recombination breaks that.
+TEST(PaillierFixedBaseEncryptionTest, KeyHolderPoolIsFilledByTheFixedBaseRoutine) {
+  // The key holder's pool is filled by its fixed-base routine: at setup, on
+  // the refill worker and on a miss. Every entry must be an n-th residue
+  // mod n^2, i.e. an encryption of zero; a wrong recombination breaks that.
   phe::PaillierKeyPair kp = phe::paillier_generate(512);
   ASSERT_TRUE(kp.priv.has_crt());
   kp.priv.init_fast_paths(/*pool_low_water=*/4);
