@@ -31,13 +31,15 @@ CloudNode::CloudNode() {
 std::size_t CloudNode::storage_bytes() const {
   std::size_t n = docs_.storage_bytes() + kv_.storage_bytes();
   // SSE server dictionaries.
-  for (const auto& [scope, s] : mitra_) n += s->dict().storage_bytes();
-  for (const auto& [scope, s] : mitra_sl_) {
-    n += s->entries().storage_bytes() + s->counters().storage_bytes();
+  for (const auto& [scope, g] : mitra_) n += g.server->dict().storage_bytes();
+  for (const auto& [scope, g] : mitra_sl_) {
+    n += g.server->dict().storage_bytes() + g.server->counters().storage_bytes();
   }
-  for (const auto& [scope, s] : sophos_) n += s->dict().storage_bytes();
-  for (const auto& [scope, s] : iex_) n += s->dict().storage_bytes();
-  for (const auto& [scope, s] : zmf_) n += s->storage_bytes();
+  for (const auto& [scope, g] : sophos_) {
+    if (g.server) n += g.server->dict().storage_bytes();
+  }
+  for (const auto& [scope, g] : iex_) n += g.server->dict().storage_bytes();
+  for (const auto& [scope, g] : zmf_) n += g.server->storage_bytes();
   return n;
 }
 
@@ -45,21 +47,21 @@ std::uint64_t CloudNode::state_digest() const {
   // Same traversal as storage_bytes(); per-scope digests combine by sum so
   // unordered scope-map iteration order cannot matter.
   std::uint64_t digest = docs_.fingerprint() * 3 + kv_.fingerprint();
-  for (const auto& [scope, s] : mitra_) {
-    digest += fnv1a(fnv1a(kFnvOffset, scope), s->dict().fingerprint());
+  for (const auto& [scope, g] : mitra_) {
+    digest += fnv1a(fnv1a(kFnvOffset, scope), g.server->dict().fingerprint());
   }
-  for (const auto& [scope, s] : mitra_sl_) {
-    digest += fnv1a(fnv1a(kFnvOffset, scope),
-                    s->entries().fingerprint() * 3 + s->counters().fingerprint());
+  for (const auto& [scope, g] : mitra_sl_) {
+    digest += fnv1a(fnv1a(kFnvOffset, scope), g.server->dict().fingerprint() * 3 +
+                                                  g.server->counters().fingerprint());
   }
-  for (const auto& [scope, s] : sophos_) {
-    digest += fnv1a(fnv1a(kFnvOffset, scope), s->dict().fingerprint());
+  for (const auto& [scope, g] : sophos_) {
+    if (g.server) digest += fnv1a(fnv1a(kFnvOffset, scope), g.server->dict().fingerprint());
   }
-  for (const auto& [scope, s] : iex_) {
-    digest += fnv1a(fnv1a(kFnvOffset, scope), s->dict().fingerprint());
+  for (const auto& [scope, g] : iex_) {
+    digest += fnv1a(fnv1a(kFnvOffset, scope), g.server->dict().fingerprint());
   }
-  for (const auto& [scope, s] : zmf_) {
-    digest += fnv1a(fnv1a(kFnvOffset, scope), s->fingerprint());
+  for (const auto& [scope, g] : zmf_) {
+    digest += fnv1a(fnv1a(kFnvOffset, scope), g.server->fingerprint());
   }
   for (const auto& [column, col] : agg_) {
     std::uint64_t h = fnv1a(kFnvOffset, column);
@@ -71,36 +73,6 @@ std::uint64_t CloudNode::state_digest() const {
     digest += fnv1a(h, cts);
   }
   return digest;
-}
-
-sse::MitraServer& CloudNode::mitra(const std::string& scope) {
-  std::lock_guard lock(sse_mutex_);
-  auto& slot = mitra_[scope];
-  if (!slot) slot = std::make_unique<sse::MitraServer>();
-  return *slot;
-}
-
-sse::MitraStatelessServer& CloudNode::mitra_sl(const std::string& scope) {
-  std::lock_guard lock(sse_mutex_);
-  auto& slot = mitra_sl_[scope];
-  if (!slot) slot = std::make_unique<sse::MitraStatelessServer>();
-  return *slot;
-}
-
-sse::Iex2LevServer& CloudNode::iex(const std::string& scope) {
-  std::lock_guard lock(sse_mutex_);
-  auto& slot = iex_[scope];
-  if (!slot) slot = std::make_unique<sse::Iex2LevServer>();
-  return *slot;
-}
-
-sse::IexZmfServer& CloudNode::zmf(const std::string& scope,
-                                  const sse::ZmfFilterParams* params) {
-  std::lock_guard lock(sse_mutex_);
-  auto& slot = zmf_[scope];
-  if (!slot) slot = std::make_unique<sse::IexZmfServer>(params ? *params
-                                                               : sse::ZmfFilterParams{});
-  return *slot;
 }
 
 // --- encrypted documents -----------------------------------------------------
@@ -134,9 +106,8 @@ void CloudNode::register_doc_handlers() {
   });
   rpc_.register_method("doc.del", [this](BytesView p) {
     const Object req = wire::unpack(p);
-    const bool erased =
-        docs_.collection(wire::get_str(req, "col")).erase(wire::get_str(req, "id"));
-    return wire::pack({{"erased", Value(erased)}});
+    docs_.collection(wire::get_str(req, "col")).erase(wire::get_str(req, "id"));
+    return wire::pack({});
   });
   rpc_.register_method("doc.list", [this](BytesView p) {
     const Object req = wire::unpack(p);
@@ -257,28 +228,41 @@ void CloudNode::register_ore_handlers() {
 
 // --- Mitra --------------------------------------------------------------------
 
+namespace {
+
+// The request's address list, in order.
+std::vector<Bytes> addresses_of(const Object& req) {
+  std::vector<Bytes> addresses;
+  for (const auto& a : wire::get_arr(req, "addresses")) addresses.push_back(a.as_binary());
+  return addresses;
+}
+
+// One entry per searched address, empty for a miss.
+Bytes pack_values(const std::vector<Bytes>& values) {
+  Array arr;
+  arr.reserve(values.size());
+  for (const auto& v : values) arr.emplace_back(v);
+  return wire::pack({{"values", Value(std::move(arr))}});
+}
+
+}  // namespace
+
 void CloudNode::register_mitra_handlers() {
   rpc_.register_method("mitra.update", [this](BytesView p) {
     const Object req = wire::unpack(p);
-    sse::MitraUpdateToken token;
-    token.address = wire::get_bin(req, "address");
-    token.value = wire::get_bin(req, "value");
-    mitra(wire::get_str(req, "scope")).apply_update(token);
+    const sse::MitraUpdateToken token{wire::get_bin(req, "address"),
+                                      wire::get_bin(req, "value")};
+    auto& g = guarded(mitra_, wire::get_str(req, "scope"));
+    g.update([&](auto& s) { s.apply_update(token); });
     ++index_ops_;
     return wire::pack({});
   });
   rpc_.register_method("mitra.search", [this](BytesView p) {
     const Object req = wire::unpack(p);
-    sse::MitraSearchToken token;
-    for (const auto& a : wire::get_arr(req, "addresses")) {
-      token.addresses.push_back(a.as_binary());
-    }
-    const auto values = mitra(wire::get_str(req, "scope")).search(token);
+    const sse::MitraSearchToken token{addresses_of(req)};
     index_ops_ += token.addresses.size();
-    Array arr;
-    arr.reserve(values.size());
-    for (const auto& v : values) arr.emplace_back(v);
-    return wire::pack({{"values", Value(std::move(arr))}});
+    auto& g = guarded(mitra_, wire::get_str(req, "scope"));
+    return pack_values(g.search([&](const auto& s) { return s.search(token); }));
   });
 }
 
@@ -290,8 +274,10 @@ void CloudNode::register_mitra_handlers() {
 void CloudNode::register_mitra_stateless_handlers() {
   rpc_.register_method("mitrasl.get_counter", [this](BytesView p) {
     const Object req = wire::unpack(p);
-    auto blob = mitra_sl(wire::get_str(req, "scope"))
-                    .get_counter(wire::get_bin(req, "label"));
+    auto& g = guarded(mitra_sl_, wire::get_str(req, "scope"));
+    auto blob = g.search([&](const auto& s) {
+      return s.get_counter(wire::get_bin(req, "label"));
+    });
     ++index_ops_;
     Object out;
     out["found"] = Value(blob.has_value());
@@ -301,27 +287,21 @@ void CloudNode::register_mitra_stateless_handlers() {
   rpc_.register_method("mitrasl.update", [this](BytesView p) {
     // Atomic second round: store the new counter blob and the new entry.
     const Object req = wire::unpack(p);
-    auto& server = mitra_sl(wire::get_str(req, "scope"));
-    server.put_counter(wire::get_bin(req, "label"), wire::get_bin(req, "counter"));
-    sse::MitraUpdateToken token;
-    token.address = wire::get_bin(req, "address");
-    token.value = wire::get_bin(req, "value");
-    server.apply_update(token);
+    const sse::MitraUpdateToken token{wire::get_bin(req, "address"),
+                                      wire::get_bin(req, "value")};
+    guarded(mitra_sl_, wire::get_str(req, "scope")).update([&](auto& s) {
+      s.put_counter(wire::get_bin(req, "label"), wire::get_bin(req, "counter"));
+      s.apply_update(token);
+    });
     index_ops_ += 2;
     return wire::pack({});
   });
   rpc_.register_method("mitrasl.search", [this](BytesView p) {
     const Object req = wire::unpack(p);
-    sse::MitraSearchToken token;
-    for (const auto& a : wire::get_arr(req, "addresses")) {
-      token.addresses.push_back(a.as_binary());
-    }
-    const auto values = mitra_sl(wire::get_str(req, "scope")).search(token);
+    const sse::MitraSearchToken token{addresses_of(req)};
     index_ops_ += token.addresses.size();
-    Array arr;
-    arr.reserve(values.size());
-    for (const auto& v : values) arr.emplace_back(v);
-    return wire::pack({{"values", Value(std::move(arr))}});
+    auto& g = guarded(mitra_sl_, wire::get_str(req, "scope"));
+    return pack_values(g.search([&](const auto& s) { return s.search(token); }));
   });
 }
 
@@ -334,22 +314,16 @@ void CloudNode::register_sophos_handlers() {
     params.n = BigInt::from_bytes(wire::get_bin(req, "n"));
     params.e = BigInt::from_bytes(wire::get_bin(req, "e"));
     params.init_context();  // one Montgomery context for every future search
-    std::lock_guard lock(sse_mutex_);
-    sophos_[wire::get_str(req, "scope")] =
-        std::make_unique<sse::SophosServer>(std::move(params));
+    auto& g = guarded(sophos_, wire::get_str(req, "scope"));
+    std::unique_lock lock(g.mutex);
+    g.server = std::make_unique<sse::SophosServer>(std::move(params));
     return wire::pack({});
   });
   rpc_.register_method("sophos.update", [this](BytesView p) {
     const Object req = wire::unpack(p);
-    sse::SophosUpdateToken token;
-    token.ut = wire::get_bin(req, "ut");
-    token.value = wire::get_bin(req, "value");
-    std::lock_guard lock(sse_mutex_);
-    auto it = sophos_.find(wire::get_str(req, "scope"));
-    if (it == sophos_.end()) {
-      throw_error(ErrorCode::kNotFound, "sophos: scope not set up");
-    }
-    it->second->apply_update(token);
+    const sse::SophosUpdateToken token{wire::get_bin(req, "ut"), wire::get_bin(req, "value")};
+    auto& g = guarded(sophos_, wire::get_str(req, "scope"));
+    g.update([&](auto& s) { s.apply_update(token); });
     ++index_ops_;
     return wire::pack({});
   });
@@ -359,15 +333,8 @@ void CloudNode::register_sophos_handlers() {
     token.kw_token = wire::get_bin(req, "kw_token");
     token.st_current = wire::get_bin(req, "st");
     token.count = static_cast<std::uint64_t>(wire::get_int(req, "count"));
-    std::vector<std::string> ids;
-    {
-      std::lock_guard lock(sse_mutex_);
-      auto it = sophos_.find(wire::get_str(req, "scope"));
-      if (it == sophos_.end()) {
-        throw_error(ErrorCode::kNotFound, "sophos: scope not set up");
-      }
-      ids = it->second->search(token);
-    }
+    auto& g = guarded(sophos_, wire::get_str(req, "scope"));
+    const auto ids = g.search([&](const auto& s) { return s.search(token); });
     index_ops_ += token.count;
     return wire::pack_ids(ids);
   });
@@ -378,10 +345,9 @@ void CloudNode::register_sophos_handlers() {
 void CloudNode::register_iex_handlers() {
   rpc_.register_method("iex.update", [this](BytesView p) {
     const Object req = wire::unpack(p);
-    sse::IexUpdateToken token;
-    token.address = wire::get_bin(req, "address");
-    token.value = wire::get_bin(req, "value");
-    iex(wire::get_str(req, "scope")).apply_update(token);
+    const sse::IexUpdateToken token{wire::get_bin(req, "address"), wire::get_bin(req, "value")};
+    auto& g = guarded(iex_, wire::get_str(req, "scope"));
+    g.update([&](auto& s) { s.apply_update(token); });
     ++index_ops_;
     return wire::pack({});
   });
@@ -394,7 +360,8 @@ void CloudNode::register_iex_handlers() {
       index_ops_ += addresses.size();
       token.lists.push_back(std::move(addresses));
     }
-    const auto lists = iex(wire::get_str(req, "scope")).search(token);
+    auto& g = guarded(iex_, wire::get_str(req, "scope"));
+    const auto lists = g.search([&](const auto& s) { return s.search(token); });
     Array out;
     for (const auto& values : lists) {
       Array inner;
@@ -414,7 +381,7 @@ void CloudNode::register_zmf_handlers() {
     sse::ZmfFilterParams params;
     params.filter_bits = static_cast<std::size_t>(wire::get_int(req, "filter_bits"));
     params.num_hashes = static_cast<std::size_t>(wire::get_int(req, "num_hashes"));
-    zmf(wire::get_str(req, "scope"), &params);
+    guarded(zmf_, wire::get_str(req, "scope"), params);
     return wire::pack({});
   });
   rpc_.register_method("zmf.update", [this](BytesView p) {
@@ -424,25 +391,21 @@ void CloudNode::register_zmf_handlers() {
     token.value = wire::get_bin(req, "value");
     token.salt = wire::get_bin(req, "salt");
     token.filter = wire::get_bin(req, "filter");
-    zmf(wire::get_str(req, "scope"), nullptr).apply_update(token);
+    auto& g = guarded(zmf_, wire::get_str(req, "scope"));
+    g.update([&](auto& s) { s.apply_update(token); });
     ++index_ops_;
     return wire::pack({});
   });
   rpc_.register_method("zmf.search", [this](BytesView p) {
     const Object req = wire::unpack(p);
     sse::ZmfConjToken token;
-    for (const auto& a : wire::get_arr(req, "addresses")) {
-      token.addresses.push_back(a.as_binary());
-    }
+    token.addresses = addresses_of(req);
     for (const auto& t : wire::get_arr(req, "tokens")) {
       token.keyword_tokens.push_back(t.as_binary());
     }
     index_ops_ += token.addresses.size();
-    const auto values = zmf(wire::get_str(req, "scope"), nullptr).search(token);
-    Array arr;
-    arr.reserve(values.size());
-    for (const auto& v : values) arr.emplace_back(v);
-    return wire::pack({{"values", Value(std::move(arr))}});
+    auto& g = guarded(zmf_, wire::get_str(req, "scope"));
+    return pack_values(g.search([&](const auto& s) { return s.search(token); }));
   });
 }
 

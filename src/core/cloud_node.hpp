@@ -13,11 +13,15 @@
 
 #include <memory>
 #include <mutex>
+#include <shared_mutex>
 #include <string>
+#include <type_traits>
 #include <unordered_map>
+#include <utility>
 
 #include "bigint/bigint.hpp"
 #include "bigint/montgomery.hpp"
+#include "common/status.hpp"
 #include "net/rpc.hpp"
 #include "sse/iex2lev.hpp"
 #include "sse/iexzmf.hpp"
@@ -67,21 +71,55 @@ class CloudNode {
   void register_plain_handlers();
   void register_admin_handlers();
 
-  sse::MitraServer& mitra(const std::string& scope);
-  sse::MitraStatelessServer& mitra_sl(const std::string& scope);
-  sse::Iex2LevServer& iex(const std::string& scope);
-  sse::IexZmfServer& zmf(const std::string& scope, const sse::ZmfFilterParams* params);
+  /// One scope's SSE server and its own lock: a captured write reaches the
+  /// cloud after the gateway released its tactic lock, so the server cannot
+  /// lean on that lock.
+  template <typename Server>
+  struct Guarded {
+    std::shared_mutex mutex;
+    std::unique_ptr<Server> server;  // null until a Sophos scope is set up
+
+    template <typename Fn>
+    auto update(Fn fn) {  // fn(server), exclusive
+      std::unique_lock lock(mutex);
+      return fn(set_up());
+    }
+    template <typename Fn>
+    auto search(Fn fn) {  // fn(server), shared
+      std::shared_lock lock(mutex);
+      return fn(std::as_const(set_up()));
+    }
+    Server& set_up() {
+      if (!server) throw_error(ErrorCode::kNotFound, "sse: scope not set up");
+      return *server;
+    }
+  };
+  template <typename Server>
+  using Scopes = std::unordered_map<std::string, Guarded<Server>>;
+
+  /// The scope's entry, never erased. A fresh entry's server is built from
+  /// `args` when they can build one (a Sophos server waits for its setup).
+  template <typename Server, typename... Args>
+  Guarded<Server>& guarded(Scopes<Server>& scopes, const std::string& scope,
+                           Args&&... args) {
+    std::lock_guard lock(sse_mutex_);
+    auto [it, fresh] = scopes.try_emplace(scope);
+    if constexpr (std::is_constructible_v<Server, Args...>) {
+      if (fresh) it->second.server = std::make_unique<Server>(std::forward<Args>(args)...);
+    }
+    return it->second;
+  }
 
   net::RpcServer rpc_;
   store::DocumentStore docs_;
   store::KvStore kv_;
 
-  std::mutex sse_mutex_;
-  std::unordered_map<std::string, std::unique_ptr<sse::MitraServer>> mitra_;
-  std::unordered_map<std::string, std::unique_ptr<sse::MitraStatelessServer>> mitra_sl_;
-  std::unordered_map<std::string, std::unique_ptr<sse::SophosServer>> sophos_;
-  std::unordered_map<std::string, std::unique_ptr<sse::Iex2LevServer>> iex_;
-  std::unordered_map<std::string, std::unique_ptr<sse::IexZmfServer>> zmf_;
+  std::mutex sse_mutex_;  // guards the scope maps, not the servers
+  Scopes<sse::MitraServer> mitra_;
+  Scopes<sse::MitraStatelessServer> mitra_sl_;
+  Scopes<sse::SophosServer> sophos_;
+  Scopes<sse::Iex2LevServer> iex_;
+  Scopes<sse::IexZmfServer> zmf_;
 
   // A Paillier column keeps a running aggregate, so agg.sum is O(1): the
   // sum is inserted * removed^-1 mod n^2, and the inverse is taken lazily,

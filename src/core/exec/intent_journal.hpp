@@ -1,14 +1,15 @@
-// IntentJournal — crash-consistent insert intents in the gateway's local
+// IntentJournal — crash-consistent write intents in the gateway's local
 // semi-persistent KvStore (the Redis role of §4).
 //
-// An insert plan fans out over several cloud mutations (doc.put + one
-// index update per routed tactic). A WAN fault or gateway crash between
-// them would leave some field indexes updated and others not. The journal
+// A write fans out over several cloud mutations (its doc.put or doc.del,
+// plus per routed tactic the old value's removal and/or the new value's
+// insert). A WAN fault or gateway crash between them would leave some
+// field indexes updated and others not. The journal
 // closes that window with a write-ahead intent:
 //
-//   1. The gateway executes the plan in RPC-capture mode (the deferred
-//      section): every cloud mutation is computed — advancing gateway-side
-//      tactic state — but queued instead of sent.
+//   1. The gateway runs the write in RPC-capture mode (RpcClient::capture):
+//      every cloud mutation is computed — advancing gateway-side tactic
+//      state — but queued instead of sent.
 //   2. The exact wire bytes of the whole queue are recorded here, durably
 //      (KvStore AOF + sync), BEFORE the first cloud mutation ships.
 //   3. The queue ships as one "rpc.batch" round trip.
@@ -17,12 +18,12 @@
 // A fault between 3 and 4 (or a crash any time after 2) leaves a pending
 // intent whose recorded ciphertexts are resumed by BYTE-IDENTICAL replay —
 // never by re-running tactics. Replay is idempotent because every built-in
-// update handler is a keyed overwrite, and it preserves the leakage
-// profile because the adversary only ever sees duplicates of ciphertexts
-// it already held, never a second fresh encryption of the same plaintext.
-// A crash between 1 and 2 loses only the local tactic-state advance (e.g.
-// a skipped Mitra counter slot); nothing reached the cloud, so no partial
-// visible state exists.
+// update handler is a keyed overwrite or removal, and it preserves the
+// leakage profile because the adversary only ever sees duplicates of
+// ciphertexts it already held, never a second fresh encryption of the same
+// plaintext. A crash between 1 and 2 loses only the local tactic-state
+// advance (e.g. a skipped Mitra counter slot, a miss searches skip);
+// nothing reached the cloud, so no partial visible state exists.
 //
 // Record layout (hash "intent/pending", field = token):
 //   be32 version | str collection | be32 n_ids | ids... |
@@ -67,8 +68,8 @@ class IntentJournal {
   std::vector<Intent> pending() const;
   std::size_t pending_count() const;
 
-  /// The pending intent covering (collection, id), if any — the retried-
-  /// insert fast path.
+  /// The pending intent covering (collection, id), if any: a write of that
+  /// id resumes it first.
   std::optional<Intent> find(const std::string& collection,
                              const std::string& id) const;
 

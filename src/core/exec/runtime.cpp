@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <thread>
 
+#include "core/metrics.hpp"
 #include "core/wire.hpp"
 #include "doc/binary_codec.hpp"
 #include "store/docstore.hpp"  // compare_values
@@ -40,30 +41,94 @@ std::vector<std::string> CollectionRuntime::boolean_keywords(const Document& d) 
   return keywords;
 }
 
-std::vector<IndexStep> CollectionRuntime::index_steps(const Document& d,
-                                                      TacticOperation op) {
-  // Fields come sorted by name, so a deferred section queues steps in one
-  // order: per field eq, range, agg, then the alternates.
-  std::vector<IndexStep> steps;
-  for (const auto& [field, value] : d.fields) {
-    for (auto* slots : {&eq, &range, &agg}) {
-      if (auto it = slots->find(field); it != slots->end()) {
-        steps.push_back({&value, &it->second});
+void WritePart::run(PerfRegistry* perf) const {
+  auto call = [&](TacticOperation op, const std::function<void()>& fn) {
+    if (!fn) return;
+    if (perf == nullptr) return fn();
+    const ScopedPerf timer(*perf, descriptor->name, op);
+    fn();
+  };
+  auto calls = [&] {
+    call(TacticOperation::kDelete, on_delete);
+    call(TacticOperation::kInsert, on_insert);
+  };
+  if (descriptor->updates_read_fixed_keys) {
+    std::shared_lock lock(*mutex);
+    calls();
+  } else {
+    std::unique_lock lock(*mutex);
+    calls();
+  }
+}
+
+std::vector<WritePart> CollectionRuntime::write_parts(const Document* before,
+                                                      const Document* after) {
+  const DocId& id = after != nullptr ? after->id : before->id;
+  std::vector<WritePart> parts;
+  auto add_field = [&](const std::string& field, const Value* old_value,
+                       const Value* new_value) {
+    auto add = [&](TacticSlot& slot) {
+      FieldTactic* t = slot.tactic.get();
+      WritePart& part = parts.emplace_back(WritePart{&t->descriptor(), &slot.mutex, {}, {}});
+      if (old_value != nullptr) {
+        part.on_delete = [t, &id, old_value] { t->on_delete(id, *old_value); };
       }
+      if (new_value != nullptr) {
+        part.on_insert = [t, &id, new_value] { t->on_insert(id, *new_value); };
+      }
+    };
+    for (auto* slots : {&eq, &range, &agg}) {
+      if (auto it = slots->find(field); it != slots->end()) add(it->second);
     }
     if (auto ait = range_alts.find(field); ait != range_alts.end()) {
-      for (auto& [alt_name, alt_slot] : ait->second) steps.push_back({&value, &alt_slot});
+      for (auto& [alt_name, alt_slot] : ait->second) add(alt_slot);
+    }
+  };
+  // Fields come sorted by name, so a capture queues parts in one order: per
+  // field eq, range, agg, then the alternates; an update's new-only fields
+  // follow its old ones.
+  auto value_in = [](const Document* d, const std::string& field) -> const Value* {
+    if (d == nullptr) return nullptr;
+    const auto it = d->fields.find(field);
+    return it == d->fields.end() ? nullptr : &it->second;
+  };
+  if (before != nullptr) {
+    for (const auto& [field, value] : before->fields) {
+      add_field(field, &value, value_in(after, field));
     }
   }
-  auto prior_us = [op](const TacticSlot* slot) {
-    const auto& ops = slot->tactic->descriptor().cost.ops;
-    const auto it = ops.find(op);
-    return it == ops.end() ? 0.0 : it->second.base_us;
+  if (after != nullptr) {
+    for (const auto& [field, value] : after->fields) {
+      if (value_in(before, field) == nullptr) add_field(field, nullptr, &value);
+    }
+  }
+  auto prior_us = [](const WritePart& part) {
+    const auto& ops = part.descriptor->cost.ops;
+    auto prior = [&](TacticOperation op, const std::function<void()>& fn) {
+      const auto it = ops.find(op);
+      return fn && it != ops.end() ? it->second.base_us : 0.0;
+    };
+    return prior(TacticOperation::kDelete, part.on_delete) +
+           prior(TacticOperation::kInsert, part.on_insert);
   };
-  std::stable_sort(steps.begin(), steps.end(), [&](const IndexStep& a, const IndexStep& b) {
-    return prior_us(a.slot) > prior_us(b.slot);
+  std::stable_sort(parts.begin(), parts.end(), [&](const WritePart& a, const WritePart& b) {
+    return prior_us(a) > prior_us(b);
   });
-  return steps;
+
+  if (boolean) {
+    WritePart part{&boolean->descriptor(), &boolean_mutex, {}, {}};
+    BooleanTactic* t = boolean.get();
+    if (auto words = before ? boolean_keywords(*before) : std::vector<std::string>{};
+        !words.empty()) {
+      part.on_delete = [t, &id, words = std::move(words)] { t->on_delete(id, words); };
+    }
+    if (auto words = after ? boolean_keywords(*after) : std::vector<std::string>{};
+        !words.empty()) {
+      part.on_insert = [t, &id, words = std::move(words)] { t->on_insert(id, words); };
+    }
+    if (part.on_delete || part.on_insert) parts.push_back(std::move(part));
+  }
+  return parts;
 }
 
 void CollectionRuntime::store(net::RpcClient& cloud, const Document& d) const {

@@ -9,18 +9,22 @@
 // (workload::ScenarioB) calls them bare, so the two cannot drift apart.
 //
 // Locking model: one reader/writer lock PER TACTIC INSTANCE (not per
-// collection). Index mutations (on_insert/on_delete advance SSE client
-// state) take the tactic's lock exclusively, unless the tactic declares
+// collection), guarding that tactic's gateway-side state only. A write part
+// (on_delete then on_insert; both may advance SSE client state) holds its
+// tactic's lock exclusively, unless the tactic declares
 // `updates_read_fixed_keys` (its updates read only setup-time keys: DET,
-// RND, Paillier); queries take it shared.
-// Writes to distinct fields — and the distinct tactic slots of one field —
-// therefore index concurrently, while two updates of the same tactic
-// still serialize. No code path ever holds two tactic locks at once, so
-// the model is deadlock-free by construction.
+// RND, Paillier); queries take it shared. Writes to distinct fields — and
+// the distinct tactic slots of one field — therefore run concurrently,
+// while two writes through the same tactic still serialize. No code path
+// ever holds two tactic locks at once, so the model is deadlock-free by
+// construction. The cloud guards its own index state (CloudNode): a
+// captured write ships after its tactic locks are released, so the cloud
+// cannot lean on them.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -47,25 +51,19 @@ struct TacticSlot {
   mutable std::shared_mutex mutex;
 };
 
-/// One step of a write's index fan-out: a tactic slot and the document
-/// value it indexes.
-struct IndexStep {
-  const doc::Value* value;
-  TacticSlot* slot;
+/// One tactic slot's share of a write: removing the old value, indexing the
+/// new one. An update has both for every field, changed or not, so the
+/// cloud learns nothing about which fields it changed.
+struct WritePart {
+  const TacticDescriptor* descriptor;
+  std::shared_mutex* mutex;        // the slot's lock
+  std::function<void()> on_delete;  // of the old value; empty for an insert
+  std::function<void()> on_insert;  // of the new value; empty for a removal
 
-  /// Runs update(tactic, value) under the slot's lock, shared per the
-  /// locking model above: a slow shared update (a Paillier encryption)
-  /// then never queues writers or queries.
-  template <typename Update>
-  void run(Update&& update) const {
-    if (slot->tactic->descriptor().updates_read_fixed_keys) {
-      std::shared_lock lock(slot->mutex);
-      update(*slot->tactic, *value);
-    } else {
-      std::unique_lock lock(slot->mutex);
-      update(*slot->tactic, *value);
-    }
-  }
+  /// Takes the lock once, shared iff the tactic declares
+  /// `updates_read_fixed_keys` (a Paillier encryption then queues no writer
+  /// or query), and runs both calls, each timed into `perf` if not null.
+  void run(PerfRegistry* perf) const;
 };
 
 struct CollectionRuntime {
@@ -107,13 +105,14 @@ struct CollectionRuntime {
   /// Cross-field keyword set of the document's boolean-member fields.
   std::vector<std::string> boolean_keywords(const doc::Document& d) const;
 
-  /// The index steps of a write of `d`: one per tactic slot (adaptive
-  /// alternates included, so every index that saw an insert sees its
-  /// removal) of every field `d` carries, so writers of disjoint fields
-  /// never contend. Costliest prior for `op` first: WorkerPool::run_all
-  /// runs step 0 on the calling thread at once, so a Paillier encryption
-  /// starts before the cheap steps, not after them.
-  std::vector<IndexStep> index_steps(const doc::Document& d, TacticOperation op);
+  /// The parts of a write replacing `before` with `after` (an insert has no
+  /// `before`, a removal no `after`): one per tactic slot of every field
+  /// either carries, adaptive alternates included, so every index that saw
+  /// an insert sees its removal and writers of disjoint fields never
+  /// contend. Costliest prior first (WorkerPool::run_all runs part 0 on the
+  /// calling thread at once); the boolean tactic's part, if any, last.
+  std::vector<WritePart> write_parts(const doc::Document* before,
+                                     const doc::Document* after);
 
   /// The store step of an insert: one doc.put of the sealed document.
   void store(net::RpcClient& cloud, const doc::Document& d) const;

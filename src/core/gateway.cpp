@@ -1,6 +1,7 @@
 #include "core/gateway.hpp"
 
 #include <algorithm>
+#include <iterator>
 #include <optional>
 #include <shared_mutex>
 #include <unordered_set>
@@ -155,69 +156,12 @@ DocId Gateway::generate_doc_id() {
   return hex_encode(SecureRng::bytes(12));
 }
 
-std::vector<net::Request> Gateway::capture(const std::function<void()>& body) {
-  cloud_.begin_deferred();
-  try {
-    body();
-    return cloud_.take_deferred();
-  } catch (...) {
-    cloud_.abandon_deferred();
-    throw;
-  }
-}
-
-void Gateway::journaled_run(const std::string& collection,
-                            const std::vector<std::string>& ids,
-                            const std::function<void()>& body) {
-  const std::vector<net::Request> captured = capture(body);
-  // Journal the exact wire bytes durably BEFORE anything ships, then send
-  // the whole batch in one round trip. A fault between begin and complete
-  // leaves a pending intent that recover_pending_inserts()/a retried
-  // insert replays byte-identically.
-  const std::string token = journal_->begin(collection, ids, captured);
-  perf_.incr("core.journal.begin");
-  cloud_.send_batch(captured);
-  journal_->complete(token);
-}
-
 void Gateway::run_steps(std::size_t n, const std::function<void(std::size_t)>& step) {
-  if (n == 1 || cloud_.in_deferred_section()) {
-    for (std::size_t i = 0; i < n; ++i) step(i);
+  if (n == 1) {
+    step(0);
   } else {
     pool_.run_all(n, step);
   }
-}
-
-void Gateway::update_indexes(exec::CollectionRuntime& rt, const Document& d,
-                             TacticOperation op) {
-  const std::vector<exec::IndexStep> steps = rt.index_steps(d, op);
-  const std::vector<std::string> keywords =
-      rt.boolean ? rt.boolean_keywords(d) : std::vector<std::string>{};
-  const std::size_t n = steps.size() + (keywords.empty() ? 0 : 1);
-  if (n == 0) return;
-
-  const bool is_insert = op == TacticOperation::kInsert;
-  const ScopedPerf stage(perf_, is_insert ? "core.index" : "core.unindex", op);
-  run_steps(n, [&](std::size_t i) {
-    if (i == steps.size()) {
-      std::unique_lock lock(rt.boolean_mutex);
-      const ScopedPerf perf(perf_, rt.boolean->descriptor().name, op);
-      if (is_insert) {
-        rt.boolean->on_insert(d.id, keywords);
-      } else {
-        rt.boolean->on_delete(d.id, keywords);
-      }
-      return;
-    }
-    steps[i].run([&](FieldTactic& tactic, const Value& value) {
-      const ScopedPerf perf(perf_, tactic.descriptor().name, op);
-      if (is_insert) {
-        tactic.on_insert(d.id, value);
-      } else {
-        tactic.on_delete(d.id, value);
-      }
-    });
-  });
 }
 
 Document Gateway::get_document(const exec::CollectionRuntime& rt, const DocId& id) {
@@ -226,32 +170,91 @@ Document Gateway::get_document(const exec::CollectionRuntime& rt, const DocId& i
   return rt.open_document(id, wire::get_bin(wire::unpack(reply), "blob"));
 }
 
-void Gateway::store_and_index(exec::CollectionRuntime& rt, const Document& d) {
-  {
-    const ScopedPerf stage(perf_, "core.store", TacticOperation::kInsert);
-    rt.store(cloud_, d);
+bool Gateway::resume_pending(const std::string& collection, const DocId& id) {
+  if (journal_ == nullptr) return false;
+  const auto intent = journal_->find(collection, id);
+  if (!intent) return false;
+  // Byte-identical replay of the recorded ciphertexts, never a second
+  // encryption of the same plaintext.
+  journal_->resume(*intent);
+  perf_.incr("core.journal.resume");
+  return true;
+}
+
+void Gateway::write(exec::CollectionRuntime& rt, TacticOperation op,
+                    const std::vector<Change>& changes, bool bulk) {
+  auto erase = [&](const DocId& id) {
+    cloud_.call("doc.del", wire::pack({{"col", Value(rt.schema.name())}, {"id", Value(id)}}));
+  };
+  const char* index_stage = op == TacticOperation::kDelete ? "core.unindex" : "core.index";
+  std::vector<std::vector<exec::WritePart>> parts;
+  for (const Change& c : changes) parts.push_back(rt.write_parts(c.before, c.after));
+
+  if (journal_ == nullptr && !bulk) {
+    // Store before indexing, unindex before deleting: an index entry never
+    // names a document the cloud has not stored.
+    const Change& c = changes.front();
+    const std::vector<exec::WritePart>& ps = parts.front();
+    if (c.after != nullptr) {
+      const ScopedPerf stage(perf_, "core.store", op);
+      rt.store(cloud_, *c.after);
+    }
+    if (!ps.empty()) {
+      const ScopedPerf stage(perf_, index_stage, op);
+      run_steps(ps.size(), [&](std::size_t i) { ps[i].run(&perf_); });
+    }
+    if (c.after == nullptr) {
+      const ScopedPerf stage(perf_, "core.delete", op);
+      erase(c.before->id);
+    }
+    return;
   }
-  update_indexes(rt, d, TacticOperation::kInsert);
+
+  // Per change: its store, its parts, then its delete, each one step whose
+  // requests are captured on the thread that runs it.
+  std::vector<std::function<void()>> steps;
+  std::vector<std::string> ids;
+  for (std::size_t k = 0; k < changes.size(); ++k) {
+    const Change& c = changes[k];
+    ids.push_back(c.after != nullptr ? c.after->id : c.before->id);
+    if (c.after != nullptr) steps.emplace_back([&] { rt.store(cloud_, *c.after); });
+    for (const exec::WritePart& part : parts[k]) {
+      steps.emplace_back([this, &part] { part.run(&perf_); });
+    }
+    if (c.after == nullptr) steps.emplace_back([&] { erase(c.before->id); });
+  }
+  std::vector<std::vector<net::Request>> captured(steps.size());
+  {
+    const ScopedPerf stage(perf_, index_stage, op);
+    run_steps(steps.size(), [&](std::size_t i) { captured[i] = cloud_.capture(steps[i]); });
+  }
+  std::vector<net::Request> batch;
+  for (auto& requests : captured) {
+    std::move(requests.begin(), requests.end(), std::back_inserter(batch));
+  }
+  if (journal_ == nullptr) {
+    cloud_.send_batch(batch);
+    return;
+  }
+  // Journal the exact wire bytes durably BEFORE anything ships, then send
+  // the whole batch in one round trip. A fault between begin and complete
+  // leaves a pending intent that recover_pending_inserts() or a later
+  // write of one of `ids` replays byte-identically.
+  const std::string token = journal_->begin(rt.schema.name(), ids, batch);
+  perf_.incr("core.journal.begin");
+  cloud_.send_batch(batch);
+  journal_->complete(token);
 }
 
 DocId Gateway::insert(const std::string& collection, Document d) {
   exec::CollectionRuntime& rt = runtime(collection);
   rt.schema.validate(d);
   if (d.id.empty()) d.id = generate_doc_id();
-
-  if (journal_ != nullptr) {
-    // Retried insert: a pending intent for this id means a previous attempt
-    // already journaled its mutations — finish THAT attempt by replaying
-    // its recorded ciphertexts instead of re-encrypting (exactly-once).
-    if (auto intent = journal_->find(collection, d.id)) {
-      journal_->resume(*intent);
-      perf_.incr("core.journal.resume");
-      return d.id;
-    }
-    journaled_run(collection, {d.id}, [&] { store_and_index(rt, d); });
-  } else {
-    store_and_index(rt, d);
-  }
+  // Retried insert: a pending intent for this id means a previous attempt
+  // already journaled its mutations — finishing THAT attempt is the insert
+  // (exactly-once).
+  if (resume_pending(collection, d.id)) return d.id;
+  write(rt, TacticOperation::kInsert, {{nullptr, &d}}, /*bulk=*/false);
   rt.doc_count.fetch_add(1, std::memory_order_relaxed);
   return d.id;
 }
@@ -267,29 +270,18 @@ std::vector<DocId> Gateway::insert_many(const std::string& collection,
                                         std::vector<Document> docs) {
   exec::CollectionRuntime& rt = runtime(collection);
   std::vector<DocId> ids;
+  std::vector<Change> changes;
   ids.reserve(docs.size());
+  changes.reserve(docs.size());
   for (auto& d : docs) {
     rt.schema.validate(d);
     if (d.id.empty()) d.id = generate_doc_id();
     ids.push_back(d.id);
+    changes.push_back({nullptr, &d});
   }
-
-  // Runs inside the deferred section, so run_steps keeps every step on
-  // this thread and every deferrable call on this thread's batch queue.
-  auto write_all = [&] {
-    for (const auto& d : docs) store_and_index(rt, d);
-  };
-
-  if (journal_ != nullptr) {
-    // Same single-round-trip shape, with the batch journaled before it
-    // ships. (Bulk retry goes through recover_pending_inserts(), not the
-    // per-id fast path of insert().)
-    journaled_run(collection, ids, write_all);
-    rt.doc_count.fetch_add(ids.size(), std::memory_order_relaxed);
-    return ids;
-  }
-
-  cloud_.send_batch(capture(write_all));
+  // (Bulk retry goes through recover_pending_inserts(), not the per-id
+  // resume of insert().)
+  if (!changes.empty()) write(rt, TacticOperation::kInsert, changes, /*bulk=*/true);
   rt.doc_count.fetch_add(ids.size(), std::memory_order_relaxed);
   return ids;
 }
@@ -303,18 +295,18 @@ Document Gateway::read(const std::string& collection, const DocId& id) {
 void Gateway::remove(const std::string& collection, const DocId& id) {
   exec::CollectionRuntime& rt = runtime(collection);
   constexpr TacticOperation op = TacticOperation::kDelete;
+  const bool resumed = resume_pending(collection, id);
   // Retrieval first: index removal needs the field values.
-  Document d;
-  {
+  Document old;
+  try {
     const ScopedPerf stage(perf_, "core.retrieve", op);
-    d = get_document(rt, id);
+    old = get_document(rt, id);
+  } catch (const Error& e) {
+    // The resumed intent was this removal, retried: nothing is left to do.
+    if (resumed && e.code() == ErrorCode::kNotFound) return;
+    throw;
   }
-  update_indexes(rt, d, op);
-  {
-    const ScopedPerf stage(perf_, "core.delete", op);
-    cloud_.call("doc.del",
-                wire::pack({{"col", Value(rt.schema.name())}, {"id", Value(id)}}));
-  }
+  write(rt, op, {{&old, nullptr}}, /*bulk=*/false);
   // Saturating decrement: the count is approximate under recovery.
   std::uint64_t n = rt.doc_count.load(std::memory_order_relaxed);
   while (n > 0 &&
@@ -324,8 +316,16 @@ void Gateway::remove(const std::string& collection, const DocId& id) {
 
 void Gateway::update(const std::string& collection, Document d) {
   require(!d.id.empty(), "update: document needs an id");
-  remove(collection, d.id);
-  insert(collection, std::move(d));
+  exec::CollectionRuntime& rt = runtime(collection);
+  constexpr TacticOperation op = TacticOperation::kUpdate;
+  rt.schema.validate(d);
+  resume_pending(collection, d.id);
+  Document old;
+  {
+    const ScopedPerf stage(perf_, "core.retrieve", op);
+    old = get_document(rt, d.id);
+  }
+  write(rt, op, {{&old, &d}}, /*bulk=*/false);
 }
 
 std::vector<Document> Gateway::equality_search(const std::string& collection,

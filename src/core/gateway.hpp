@@ -60,11 +60,12 @@ struct GatewayConfig {
   /// net::RetryPolicy::standard().
   net::RetryPolicy retry;
 
-  /// Crash-consistent inserts: when true, every insert/insert_many runs in
-  /// RPC-capture mode, journals the exact cloud mutations into the local
-  /// KvStore AOF before the first byte ships, and marks the intent
-  /// complete after the batch lands (see exec::IntentJournal). Default off
-  /// to keep the seed's per-call round-trip profile.
+  /// Crash-consistent writes: when true, every insert, insert_many, remove
+  /// and update captures its cloud mutations instead of sending them,
+  /// journals the exact requests into the local KvStore AOF before the first
+  /// byte ships, sends them as one batch, and marks the intent complete
+  /// after the batch lands (see exec::IntentJournal). Default off to keep
+  /// the seed's per-call round-trip profile.
   bool journal_inserts = false;
 
   /// Adaptive cost-based range selection: when true, every admissible
@@ -129,21 +130,22 @@ class Gateway {
   DocId insert(const std::string& collection, doc::Document d);
 
   /// Bulk ingest: like insert() per document, but all fire-and-forget
-  /// index updates of the whole batch travel in ONE cloud round trip
-  /// (deferred RPC batching) — the WAN-facing fast path for initial data
+  /// cloud mutations of the whole batch travel in ONE cloud round trip
+  /// (captured RPC batching) — the WAN-facing fast path for initial data
   /// outsourcing. Tactics whose update protocol requires intermediate
-  /// server reads (Mitra-SL) are automatically excluded from deferral and
-  /// keep their per-update round trips.
+  /// server reads (Mitra-SL) keep their per-update round trips.
   std::vector<DocId> insert_many(const std::string& collection,
                                  std::vector<doc::Document> docs);
 
   /// Fetches and decrypts one document. Throws kNotFound.
   doc::Document read(const std::string& collection, const DocId& id);
 
-  /// Removes the document and all of its index entries.
+  /// Removes the document and all of its index entries. Throws kNotFound.
   void remove(const std::string& collection, const DocId& id);
 
-  /// Replace semantics: remove(d.id) + insert(d).
+  /// Replace semantics: the stored document d.id becomes `d`, and every
+  /// index moves from the old values to the new ones in one write. Throws
+  /// kNotFound when no document d.id exists.
   void update(const std::string& collection, doc::Document d);
 
   /// Equality search on one field; returns full decrypted documents.
@@ -165,7 +167,7 @@ class Gateway {
                             schema::Aggregate agg);
 
   // --- Recovery ----------------------------------------------------------
-  /// Replays every pending insert intent left by a crash or fault (no-op
+  /// Replays every pending write intent left by a crash or fault (no-op
   /// unless journal_inserts is on). Call after constructing a gateway over
   /// a semi-persistent local store. Returns how many intents completed.
   std::size_t recover_pending_inserts();
@@ -196,34 +198,33 @@ class Gateway {
   static DocId generate_doc_id();
 
   /// Runs step(0), ..., step(n - 1): on the pool, or on this thread when
-  /// n == 1 or inside a deferred-RPC section (deferral is thread-local, so
-  /// a worker would bypass the batch queue). On the pool every step runs
-  /// even if some throw and the lowest-index exception is rethrown here;
-  /// inline, the first exception propagates at once.
+  /// n == 1. On the pool every step runs even if some throw and the
+  /// lowest-index exception is rethrown here.
   void run_steps(std::size_t n, const std::function<void(std::size_t)>& step);
-
-  /// The "index"/"unindex" stage of a write: the runtime's index steps of
-  /// `d`, plus one for the boolean tactic when `d` has boolean keywords.
-  /// Each step holds only its own tactic's lock.
-  void update_indexes(exec::CollectionRuntime& rt, const doc::Document& d,
-                      TacticOperation op);
 
   /// One doc.get round trip, opened and authenticated. Throws kNotFound.
   doc::Document get_document(const exec::CollectionRuntime& rt, const DocId& id);
 
-  /// The "store" stage (one doc.put) then the "index" stage of an insert.
-  void store_and_index(exec::CollectionRuntime& rt, const doc::Document& d);
+  /// Replays the pending intent covering (collection, id), if any; returns
+  /// whether there was one. A write of an id runs this first, so an
+  /// interrupted write of it lands before the new one.
+  bool resume_pending(const std::string& collection, const DocId& id);
 
-  /// Runs `body` in RPC-capture mode (tactic state advances, deferrable
-  /// cloud calls are queued, not sent) and returns the queued requests; if
-  /// `body` throws, the section is abandoned and nothing ships.
-  std::vector<net::Request> capture(const std::function<void()>& body);
+  /// One document's change in a write: `before` is null for an insert,
+  /// `after` null for a removal, and both are set for an update.
+  struct Change {
+    const doc::Document* before;
+    const doc::Document* after;
+  };
 
-  /// Captures `body`, journals the captured mutations for `ids`, ships
-  /// them as one batch, then completes the intent.
-  void journaled_run(const std::string& collection,
-                     const std::vector<std::string>& ids,
-                     const std::function<void()>& body);
+  /// The one write path: per change, a doc.put of `after` (or a doc.del of
+  /// `before`) plus its write parts, fanned out on the pool. A single write
+  /// with the journal off calls the cloud directly: store, parts, delete.
+  /// Otherwise (`bulk`, or the journal on) each step is captured on the
+  /// thread that runs it, and the captures ship in step order as one
+  /// batch, journaled first when the journal is on.
+  void write(exec::CollectionRuntime& rt, TacticOperation op,
+             const std::vector<Change>& changes, bool bulk);
 
   net::RpcClient& cloud_;
   kms::KeyManager& kms_;

@@ -16,22 +16,22 @@ constexpr bool kSentAtOnce = false;
 // mitrasl.update is not deferrable: Mitra-SL's update protocol first reads
 // the keyword's counter from the cloud (mitrasl.get_counter), so a queued
 // update would leave the next one reading a stale counter. For the same
-// reason Mitra-SL updates sit outside the insert intent journal.
+// reason Mitra-SL updates sit outside the write intent journal.
 constexpr MethodInfo kMethods[] = {
     {"doc.put", K::kUpdate, kDeferrable, P::kDocId},
     {"doc.get", K::kRead, kSentAtOnce, P::kDocId},
     {"doc.mget", K::kRead, kSentAtOnce, P::kScatterMget},
-    {"doc.del", K::kUpdate, kSentAtOnce, P::kDocId},
+    {"doc.del", K::kUpdate, kDeferrable, P::kDocId},
     {"doc.list", K::kRead, kSentAtOnce, P::kBroadcast, M::kIds},
     {"det.insert", K::kUpdate, kDeferrable, P::kDetLabel},
-    {"det.remove", K::kUpdate, kSentAtOnce, P::kDetLabel},
+    {"det.remove", K::kUpdate, kDeferrable, P::kDetLabel},
     {"det.search", K::kRead, kSentAtOnce, P::kDetLabel},
     {"ope.insert", K::kUpdate, kDeferrable, P::kColumnScope},
-    {"ope.remove", K::kUpdate, kSentAtOnce, P::kColumnScope},
+    {"ope.remove", K::kUpdate, kDeferrable, P::kColumnScope},
     {"ope.range", K::kRead, kSentAtOnce, P::kColumnScope},
     {"ope.extreme", K::kRead, kSentAtOnce, P::kColumnScope},
     {"ore.insert", K::kUpdate, kDeferrable, P::kColumnScope},
-    {"ore.remove", K::kUpdate, kSentAtOnce, P::kColumnScope},
+    {"ore.remove", K::kUpdate, kDeferrable, P::kColumnScope},
     {"ore.range", K::kRead, kSentAtOnce, P::kColumnScope},
     {"mitra.update", K::kUpdate, kDeferrable, P::kSseAddress},
     {"mitra.search", K::kRead, kSentAtOnce, P::kScatterMitra},
@@ -48,7 +48,7 @@ constexpr MethodInfo kMethods[] = {
     {"zmf.search", K::kRead, kSentAtOnce, P::kNamedScope},
     {"agg.setup", K::kSetup, kSentAtOnce, P::kBroadcast, M::kPaillierSetup},
     {"agg.insert", K::kUpdate, kDeferrable, P::kAggRow},
-    {"agg.remove", K::kUpdate, kSentAtOnce, P::kAggRow},
+    {"agg.remove", K::kUpdate, kDeferrable, P::kAggRow},
     {"agg.sum", K::kRead, kSentAtOnce, P::kBroadcast, M::kPaillierSum},
     // The plaintext baseline (S_A). plain.get, plain.del, plain.find_range
     // and plain.find_bool have no caller today; they stay because the

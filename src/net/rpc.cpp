@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <random>
+#include <utility>
 
 #include "common/rng.hpp"
 #include "net/methods.hpp"
@@ -45,39 +46,32 @@ std::size_t RpcServer::method_count() const {
   return handlers_.size();
 }
 
-std::unordered_map<const RpcClient*, std::vector<Request>>&
-RpcClient::deferred_sections() noexcept {
-  thread_local std::unordered_map<const RpcClient*, std::vector<Request>> sections;
-  return sections;
-}
+namespace {
 
-std::vector<Request>* RpcClient::deferred_queue() const noexcept {
-  auto& sections = deferred_sections();
-  if (sections.empty()) return nullptr;  // the common case: no open section
-  auto it = sections.find(this);
-  return it == sections.end() ? nullptr : &it->second;
-}
+/// This thread's open capture section: the client it captures for (null
+/// when none is open) and the requests queued so far.
+struct CaptureSection {
+  const RpcClient* client = nullptr;
+  std::vector<Request> queue;
+};
 
-void RpcClient::begin_deferred() {
-  if (deferred_queue() != nullptr) {
-    throw_error(ErrorCode::kInvalidArgument, "rpc: deferred section already active");
+thread_local CaptureSection t_capture;
+
+}  // namespace
+
+std::vector<Request> RpcClient::capture(const std::function<void()>& body) {
+  if (t_capture.client != nullptr) {
+    throw_error(ErrorCode::kInvalidArgument, "rpc: capture sections do not nest");
   }
-  deferred_sections().emplace(this, std::vector<Request>{});
-}
-
-std::vector<Request> RpcClient::take_deferred() {
-  std::vector<Request>* queued = deferred_queue();
-  if (queued == nullptr) {
-    throw_error(ErrorCode::kInvalidArgument, "rpc: no deferred section active");
+  t_capture.client = this;
+  try {
+    body();
+  } catch (...) {
+    t_capture = {};
+    throw;
   }
-  // Move the queue out and end the section before anything else so error
-  // paths can never leave a dangling section or stale queued requests.
-  std::vector<Request> queue = std::move(*queued);
-  deferred_sections().erase(this);
-  return queue;
+  return std::exchange(t_capture, {}).queue;
 }
-
-std::size_t RpcClient::flush_deferred() { return send_batch(take_deferred()); }
 
 std::size_t RpcClient::send_batch(const std::vector<Request>& queue) {
   if (queue.empty()) return 0;
@@ -98,12 +92,6 @@ std::size_t RpcClient::send_batch(const std::vector<Request>& queue) {
     }
   }
   return responses.size();
-}
-
-void RpcClient::abandon_deferred() noexcept { deferred_sections().erase(this); }
-
-bool RpcClient::in_deferred_section() const noexcept {
-  return deferred_queue() != nullptr;
 }
 
 RpcServer::Handler RpcClient::make_batch_handler(const RpcServer& server) {
@@ -149,14 +137,15 @@ Bytes Endpoint::call(const std::string& method, const Bytes& wire_request) {
 }
 
 Bytes RpcClient::call(const std::string& method, BytesView payload) {
-  std::vector<Request>* queued = deferred_queue();
-  if (const MethodInfo* row = queued ? find_method(method) : nullptr; row && row->deferrable) {
-    // Fire-and-forget method inside a deferred section: queue it. The
+  const bool capturing = t_capture.client == this;
+  if (const MethodInfo* row = capturing ? find_method(method) : nullptr;
+      row && row->deferrable) {
+    // Fire-and-forget method inside a capture section: queue it. The
     // caller receives the empty payload these methods return by protocol.
     Request request;
     request.method = method;
     request.payload.assign(payload.begin(), payload.end());
-    queued->push_back(std::move(request));
+    t_capture.queue.push_back(std::move(request));
     static const Bytes kEmptyObject = [] {
       Bytes b;
       b.push_back(8);  // binary-codec object tag

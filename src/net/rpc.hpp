@@ -101,55 +101,32 @@ class RpcClient {
   /// counted (CounterBinding).
   void set_counters(Counters* counters);
 
-  // --- deferred batching ----------------------------------------------------
+  // --- capture and batching ------------------------------------------------
   //
-  // Between begin_deferred() and flush_deferred(), calls *on this thread*
-  // whose method is a deferrable row of net/methods.hpp (a fire-and-forget
-  // update, empty reply by protocol) are queued instead of sent and return
-  // an empty payload immediately. flush sends
-  // the whole queue as ONE "rpc.batch" round trip; any sub-call failure
-  // surfaces as the corresponding Error at flush time. Thread-local, so
-  // concurrent callers on other threads are unaffected.
-  //
-  // Failure contract: flush_deferred()/take_deferred() END the section
-  // before any network activity, so every failure path leaves no queued
-  // requests behind and a fresh section can immediately be re-begun.
+  // Inside capture(body), calls *on this thread* whose method is a
+  // deferrable row of net/methods.hpp (a fire-and-forget update, empty reply
+  // by protocol) are queued instead of sent and return an empty payload at
+  // once; every other call travels as usual. Thread-local, so calls on other
+  // threads are unaffected, and a pool fans a write's parts out by capturing
+  // each on the thread that runs it.
 
-  /// Starts a deferred section. Throws kInvalidArgument if one is active.
-  void begin_deferred();
+  /// Runs `body` in a capture section on this thread and returns the
+  /// requests it queued, in call order. If `body` throws, the queue is
+  /// dropped and the error propagates. Sections never nest: one opened while
+  /// this thread captures throws kInvalidArgument.
+  std::vector<Request> capture(const std::function<void()>& body);
 
-  /// Sends all queued calls as one batch round trip; returns how many were
-  /// sent. Always ends the deferred section, even on error.
-  std::size_t flush_deferred();
-
-  /// Ends the deferred section WITHOUT sending and hands the queued
-  /// requests to the caller — the capture half of crash-consistent
-  /// inserts: the gateway journals the exact bytes, then ships them with
-  /// send_batch().
-  std::vector<Request> take_deferred();
-
-  /// Ships previously captured requests as ONE "rpc.batch" round trip;
-  /// returns how many were sent. Safe to replay: the batch carries only
-  /// keyed-overwrite updates, so re-sending the identical bytes converges
-  /// to the same cloud state.
+  /// Ships captured requests as ONE "rpc.batch" round trip; returns how many
+  /// were sent, and surfaces the first sub-call failure as its Error. Safe
+  /// to replay: the batch carries only keyed overwrites and removals, so
+  /// re-sending the identical bytes converges to the same cloud state.
   std::size_t send_batch(const std::vector<Request>& queue);
-
-  /// Discards a deferred section without sending (error-path cleanup).
-  void abandon_deferred() noexcept;
-
-  bool in_deferred_section() const noexcept;
 
   /// The server-side batch dispatcher; CloudNode (or any server) registers
   /// it as method "rpc.batch".
   static RpcServer::Handler make_batch_handler(const RpcServer& server);
 
  private:
-  /// This thread's open deferred sections' queues, keyed by client so
-  /// independent gateway stacks in one process never cross-contaminate.
-  static std::unordered_map<const RpcClient*, std::vector<Request>>&
-  deferred_sections() noexcept;
-  std::vector<Request>* deferred_queue() const noexcept;
-
   std::unique_ptr<Endpoint> endpoint_;  // owned by the single-endpoint shape
   Backend& backend_;
 

@@ -267,10 +267,9 @@ Bytes ShardRouter::scatter_mitra_search(const std::string& method,
   }
   const std::vector<Bytes> replies = fan_out(method, calls);
 
-  // Positional merge: each shard answers its addresses in request order,
-  // and Mitra's dictionary is append-only (deletions are delete-marker
-  // entries), so every derived address 1..c resolves — a short reply
-  // would silently misalign values, so it fails loudly instead.
+  // Positional merge: each shard answers one slot per address in request
+  // order (empty for a miss), so a short reply would silently misalign
+  // values; it fails loudly instead.
   std::vector<std::deque<Value>> queues(shards_.size());
   for (std::size_t k = 0; k < replies.size(); ++k) {
     const doc::Object resp = unpack(replies[k]);

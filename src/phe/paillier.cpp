@@ -125,11 +125,6 @@ BigInt PaillierPublicKey::encrypt(const BigInt& m) const {
 
 BigInt PaillierPublicKey::encrypt_i64(std::int64_t m) const { return encrypt(BigInt(m)); }
 
-BigInt PaillierPublicKey::encrypt_with(const BigInt& m, const BigInt& r) const {
-  require(BigInt::gcd(r, n) == BigInt(1), "Paillier: r must be a unit mod n");
-  return with_factor(m, blind(r));
-}
-
 BigInt PaillierPublicKey::add(const BigInt& c1, const BigInt& c2) const {
   return mont_n2 ? c1.mul_mod(c2, *mont_n2) : c1.mul_mod(c2, n_squared);
 }

@@ -65,11 +65,6 @@ struct PaillierPublicKey {
   BigInt encrypt(const BigInt& m) const;
   BigInt encrypt_i64(std::int64_t m) const;
 
-  /// Enc(m; r) for a caller-chosen r: the deterministic core `encrypt`
-  /// runs on a fresh unit. Throws Error(kInvalidArgument) unless
-  /// gcd(r, n) = 1.
-  BigInt encrypt_with(const BigInt& m, const BigInt& r) const;
-
   /// Homomorphic addition of two ciphertexts.
   BigInt add(const BigInt& c1, const BigInt& c2) const;
 

@@ -15,7 +15,34 @@ std::vector<Bytes> MitraServer::search(const MitraSearchToken& token) const {
   std::vector<Bytes> out;
   out.reserve(token.addresses.size());
   for (const auto& addr : token.addresses) {
-    if (auto v = dict_.get(addr)) out.push_back(std::move(*v));
+    auto v = dict_.get(addr);
+    out.push_back(v ? std::move(*v) : Bytes{});
+  }
+  return out;
+}
+
+std::vector<DocId> mitra_resolve(const crypto::PrfKey& key, const std::string& keyword,
+                                 const std::vector<Bytes>& values) {
+  std::unordered_map<DocId, bool> live;
+  std::vector<DocId> order;
+  CounterInput input(keyword);
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    if (values[i].empty()) continue;  // a miss: its count's update never landed
+    Bytes payload = values[i];
+    key.xor_pad(input.at(i + 1, 1), payload);
+    const auto op = static_cast<MitraOp>(payload[0]);
+    DocId id(reinterpret_cast<const char*>(payload.data() + 1), payload.size() - 1);
+    if (op == MitraOp::kAdd) {
+      if (!live.count(id)) order.push_back(id);
+      live[id] = true;
+    } else {
+      live[id] = false;
+    }
+  }
+  std::vector<DocId> out;
+  out.reserve(order.size());
+  for (const auto& id : order) {
+    if (live[id]) out.push_back(id);
   }
   return out;
 }
@@ -58,32 +85,9 @@ MitraSearchToken MitraClient::search_token(const std::string& keyword) const {
 
 std::vector<DocId> MitraClient::resolve(const std::string& keyword,
                                         const std::vector<Bytes>& values) const {
-  // Values come back in address order (count 1..c); decrypt each and fold
-  // add/delete operations. A delete cancels all earlier adds of the id.
-  std::unordered_map<DocId, bool> live;
-  std::vector<DocId> order;
-  const std::uint64_t c = counters_.get(keyword);
-  require(values.size() <= c, "MitraClient::resolve: more values than updates");
-  CounterInput input(keyword);
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    Bytes payload = values[i];
-    key_.xor_pad(input.at(i + 1, 1), payload);
-    require(!payload.empty(), "MitraClient::resolve: empty payload");
-    const auto op = static_cast<MitraOp>(payload[0]);
-    DocId id(reinterpret_cast<const char*>(payload.data() + 1), payload.size() - 1);
-    if (op == MitraOp::kAdd) {
-      if (!live.count(id)) order.push_back(id);
-      live[id] = true;
-    } else {
-      live[id] = false;
-    }
-  }
-  std::vector<DocId> out;
-  out.reserve(order.size());
-  for (const auto& id : order) {
-    if (live[id]) out.push_back(id);
-  }
-  return out;
+  require(values.size() <= counters_.get(keyword),
+          "MitraClient::resolve: more values than updates");
+  return mitra_resolve(key_, keyword, values);
 }
 
 }  // namespace datablinder::sse

@@ -40,7 +40,9 @@ class MitraServer {
  public:
   void apply_update(const MitraUpdateToken& token);
 
-  /// Returns the stored values for each address (skipping misses).
+  /// Returns one value per address, in address order: the stored value, or
+  /// an empty one for a miss (an update still in flight, or lost), so the
+  /// client can still tell which count each value belongs to.
   std::vector<Bytes> search(const MitraSearchToken& token) const;
 
   const EncryptedDict& dict() const noexcept { return dict_; }
@@ -48,6 +50,14 @@ class MitraServer {
  private:
   EncryptedDict dict_;
 };
+
+/// Decrypts the values a search returned for counts 1..values.size() of
+/// `keyword` and folds add/delete entries into the live id set, in first-add
+/// order; a delete cancels every earlier add of its id. An empty value is a
+/// miss and is skipped, so it shifts no other entry. Shared by Mitra and
+/// Mitra-SL, whose entries differ only in where the counter lives.
+std::vector<DocId> mitra_resolve(const crypto::PrfKey& key, const std::string& keyword,
+                                 const std::vector<Bytes>& values);
 
 /// Client side: key material + keyword counters.
 class MitraClient {
@@ -60,7 +70,7 @@ class MitraClient {
   MitraSearchToken search_token(const std::string& keyword) const;
 
   /// Decrypts server results and resolves add/delete pairs into the live
-  /// id set for the searched keyword.
+  /// id set for the searched keyword (see mitra_resolve).
   std::vector<DocId> resolve(const std::string& keyword,
                              const std::vector<Bytes>& values) const;
 

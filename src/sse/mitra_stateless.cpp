@@ -1,7 +1,5 @@
 #include "sse/mitra_stateless.hpp"
 
-#include <unordered_map>
-
 #include "common/status.hpp"
 #include "crypto/gcm.hpp"
 #include "crypto/prf.hpp"
@@ -14,19 +12,6 @@ void MitraStatelessServer::put_counter(const Bytes& label, Bytes encrypted_count
 
 std::optional<Bytes> MitraStatelessServer::get_counter(const Bytes& label) const {
   return counters_.get(label);
-}
-
-void MitraStatelessServer::apply_update(const MitraUpdateToken& token) {
-  entries_.put(token.address, token.value);
-}
-
-std::vector<Bytes> MitraStatelessServer::search(const MitraSearchToken& token) const {
-  std::vector<Bytes> out;
-  out.reserve(token.addresses.size());
-  for (const auto& addr : token.addresses) {
-    if (auto v = entries_.get(addr)) out.push_back(std::move(*v));
-  }
-  return out;
 }
 
 MitraStatelessClient::MitraStatelessClient(BytesView key)
@@ -88,27 +73,7 @@ MitraSearchToken MitraStatelessClient::search_token(const std::string& keyword,
 
 std::vector<DocId> MitraStatelessClient::resolve(const std::string& keyword,
                                                  const std::vector<Bytes>& values) const {
-  std::unordered_map<DocId, bool> live;
-  std::vector<DocId> order;
-  CounterInput input(keyword);
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    Bytes payload = values[i];
-    key_.xor_pad(input.at(i + 1, 1), payload);
-    require(!payload.empty(), "mitra-stateless: empty payload");
-    const auto op = static_cast<MitraOp>(payload[0]);
-    DocId id(reinterpret_cast<const char*>(payload.data() + 1), payload.size() - 1);
-    if (op == MitraOp::kAdd) {
-      if (!live.count(id)) order.push_back(id);
-      live[id] = true;
-    } else {
-      live[id] = false;
-    }
-  }
-  std::vector<DocId> out;
-  for (const auto& id : order) {
-    if (live[id]) out.push_back(id);
-  }
-  return out;
+  return mitra_resolve(key_, keyword, values);
 }
 
 }  // namespace datablinder::sse

@@ -32,21 +32,16 @@
 
 namespace datablinder::sse {
 
-/// Server side reuses the Mitra dictionary plus a second dictionary for
-/// encrypted counters.
-class MitraStatelessServer {
+/// Server side: the Mitra dictionary (entries, updated and searched as in
+/// Mitra) plus a second dictionary for encrypted counters.
+class MitraStatelessServer : public MitraServer {
  public:
   void put_counter(const Bytes& label, Bytes encrypted_counter);
   std::optional<Bytes> get_counter(const Bytes& label) const;
 
-  void apply_update(const MitraUpdateToken& token);
-  std::vector<Bytes> search(const MitraSearchToken& token) const;
-
-  const EncryptedDict& entries() const noexcept { return entries_; }
   const EncryptedDict& counters() const noexcept { return counters_; }
 
  private:
-  EncryptedDict entries_;
   EncryptedDict counters_;
 };
 
@@ -76,7 +71,7 @@ class MitraStatelessClient {
   /// Second round of a search: all addresses for counts 1..count.
   MitraSearchToken search_token(const std::string& keyword, std::uint64_t count) const;
 
-  /// Shared with Mitra: decrypt + fold add/delete entries.
+  /// Shared with Mitra: decrypt + fold add/delete entries (mitra_resolve).
   std::vector<DocId> resolve(const std::string& keyword,
                              const std::vector<Bytes>& values) const;
 

@@ -86,13 +86,8 @@ ScenarioB::ScenarioB(ScenarioHarness& h) : h_(h), pool_(core::exec::default_work
 void ScenarioB::insert_document(Document d) {
   if (d.id.empty()) d.id = hex_encode(SecureRng::bytes(12));
   rt_.store(h_.rpc, d);
-  const std::vector<core::exec::IndexStep> steps =
-      rt_.index_steps(d, core::TacticOperation::kInsert);
-  pool_.run_all(steps.size(), [&](std::size_t i) {
-    steps[i].run([&](core::FieldTactic& tactic, const Value& value) {
-      tactic.on_insert(d.id, value);
-    });
-  });
+  const std::vector<core::exec::WritePart> parts = rt_.write_parts(nullptr, &d);
+  pool_.run_all(parts.size(), [&](std::size_t i) { parts[i].run(nullptr); });
 }
 
 std::size_t ScenarioB::equality_search(const std::string& field, const Value& value) {

@@ -1,4 +1,4 @@
-// Deferred RPC batching tests: wire-level semantics, error propagation,
+// Captured RPC batching tests: wire-level semantics, error propagation,
 // thread isolation, and end-to-end insert_many correctness (including the
 // Mitra-SL exclusion rule).
 #include <gtest/gtest.h>
@@ -33,13 +33,12 @@ TEST(RpcBatchingTest, DeferredCallsTravelAsOneRoundTrip) {
   net::Channel channel;
   net::RpcClient client(server, channel);
 
-  client.begin_deferred();
-  EXPECT_TRUE(client.in_deferred_section());
-  for (int i = 0; i < 10; ++i) client.call("det.insert", Bytes{1});
+  const std::vector<net::Request> queued = client.capture([&] {
+    for (int i = 0; i < 10; ++i) client.call("det.insert", Bytes{1});
+  });
   EXPECT_EQ(hits, 0);  // nothing sent yet
   EXPECT_EQ(channel.stats().round_trips.load(), 0u);
-  EXPECT_EQ(client.flush_deferred(), 10u);
-  EXPECT_FALSE(client.in_deferred_section());
+  EXPECT_EQ(client.send_batch(queued), 10u);
   EXPECT_EQ(hits, 10);
   EXPECT_EQ(channel.stats().round_trips.load(), 1u);
 }
@@ -63,7 +62,7 @@ class CapturingBackend final : public net::Backend {
 };
 
 TEST(RpcBatchingTest, BatchEnvelopeKnownAnswer) {
-  // The rpc.batch envelope of two deferred calls, pinned byte for byte:
+  // The rpc.batch envelope of two captured calls, pinned byte for byte:
   // be32 count, then each sub-request as be32 length + serialized Request,
   // all inside a Request named "rpc.batch".
   net::RpcServer server;
@@ -74,10 +73,11 @@ TEST(RpcBatchingTest, BatchEnvelopeKnownAnswer) {
   CapturingBackend backend(server, channel);
   net::RpcClient client(backend);
 
-  client.begin_deferred();
-  client.call("doc.put", Bytes{0x01, 0x02, 0x03});
-  client.call("det.insert", Bytes{});
-  EXPECT_EQ(client.flush_deferred(), 2u);
+  const std::vector<net::Request> queued = client.capture([&] {
+    client.call("doc.put", Bytes{0x01, 0x02, 0x03});
+    client.call("det.insert", Bytes{});
+  });
+  EXPECT_EQ(client.send_batch(queued), 2u);
   EXPECT_EQ(hex_encode(backend.last_wire),
             "00000009" "7270632e6261746368"  // method "rpc.batch"
             "00000030"                       // payload length
@@ -93,13 +93,14 @@ TEST(RpcBatchingTest, NonDeferrableMethodsPassThrough) {
   net::Channel channel;
   net::RpcClient client(server, channel);
 
-  client.begin_deferred();
-  EXPECT_EQ(client.call("read", {}), Bytes{42});  // immediate, not queued
+  const std::vector<net::Request> queued = client.capture([&] {
+    EXPECT_EQ(client.call("read", {}), Bytes{42});  // immediate, not queued
+  });
   EXPECT_EQ(channel.stats().round_trips.load(), 1u);
-  EXPECT_EQ(client.flush_deferred(), 0u);
+  EXPECT_EQ(client.send_batch(queued), 0u);
 }
 
-TEST(RpcBatchingTest, SubCallErrorSurfacesAtFlush) {
+TEST(RpcBatchingTest, SubCallErrorSurfacesAtSend) {
   net::RpcServer server;
   int calls = 0;
   server.register_method("det.insert", [&calls](BytesView p) -> Bytes {
@@ -113,18 +114,18 @@ TEST(RpcBatchingTest, SubCallErrorSurfacesAtFlush) {
   net::Channel channel;
   net::RpcClient client(server, channel);
 
-  client.begin_deferred();
-  client.call("det.insert", Bytes{1});
-  client.call("det.insert", Bytes{0xff});
-  client.call("det.insert", Bytes{2});
+  const std::vector<net::Request> queued = client.capture([&] {
+    client.call("det.insert", Bytes{1});
+    client.call("det.insert", Bytes{0xff});
+    client.call("det.insert", Bytes{2});
+  });
   try {
-    client.flush_deferred();
+    client.send_batch(queued);
     FAIL() << "expected schema violation";
   } catch (const Error& e) {
     EXPECT_EQ(e.code(), ErrorCode::kSchemaViolation);
   }
   EXPECT_EQ(calls, 3);  // batch executes fully; the error is reported
-  EXPECT_FALSE(client.in_deferred_section());
 }
 
 TEST(RpcBatchingTest, SectionsAreThreadLocal) {
@@ -138,30 +139,50 @@ TEST(RpcBatchingTest, SectionsAreThreadLocal) {
   net::Channel channel;
   net::RpcClient client(server, channel);
 
-  client.begin_deferred();
-  client.call("det.insert", {});
-  // Another thread's call must NOT be captured by this thread's section.
-  std::thread other([&] {
-    EXPECT_FALSE(client.in_deferred_section());
+  const std::vector<net::Request> queued = client.capture([&] {
     client.call("det.insert", {});
+    // Another thread's call must NOT be captured by this thread's section,
+    // and that thread may open its own.
+    std::thread other([&] {
+      client.call("det.insert", {});
+      EXPECT_EQ(client.capture([&] { client.call("det.insert", {}); }).size(), 1u);
+    });
+    other.join();
   });
-  other.join();
-  EXPECT_EQ(hits.load(), 1);  // the other thread's call went through live
-  EXPECT_EQ(client.flush_deferred(), 1u);
+  EXPECT_EQ(hits.load(), 1);  // the other thread's first call went through live
+  EXPECT_EQ(client.send_batch(queued), 1u);
   EXPECT_EQ(hits.load(), 2);
 }
 
-TEST(RpcBatchingTest, NestedAndDanglingSectionsRejected) {
+TEST(RpcBatchingTest, NestedAndThrowingSectionsLeaveNoneOpen) {
   net::RpcServer server;
+  int hits = 0;
+  server.register_method("det.insert", [&hits](BytesView) {
+    ++hits;
+    return Bytes{8, 0, 0, 0, 0};
+  });
   server.register_method("rpc.batch", net::RpcClient::make_batch_handler(server));
   net::Channel channel;
   net::RpcClient client(server, channel);
 
-  EXPECT_THROW(client.flush_deferred(), Error);  // no section
-  client.begin_deferred();
-  EXPECT_THROW(client.begin_deferred(), Error);  // nested
-  client.abandon_deferred();
-  EXPECT_FALSE(client.in_deferred_section());
+  try {
+    client.capture([&] { client.capture([] {}); });
+    FAIL() << "expected a nested section to be rejected";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.code(), ErrorCode::kInvalidArgument);
+  }
+  // A throwing body ends its section and drops what it queued: the next
+  // call travels at once, and the next section starts empty.
+  client.call("det.insert", {});
+  EXPECT_EQ(hits, 1);
+  EXPECT_THROW(client.capture([&] {
+    client.call("det.insert", {});
+    throw_error(ErrorCode::kInternal, "body failed");
+  }),
+               Error);
+  client.call("det.insert", {});
+  EXPECT_EQ(hits, 2);
+  EXPECT_TRUE(client.capture([] {}).empty());
 }
 
 // --- end-to-end ------------------------------------------------------------
@@ -221,12 +242,12 @@ TEST(InsertManyTest, ValidationFailureShipsNothing) {
   // Validation happens before any network activity: atomically nothing
   // reached the cloud.
   EXPECT_EQ(rig.channel.stats().round_trips.load(), before);
-  // The client's deferred section was cleaned up on the error path.
-  EXPECT_FALSE(rig.rpc.in_deferred_section());
+  // No capture section was left open on the error path.
+  EXPECT_TRUE(rig.rpc.capture([] {}).empty());
 }
 
 TEST(InsertManyTest, MitraSlKeepsPerUpdateRoundTrips) {
-  // The counter-read dependency of Mitra-SL must bypass deferral — same-
+  // The counter-read dependency of Mitra-SL must bypass capture — same-
   // keyword updates in one batch still land on distinct counter slots.
   Rig rig;
   core::TacticRegistry registry;

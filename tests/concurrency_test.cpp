@@ -8,6 +8,7 @@
 #include <functional>
 #include <future>
 #include <memory>
+#include <mutex>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -143,7 +144,7 @@ TEST(ConcurrencyTest, HandWiredBaselineServesParallelUsers) {
     fhir::ObservationGenerator gen(2000 + u);
     for (int i = 0; i < kDocsPerUser; ++i) {
       Document d = gen.next();
-      d.id = "u" + std::to_string(u) + "-" + std::to_string(i);
+      d.id = std::string("u").append(std::to_string(u)).append("-").append(std::to_string(i));
       docs[u].push_back(std::move(d));
     }
   }
@@ -216,6 +217,86 @@ TEST(ConcurrencyTest, ParallelSearchesDuringWrites) {
   stop = true;
   reader.join();
   EXPECT_EQ(search_errors.load(), 0);
+}
+
+TEST(ConcurrencyTest, JournaledWritersShareAMitraKeywordWhileOthersSearch) {
+  // With the journal on, a write's batch ships after its tactic locks are
+  // released, so concurrent batches meet in the cloud's Mitra server and
+  // searches see entries still in flight. The cloud's own lock keeps the
+  // dictionary whole, and a search skips the misses: every insert that
+  // returned before a search started is in that search's answer.
+  core::CloudNode cloud;
+  net::Channel channel;
+  net::RpcClient rpc(cloud.rpc(), channel);
+  kms::KeyManager kms;
+  store::KvStore local;
+  core::TacticRegistry registry;
+  core::register_builtin_tactics(registry);
+  core::GatewayConfig cfg;
+  cfg.tactic_params = {{"paillier_modulus_bits", "256"}};
+  cfg.journal_inserts = true;
+  core::Gateway gateway(rpc, kms, local, registry, cfg);
+  gateway.register_schema(fhir::benchmark_schema("obs"));
+  ASSERT_EQ(gateway.plan("obs").fields.at("subject").eq_tactic, "Mitra");
+
+  constexpr int kWriters = 4;
+  constexpr int kDocsPerWriter = 80;
+  const Value shared("shared-subject");
+  std::atomic<int> failures{0};
+  std::atomic<int> missed{0};
+  std::atomic<int> writers_left{kWriters};
+  std::mutex done_mutex;
+  std::set<DocId> done;  // inserts that have returned
+  std::vector<std::thread> threads;
+  for (int w = 0; w < kWriters; ++w) {
+    threads.emplace_back([&, w] {
+      try {
+        fhir::ObservationGenerator gen(3000 + w);
+        for (int i = 0; i < kDocsPerWriter; ++i) {
+          Document d = gen.next();
+          d.set("subject", shared);
+          const DocId id = gateway.insert("obs", d);
+          std::lock_guard lock(done_mutex);
+          done.insert(id);
+        }
+      } catch (...) {
+        ++failures;
+      }
+      --writers_left;
+    });
+  }
+  for (int r = 0; r < 2; ++r) {
+    threads.emplace_back([&] {
+      try {
+        while (writers_left.load() > 0) {
+          std::set<DocId> before;
+          {
+            std::lock_guard lock(done_mutex);
+            before = done;
+          }
+          std::set<DocId> found;
+          for (const auto& d : gateway.equality_search("obs", "subject", shared)) {
+            if (!(d.at("subject") == shared)) ++failures;
+            found.insert(d.id);
+          }
+          for (const DocId& id : before) {
+            if (!found.count(id)) ++missed;
+          }
+        }
+      } catch (...) {
+        ++failures;
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_EQ(missed.load(), 0) << "searches lost documents whose insert had returned";
+
+  std::set<DocId> found;
+  for (const auto& d : gateway.equality_search("obs", "subject", shared)) found.insert(d.id);
+  EXPECT_EQ(found.size(), static_cast<std::size_t>(kWriters * kDocsPerWriter));
+  EXPECT_EQ(found, done);
+  EXPECT_EQ(gateway.journal()->pending_count(), 0u);
 }
 
 // --- per-tactic locking: proof of actual parallelism -------------------------

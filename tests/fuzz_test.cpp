@@ -196,9 +196,7 @@ TEST(FuzzTest, BatchHandlerRejectsMalformedFrames) {
     }
   }
   // Valid batches still work after the abuse.
-  client.begin_deferred();
-  client.call("doc.put", {});
-  EXPECT_EQ(client.flush_deferred(), 1u);
+  EXPECT_EQ(client.send_batch(client.capture([&] { client.call("doc.put", {}); })), 1u);
 }
 
 }  // namespace

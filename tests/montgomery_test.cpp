@@ -512,27 +512,6 @@ TEST(PaillierFixedBaseEncryptionTest, EachLoadedKeyDrawsItsOwnBase) {
   EXPECT_EQ(kp.priv.decrypt_i64(kp.pub.add(a, b)), 4444);
 }
 
-/// Runs `fn` and expects Error(kInvalidArgument).
-template <typename Fn>
-void expect_invalid_argument(Fn fn, const std::string& what) {
-  try {
-    fn();
-    ADD_FAILURE() << what << ": accepted";
-  } catch (const Error& e) {
-    EXPECT_EQ(e.code(), ErrorCode::kInvalidArgument) << what;
-  }
-}
-
-TEST(PaillierFixedBaseEncryptionTest, PublicPathRejectsRThatIsNotAUnit) {
-  const phe::PaillierKeyPair kp = phe::paillier_generate(256);
-  const BigInt& p = kp.priv.p;
-  const BigInt& q = kp.priv.q;
-  for (const BigInt& r : {BigInt(0), p, q, p * BigInt(3), q * BigInt(5), kp.pub.n}) {
-    expect_invalid_argument([&] { kp.pub.encrypt_with(BigInt(1), r); },
-                            "public path, r = " + r.to_decimal());
-  }
-}
-
 TEST(PaillierFixedBaseEncryptionTest, LegacyKeyWithoutFactorsUsesThePublicPath) {
   // A key persisted before p and q were kept: no CRT, but it still
   // encrypts (the public path), decrypts (lambda/mu) and runs a pool.

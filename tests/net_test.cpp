@@ -124,25 +124,26 @@ TEST(MethodTableTest, DeferrableRowsAreSingleShardUpdates) {
   }
 }
 
-TEST(MethodTableTest, DeferredSectionQueuesExactlyTheDeferrableRows) {
-  // Every row, and a name outside the table, called inside one deferred
+TEST(MethodTableTest, CaptureQueuesExactlyTheDeferrableRows) {
+  // Every row, and a name outside the table, called inside one capture
   // section against a server that serves nothing: a queued call returns at
   // once, any other travels and fails on the server.
   RpcServer server;
   Channel channel;
   RpcClient client(server, channel);
-  client.begin_deferred();
   std::set<std::string> deferrable;
-  for (const MethodInfo& m : cloud_methods()) {
-    if (m.deferrable) deferrable.emplace(m.name);
-    try {
-      client.call(std::string(m.name), Bytes{});
-    } catch (const Error&) {
+  const std::vector<Request> captured = client.capture([&] {
+    for (const MethodInfo& m : cloud_methods()) {
+      if (m.deferrable) deferrable.emplace(m.name);
+      try {
+        client.call(std::string(m.name), Bytes{});
+      } catch (const Error&) {
+      }
     }
-  }
-  EXPECT_THROW(client.call("echo.put", Bytes{}), Error);
+    EXPECT_THROW(client.call("echo.put", Bytes{}), Error);
+  });
   std::set<std::string> queued;
-  for (const Request& r : client.take_deferred()) queued.emplace(r.method);
+  for (const Request& r : captured) queued.emplace(r.method);
   EXPECT_FALSE(deferrable.empty());
   EXPECT_EQ(queued, deferrable);
   EXPECT_EQ(channel.stats().round_trips.load(),

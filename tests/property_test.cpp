@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <map>
 #include <set>
 
@@ -30,12 +31,17 @@ TacticRegistry& registry() {
   return r;
 }
 
+GatewayConfig world_config(bool journal) {
+  GatewayConfig cfg{{{"paillier_modulus_bits", "256"}}};
+  cfg.journal_inserts = journal;
+  return cfg;
+}
+
 /// A gateway world plus a plaintext mirror of everything inserted.
 struct World {
-  World()
+  explicit World(bool journal = false)
       : rpc(cloud.rpc(), channel),
-        gateway(rpc, kms, local, registry(),
-                GatewayConfig{{{"paillier_modulus_bits", "256"}}}) {
+        gateway(rpc, kms, local, registry(), world_config(journal)) {
     gateway.register_schema(fhir::observation_schema("obs"));
   }
 
@@ -132,6 +138,120 @@ TEST_P(RandomWorkloadSweep, EncryptedAnswersMatchPlaintextReference) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomWorkloadSweep,
                          ::testing::Values(11, 22, 33, 44));
+
+/// Every answer of one run of the write workload, in query order.
+struct Answers {
+  std::vector<std::set<DocId>> ids;
+  std::vector<std::uint64_t> counts;
+  bool operator==(const Answers&) const = default;
+};
+
+/// Records one id answer and checks it against the reference.
+void expect_answer(Answers& out, const std::set<DocId>& got, const std::set<DocId>& want,
+                   int step) {
+  EXPECT_EQ(got, want) << "step " << step;
+  out.ids.push_back(got);
+}
+
+/// A seeded insert/update/remove workload with fixed ids, checked against
+/// the plaintext reference after every query. With `fault_every` > 0 (the
+/// journal on), every fault_every-th update or removal loses its rpc.batch:
+/// the write throws, and the interrupted intent then lands either through
+/// recover_pending_inserts() or through a retry of the same write.
+Answers run_write_workload(World& w, std::uint64_t seed, int fault_every) {
+  Answers out;
+  fhir::ObservationGenerator gen(seed);
+  DetRng rng(seed * 31 + 5);
+  std::vector<DocId> live;
+  int next_id = 0, writes = 0, faults = 0;
+
+  // Runs one update or removal, faulting its batch when its turn comes.
+  auto mutate = [&](const std::function<void()>& write) {
+    if (fault_every == 0 || ++writes % fault_every != 0) {
+      write();
+      return;
+    }
+    net::FaultPlan plan;
+    plan.method_faults = {{"rpc.batch", /*skip=*/0, /*count=*/1}};
+    w.channel.set_fault_plan(plan);
+    try {
+      write();
+      ADD_FAILURE() << "write " << writes << " survived its batch fault";
+    } catch (const Error& e) {
+      EXPECT_EQ(e.code(), ErrorCode::kUnavailable);
+    }
+    w.channel.clear_fault_plan();
+    EXPECT_EQ(w.gateway.journal()->pending_count(), 1u);
+    if (++faults % 2 == 0) {
+      EXPECT_EQ(w.gateway.recover_pending_inserts(), 1u);
+    } else {
+      write();  // the retry resumes the pending intent first
+    }
+    EXPECT_EQ(w.gateway.journal()->pending_count(), 0u);
+  };
+
+  for (int step = 0; step < 90; ++step) {
+    const double roll = rng.real();
+    if (roll < 0.35 || live.size() < 3) {
+      Document d = gen.next();
+      d.id = "doc-" + std::to_string(next_id++);
+      live.push_back(w.insert(std::move(d)));
+    } else if (roll < 0.55) {
+      Document d = gen.next();
+      d.id = live[rng.uniform(live.size())];
+      mutate([&] { w.gateway.update("obs", d); });
+      w.mirror[d.id] = d;
+    } else if (roll < 0.65) {
+      const std::size_t pick = rng.uniform(live.size());
+      const DocId id = live[pick];
+      mutate([&] { w.gateway.remove("obs", id); });
+      w.mirror.erase(id);
+      live.erase(live.begin() + static_cast<std::ptrdiff_t>(pick));
+    } else if (roll < 0.8) {
+      const Value v = gen.random_subject();
+      expect_answer(out, World::ids_of(w.gateway.equality_search("obs", "subject", v)),
+                    w.reference_eq("subject", v), step);
+    } else if (roll < 0.9) {
+      const auto [lo, hi] = gen.random_effective_range();
+      expect_answer(out, World::ids_of(w.gateway.range_search("obs", "effective", lo, hi)),
+                    w.reference_range("effective", lo.as_int(), hi.as_int()), step);
+    } else {
+      const Value v = gen.random_status();
+      expect_answer(out, World::ids_of(w.gateway.equality_search("obs", "status", v)),
+                    w.reference_eq("status", v), step);
+    }
+  }
+
+  for (const char* subject : {"John Doe", "Alice Martin", "Mia Dupont"}) {
+    expect_answer(out,
+                  World::ids_of(w.gateway.equality_search("obs", "subject", Value(subject))),
+                  w.reference_eq("subject", Value(subject)), -1);
+  }
+  double ref_sum = 0;
+  for (const auto& [id, d] : w.mirror) ref_sum += d.at("value").as_double();
+  const auto avg = w.gateway.aggregate("obs", "value", schema::Aggregate::kAverage);
+  EXPECT_EQ(avg.count, w.mirror.size());
+  if (!w.mirror.empty()) {
+    EXPECT_NEAR(avg.value, ref_sum / static_cast<double>(w.mirror.size()), 0.01);
+  }
+  out.counts.push_back(avg.count);
+  if (fault_every > 0) {
+    EXPECT_GT(faults, 1) << "the workload faulted too few writes to cover both recoveries";
+  }
+  return out;
+}
+
+class JournaledWriteSweep : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(JournaledWriteSweep, FaultedUpdatesAndRemovalsRecoverToTheReference) {
+  World journaled(/*journal=*/true);
+  const Answers with_faults = run_write_workload(journaled, GetParam(), /*fault_every=*/3);
+  World plain;
+  const Answers without = run_write_workload(plain, GetParam(), /*fault_every=*/0);
+  EXPECT_TRUE(with_faults == without) << "journal on and off answered differently";
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, JournaledWriteSweep, ::testing::Values(5, 6, 7));
 
 class BooleanDnfSweep : public ::testing::TestWithParam<std::uint64_t> {};
 

@@ -329,7 +329,7 @@ TEST(RecoveryTest, PendingIntentReplaysToEveryReplicaExactlyOnce) {
   ASSERT_TRUE(intent.has_value());
 
   // The exact wire size the recorded batch occupies when replayed — the
-  // same envelope encoding flush_deferred() uses.
+  // same envelope encoding send_batch() uses.
   net::BatchWriter batch;
   for (const auto& r : intent->rpcs) batch.add(r.serialize());
   net::Request envelope;

@@ -423,9 +423,9 @@ TEST(ResilienceTest, GatewayRetriesInsertAndRecordsMetrics) {
   EXPECT_NE(gateway.perf().report().find("net.retry.attempt"), std::string::npos);
 }
 
-// --- Deferred-section failure hygiene ----------------------------------------
+// --- Capture-section failure hygiene -----------------------------------------
 
-TEST(ResilienceTest, FlushFailureLeavesNoQueueAndSectionCanRestart) {
+TEST(ResilienceTest, SendFailureLeavesNoQueueAndSectionCanRestart) {
   core::CloudNode cloud;
   net::Channel channel;
   net::RpcClient rpc(cloud.rpc(), channel);
@@ -436,38 +436,31 @@ TEST(ResilienceTest, FlushFailureLeavesNoQueueAndSectionCanRestart) {
                                     {"blob", Value(Bytes{1, 2, 3})}}));
   };
 
-  rpc.begin_deferred();
-  put("a");
+  const std::vector<net::Request> first = rpc.capture([&] { put("a"); });
   channel.close();
-  EXPECT_THROW(rpc.flush_deferred(), Error);
-  // The failed flush ended the section and dropped the queue.
-  EXPECT_FALSE(rpc.in_deferred_section());
+  EXPECT_THROW(rpc.send_batch(first), Error);
   channel.reopen();
 
   // A fresh section works immediately and ships only its own requests.
-  rpc.begin_deferred();
-  put("b");
-  EXPECT_EQ(rpc.flush_deferred(), 1u);
-  EXPECT_FALSE(rpc.in_deferred_section());
+  EXPECT_EQ(rpc.send_batch(rpc.capture([&] { put("b"); })), 1u);
   EXPECT_NO_THROW(rpc.call("doc.get", wire::pack({{"col", Value("c")},
                                                   {"id", Value("b")}})));
-  // "a" was dropped with the failed flush, never silently delivered.
+  // "a" was dropped with the failed send, never silently delivered.
   EXPECT_THROW(rpc.call("doc.get", wire::pack({{"col", Value("c")},
                                                {"id", Value("a")}})),
                Error);
 }
 
-TEST(ResilienceTest, TakeDeferredCapturesQueueAndBatchReplayIsIdempotent) {
+TEST(ResilienceTest, CaptureReturnsQueueAndBatchReplayIsIdempotent) {
   core::CloudNode cloud;
   net::Channel channel;
   net::RpcClient rpc(cloud.rpc(), channel);
 
-  rpc.begin_deferred();
-  rpc.call("doc.put", wire::pack({{"col", Value("c")},
-                                  {"id", Value("r")},
-                                  {"blob", Value(Bytes{9})}}));
-  const std::vector<net::Request> captured = rpc.take_deferred();
-  EXPECT_FALSE(rpc.in_deferred_section());
+  const std::vector<net::Request> captured = rpc.capture([&] {
+    rpc.call("doc.put", wire::pack({{"col", Value("c")},
+                                    {"id", Value("r")},
+                                    {"blob", Value(Bytes{9})}}));
+  });
   ASSERT_EQ(captured.size(), 1u);
   EXPECT_EQ(captured[0].method, "doc.put");
 

@@ -171,14 +171,15 @@ TEST(ShardRouterTest, BatchSplitsPerShardAndReassemblesInOrder) {
   core::ShardedCloud cloud(cfg);
   RpcClient& client = cloud.client();
 
-  client.begin_deferred();
-  for (int i = 0; i < 12; ++i) {
-    client.call("doc.put",
-                core::wire::pack({{"col", Value("obs")},
-                                  {"id", Value("b-" + std::to_string(i))},
-                                  {"blob", Value(Bytes{static_cast<std::uint8_t>(i)})}}));
-  }
-  EXPECT_EQ(client.flush_deferred(), 12u);
+  const std::vector<Request> queued = client.capture([&] {
+    for (int i = 0; i < 12; ++i) {
+      client.call("doc.put",
+                  core::wire::pack({{"col", Value("obs")},
+                                    {"id", Value("b-" + std::to_string(i))},
+                                    {"blob", Value(Bytes{static_cast<std::uint8_t>(i)})}}));
+    }
+  });
+  EXPECT_EQ(client.send_batch(queued), 12u);
 
   for (int i = 0; i < 12; ++i) {
     const Bytes reply = client.call(
@@ -243,9 +244,10 @@ TEST(ShardRouterTest, EveryDeferrableMethodSplitsAcrossShards) {
   for (const MethodInfo& m : cloud_methods()) {
     if (m.deferrable) deferrable.emplace(m.name);
   }
-  client.begin_deferred();
-  for (const std::string& method : deferrable) client.call(method, payload);
-  ASSERT_NO_THROW(EXPECT_EQ(client.flush_deferred(), deferrable.size()));
+  const std::vector<Request> queued = client.capture([&] {
+    for (const std::string& method : deferrable) client.call(method, payload);
+  });
+  ASSERT_NO_THROW(EXPECT_EQ(client.send_batch(queued), deferrable.size()));
 
   std::multiset<std::string> delivered;
   std::size_t shards_used = 0;

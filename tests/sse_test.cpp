@@ -90,6 +90,22 @@ TEST(MitraTest, DeletionsCancelAdditions) {
   EXPECT_EQ(sorted(again), (std::vector<DocId>{"a", "b"}));
 }
 
+TEST(MitraTest, MissingEntryShiftsNoOtherEntry) {
+  // Update 2 of 3 never reaches the server (in flight, or lost in a crash
+  // window): the search answers a miss at its address, and resolve still
+  // decrypts update 3 with update 3's pad.
+  MitraClient client(Bytes(32, 9));
+  MitraServer server;
+  server.apply_update(client.update(MitraOp::kAdd, "w", "a"));
+  client.update(MitraOp::kAdd, "w", "b");  // skipped
+  server.apply_update(client.update(MitraOp::kAdd, "w", "c"));
+
+  const auto values = server.search(client.search_token("w"));
+  ASSERT_EQ(values.size(), 3u);
+  EXPECT_TRUE(values[1].empty());
+  EXPECT_EQ(client.resolve("w", values), (std::vector<DocId>{"a", "c"}));
+}
+
 TEST(MitraTest, ForwardPrivacyStructure) {
   // Forward privacy (structural check): the address of a future update is
   // unpredictable from everything the server has seen — concretely, new
