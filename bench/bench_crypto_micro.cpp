@@ -141,7 +141,7 @@ void BM_MitraUpdate(benchmark::State& state) {
   int i = 0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        client.update(sse::MitraOp::kAdd, "kw", "doc" + std::to_string(i++)));
+        client.update(sse::UpdateOp::kAdd, "kw", "doc" + std::to_string(i++)));
   }
 }
 BENCHMARK(BM_MitraUpdate);
@@ -149,7 +149,7 @@ BENCHMARK(BM_MitraUpdate);
 void BM_MitraSearchTokens(benchmark::State& state) {
   sse::MitraClient client(Bytes(32, 10));
   for (int i = 0; i < state.range(0); ++i) {
-    client.update(sse::MitraOp::kAdd, "kw", "doc" + std::to_string(i));
+    client.update(sse::UpdateOp::kAdd, "kw", "doc" + std::to_string(i));
   }
   for (auto _ : state) {
     benchmark::DoNotOptimize(client.search_token("kw"));
@@ -188,7 +188,7 @@ void BM_Iex2LevUpdate(benchmark::State& state) {
   int i = 0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        client.update(sse::IexOp::kAdd, keywords, "doc" + std::to_string(i++)));
+        client.update(sse::UpdateOp::kAdd, keywords, "doc" + std::to_string(i++)));
   }
 }
 BENCHMARK(BM_Iex2LevUpdate);

@@ -13,15 +13,6 @@ std::string to_string(BytesView b) {
   return std::string(reinterpret_cast<const char*>(b.data()), b.size());
 }
 
-Bytes concat(std::initializer_list<BytesView> parts) {
-  std::size_t total = 0;
-  for (const auto& p : parts) total += p.size();
-  Bytes out;
-  out.reserve(total);
-  for (const auto& p : parts) out.insert(out.end(), p.begin(), p.end());
-  return out;
-}
-
 void append(Bytes& dst, BytesView src) {
   dst.insert(dst.end(), src.begin(), src.end());
 }
@@ -29,13 +20,6 @@ void append(Bytes& dst, BytesView src) {
 void xor_inplace(std::span<std::uint8_t> a, BytesView b) {
   assert(a.size() == b.size());
   for (std::size_t i = 0; i < a.size(); ++i) a[i] ^= b[i];
-}
-
-Bytes xor_bytes(BytesView a, BytesView b) {
-  assert(a.size() == b.size());
-  Bytes out(a.begin(), a.end());
-  xor_inplace(out, b);
-  return out;
 }
 
 bool ct_equal(BytesView a, BytesView b) noexcept {

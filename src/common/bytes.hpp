@@ -2,7 +2,7 @@
 //
 // All cryptographic and wire-level code in this library operates on
 // `Bytes` (a contiguous, owned byte buffer) and `BytesView` (a non-owning
-// span). Helpers here cover concatenation, XOR, constant-time comparison
+// span). Helpers here cover appending, XOR, constant-time comparison
 // and conversions to/from std::string.
 #pragma once
 
@@ -25,17 +25,11 @@ Bytes to_bytes(std::string_view s);
 /// Interprets a byte buffer as a std::string (no encoding validation).
 std::string to_string(BytesView b);
 
-/// Concatenates any number of byte buffers into one.
-Bytes concat(std::initializer_list<BytesView> parts);
-
 /// Appends `src` to `dst`.
 void append(Bytes& dst, BytesView src);
 
 /// XORs `b` into `a` element-wise. Requires a.size() == b.size().
 void xor_inplace(std::span<std::uint8_t> a, BytesView b);
-
-/// Returns a ^ b. Requires equal sizes.
-Bytes xor_bytes(BytesView a, BytesView b);
 
 /// Constant-time equality check (length leak only), for MAC/tag comparison.
 bool ct_equal(BytesView a, BytesView b) noexcept;

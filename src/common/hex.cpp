@@ -1,6 +1,5 @@
 #include "common/hex.hpp"
 
-#include <array>
 #include <stdexcept>
 
 namespace datablinder {
@@ -12,18 +11,6 @@ int hex_val(char c) {
   if (c >= '0' && c <= '9') return c - '0';
   if (c >= 'a' && c <= 'f') return c - 'a' + 10;
   if (c >= 'A' && c <= 'F') return c - 'A' + 10;
-  return -1;
-}
-
-constexpr char kB64Digits[] =
-    "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/";
-
-int b64_val(char c) {
-  if (c >= 'A' && c <= 'Z') return c - 'A';
-  if (c >= 'a' && c <= 'z') return c - 'a' + 26;
-  if (c >= '0' && c <= '9') return c - '0' + 52;
-  if (c == '+') return 62;
-  if (c == '/') return 63;
   return -1;
 }
 }  // namespace
@@ -47,68 +34,6 @@ Bytes hex_decode(std::string_view s) {
     const int lo = hex_val(s[i + 1]);
     if (hi < 0 || lo < 0) throw std::invalid_argument("hex_decode: bad digit");
     out.push_back(static_cast<std::uint8_t>((hi << 4) | lo));
-  }
-  return out;
-}
-
-std::string base64_encode(BytesView b) {
-  std::string out;
-  out.reserve((b.size() + 2) / 3 * 4);
-  std::size_t i = 0;
-  for (; i + 3 <= b.size(); i += 3) {
-    const std::uint32_t n = (static_cast<std::uint32_t>(b[i]) << 16) |
-                            (static_cast<std::uint32_t>(b[i + 1]) << 8) | b[i + 2];
-    out.push_back(kB64Digits[(n >> 18) & 63]);
-    out.push_back(kB64Digits[(n >> 12) & 63]);
-    out.push_back(kB64Digits[(n >> 6) & 63]);
-    out.push_back(kB64Digits[n & 63]);
-  }
-  const std::size_t rem = b.size() - i;
-  if (rem == 1) {
-    const std::uint32_t n = static_cast<std::uint32_t>(b[i]) << 16;
-    out.push_back(kB64Digits[(n >> 18) & 63]);
-    out.push_back(kB64Digits[(n >> 12) & 63]);
-    out.push_back('=');
-    out.push_back('=');
-  } else if (rem == 2) {
-    const std::uint32_t n = (static_cast<std::uint32_t>(b[i]) << 16) |
-                            (static_cast<std::uint32_t>(b[i + 1]) << 8);
-    out.push_back(kB64Digits[(n >> 18) & 63]);
-    out.push_back(kB64Digits[(n >> 12) & 63]);
-    out.push_back(kB64Digits[(n >> 6) & 63]);
-    out.push_back('=');
-  }
-  return out;
-}
-
-Bytes base64_decode(std::string_view s) {
-  if (s.size() % 4 != 0) throw std::invalid_argument("base64_decode: bad length");
-  Bytes out;
-  out.reserve(s.size() / 4 * 3);
-  for (std::size_t i = 0; i < s.size(); i += 4) {
-    int vals[4];
-    int pad = 0;
-    for (std::size_t j = 0; j < 4; ++j) {
-      const char c = s[i + j];
-      if (c == '=') {
-        if (i + 4 != s.size() || j < 2) {
-          throw std::invalid_argument("base64_decode: misplaced padding");
-        }
-        vals[j] = 0;
-        ++pad;
-      } else {
-        if (pad > 0) throw std::invalid_argument("base64_decode: data after padding");
-        vals[j] = b64_val(c);
-        if (vals[j] < 0) throw std::invalid_argument("base64_decode: bad digit");
-      }
-    }
-    const std::uint32_t n =
-        (static_cast<std::uint32_t>(vals[0]) << 18) |
-        (static_cast<std::uint32_t>(vals[1]) << 12) |
-        (static_cast<std::uint32_t>(vals[2]) << 6) | static_cast<std::uint32_t>(vals[3]);
-    out.push_back(static_cast<std::uint8_t>((n >> 16) & 0xff));
-    if (pad < 2) out.push_back(static_cast<std::uint8_t>((n >> 8) & 0xff));
-    if (pad < 1) out.push_back(static_cast<std::uint8_t>(n & 0xff));
   }
   return out;
 }

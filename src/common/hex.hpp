@@ -1,4 +1,4 @@
-// Hex and Base64 codecs used for key material, document ids and debugging.
+// The hex codec used for key material, document ids and debugging.
 #pragma once
 
 #include <string>
@@ -14,11 +14,5 @@ std::string hex_encode(BytesView b);
 /// Decodes a hex string (case-insensitive). Throws std::invalid_argument on
 /// odd length or non-hex characters.
 Bytes hex_decode(std::string_view s);
-
-/// Standard Base64 (RFC 4648, with padding).
-std::string base64_encode(BytesView b);
-
-/// Decodes Base64. Throws std::invalid_argument on malformed input.
-Bytes base64_decode(std::string_view s);
 
 }  // namespace datablinder

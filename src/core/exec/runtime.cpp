@@ -1,9 +1,10 @@
 #include "core/exec/runtime.hpp"
 
 #include <algorithm>
+#include <optional>
 #include <thread>
+#include <unordered_set>
 
-#include "core/metrics.hpp"
 #include "core/wire.hpp"
 #include "doc/binary_codec.hpp"
 #include "store/docstore.hpp"  // compare_values
@@ -131,6 +132,57 @@ std::vector<WritePart> CollectionRuntime::write_parts(const Document* before,
   return parts;
 }
 
+Lookup CollectionRuntime::lookup(const std::vector<FieldTerm>& conj) const {
+  require(!conj.empty(), "search: empty conjunction");
+  Lookup l{this, {}, {}};
+  for (const FieldTerm& term : conj) {
+    const auto fit = plan.fields.find(term.field);
+    if (boolean && fit != plan.fields.end() && fit->second.boolean_member) {
+      l.keywords.push_back(field_keyword(term.field, term.value));
+    } else if (const auto eit = eq.find(term.field); eit != eq.end()) {
+      l.terms.emplace_back(&eit->second, &term.value);
+    } else {
+      throw_error(ErrorCode::kPolicyViolation,
+                  "search: field '" + term.field +
+                      "' supports neither boolean nor equality search");
+    }
+  }
+  return l;
+}
+
+std::vector<DocId> Lookup::run(TacticOperation op, PerfRegistry* perf) const {
+  std::optional<std::vector<DocId>> ids;
+  if (!keywords.empty()) {
+    ids = query_shared(rt->boolean_mutex, rt->boolean->descriptor(), op, perf,
+                       [&] { return rt->boolean->query(keywords); });
+  }
+  for (const auto& [slot, value] : terms) {
+    std::vector<DocId> term_ids =
+        query_shared(slot->mutex, slot->tactic->descriptor(), TacticOperation::kEqualitySearch,
+                     perf, [&] { return slot->tactic->equality_search(*value); });
+    if (!ids) {
+      ids = std::move(term_ids);
+    } else {
+      const std::unordered_set<DocId> keep(term_ids.begin(), term_ids.end());
+      std::erase_if(*ids, [&](const DocId& id) { return !keep.count(id); });
+    }
+  }
+  return std::move(*ids);
+}
+
+const TacticSlot& CollectionRuntime::aggregate_slot(const std::string& field,
+                                                    schema::Aggregate kind) const {
+  const bool min_max = kind == schema::Aggregate::kMin || kind == schema::Aggregate::kMax;
+  const auto& slots = min_max ? range : agg;
+  const auto it = slots.find(field);
+  if (it == slots.end()) {
+    throw_error(ErrorCode::kPolicyViolation,
+                min_max ? "aggregate: min/max on '" + field + "' needs a range tactic"
+                        : "aggregate: field '" + field + "' has no aggregate tactic");
+  }
+  return it->second;
+}
+
 void CollectionRuntime::store(net::RpcClient& cloud, const Document& d) const {
   cloud.call("doc.put", wire::pack({{"col", Value(schema.name())},
                                     {"id", Value(d.id)},
@@ -161,6 +213,16 @@ bool term_matches(const Document& d, const std::string& field, const Value& valu
   if (!d.has(field)) return false;
   try {
     return store::compare_values(d.at(field), value) == 0;
+  } catch (const Error&) {
+    return false;
+  }
+}
+
+bool in_range(const Document& d, const std::string& field, const Value& lo, const Value& hi) {
+  if (!d.has(field)) return false;
+  try {
+    return store::compare_values(d.at(field), lo) >= 0 &&
+           store::compare_values(d.at(field), hi) <= 0;
   } catch (const Error&) {
     return false;
   }

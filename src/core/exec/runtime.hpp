@@ -4,9 +4,12 @@
 // whole-document AEAD cipher, and the locks the gateway takes around
 // tactic invocations.
 //
-// The pipeline pieces that need no middleware are defined here once: the
-// Gateway wraps them in its timers, and the hand-wired Figure 5 baseline
-// (workload::ScenarioB) calls them bare, so the two cannot drift apart.
+// The pipeline pieces that need no middleware are defined here once, for
+// writes and reads alike: a write's parts, the store, a conjunction's
+// routing and lookup, the aggregate's slot, the batched resolve and the
+// exact post-filters. The Gateway wraps them in its timers, and the
+// hand-wired Figure 5 baseline (workload::ScenarioB) calls them bare, so
+// the two cannot drift apart.
 //
 // Locking model: one reader/writer lock PER TACTIC INSTANCE (not per
 // collection), guarding that tactic's gateway-side state only. A write part
@@ -30,13 +33,31 @@
 #include <mutex>
 #include <shared_mutex>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "core/metrics.hpp"
 #include "core/policy.hpp"
 #include "core/registry.hpp"
 #include "crypto/gcm.hpp"
 #include "doc/value.hpp"
 #include "net/rpc.hpp"
+
+namespace datablinder::core {
+
+/// One predicate of a boolean query: field == value.
+struct FieldTerm {
+  std::string field;
+  doc::Value value;
+};
+
+/// Boolean query in DNF over field terms: OR over AND-lists. An equality
+/// search is the one-term query {{{field, value}}}.
+struct FieldBoolQuery {
+  std::vector<std::vector<FieldTerm>> dnf;
+};
+
+}  // namespace datablinder::core
 
 namespace datablinder::core::exec {
 
@@ -64,6 +85,34 @@ struct WritePart {
   /// `updates_read_fixed_keys` (a Paillier encryption then queues no writer
   /// or query), and runs both calls, each timed into `perf` if not null.
   void run(PerfRegistry* perf) const;
+};
+
+/// How every query reaches a tactic: `call()` runs under the tactic's lock
+/// held shared, timed into `perf` as (tactic, op) unless `perf` is null.
+template <typename Call>
+auto query_shared(std::shared_mutex& mutex, const TacticDescriptor& tactic, TacticOperation op,
+                  PerfRegistry* perf, const Call& call) {
+  std::shared_lock lock(mutex);
+  if (perf == nullptr) return call();
+  const ScopedPerf timer(*perf, tactic.name, op);
+  return call();
+}
+
+struct CollectionRuntime;
+
+/// One conjunction of a search, routed (CollectionRuntime::lookup): its
+/// terms on boolean-member fields go to the collection's boolean tactic as
+/// one sub-conjunction, every other term to its field's equality slot.
+struct Lookup {
+  const CollectionRuntime* rt;
+  std::vector<std::string> keywords;  // the boolean tactic's; empty: no call
+  std::vector<std::pair<const TacticSlot*, const doc::Value*>> terms;
+
+  /// Calls each tactic in turn, one lock at a time (query_shared: the
+  /// boolean tactic timed under `op`, an equality slot under
+  /// kEqualitySearch), and intersects their ids in the first list's order
+  /// (BoolResolution). A single call's ids are returned as they are.
+  std::vector<DocId> run(TacticOperation op, PerfRegistry* perf) const;
 };
 
 struct CollectionRuntime {
@@ -114,6 +163,14 @@ struct CollectionRuntime {
   std::vector<WritePart> write_parts(const doc::Document* before,
                                      const doc::Document* after);
 
+  /// Routes one conjunction (see Lookup) before any tactic runs. Throws
+  /// kPolicyViolation for a term no tactic of the collection searches.
+  Lookup lookup(const std::vector<FieldTerm>& conj) const;
+
+  /// The slot an aggregate runs on: min and max on the field's range
+  /// tactic, the others on its aggregate tactic. Throws kPolicyViolation.
+  const TacticSlot& aggregate_slot(const std::string& field, schema::Aggregate kind) const;
+
   /// The store step of an insert: one doc.put of the sealed document.
   void store(net::RpcClient& cloud, const doc::Document& d) const;
 
@@ -128,5 +185,9 @@ struct CollectionRuntime {
 /// value equals `value`. Values of incomparable types never match.
 bool term_matches(const doc::Document& d, const std::string& field,
                   const doc::Value& value);
+
+/// The exact post-filter of a range: `d` carries `field` within [lo, hi].
+bool in_range(const doc::Document& d, const std::string& field, const doc::Value& lo,
+              const doc::Value& hi);
 
 }  // namespace datablinder::core::exec

@@ -3,14 +3,12 @@
 #include <algorithm>
 #include <iterator>
 #include <optional>
-#include <shared_mutex>
 #include <unordered_set>
 
 #include "common/hex.hpp"
 #include "common/logging.hpp"
 #include "common/rng.hpp"
 #include "core/wire.hpp"
-#include "store/docstore.hpp"  // compare_values for post-verification
 
 namespace datablinder::core {
 
@@ -18,17 +16,6 @@ using doc::Document;
 using doc::Value;
 
 namespace {
-
-bool in_range(const Document& d, const std::string& field, const Value& lo,
-              const Value& hi) {
-  if (!d.has(field)) return false;
-  try {
-    return store::compare_values(d.at(field), lo) >= 0 &&
-           store::compare_values(d.at(field), hi) <= 0;
-  } catch (const Error&) {
-    return false;
-  }
-}
 
 TacticOperation op_of(schema::Aggregate a) {
   switch (a) {
@@ -328,39 +315,13 @@ void Gateway::update(const std::string& collection, Document d) {
   write(rt, op, {{&old, &d}}, /*bulk=*/false);
 }
 
-std::vector<Document> Gateway::equality_search(const std::string& collection,
-                                               const std::string& field,
-                                               const Value& value) {
-  exec::CollectionRuntime& rt = runtime(collection);
-  const auto fit = rt.plan.fields.find(field);
-  if (fit == rt.plan.fields.end()) {
-    throw_error(ErrorCode::kPolicyViolation,
-                "equality_search: field '" + field + "' is not protected/searchable");
-  }
-  const auto eq = rt.eq.find(field);
-  if (eq == rt.eq.end() && !(fit->second.boolean_member && rt.boolean)) {
-    throw_error(ErrorCode::kPolicyViolation,
-                "equality_search: field '" + field + "' has no equality tactic (op EQ "
-                "not annotated?)");
-  }
-  constexpr TacticOperation op = TacticOperation::kEqualitySearch;
-
+std::vector<Document> Gateway::search(exec::CollectionRuntime& rt, TacticOperation op,
+                                      const std::function<std::vector<DocId>()>& lookup,
+                                      const std::function<bool(const Document&)>& keep) {
   std::vector<DocId> ids;
   {
     const ScopedPerf stage(perf_, "core.index", op);
-    if (eq != rt.eq.end()) {
-      exec::TacticSlot& slot = eq->second;
-      std::shared_lock lock(slot.mutex);
-      const ScopedPerf perf(perf_, slot.tactic->descriptor().name, op);
-      ids = slot.tactic->equality_search(value);
-    } else {
-      // Equality folded into the boolean tactic: single-term conjunction.
-      sse::BoolQuery q;
-      q.dnf.push_back({field_keyword(field, value)});
-      std::shared_lock lock(rt.boolean_mutex);
-      const ScopedPerf perf(perf_, rt.boolean->descriptor().name, op);
-      ids = rt.boolean->query(q);
-    }
+    ids = lookup();
   }
 
   std::vector<Document> docs;
@@ -369,115 +330,59 @@ std::vector<Document> Gateway::equality_search(const std::string& collection,
     docs = rt.resolve(cloud_, ids);
   }
 
-  // EqResolution: exact post-filtering after decryption. Unconditional —
-  // required for approximate tactics, and under per-tactic locking it also
-  // shields exact tactics from candidates replaced by a concurrent update
-  // between index query and retrieval.
+  // Eq/Bool/RangeResolution: exact post-filtering after decryption.
+  // Unconditional — required for candidate sets (RND's full scan, ZMF's
+  // false positives, the post-filter shape), and under per-tactic locking
+  // it also shields exact tactics from candidates replaced by a concurrent
+  // update between index query and retrieval.
   const ScopedPerf stage(perf_, "core.verify", op);
-  std::erase_if(docs,
-                [&](const Document& d) { return !exec::term_matches(d, field, value); });
+  std::erase_if(docs, [&](const Document& d) { return !keep(d); });
   return docs;
 }
 
-std::vector<Document> Gateway::boolean_search(const std::string& collection,
-                                              const FieldBoolQuery& query) {
-  exec::CollectionRuntime& rt = runtime(collection);
-  require(!query.dnf.empty(), "boolean_search: empty query");
+std::vector<Document> Gateway::search(exec::CollectionRuntime& rt, TacticOperation op,
+                                      const FieldBoolQuery& query) {
+  require(!query.dnf.empty(), "search: empty query");
+  // Every conjunction is routed before any tactic runs, so a query naming a
+  // field no tactic searches fails before it reaches the cloud.
+  std::vector<exec::Lookup> lookups;
+  lookups.reserve(query.dnf.size());
+  for (const auto& conj : query.dnf) lookups.push_back(rt.lookup(conj));
 
-  // Split every conjunction — terms on boolean-member fields go to the
-  // collection's boolean tactic as one sub-conjunction; the rest resolve
-  // through their per-field equality tactics and intersect at the gateway
-  // (BoolResolution).
-  struct ConjRoute {
-    std::vector<std::string> sse_terms;
-    std::vector<const FieldTerm*> eq_terms;
-  };
-  std::vector<ConjRoute> routes;
-  routes.reserve(query.dnf.size());
-  for (const auto& conj : query.dnf) {
-    require(!conj.empty(), "boolean_search: empty conjunction");
-    ConjRoute route;
-    for (const auto& term : conj) {
-      const auto fit = rt.plan.fields.find(term.field);
-      if (fit == rt.plan.fields.end()) {
-        throw_error(ErrorCode::kPolicyViolation,
-                    "boolean_search: field '" + term.field + "' is not searchable");
-      }
-      if (fit->second.boolean_member && rt.boolean) {
-        route.sse_terms.push_back(field_keyword(term.field, term.value));
-      } else if (rt.eq.count(term.field)) {
-        route.eq_terms.push_back(&term);
-      } else {
-        throw_error(ErrorCode::kPolicyViolation,
-                    "boolean_search: field '" + term.field +
-                        "' supports neither boolean nor equality search");
-      }
-    }
-    routes.push_back(std::move(route));
-  }
-  constexpr TacticOperation op = TacticOperation::kBooleanSearch;
-
-  // One step per disjunct: conjunctions are independent, so they fan out.
-  // Each step locks its tactics one at a time (shared), never holding two
-  // locks together.
-  std::vector<std::vector<DocId>> id_slots(routes.size());
-  {
-    const ScopedPerf stage(perf_, "core.index", op);
-    run_steps(routes.size(), [&](std::size_t i) {
-      const ConjRoute& route = routes[i];
-      std::optional<std::vector<DocId>> ids;
-      if (!route.sse_terms.empty()) {
-        sse::BoolQuery q;
-        q.dnf.push_back(route.sse_terms);
-        std::shared_lock lock(rt.boolean_mutex);
-        const ScopedPerf perf(perf_, rt.boolean->descriptor().name, op);
-        ids = rt.boolean->query(q);
-      }
-      for (const FieldTerm* term : route.eq_terms) {
-        exec::TacticSlot& slot = rt.eq.at(term->field);
-        std::shared_lock lock(slot.mutex);
-        const ScopedPerf perf(perf_, slot.tactic->descriptor().name,
-                              TacticOperation::kEqualitySearch);
-        auto term_ids = slot.tactic->equality_search(term->value);
-        if (!ids) {
-          ids = std::move(term_ids);
-        } else {
-          const std::unordered_set<DocId> keep(term_ids.begin(), term_ids.end());
-          std::erase_if(*ids, [&](const DocId& id) { return !keep.count(id); });
-        }
-      }
-      id_slots[i] = std::move(*ids);
-    });
-  }
-
-  std::vector<Document> docs;
-  {
-    // Merge the per-disjunct candidate sets in disjunct order (stable
-    // dedup, matching sequential evaluation), then resolve in one round
-    // trip.
-    const ScopedPerf stage(perf_, "core.resolve", op);
+  const auto lookup = [&]() -> std::vector<DocId> {
+    // Conjunctions are independent, so they fan out; their ids merge in
+    // disjunct order, each kept once (what sequential evaluation gives).
+    std::vector<std::vector<DocId>> per_conj(lookups.size());
+    run_steps(lookups.size(), [&](std::size_t i) { per_conj[i] = lookups[i].run(op, &perf_); });
+    if (per_conj.size() == 1) return std::move(per_conj.front());
     std::vector<DocId> ids;
     std::unordered_set<DocId> seen;
-    for (auto& slot_ids : id_slots) {
-      for (auto& id : slot_ids) {
+    for (auto& conj_ids : per_conj) {
+      for (auto& id : conj_ids) {
         if (seen.insert(id).second) ids.push_back(std::move(id));
       }
     }
-    docs = rt.resolve(cloud_, ids);
-  }
-
-  // BoolResolution: decrypt candidates and re-evaluate the DNF exactly —
-  // needed for ZMF false positives and RND full scans, and harmless
-  // otherwise.
-  const ScopedPerf stage(perf_, "core.verify", op);
-  std::erase_if(docs, [&](const Document& d) {
-    return std::none_of(query.dnf.begin(), query.dnf.end(), [&](const auto& conj) {
+    return ids;
+  };
+  return search(rt, op, lookup, [&](const Document& d) {
+    return std::any_of(query.dnf.begin(), query.dnf.end(), [&](const auto& conj) {
       return std::all_of(conj.begin(), conj.end(), [&](const FieldTerm& t) {
         return exec::term_matches(d, t.field, t.value);
       });
     });
   });
-  return docs;
+}
+
+std::vector<Document> Gateway::equality_search(const std::string& collection,
+                                               const std::string& field,
+                                               const Value& value) {
+  return search(runtime(collection), TacticOperation::kEqualitySearch,
+                FieldBoolQuery{{{FieldTerm{field, value}}}});
+}
+
+std::vector<Document> Gateway::boolean_search(const std::string& collection,
+                                              const FieldBoolQuery& query) {
+  return search(runtime(collection), TacticOperation::kBooleanSearch, query);
 }
 
 std::vector<Document> Gateway::range_search(const std::string& collection,
@@ -527,57 +432,33 @@ std::vector<Document> Gateway::range_search(const std::string& collection,
       fp.range_predicted_us = dec.predicted_us;
     }
     // Whole-query latency under "plan.<candidate>" — the live evidence the
-    // cost model blends against the static priors next time it ranks.
+    // cost model blends against the static priors next time it ranks. It
+    // spans all three stages of the search below.
     whole.emplace(perf_, CostModel::plan_series(dec.chosen), op);
   }
 
-  std::vector<DocId> ids;
-  {
-    const ScopedPerf stage(perf_, "core.index", op);
+  const auto lookup = [&]() -> std::vector<DocId> {
     if (post_filter) {
       // Post-filter shape: enumerate every id, let resolve bulk-retrieve
       // and verify apply the range predicate after decryption.
       const ScopedPerf perf(perf_, kPostFilterTactic, op);
-      ids = wire::unpack_ids(
+      return wire::unpack_ids(
           cloud_.call("doc.list", wire::pack({{"col", Value(rt.schema.name())}})));
-    } else {
-      std::shared_lock lock(slot->mutex);
-      const ScopedPerf perf(perf_, slot->tactic->descriptor().name, op);
-      ids = slot->tactic->range_search(lo, hi);
     }
-  }
-
-  std::vector<Document> docs;
-  {
-    const ScopedPerf stage(perf_, "core.resolve", op);
-    docs = rt.resolve(cloud_, ids);
-  }
-
-  // RangeResolution: exact bound re-check after decryption (no-op for
-  // exact indexes on consistent data; shields against concurrent updates).
-  const ScopedPerf stage(perf_, "core.verify", op);
-  std::erase_if(docs, [&](const Document& d) { return !in_range(d, field, lo, hi); });
-  return docs;
+    return exec::query_shared(slot->mutex, slot->tactic->descriptor(), op, &perf_,
+                              [&] { return slot->tactic->range_search(lo, hi); });
+  };
+  return search(rt, op, lookup,
+                [&](const Document& d) { return exec::in_range(d, field, lo, hi); });
 }
 
 AggregateResult Gateway::aggregate(const std::string& collection,
                                    const std::string& field, schema::Aggregate agg) {
-  exec::CollectionRuntime& rt = runtime(collection);
-  const bool min_max = agg == schema::Aggregate::kMin || agg == schema::Aggregate::kMax;
-  auto& slots = min_max ? rt.range : rt.agg;
-  auto it = slots.find(field);
-  if (it == slots.end()) {
-    throw_error(ErrorCode::kPolicyViolation,
-                min_max ? "aggregate: min/max on '" + field + "' needs a range tactic"
-                        : "aggregate: field '" + field + "' has no aggregate tactic");
-  }
-  exec::TacticSlot& slot = it->second;
+  const exec::TacticSlot& slot = runtime(collection).aggregate_slot(field, agg);
   const TacticOperation op = op_of(agg);
-
   const ScopedPerf stage(perf_, "core.aggregate", op);
-  std::shared_lock lock(slot.mutex);
-  const ScopedPerf perf(perf_, slot.tactic->descriptor().name, op);
-  return slot.tactic->aggregate(agg);
+  return exec::query_shared(slot.mutex, slot.tactic->descriptor(), op, &perf_,
+                            [&] { return slot.tactic->aggregate(agg); });
 }
 
 }  // namespace datablinder::core

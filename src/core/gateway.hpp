@@ -5,12 +5,15 @@
 //                them to tactic plans and the registry instantiates the
 //                gateway-side implementations at runtime.
 //   * Entities — CRUD plus equality / boolean / range search and
-//                aggregates. Each operation runs the core's fixed pipeline
-//                (§4.2, Fig. 4) in its own body: index protocol, one
-//                batched candidate retrieval, exact re-verification. Every
-//                stage is timed as "core.<stage>"; the per-tactic index
-//                updates of a write and the disjuncts of a boolean query
-//                fan out over a small owned WorkerPool.
+//                aggregates. Writes go through one write path, and the
+//                three searches through one read path: the core's fixed
+//                pipeline (§4.2, Fig. 4) of index protocol, one batched
+//                candidate retrieval and exact re-verification. An
+//                equality search is a one-term boolean search; a range
+//                search brings its own lookup and post-filter. Every stage
+//                is timed as "core.<stage>"; the per-tactic index updates
+//                of a write and the disjuncts of a boolean query fan out
+//                over a small owned WorkerPool.
 //   * Keys     — access to the key manager (HSM integration point).
 //
 // Concurrency: one reader/writer lock per tactic instance (see
@@ -37,17 +40,6 @@
 #include "net/shard_router.hpp"
 
 namespace datablinder::core {
-
-/// One predicate of a boolean query: field == value.
-struct FieldTerm {
-  std::string field;
-  doc::Value value;
-};
-
-/// Boolean query in DNF over field terms: OR over AND-lists.
-struct FieldBoolQuery {
-  std::vector<std::vector<FieldTerm>> dnf;
-};
 
 struct GatewayConfig {
   /// Forwarded to every tactic's GatewayContext (e.g.
@@ -148,12 +140,15 @@ class Gateway {
   /// kNotFound when no document d.id exists.
   void update(const std::string& collection, doc::Document d);
 
-  /// Equality search on one field; returns full decrypted documents.
+  /// Equality search on one field; returns full decrypted documents. It is
+  /// boolean_search of the one-term query {{{field, value}}}, timed under
+  /// its own op.
   std::vector<doc::Document> equality_search(const std::string& collection,
                                              const std::string& field,
                                              const doc::Value& value);
 
-  /// Boolean (conjunctive/disjunctive, cross-field) search.
+  /// Boolean (conjunctive/disjunctive, cross-field) search. Each id is
+  /// returned once, in the order its first disjunct found it.
   std::vector<doc::Document> boolean_search(const std::string& collection,
                                             const FieldBoolQuery& query);
 
@@ -201,6 +196,19 @@ class Gateway {
   /// n == 1. On the pool every step runs even if some throw and the
   /// lowest-index exception is rethrown here.
   void run_steps(std::size_t n, const std::function<void(std::size_t)>& step);
+
+  /// The one read path: `lookup` in stage "core.index", one doc.mget of its
+  /// ids in "core.resolve", and `keep` as the exact post-filter of the
+  /// decrypted documents in "core.verify", each stage timed under `op`.
+  std::vector<doc::Document> search(exec::CollectionRuntime& rt, TacticOperation op,
+                                    const std::function<std::vector<DocId>()>& lookup,
+                                    const std::function<bool(const doc::Document&)>& keep);
+
+  /// search() of a DNF query: every conjunction routed first
+  /// (CollectionRuntime::lookup), then looked up, fanned out when there
+  /// are several, and the documents kept that satisfy some conjunction.
+  std::vector<doc::Document> search(exec::CollectionRuntime& rt, TacticOperation op,
+                                    const FieldBoolQuery& query);
 
   /// One doc.get round trip, opened and authenticated. Throws kNotFound.
   doc::Document get_document(const exec::CollectionRuntime& rt, const DocId& id);

@@ -24,7 +24,6 @@
 #include "kms/key_manager.hpp"
 #include "net/rpc.hpp"
 #include "schema/schema.hpp"
-#include "sse/iex2lev.hpp"  // sse::BoolQuery
 #include "sse/index_common.hpp"
 #include "store/kvstore.hpp"
 
@@ -217,10 +216,6 @@ class FieldTactic {
   virtual std::vector<DocId> equality_search(const doc::Value& value);
   virtual std::vector<DocId> range_search(const doc::Value& lo, const doc::Value& hi);
   virtual AggregateResult aggregate(schema::Aggregate agg);
-
-  /// True when search results are candidates that the middleware core must
-  /// re-verify after document decryption (e.g. RND's scan-everything).
-  virtual bool approximate() const { return false; }
 };
 
 /// Gateway-side strategy for a collection-scoped boolean tactic (BIEX
@@ -235,13 +230,11 @@ class BooleanTactic {
   virtual void on_insert(const DocId& id, const std::vector<std::string>& keywords) = 0;
   virtual void on_delete(const DocId& id, const std::vector<std::string>& keywords) = 0;
 
-  /// DNF over opaque keywords; may return false positives when the
-  /// underlying structure is probabilistic (IEX-ZMF) — the middleware core
-  /// re-verifies after decryption.
-  virtual std::vector<DocId> query(const sse::BoolQuery& q) = 0;
-
-  /// True when results can contain false positives.
-  virtual bool approximate() const { return false; }
+  /// One conjunction of opaque keywords (the core answers a disjunction
+  /// one conjunction at a time). Each id appears once; the result may hold
+  /// false positives when the underlying structure is probabilistic
+  /// (IEX-ZMF), as the core re-verifies every candidate after decryption.
+  virtual std::vector<DocId> query(const std::vector<std::string>& conj) = 0;
 };
 
 /// Canonical keyword encoding for SSE tactics: "<field>:<hex(scalar)>".

@@ -1,7 +1,5 @@
 #include "core/tactics/biex2lev_tactic.hpp"
 
-#include <unordered_set>
-
 #include "core/tactics/builtin.hpp"
 #include "core/wire.hpp"
 
@@ -53,7 +51,7 @@ void Biex2LevTactic::setup() {
   client_.emplace(ctx_.kms->derive(ctx_.scope("biex2lev"), 32));
 }
 
-void Biex2LevTactic::send_tokens(sse::IexOp op, const std::vector<std::string>& keywords,
+void Biex2LevTactic::send_tokens(sse::UpdateOp op, const std::vector<std::string>& keywords,
                                  const DocId& id) {
   for (const auto& token : client_->update(op, keywords, id)) {
     ctx_.cloud->call("iex.update",
@@ -64,41 +62,34 @@ void Biex2LevTactic::send_tokens(sse::IexOp op, const std::vector<std::string>& 
 }
 
 void Biex2LevTactic::on_insert(const DocId& id, const std::vector<std::string>& keywords) {
-  send_tokens(sse::IexOp::kAdd, keywords, id);
+  send_tokens(sse::UpdateOp::kAdd, keywords, id);
 }
 
 void Biex2LevTactic::on_delete(const DocId& id, const std::vector<std::string>& keywords) {
-  send_tokens(sse::IexOp::kDelete, keywords, id);
+  send_tokens(sse::UpdateOp::kDelete, keywords, id);
 }
 
-std::vector<DocId> Biex2LevTactic::query(const sse::BoolQuery& q) {
-  std::vector<DocId> out;
-  std::unordered_set<DocId> seen;
-  for (const auto& conj : q.dnf) {
-    const sse::IexConjToken token = client_->conj_token(conj);
-    doc::Array lists;
-    lists.reserve(token.lists.size());
-    for (const auto& addresses : token.lists) {
-      doc::Array inner;
-      inner.reserve(addresses.size());
-      for (const auto& a : addresses) inner.emplace_back(a);
-      lists.emplace_back(std::move(inner));
-    }
-    const Bytes reply = ctx_.cloud->call(
-        "iex.search", wire::pack({{"scope", Value(ctx_.scope("biex2lev"))},
-                                  {"lists", Value(std::move(lists))}}));
-    const doc::Object obj = wire::unpack(reply);
-    std::vector<std::vector<Bytes>> value_lists;
-    for (const auto& list : wire::get_arr(obj, "lists")) {
-      std::vector<Bytes> values;
-      for (const auto& v : list.as_array()) values.push_back(v.as_binary());
-      value_lists.push_back(std::move(values));
-    }
-    for (auto& id : client_->resolve_conj(conj, value_lists)) {
-      if (seen.insert(id).second) out.push_back(std::move(id));
-    }
+std::vector<DocId> Biex2LevTactic::query(const std::vector<std::string>& conj) {
+  const sse::IexConjToken token = client_->conj_token(conj);
+  doc::Array lists;
+  lists.reserve(token.lists.size());
+  for (const auto& addresses : token.lists) {
+    doc::Array inner;
+    inner.reserve(addresses.size());
+    for (const auto& a : addresses) inner.emplace_back(a);
+    lists.emplace_back(std::move(inner));
   }
-  return out;
+  const Bytes reply = ctx_.cloud->call(
+      "iex.search", wire::pack({{"scope", Value(ctx_.scope("biex2lev"))},
+                                {"lists", Value(std::move(lists))}}));
+  const doc::Object obj = wire::unpack(reply);
+  std::vector<std::vector<Bytes>> value_lists;
+  for (const auto& list : wire::get_arr(obj, "lists")) {
+    std::vector<Bytes> values;
+    for (const auto& v : list.as_array()) values.push_back(v.as_binary());
+    value_lists.push_back(std::move(values));
+  }
+  return client_->resolve_conj(conj, value_lists);
 }
 
 void register_biex2lev_tactic(TacticRegistry& r) {

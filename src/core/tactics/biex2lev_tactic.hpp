@@ -21,10 +21,10 @@ class Biex2LevTactic final : public BooleanTactic {
   void setup() override;
   void on_insert(const DocId& id, const std::vector<std::string>& keywords) override;
   void on_delete(const DocId& id, const std::vector<std::string>& keywords) override;
-  std::vector<DocId> query(const sse::BoolQuery& q) override;
+  std::vector<DocId> query(const std::vector<std::string>& conj) override;
 
  private:
-  void send_tokens(sse::IexOp op, const std::vector<std::string>& keywords,
+  void send_tokens(sse::UpdateOp op, const std::vector<std::string>& keywords,
                    const DocId& id);
 
   GatewayContext ctx_;

@@ -1,7 +1,5 @@
 #include "core/tactics/biexzmf_tactic.hpp"
 
-#include <unordered_set>
-
 #include "core/tactics/builtin.hpp"
 #include "core/wire.hpp"
 
@@ -63,7 +61,7 @@ void BiexZmfTactic::setup() {
                   {"num_hashes", Value(static_cast<std::int64_t>(params.num_hashes))}}));
 }
 
-void BiexZmfTactic::send_tokens(sse::IexOp op, const std::vector<std::string>& keywords,
+void BiexZmfTactic::send_tokens(sse::UpdateOp op, const std::vector<std::string>& keywords,
                                 const DocId& id) {
   for (const auto& token : client_->update(op, keywords, id)) {
     ctx_.cloud->call("zmf.update", wire::pack({{"scope", Value(ctx_.scope("biexzmf"))},
@@ -75,34 +73,27 @@ void BiexZmfTactic::send_tokens(sse::IexOp op, const std::vector<std::string>& k
 }
 
 void BiexZmfTactic::on_insert(const DocId& id, const std::vector<std::string>& keywords) {
-  send_tokens(sse::IexOp::kAdd, keywords, id);
+  send_tokens(sse::UpdateOp::kAdd, keywords, id);
 }
 
 void BiexZmfTactic::on_delete(const DocId& id, const std::vector<std::string>& keywords) {
-  send_tokens(sse::IexOp::kDelete, keywords, id);
+  send_tokens(sse::UpdateOp::kDelete, keywords, id);
 }
 
-std::vector<DocId> BiexZmfTactic::query(const sse::BoolQuery& q) {
-  std::vector<DocId> out;
-  std::unordered_set<DocId> seen;
-  for (const auto& conj : q.dnf) {
-    const sse::ZmfConjToken token = client_->conj_token(conj);
-    doc::Array addresses, tokens;
-    addresses.reserve(token.addresses.size());
-    for (const auto& a : token.addresses) addresses.emplace_back(a);
-    for (const auto& kt : token.keyword_tokens) tokens.emplace_back(kt);
-    const Bytes reply = ctx_.cloud->call(
-        "zmf.search", wire::pack({{"scope", Value(ctx_.scope("biexzmf"))},
-                                  {"addresses", Value(std::move(addresses))},
-                                  {"tokens", Value(std::move(tokens))}}));
-    const doc::Object obj = wire::unpack(reply);
-    std::vector<Bytes> values;
-    for (const auto& v : wire::get_arr(obj, "values")) values.push_back(v.as_binary());
-    for (auto& id : client_->resolve_conj(conj, values)) {
-      if (seen.insert(id).second) out.push_back(std::move(id));
-    }
-  }
-  return out;
+std::vector<DocId> BiexZmfTactic::query(const std::vector<std::string>& conj) {
+  const sse::ZmfConjToken token = client_->conj_token(conj);
+  doc::Array addresses, tokens;
+  addresses.reserve(token.addresses.size());
+  for (const auto& a : token.addresses) addresses.emplace_back(a);
+  for (const auto& kt : token.keyword_tokens) tokens.emplace_back(kt);
+  const Bytes reply = ctx_.cloud->call(
+      "zmf.search", wire::pack({{"scope", Value(ctx_.scope("biexzmf"))},
+                                {"addresses", Value(std::move(addresses))},
+                                {"tokens", Value(std::move(tokens))}}));
+  const doc::Object obj = wire::unpack(reply);
+  std::vector<Bytes> values;
+  for (const auto& v : wire::get_arr(obj, "values")) values.push_back(v.as_binary());
+  return client_->resolve_conj(conj, values);
 }
 
 void register_biexzmf_tactic(TacticRegistry& r) {

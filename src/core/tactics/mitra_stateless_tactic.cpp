@@ -57,7 +57,7 @@ std::uint64_t MitraStatelessTactic::fetch_counter(const std::string& keyword) co
   return client_->decode_counter(keyword, wire::get_bin(obj, "blob"));
 }
 
-void MitraStatelessTactic::send_update(sse::MitraOp op, const std::string& keyword,
+void MitraStatelessTactic::send_update(sse::UpdateOp op, const std::string& keyword,
                                        const DocId& id) {
   const std::uint64_t current = fetch_counter(keyword);
   const sse::MitraUpdateToken token = client_->update(op, keyword, id, current);
@@ -71,11 +71,11 @@ void MitraStatelessTactic::send_update(sse::MitraOp op, const std::string& keywo
 }
 
 void MitraStatelessTactic::on_insert(const DocId& id, const Value& value) {
-  send_update(sse::MitraOp::kAdd, field_keyword(ctx_.field, value), id);
+  send_update(sse::UpdateOp::kAdd, field_keyword(ctx_.field, value), id);
 }
 
 void MitraStatelessTactic::on_delete(const DocId& id, const Value& value) {
-  send_update(sse::MitraOp::kDelete, field_keyword(ctx_.field, value), id);
+  send_update(sse::UpdateOp::kDelete, field_keyword(ctx_.field, value), id);
 }
 
 std::vector<DocId> MitraStatelessTactic::equality_search(const Value& value) {

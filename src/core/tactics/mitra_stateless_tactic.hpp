@@ -41,7 +41,7 @@ class MitraStatelessTactic final : public FieldTactic {
  private:
   /// Round 1 of both protocols: fetch and decrypt the keyword's counter.
   std::uint64_t fetch_counter(const std::string& keyword) const;
-  void send_update(sse::MitraOp op, const std::string& keyword, const DocId& id);
+  void send_update(sse::UpdateOp op, const std::string& keyword, const DocId& id);
 
   GatewayContext ctx_;
   std::optional<sse::MitraStatelessClient> client_;

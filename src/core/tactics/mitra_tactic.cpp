@@ -53,7 +53,7 @@ void MitraTactic::setup() {
   }
 }
 
-void MitraTactic::send_update(sse::MitraOp op, const std::string& keyword,
+void MitraTactic::send_update(sse::UpdateOp op, const std::string& keyword,
                               const DocId& id) {
   const sse::MitraUpdateToken token = client_->update(op, keyword, id);
   ctx_.local_store->hset(state_key_, keyword, be64(client_->counter(keyword)));
@@ -64,11 +64,11 @@ void MitraTactic::send_update(sse::MitraOp op, const std::string& keyword,
 }
 
 void MitraTactic::on_insert(const DocId& id, const Value& value) {
-  send_update(sse::MitraOp::kAdd, field_keyword(ctx_.field, value), id);
+  send_update(sse::UpdateOp::kAdd, field_keyword(ctx_.field, value), id);
 }
 
 void MitraTactic::on_delete(const DocId& id, const Value& value) {
-  send_update(sse::MitraOp::kDelete, field_keyword(ctx_.field, value), id);
+  send_update(sse::UpdateOp::kDelete, field_keyword(ctx_.field, value), id);
 }
 
 std::vector<DocId> MitraTactic::equality_search(const Value& value) {

@@ -23,7 +23,7 @@ class MitraTactic final : public FieldTactic {
   std::vector<DocId> equality_search(const doc::Value& value) override;
 
  private:
-  void send_update(sse::MitraOp op, const std::string& keyword, const DocId& id);
+  void send_update(sse::UpdateOp op, const std::string& keyword, const DocId& id);
 
   GatewayContext ctx_;
   std::optional<sse::MitraClient> client_;

@@ -58,7 +58,7 @@ void RangeBrcTactic::setup() {
   }
 }
 
-void RangeBrcTactic::send_updates(sse::MitraOp op, const Value& value, const DocId& id) {
+void RangeBrcTactic::send_updates(sse::UpdateOp op, const Value& value, const DocId& id) {
   const std::uint64_t x = doc::ordered_key(value);
   for (const auto& token : client_->update(op, x, id)) {
     ctx_.cloud->call("mitra.update",
@@ -74,11 +74,11 @@ void RangeBrcTactic::send_updates(sse::MitraOp op, const Value& value, const Doc
 }
 
 void RangeBrcTactic::on_insert(const DocId& id, const Value& value) {
-  send_updates(sse::MitraOp::kAdd, value, id);
+  send_updates(sse::UpdateOp::kAdd, value, id);
 }
 
 void RangeBrcTactic::on_delete(const DocId& id, const Value& value) {
-  send_updates(sse::MitraOp::kDelete, value, id);
+  send_updates(sse::UpdateOp::kDelete, value, id);
 }
 
 std::vector<DocId> RangeBrcTactic::range_search(const Value& lo, const Value& hi) {

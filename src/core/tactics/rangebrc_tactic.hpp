@@ -39,7 +39,7 @@ class RangeBrcTactic final : public FieldTactic {
   std::vector<DocId> range_search(const doc::Value& lo, const doc::Value& hi) override;
 
  private:
-  void send_updates(sse::MitraOp op, const doc::Value& value, const DocId& id);
+  void send_updates(sse::UpdateOp op, const doc::Value& value, const DocId& id);
 
   GatewayContext ctx_;
   std::optional<sse::RangeBrcClient> client_;

@@ -21,7 +21,6 @@ class RndTactic final : public FieldTactic {
   /// Returns every document id (candidates); the middleware core decrypts
   /// and filters — RND's declared inefficiency.
   std::vector<DocId> equality_search(const doc::Value& value) override;
-  bool approximate() const override { return true; }
 
  private:
   GatewayContext ctx_;

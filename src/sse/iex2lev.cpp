@@ -41,7 +41,7 @@ std::string Iex2LevClient::pair_stream(const std::string& w, const std::string& 
   return "p\x01" + w + "\x01" + v;
 }
 
-IexUpdateToken Iex2LevClient::make_token(IexOp op, const std::string& stream,
+IexUpdateToken Iex2LevClient::make_token(UpdateOp op, const std::string& stream,
                                          std::uint64_t count, const DocId& id) const {
   IexUpdateToken token;
   CounterInput input(stream);
@@ -55,7 +55,7 @@ IexUpdateToken Iex2LevClient::make_token(IexOp op, const std::string& stream,
 }
 
 std::vector<IexUpdateToken> Iex2LevClient::update(
-    IexOp op, const std::vector<std::string>& keywords, const DocId& id) {
+    UpdateOp op, const std::vector<std::string>& keywords, const DocId& id) {
   std::vector<IexUpdateToken> tokens;
   // One global entry per keyword; one local entry per ordered pair. The
   // pair expansion is the 2Lev space cost the paper's Table 2 calls out.
@@ -92,57 +92,18 @@ IexConjToken Iex2LevClient::conj_token(const std::vector<std::string>& conj) con
   return token;
 }
 
-std::vector<DocId> Iex2LevClient::resolve_stream(const std::string& stream,
-                                                 const std::vector<Bytes>& values) const {
-  std::unordered_map<DocId, bool> live;
-  std::vector<DocId> order;
-  CounterInput input(stream);
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    if (values[i].empty()) continue;  // positional placeholder for a miss
-    Bytes payload = values[i];
-    key_.xor_pad(input.at(i + 1, 1), payload);
-    const auto op = static_cast<IexOp>(payload[0]);
-    DocId id(reinterpret_cast<const char*>(payload.data() + 1), payload.size() - 1);
-    if (op == IexOp::kAdd) {
-      if (!live.count(id)) order.push_back(id);
-      live[id] = true;
-    } else {
-      live[id] = false;
-    }
-  }
-  std::vector<DocId> out;
-  for (const auto& id : order) {
-    if (live[id]) out.push_back(id);
-  }
-  return out;
-}
-
 std::vector<DocId> Iex2LevClient::resolve_conj(
     const std::vector<std::string>& conj,
     const std::vector<std::vector<Bytes>>& lists) const {
   require(lists.size() == conj.size(), "Iex2LevClient::resolve_conj: arity mismatch");
-  std::vector<DocId> result = resolve_stream(global_stream(conj[0]), lists[0]);
+  std::vector<DocId> result = resolve_stream(key_, global_stream(conj[0]), lists[0]);
   for (std::size_t j = 1; j < conj.size(); ++j) {
     const std::vector<DocId> pair_ids =
-        resolve_stream(pair_stream(conj[0], conj[j]), lists[j]);
+        resolve_stream(key_, pair_stream(conj[0], conj[j]), lists[j]);
     const std::unordered_set<DocId> keep(pair_ids.begin(), pair_ids.end());
     std::erase_if(result, [&](const DocId& id) { return !keep.count(id); });
   }
   return result;
-}
-
-std::vector<DocId> Iex2LevClient::query(const BoolQuery& q,
-                                        const Iex2LevServer& server) const {
-  std::vector<DocId> out;
-  std::unordered_set<DocId> seen;
-  for (const auto& conj : q.dnf) {
-    const IexConjToken token = conj_token(conj);
-    const auto lists = server.search(token);
-    for (auto& id : resolve_conj(conj, lists)) {
-      if (seen.insert(id).second) out.push_back(std::move(id));
-    }
-  }
-  return out;
 }
 
 Bytes Iex2LevClient::export_state() const { return counters_.serialize(); }

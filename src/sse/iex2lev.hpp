@@ -8,16 +8,15 @@
 //  * a *local* cross-keyword index: pair (w, v) -> encrypted list of ids
 //    containing both w and v.
 // A conjunction w1 ∧ w2 ∧ ... is answered from global(w1) and the local
-// entries (w1, wj); a DNF query is the union of its conjunctions. The
-// server only ever sees PRF labels and padded values; intersection and
-// union happen at the gateway ("BoolResolution" in SPI Table 1).
+// entries (w1, wj). The server only ever sees PRF labels and padded
+// values; the intersection happens at the gateway ("BoolResolution" in SPI
+// Table 1), and so does the union of a disjunction's conjunctions.
 //
 // Paper Table 2: protection Class 3, "Predicates" leakage, challenge =
 // storage implementation complexity (the pair-expanded local index).
 #pragma once
 
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/bytes.hpp"
@@ -27,17 +26,10 @@
 
 namespace datablinder::sse {
 
-/// Boolean query in disjunctive normal form: OR over AND-lists.
-struct BoolQuery {
-  std::vector<std::vector<std::string>> dnf;
-};
-
 struct IexUpdateToken {
   Bytes address;
   Bytes value;
 };
-
-enum class IexOp : std::uint8_t { kAdd = 0, kDelete = 1 };
 
 /// Search token for ONE conjunction: the address lists the server must
 /// fetch. `lists[0]` is the global list of the first keyword; subsequent
@@ -66,7 +58,7 @@ class Iex2LevClient {
   explicit Iex2LevClient(const SecretBytes& key);
 
   /// Indexes `id` under every keyword and every ordered keyword pair.
-  std::vector<IexUpdateToken> update(IexOp op, const std::vector<std::string>& keywords,
+  std::vector<IexUpdateToken> update(UpdateOp op, const std::vector<std::string>& keywords,
                                      const DocId& id);
 
   /// Token for one conjunction (must be non-empty).
@@ -76,19 +68,13 @@ class Iex2LevClient {
   std::vector<DocId> resolve_conj(const std::vector<std::string>& conj,
                                   const std::vector<std::vector<Bytes>>& lists) const;
 
-  /// Convenience: evaluates a full DNF query against a server (local call;
-  /// the middleware tactic performs the same steps across the RPC channel).
-  std::vector<DocId> query(const BoolQuery& q, const Iex2LevServer& server) const;
-
   Bytes export_state() const;
   void import_state(BytesView b);
 
  private:
   // Returns one update token for a single (scope-key, counter) stream.
-  IexUpdateToken make_token(IexOp op, const std::string& stream, std::uint64_t count,
+  IexUpdateToken make_token(UpdateOp op, const std::string& stream, std::uint64_t count,
                             const DocId& id) const;
-  std::vector<DocId> resolve_stream(const std::string& stream,
-                                    const std::vector<Bytes>& values) const;
 
   static std::string global_stream(const std::string& w);
   static std::string pair_stream(const std::string& w, const std::string& v);

@@ -1,8 +1,5 @@
 #include "sse/iexzmf.hpp"
 
-#include <unordered_map>
-#include <unordered_set>
-
 #include "common/rng.hpp"
 #include "common/status.hpp"
 #include "crypto/prf.hpp"
@@ -81,7 +78,7 @@ Bytes IexZmfClient::keyword_token(const std::string& w) const {
 }
 
 std::vector<ZmfUpdateToken> IexZmfClient::update(
-    IexOp op, const std::vector<std::string>& keywords, const DocId& id) {
+    UpdateOp op, const std::vector<std::string>& keywords, const DocId& id) {
   // Build the document's keyword filter content once per entry (fresh salt
   // each time so filters are unlinkable across entries).
   std::vector<ZmfUpdateToken> tokens;
@@ -133,42 +130,7 @@ ZmfConjToken IexZmfClient::conj_token(const std::vector<std::string>& conj) cons
 
 std::vector<DocId> IexZmfClient::resolve_conj(const std::vector<std::string>& conj,
                                               const std::vector<Bytes>& values) const {
-  const std::string& w1 = conj[0];
-  std::unordered_map<DocId, bool> live;
-  std::vector<DocId> order;
-  CounterInput input(w1);
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    if (values[i].empty()) continue;  // filtered out or missing
-    Bytes payload = values[i];
-    key_.xor_pad(input.at(i + 1, 1), payload);
-    const auto op = static_cast<IexOp>(payload[0]);
-    DocId id(reinterpret_cast<const char*>(payload.data() + 1), payload.size() - 1);
-    if (op == IexOp::kAdd) {
-      if (!live.count(id)) order.push_back(id);
-      live[id] = true;
-    } else {
-      live[id] = false;
-    }
-  }
-  std::vector<DocId> out;
-  for (const auto& id : order) {
-    if (live[id]) out.push_back(id);
-  }
-  return out;
-}
-
-std::vector<DocId> IexZmfClient::query(const BoolQuery& q,
-                                       const IexZmfServer& server) const {
-  std::vector<DocId> out;
-  std::unordered_set<DocId> seen;
-  for (const auto& conj : q.dnf) {
-    const ZmfConjToken token = conj_token(conj);
-    const auto values = server.search(token);
-    for (auto& id : resolve_conj(conj, values)) {
-      if (seen.insert(id).second) out.push_back(std::move(id));
-    }
-  }
-  return out;
+  return resolve_stream(key_, conj[0], values);
 }
 
 }  // namespace datablinder::sse

@@ -22,7 +22,6 @@
 #include "common/bytes.hpp"
 #include "common/secret.hpp"
 #include "crypto/prf.hpp"
-#include "sse/iex2lev.hpp"  // reuses BoolQuery / IexOp
 #include "sse/index_common.hpp"
 
 namespace datablinder::sse {
@@ -77,7 +76,7 @@ class IexZmfClient {
   explicit IexZmfClient(BytesView key, ZmfFilterParams params = {});
   explicit IexZmfClient(const SecretBytes& key, ZmfFilterParams params = {});
 
-  std::vector<ZmfUpdateToken> update(IexOp op, const std::vector<std::string>& keywords,
+  std::vector<ZmfUpdateToken> update(UpdateOp op, const std::vector<std::string>& keywords,
                                      const DocId& id);
 
   ZmfConjToken conj_token(const std::vector<std::string>& conj) const;
@@ -86,9 +85,6 @@ class IexZmfClient {
   /// Bloom false positives — callers re-verify after document decryption.
   std::vector<DocId> resolve_conj(const std::vector<std::string>& conj,
                                   const std::vector<Bytes>& values) const;
-
-  /// Full DNF evaluation against a local server instance.
-  std::vector<DocId> query(const BoolQuery& q, const IexZmfServer& server) const;
 
   Bytes export_state() const { return counters_.serialize(); }
   void import_state(BytesView b) { counters_ = KeywordCounters::deserialize(b); }

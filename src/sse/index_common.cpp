@@ -26,6 +26,28 @@ BytesView CounterInput::at(std::uint64_t count, std::uint8_t role) {
   return buf_;
 }
 
+std::vector<DocId> resolve_stream(const crypto::PrfKey& key, std::string_view stream,
+                                  const std::vector<Bytes>& values) {
+  std::unordered_map<DocId, bool> live;
+  std::vector<DocId> order;
+  CounterInput input(stream);
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    if (values[i].empty()) continue;
+    Bytes payload = values[i];
+    key.xor_pad(input.at(i + 1, 1), payload);
+    const bool add = static_cast<UpdateOp>(payload[0]) == UpdateOp::kAdd;
+    DocId id(reinterpret_cast<const char*>(payload.data() + 1), payload.size() - 1);
+    if (add && !live.count(id)) order.push_back(id);
+    live[id] = add;
+  }
+  std::vector<DocId> out;
+  out.reserve(order.size());
+  for (const auto& id : order) {
+    if (live[id]) out.push_back(id);
+  }
+  return out;
+}
+
 void EncryptedDict::put(Bytes label, Bytes value) {
   auto it = map_.find(label);
   if (it != map_.end()) {

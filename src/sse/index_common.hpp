@@ -15,11 +15,16 @@
 #include <vector>
 
 #include "common/bytes.hpp"
+#include "crypto/prf.hpp"
 
 namespace datablinder::sse {
 
 /// Document identifiers are opaque strings (the middleware uses random hex).
 using DocId = std::string;
+
+/// The op byte that leads every padded `op || id` entry of the counter-based
+/// schemes (Mitra, Mitra-SL, Range-BRC, IEX-2Lev, IEX-ZMF).
+enum class UpdateOp : std::uint8_t { kAdd = 0, kDelete = 1 };
 
 struct BytesHash {
   std::size_t operator()(const Bytes& b) const noexcept;
@@ -64,6 +69,14 @@ class CounterInput {
  private:
   Bytes buf_;
 };
+
+/// Decrypts the values a search returned for counts 1..values.size() of one
+/// counter stream (a keyword, or an IEX pair) and folds its add/delete
+/// entries into the live id set, in first-add order; a delete cancels every
+/// earlier add of its id. An empty value (a miss, or an entry a ZMF filter
+/// rejected) is skipped, so it shifts no other entry.
+std::vector<DocId> resolve_stream(const crypto::PrfKey& key, std::string_view stream,
+                                  const std::vector<Bytes>& values);
 
 /// Per-keyword update counters (client state for dynamic schemes).
 /// Serializable so the gateway can persist it in its local KvStore.

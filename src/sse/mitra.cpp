@@ -1,7 +1,5 @@
 #include "sse/mitra.hpp"
 
-#include <unordered_map>
-
 #include "common/status.hpp"
 #include "crypto/prf.hpp"
 
@@ -21,32 +19,6 @@ std::vector<Bytes> MitraServer::search(const MitraSearchToken& token) const {
   return out;
 }
 
-std::vector<DocId> mitra_resolve(const crypto::PrfKey& key, const std::string& keyword,
-                                 const std::vector<Bytes>& values) {
-  std::unordered_map<DocId, bool> live;
-  std::vector<DocId> order;
-  CounterInput input(keyword);
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    if (values[i].empty()) continue;  // a miss: its count's update never landed
-    Bytes payload = values[i];
-    key.xor_pad(input.at(i + 1, 1), payload);
-    const auto op = static_cast<MitraOp>(payload[0]);
-    DocId id(reinterpret_cast<const char*>(payload.data() + 1), payload.size() - 1);
-    if (op == MitraOp::kAdd) {
-      if (!live.count(id)) order.push_back(id);
-      live[id] = true;
-    } else {
-      live[id] = false;
-    }
-  }
-  std::vector<DocId> out;
-  out.reserve(order.size());
-  for (const auto& id : order) {
-    if (live[id]) out.push_back(id);
-  }
-  return out;
-}
-
 MitraClient::MitraClient(BytesView key) : key_(key) {
   require(!key.empty(), "MitraClient: empty key");
 }
@@ -57,7 +29,7 @@ Bytes MitraClient::address_for(const std::string& keyword, std::uint64_t count) 
   return key_.prf(CounterInput(keyword).at(count, 0));
 }
 
-MitraUpdateToken MitraClient::update(MitraOp op, const std::string& keyword,
+MitraUpdateToken MitraClient::update(UpdateOp op, const std::string& keyword,
                                      const DocId& id) {
   const std::uint64_t c = counters_.increment(keyword);
   MitraUpdateToken token;
@@ -87,7 +59,7 @@ std::vector<DocId> MitraClient::resolve(const std::string& keyword,
                                         const std::vector<Bytes>& values) const {
   require(values.size() <= counters_.get(keyword),
           "MitraClient::resolve: more values than updates");
-  return mitra_resolve(key_, keyword, values);
+  return resolve_stream(key_, keyword, values);
 }
 
 }  // namespace datablinder::sse

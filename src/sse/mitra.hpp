@@ -22,8 +22,6 @@
 
 namespace datablinder::sse {
 
-enum class MitraOp : std::uint8_t { kAdd = 0, kDelete = 1 };
-
 /// One prepared dictionary write (sent to the server verbatim).
 struct MitraUpdateToken {
   Bytes address;
@@ -51,26 +49,18 @@ class MitraServer {
   EncryptedDict dict_;
 };
 
-/// Decrypts the values a search returned for counts 1..values.size() of
-/// `keyword` and folds add/delete entries into the live id set, in first-add
-/// order; a delete cancels every earlier add of its id. An empty value is a
-/// miss and is skipped, so it shifts no other entry. Shared by Mitra and
-/// Mitra-SL, whose entries differ only in where the counter lives.
-std::vector<DocId> mitra_resolve(const crypto::PrfKey& key, const std::string& keyword,
-                                 const std::vector<Bytes>& values);
-
 /// Client side: key material + keyword counters.
 class MitraClient {
  public:
   explicit MitraClient(BytesView key);
   explicit MitraClient(const SecretBytes& key);
 
-  MitraUpdateToken update(MitraOp op, const std::string& keyword, const DocId& id);
+  MitraUpdateToken update(UpdateOp op, const std::string& keyword, const DocId& id);
 
   MitraSearchToken search_token(const std::string& keyword) const;
 
   /// Decrypts server results and resolves add/delete pairs into the live
-  /// id set for the searched keyword (see mitra_resolve).
+  /// id set for the searched keyword (see resolve_stream).
   std::vector<DocId> resolve(const std::string& keyword,
                              const std::vector<Bytes>& values) const;
 

@@ -45,7 +45,7 @@ Bytes MitraStatelessClient::encode_counter(const std::string& keyword,
   return gcm.seal_random_nonce(be64(count), to_bytes(keyword));
 }
 
-MitraUpdateToken MitraStatelessClient::update(MitraOp op, const std::string& keyword,
+MitraUpdateToken MitraStatelessClient::update(UpdateOp op, const std::string& keyword,
                                               const DocId& id,
                                               std::uint64_t current_count) const {
   const std::uint64_t c = current_count + 1;
@@ -73,7 +73,7 @@ MitraSearchToken MitraStatelessClient::search_token(const std::string& keyword,
 
 std::vector<DocId> MitraStatelessClient::resolve(const std::string& keyword,
                                                  const std::vector<Bytes>& values) const {
-  return mitra_resolve(key_, keyword, values);
+  return resolve_stream(key_, keyword, values);
 }
 
 }  // namespace datablinder::sse

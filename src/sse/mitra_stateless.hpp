@@ -65,13 +65,13 @@ class MitraStatelessClient {
 
   /// Second round of an update: given the current count, produces the new
   /// dictionary entry (for count+1).
-  MitraUpdateToken update(MitraOp op, const std::string& keyword, const DocId& id,
+  MitraUpdateToken update(UpdateOp op, const std::string& keyword, const DocId& id,
                           std::uint64_t current_count) const;
 
   /// Second round of a search: all addresses for counts 1..count.
   MitraSearchToken search_token(const std::string& keyword, std::uint64_t count) const;
 
-  /// Shared with Mitra: decrypt + fold add/delete entries (mitra_resolve).
+  /// Shared with Mitra: decrypt + fold add/delete entries (resolve_stream).
   std::vector<DocId> resolve(const std::string& keyword,
                              const std::vector<Bytes>& values) const;
 

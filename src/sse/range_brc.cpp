@@ -55,7 +55,7 @@ RangeBrcClient::RangeBrcClient(BytesView key, std::string scope)
 RangeBrcClient::RangeBrcClient(const SecretBytes& key, std::string scope)
     : scope_(std::move(scope)), mitra_(key) {}
 
-std::vector<MitraUpdateToken> RangeBrcClient::update(MitraOp op, std::uint64_t x,
+std::vector<MitraUpdateToken> RangeBrcClient::update(UpdateOp op, std::uint64_t x,
                                                      const DocId& id) {
   std::vector<MitraUpdateToken> tokens;
   tokens.reserve(64);

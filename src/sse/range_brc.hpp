@@ -62,7 +62,7 @@ class RangeBrcClient {
   explicit RangeBrcClient(const SecretBytes& key, std::string scope);
 
   /// 64 update tokens (one per level) for adding/removing `x`.
-  std::vector<MitraUpdateToken> update(MitraOp op, std::uint64_t x, const DocId& id);
+  std::vector<MitraUpdateToken> update(UpdateOp op, std::uint64_t x, const DocId& id);
 
   /// Search tokens for every cover node of [lo, hi], paired with the
   /// keyword needed to resolve the responses.

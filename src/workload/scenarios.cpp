@@ -1,7 +1,6 @@
 #include "workload/scenarios.hpp"
 
 #include <algorithm>
-#include <shared_mutex>
 
 #include "common/hex.hpp"
 #include "common/rng.hpp"
@@ -91,29 +90,22 @@ void ScenarioB::insert_document(Document d) {
 }
 
 std::size_t ScenarioB::equality_search(const std::string& field, const Value& value) {
-  const auto it = rt_.eq.find(field);
-  if (it == rt_.eq.end()) {
-    throw_error(ErrorCode::kInvalidArgument, "S_B: unsupported search field " + field);
-  }
-  std::vector<core::DocId> ids;
-  {
-    std::shared_lock lock(it->second.mutex);
-    ids = it->second.tactic->equality_search(value);
-  }
-  // Retrieval + SecureEnc, then the gateway's exact re-check.
-  const std::vector<Document> docs = rt_.resolve(h_.rpc, ids);
+  // The gateway's read path with no timers: lookup, resolve (Retrieval +
+  // SecureEnc), then the exact re-check.
+  const std::vector<core::FieldTerm> conj{{field, value}};
+  const std::vector<Document> docs =
+      rt_.resolve(h_.rpc, rt_.lookup(conj).run(core::TacticOperation::kEqualitySearch, nullptr));
   return static_cast<std::size_t>(std::count_if(
       docs.begin(), docs.end(),
       [&](const Document& d) { return core::exec::term_matches(d, field, value); }));
 }
 
 double ScenarioB::aggregate_average(const std::string& field) {
-  const auto it = rt_.agg.find(field);
-  if (it == rt_.agg.end()) {
-    throw_error(ErrorCode::kInvalidArgument, "S_B: no aggregate tactic on " + field);
-  }
-  std::shared_lock lock(it->second.mutex);
-  return it->second.tactic->aggregate(schema::Aggregate::kAverage).value;
+  constexpr schema::Aggregate kAvg = schema::Aggregate::kAverage;
+  const core::exec::TacticSlot& slot = rt_.aggregate_slot(field, kAvg);
+  return core::exec::query_shared(slot.mutex, slot.tactic->descriptor(),
+                                  core::TacticOperation::kAverage, nullptr,
+                                  [&] { return slot.tactic->aggregate(kAvg).value; });
 }
 
 // --- S_C ------------------------------------------------------------------

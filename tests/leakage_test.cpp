@@ -64,7 +64,7 @@ TEST(LeakageTest, Class2MitraHidesHistogramUntilQueried) {
   std::set<Bytes, BytesLess> addresses;
   std::set<Bytes, BytesLess> values;
   for (const auto& word : skewed_corpus()) {
-    const auto token = client.update(sse::MitraOp::kAdd, word, "doc");
+    const auto token = client.update(sse::UpdateOp::kAdd, word, "doc");
     addresses.insert(token.address);
     values.insert(token.value);
   }
@@ -134,12 +134,12 @@ TEST(LeakageTest, MitraForwardPrivacyAcrossSearch) {
   sse::MitraClient client(Bytes(32, 7));
   sse::MitraServer server;
   for (int i = 0; i < 5; ++i) {
-    server.apply_update(client.update(sse::MitraOp::kAdd, "w", std::string("d").append(std::to_string(i))));
+    server.apply_update(client.update(sse::UpdateOp::kAdd, "w", std::string("d").append(std::to_string(i))));
   }
   const auto revealed = client.search_token("w");
   const std::set<Bytes, BytesLess> seen(revealed.addresses.begin(), revealed.addresses.end());
 
-  const auto future = client.update(sse::MitraOp::kAdd, "w", "d-new");
+  const auto future = client.update(sse::UpdateOp::kAdd, "w", "d-new");
   EXPECT_FALSE(seen.count(future.address));
   // And the fresh address is a full-entropy PRF output, not derivable by
   // extending any revealed address (structural distinctness is the

@@ -110,7 +110,7 @@ TEST(RangeBrcSchemeTest, SearchMatchesReference) {
   for (int i = 0; i < 80; ++i) {
     const std::uint64_t x = rng.uniform(100000);
     const std::string id = "doc" + std::to_string(i);
-    for (const auto& token : client.update(sse::MitraOp::kAdd, x, id)) {
+    for (const auto& token : client.update(sse::UpdateOp::kAdd, x, id)) {
       server.apply_update(token);
     }
     reference.emplace_back(id, x);
@@ -138,9 +138,9 @@ TEST(RangeBrcSchemeTest, SearchMatchesReference) {
 TEST(RangeBrcSchemeTest, DeletionsFoldAcrossAllLevels) {
   sse::RangeBrcClient client(Bytes(32, 2), "s");
   sse::MitraServer server;
-  for (const auto& t : client.update(sse::MitraOp::kAdd, 500, "a")) server.apply_update(t);
-  for (const auto& t : client.update(sse::MitraOp::kAdd, 600, "b")) server.apply_update(t);
-  for (const auto& t : client.update(sse::MitraOp::kDelete, 500, "a")) {
+  for (const auto& t : client.update(sse::UpdateOp::kAdd, 500, "a")) server.apply_update(t);
+  for (const auto& t : client.update(sse::UpdateOp::kAdd, 600, "b")) server.apply_update(t);
+  for (const auto& t : client.update(sse::UpdateOp::kDelete, 500, "a")) {
     server.apply_update(t);
   }
   const auto query = client.range_query(0, 1000);

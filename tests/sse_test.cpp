@@ -62,9 +62,9 @@ TEST(MitraTest, SearchFindsAllAddedDocuments) {
   MitraClient client(Bytes(32, 1));
   MitraServer server;
   for (int i = 0; i < 20; ++i) {
-    server.apply_update(client.update(MitraOp::kAdd, "diabetes", "doc" + std::to_string(i)));
+    server.apply_update(client.update(UpdateOp::kAdd, "diabetes", "doc" + std::to_string(i)));
   }
-  server.apply_update(client.update(MitraOp::kAdd, "cancer", "docX"));
+  server.apply_update(client.update(UpdateOp::kAdd, "cancer", "docX"));
 
   const auto results =
       client.resolve("diabetes", server.search(client.search_token("diabetes")));
@@ -77,15 +77,15 @@ TEST(MitraTest, SearchFindsAllAddedDocuments) {
 TEST(MitraTest, DeletionsCancelAdditions) {
   MitraClient client(Bytes(32, 2));
   MitraServer server;
-  server.apply_update(client.update(MitraOp::kAdd, "w", "a"));
-  server.apply_update(client.update(MitraOp::kAdd, "w", "b"));
-  server.apply_update(client.update(MitraOp::kDelete, "w", "a"));
+  server.apply_update(client.update(UpdateOp::kAdd, "w", "a"));
+  server.apply_update(client.update(UpdateOp::kAdd, "w", "b"));
+  server.apply_update(client.update(UpdateOp::kDelete, "w", "a"));
 
   const auto results = client.resolve("w", server.search(client.search_token("w")));
   EXPECT_EQ(results, std::vector<DocId>{"b"});
 
   // Re-adding after deletion resurrects the id.
-  server.apply_update(client.update(MitraOp::kAdd, "w", "a"));
+  server.apply_update(client.update(UpdateOp::kAdd, "w", "a"));
   const auto again = client.resolve("w", server.search(client.search_token("w")));
   EXPECT_EQ(sorted(again), (std::vector<DocId>{"a", "b"}));
 }
@@ -96,9 +96,9 @@ TEST(MitraTest, MissingEntryShiftsNoOtherEntry) {
   // decrypts update 3 with update 3's pad.
   MitraClient client(Bytes(32, 9));
   MitraServer server;
-  server.apply_update(client.update(MitraOp::kAdd, "w", "a"));
-  client.update(MitraOp::kAdd, "w", "b");  // skipped
-  server.apply_update(client.update(MitraOp::kAdd, "w", "c"));
+  server.apply_update(client.update(UpdateOp::kAdd, "w", "a"));
+  client.update(UpdateOp::kAdd, "w", "b");  // skipped
+  server.apply_update(client.update(UpdateOp::kAdd, "w", "c"));
 
   const auto values = server.search(client.search_token("w"));
   ASSERT_EQ(values.size(), 3u);
@@ -113,19 +113,19 @@ TEST(MitraTest, ForwardPrivacyStructure) {
   MitraClient client(Bytes(32, 3));
   MitraServer server;
   for (int i = 0; i < 10; ++i) {
-    server.apply_update(client.update(MitraOp::kAdd, "kw", std::string("d").append(std::to_string(i))));
+    server.apply_update(client.update(UpdateOp::kAdd, "kw", std::string("d").append(std::to_string(i))));
   }
   const auto token = client.search_token("kw");
   const std::set<Bytes, BytesLess> seen(token.addresses.begin(), token.addresses.end());
-  const auto future = client.update(MitraOp::kAdd, "kw", "dnew");
+  const auto future = client.update(UpdateOp::kAdd, "kw", "dnew");
   EXPECT_EQ(seen.count(future.address), 0u);
 }
 
 TEST(MitraTest, StateExportImportPreservesSearchability) {
   MitraClient client(Bytes(32, 4));
   MitraServer server;
-  server.apply_update(client.update(MitraOp::kAdd, "w", "doc1"));
-  server.apply_update(client.update(MitraOp::kAdd, "w", "doc2"));
+  server.apply_update(client.update(UpdateOp::kAdd, "w", "doc1"));
+  server.apply_update(client.update(UpdateOp::kAdd, "w", "doc2"));
 
   MitraClient recovered(Bytes(32, 4));
   recovered.import_state(client.export_state());
@@ -183,17 +183,36 @@ TEST_F(SophosFixture, TokenChainWalksBackwards) {
 
 // --- IEX-2Lev ------------------------------------------------------------------
 
+/// A boolean query in disjunctive normal form: OR over AND-lists.
+struct BoolQuery {
+  std::vector<std::vector<std::string>> dnf;
+};
+
+/// Evaluates `q` in process, one conjunction at a time as the gateway does
+/// across the channel; the union keeps each id once, in first-seen order.
+template <typename Client, typename Server>
+std::vector<DocId> run_query(const Client& client, const Server& server, const BoolQuery& q) {
+  std::vector<DocId> out;
+  std::set<DocId> seen;
+  for (const auto& conj : q.dnf) {
+    for (auto& id : client.resolve_conj(conj, server.search(client.conj_token(conj)))) {
+      if (seen.insert(id).second) out.push_back(std::move(id));
+    }
+  }
+  return out;
+}
+
 struct IexWorld {
   Iex2LevClient client{Bytes(32, 6)};
   Iex2LevServer server;
 
   void add(const DocId& id, const std::vector<std::string>& kws) {
-    for (const auto& t : client.update(IexOp::kAdd, kws, id)) server.apply_update(t);
+    for (const auto& t : client.update(UpdateOp::kAdd, kws, id)) server.apply_update(t);
   }
   void del(const DocId& id, const std::vector<std::string>& kws) {
-    for (const auto& t : client.update(IexOp::kDelete, kws, id)) server.apply_update(t);
+    for (const auto& t : client.update(UpdateOp::kDelete, kws, id)) server.apply_update(t);
   }
-  std::vector<DocId> query(const BoolQuery& q) { return sorted(client.query(q, server)); }
+  std::vector<DocId> query(const BoolQuery& q) { return sorted(run_query(client, server, q)); }
 };
 
 TEST(Iex2LevTest, SingleKeywordSearch) {
@@ -272,9 +291,9 @@ struct ZmfWorld {
   IexZmfServer server;
 
   void add(const DocId& id, const std::vector<std::string>& kws) {
-    for (const auto& t : client.update(IexOp::kAdd, kws, id)) server.apply_update(t);
+    for (const auto& t : client.update(UpdateOp::kAdd, kws, id)) server.apply_update(t);
   }
-  std::vector<DocId> query(const BoolQuery& q) { return sorted(client.query(q, server)); }
+  std::vector<DocId> query(const BoolQuery& q) { return sorted(run_query(client, server, q)); }
 };
 
 TEST(IexZmfTest, ConjunctionViaFilters) {

@@ -36,7 +36,7 @@ TEST(MitraStatelessSchemeTest, UpdateAndSearchProtocol) {
   auto add = [&](const std::string& kw, const sse::DocId& id) {
     const auto label = client.counter_label(kw);
     const std::uint64_t current = client.decode_counter(kw, server.get_counter(label));
-    server.apply_update(client.update(sse::MitraOp::kAdd, kw, id, current));
+    server.apply_update(client.update(sse::UpdateOp::kAdd, kw, id, current));
     server.put_counter(label, client.encode_counter(kw, current + 1));
   };
   add("diabetes", "d1");
@@ -56,7 +56,7 @@ TEST(MitraStatelessSchemeTest, FreshClientIsInterchangeable) {
   sse::MitraStatelessClient first(Bytes(32, 2));
   sse::MitraStatelessServer server;
   const auto label = first.counter_label("kw");
-  server.apply_update(first.update(sse::MitraOp::kAdd, "kw", "doc1", 0));
+  server.apply_update(first.update(sse::UpdateOp::kAdd, "kw", "doc1", 0));
   server.put_counter(label, first.encode_counter("kw", 1));
 
   sse::MitraStatelessClient second(Bytes(32, 2));  // brand-new instance
@@ -66,7 +66,7 @@ TEST(MitraStatelessSchemeTest, FreshClientIsInterchangeable) {
   EXPECT_EQ(second.resolve("kw", values), std::vector<sse::DocId>{"doc1"});
 
   // ...and can append where the first left off.
-  server.apply_update(second.update(sse::MitraOp::kAdd, "kw", "doc2", count));
+  server.apply_update(second.update(sse::UpdateOp::kAdd, "kw", "doc2", count));
   server.put_counter(label, second.encode_counter("kw", count + 1));
   const auto values2 = server.search(second.search_token("kw", 2));
   EXPECT_EQ(sorted(second.resolve("kw", values2)),
@@ -91,13 +91,13 @@ TEST(MitraStatelessSchemeTest, DeletionsFold) {
   sse::MitraStatelessServer server;
   const auto label = client.counter_label("w");
   std::uint64_t c = 0;
-  auto step = [&](sse::MitraOp op, const sse::DocId& id) {
+  auto step = [&](sse::UpdateOp op, const sse::DocId& id) {
     server.apply_update(client.update(op, "w", id, c));
     server.put_counter(label, client.encode_counter("w", ++c));
   };
-  step(sse::MitraOp::kAdd, "a");
-  step(sse::MitraOp::kAdd, "b");
-  step(sse::MitraOp::kDelete, "a");
+  step(sse::UpdateOp::kAdd, "a");
+  step(sse::UpdateOp::kAdd, "b");
+  step(sse::UpdateOp::kDelete, "a");
   const auto values = server.search(client.search_token("w", c));
   EXPECT_EQ(client.resolve("w", values), std::vector<sse::DocId>{"b"});
 }
